@@ -20,7 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConventionMismatch, InvalidParameter
-from .evolution import evolve_grid, frequency
+from .evolution import (
+    FINE_OSCILLATION_RESOLUTION,
+    Transport,
+    evolve_grid,
+    frequency,
+)
 from .model import (
     DEFAULT_ODE_TOL,
     Mode,
@@ -29,7 +34,10 @@ from .model import (
     SIGMA2,
     SIGMA3,
     SmoothScale,
+    check_mode_scale,
+    is_physical_eigenvalue,
 )
+from .projector import cointegrate
 
 FRAME_ORTHOGONALITY_TOL = 1e-10
 TRACE_CROSSCHECK_TOL = 1e-8
@@ -180,7 +188,7 @@ def build_six_segment(lam: float = 1.5, mass: float = 1.0) -> Scenario:
     if not (lam > 0 and mass > 0):
         raise InvalidParameter("lam and mass must be positive")
     mode = Mode(lam=lam, mass=mass, tau0=0.0,
-                physical=bool(_is_half_integer(lam)))
+                physical=is_physical_eigenvalue(lam))
     r1, r2 = _alternating_radii(lam, mass)
     return make_scenario(mode, [(r1, 5.5), (r2, 0.5)] * 3)
 
@@ -190,7 +198,7 @@ def build_twelve_segment(lam: float = 1.5, mass: float = 1.0) -> Scenario:
     if not (lam > 0 and mass > 0):
         raise InvalidParameter("lam and mass must be positive")
     mode = Mode(lam=lam, mass=mass, tau0=0.0,
-                physical=bool(_is_half_integer(lam)))
+                physical=is_physical_eigenvalue(lam))
     r1, r2 = _alternating_radii(lam, mass)
     pairs = [(r1, 5.5), (r2, 0.5)] * 3 + [(r2, 0.5), (r1, 5.5)] * 3
     return make_scenario(mode, pairs)
@@ -204,10 +212,6 @@ def perturb_scenario(scenario: Scenario, index: int, dp: float) -> Scenario:
         raise InvalidParameter("perturbed rotation count must stay positive")
     pairs[index] = (r, p + dp)
     return make_scenario(scenario.mode, pairs)
-
-
-def _is_half_integer(x: float) -> bool:
-    return abs(2.0 * x - round(2.0 * x)) < 1e-12 and round(2.0 * x) % 2 != 0
 
 
 def _scenario_frames(scenario: Scenario):
@@ -232,33 +236,26 @@ def propagate_bloch(target, tau_grid, tol: float = DEFAULT_ODE_TOL):
     if isinstance(target, Scenario):
         return _propagate_scenario(target, taus)
     mode, scale = target
-    return _propagate_smooth(mode, scale, taus, tol)
+    _check_grid(mode, scale, taus)
+    states = cointegrate(frame_transport(mode, scale, tol), None, 0, mode.tau0,
+                         taus, tol, FINE_OSCILLATION_RESOLUTION)
+    return [BlochState(w=_project_rotation(x.reshape(3, 3).real), tau=t)
+            for t, (x, _) in zip(taus, states)]
 
 
 def _propagate_scenario(scenario: Scenario, taus):
-    bps = scenario.breakpoints
+    scale = scenario.to_scale()
     frames = _scenario_frames(scenario)
     out = []
     for t in taus:
         if not (0.0 <= t <= scenario.total_duration + 1e-12):
             raise InvalidParameter(f"tau={t} outside scenario duration")
-        idx = min(int(np.searchsorted(bps, t, side="right")) - 1,
-                  len(scenario.segments) - 1)
-        idx = max(idx, 0)
+        idx = scale.segment_index(t)
         seg = scenario.segments[idx]
         gen = rotation_generator(scenario.mode, seg.r_value)
-        rot = rotation_matrix(gen, np.linalg.norm(gen) * (t - bps[idx]))
+        rot = rotation_matrix(gen, np.linalg.norm(gen) * (t - scale.breakpoints[idx]))
         out.append(BlochState(w=rot @ frames[idx], tau=t))
     return out
-
-
-def _smooth_frame_rhs(mode: Mode, scale: SmoothScale):
-    def rhs(t, y):
-        frame = y.reshape(3, 3).real
-        k = _cross_matrix(rotation_generator(mode, scale.value(t)))
-        return (k @ frame).astype(complex).ravel()
-
-    return rhs
 
 
 def _project_rotation(f):
@@ -269,27 +266,32 @@ def _project_rotation(f):
     return r
 
 
-def _propagate_smooth(mode: Mode, scale: SmoothScale, taus, tol):
-    from .stepper import integrate_with_checkpoints
+def frame_transport(mode: Mode, scale: SmoothScale,
+                    tol: float = DEFAULT_ODE_TOL) -> Transport:
+    """The rotation frame, identity at the mode's tau0, re-projected onto SO(3)."""
+    def restore(t, x):
+        return _project_rotation(x.reshape(3, 3).real).astype(complex).ravel()
 
+    def at(anchor):
+        if anchor == mode.tau0:
+            return np.eye(3, dtype=complex).ravel()
+        ((x, _),) = cointegrate(transport, None, 0, mode.tau0, [anchor], tol,
+                                FINE_OSCILLATION_RESOLUTION)
+        return restore(anchor, x)
+
+    def rhs(r, x):
+        k = _cross_matrix(rotation_generator(mode, r))
+        return (k @ x.reshape(3, 3).real).astype(complex).ravel()
+
+    transport = Transport(scale, mode.tau0, at, rhs, restore,
+                          lambda r: frequency(mode, r))
+    return transport
+
+
+def _check_grid(mode: Mode, scale: SmoothScale, taus):
     if any(t2 < t1 for t1, t2 in zip(taus, taus[1:])):
         raise InvalidParameter("tau grid must be nondecreasing")
-    for t in taus:
-        scale.check_domain(t)
-
-    def post(t, y):
-        return _project_rotation(y.reshape(3, 3).real).astype(complex).ravel()
-
-    ceiling = lambda t: 0.05 / max(frequency(mode, scale.value(t)), 1e-3)
-    path = [mode.tau0] + taus if taus and taus[0] != mode.tau0 else taus
-    states = integrate_with_checkpoints(
-        _smooth_frame_rhs(mode, scale), mode.tau0, path,
-        np.eye(3, dtype=complex).ravel(), rtol=tol, atol=tol * 1e-2,
-        max_step=ceiling, post_accept=post)
-    if len(path) != len(taus):
-        states = states[1:]
-    return [BlochState(w=_project_rotation(y.reshape(3, 3).real), tau=t)
-            for t, y in zip(taus, states)]
+    check_mode_scale(mode, scale, *taus)
 
 
 def v_trace_formula(mode: Mode, scale_or_scenario, tau_grid,
@@ -343,7 +345,7 @@ def _segment_v_integral(frame, generator, dt):
 
 def scenario_v_rows_with_cumulative(scenario: Scenario, tau_grid):
     """(tau, v1..v3, cumulative integral of v_alpha R) rows, exact per segment."""
-    bps = scenario.breakpoints
+    scale = scenario.to_scale()
     frames = _scenario_frames(scenario)
     prefix = [np.zeros(3)]
     for i, seg in enumerate(scenario.segments):
@@ -353,12 +355,11 @@ def scenario_v_rows_with_cumulative(scenario: Scenario, tau_grid):
     rows = []
     for st in _propagate_scenario(scenario, tau_grid):
         t = st.tau
-        idx = min(int(np.searchsorted(bps, t, side="right")) - 1,
-                  len(scenario.segments) - 1)
-        idx = max(idx, 0)
+        idx = scale.segment_index(t)
         seg = scenario.segments[idx]
         gen = rotation_generator(scenario.mode, seg.r_value)
-        part = _segment_v_integral(frames[idx], gen, t - bps[idx]) * seg.r_value
+        part = (_segment_v_integral(frames[idx], gen, t - scale.breakpoints[idx])
+                * seg.r_value)
         cum = prefix[idx] + part
         rows.append((t, *st.v(), *cum))
     return rows
@@ -371,40 +372,16 @@ def smooth_v_rows_with_cumulative(mode: Mode, scale: SmoothScale, tau_grid,
     The cumulative integrals run from the first grid point; the frame is
     referenced to the mode's tau0.
     """
-    from .stepper import integrate_with_checkpoints
-
     taus = [float(t) for t in tau_grid]
-    if any(t2 < t1 for t1, t2 in zip(taus, taus[1:])):
-        raise InvalidParameter("tau grid must be nondecreasing")
-    for t in taus:
-        scale.check_domain(t)
+    _check_grid(mode, scale, taus)
 
-    start = taus[0]
-    frame0 = _propagate_smooth(mode, scale, [start], tol)[0].w
+    def integrand(t, r, x):
+        return (x.reshape(3, 3).real[2, :] * r).astype(complex)
 
-    def rhs(t, y):
-        frame = y[:9].reshape(3, 3).real
-        k = _cross_matrix(rotation_generator(mode, scale.value(t)))
-        dframe = (k @ frame).astype(complex).ravel()
-        dcum = (frame[2, :] * scale.value(t)).astype(complex)
-        return np.concatenate([dframe, dcum])
-
-    def post(t, y):
-        y = y.copy()
-        y[:9] = _project_rotation(y[:9].reshape(3, 3).real).astype(complex).ravel()
-        return y
-
-    ceiling = lambda t: 0.05 / max(frequency(mode, scale.value(t)), 1e-3)
-    y0 = np.concatenate([frame0.astype(complex).ravel(),
-                         np.zeros(3, dtype=complex)])
-    states = integrate_with_checkpoints(rhs, start, taus, y0, rtol=tol,
-                                        atol=tol * 1e-2, max_step=ceiling,
-                                        post_accept=post)
-    rows = []
-    for t, y in zip(taus, states):
-        frame = _project_rotation(y[:9].reshape(3, 3).real)
-        rows.append((t, *frame[2, :], *y[9:].real))
-    return rows
+    states = cointegrate(frame_transport(mode, scale, tol), integrand, 3,
+                         taus[0], taus, tol, FINE_OSCILLATION_RESOLUTION)
+    return [(t, *_project_rotation(x.reshape(3, 3).real)[2, :], *acc.real)
+            for t, (x, acc) in zip(taus, states)]
 
 
 def scenario_signature_components(scenario: Scenario):

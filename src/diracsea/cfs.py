@@ -20,27 +20,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFamily, InvalidParameter
-from .evolution import evolve, _smooth_rhs, _UnitaryProjector
+from .evolution import evolve, exact_transport
 from .model import (
     DEFAULT_GAP_TOL,
     DEFAULT_ODE_TOL,
     DEFAULT_QUAD_TOL,
-    IDENTITY2,
-    Mode,
+    PiecewiseConstantScale,
     ScaleFunction,
     SIGMA3,
     TestFunction,
+    check_mode_scale,
     spectral_norm,
 )
 from .projector import (
-    SignatureResult,
-    _support_legs,
-    _support_max_step,
+    _choose_cutoffs,
+    interval_integral,
     negative_projection,
     signature_operator,
+    support_integral,
     TWO_PI,
 )
-from .stepper import integrate
 
 MEMBERSHIP_TOL = 1e-8
 GRAM_IDENTITY_TOL = 1e-10
@@ -260,38 +259,19 @@ def kernel_apply(family: SolutionFamily, tau_x: float, phi: TestFunction,
     """
     mode = family.modes[mode_index]
     scale = family.scale
-    a, b = phi.support
-    scale.check_domain(a)
-    scale.check_domain(b)
-    group = family.block_indices().get(mode_index, [])
-    if not group:
+    check_mode_scale(mode, scale, *phi.support)
+    spinors = [family.members[j].spinor
+               for j in family.block_indices().get(mode_index, [])]
+    if not spinors:
         return np.zeros(2, dtype=complex)
-    spinors = [family.members[j].spinor for j in group]
-    base = _smooth_rhs(mode, scale)
-    ceiling = _support_max_step(mode, scale, phi)
-    projector = _UnitaryProjector()
 
-    def rhs(t, y):
-        du = base(t, y[:4])
-        u = y[:4].reshape(2, 2)
-        probe = SIGMA3 @ phi(t) * scale.value(t) / TWO_PI
-        pairings = np.array([np.vdot(u @ s, probe) for s in spinors])
-        return np.concatenate([du, pairings])
+    def integrand(t, r, x):
+        u = x.reshape(2, 2)
+        probe = SIGMA3 @ phi(t) * r / TWO_PI
+        return np.array([np.vdot(u @ s, probe) for s in spinors])
 
-    def post(t, y):
-        y = y.copy()
-        y[:4] = projector(t, y[:4])
-        return y
-
-    total = np.zeros(len(group), dtype=complex)
-    for anchor, lo, hi, sign in _support_legs(mode.tau0, a, b):
-        u0 = evolve(mode, scale, mode.tau0, anchor, tol=tol).u.matrix \
-            if anchor != mode.tau0 else IDENTITY2
-        y0 = np.concatenate([u0.ravel(), np.zeros(len(group), dtype=complex)])
-        y = integrate(rhs, lo, hi, y0, rtol=tol, atol=tol * 1e-2,
-                      max_step=ceiling, post_accept=post)
-        total += sign * y[4:]
-
+    transport = exact_transport((mode,), scale, mode.tau0, tol)
+    total = support_integral(transport, integrand, len(spinors), phi, tol)
     u_x = evolve(mode, scale, mode.tau0, tau_x, tol=tol).u.matrix
     out = np.zeros(2, dtype=complex)
     for s, pairing in zip(spinors, total):
@@ -308,37 +288,16 @@ def correlation_trace_lifetime_integral(family: SolutionFamily,
     members' signature quadratic forms, which the signature operator
     computes by an independent route.
     """
-    from .projector import _choose_cutoffs
-    from .model import PiecewiseConstantScale
-
     scale = family.scale
     groups = family.block_indices()
     mode_ids = sorted(groups)
-    offsets = {idx: 4 * n for n, idx in enumerate(mode_ids)}
-    nu = 4 * len(mode_ids)
-
-    def rhs(t, y):
-        out = np.zeros(nu + 1, dtype=complex)
-        r = scale.value(t)
-        tr = 0.0
-        for idx in mode_ids:
-            mode = family.modes[idx]
-            off = offsets[idx]
-            u = y[off:off + 4].reshape(2, 2)
-            m_r = mode.mass * r
-            h = np.array([[m_r, -mode.lam], [-mode.lam, -m_r]], dtype=complex)
-            out[off:off + 4] = (-1j * (h @ u)).ravel()
-            for j in groups[idx]:
-                psi = u @ family.members[j].spinor
-                tr -= np.vdot(psi, SIGMA3 @ psi).real
-        out[nu] = tr * r
-        return out
+    modes = [family.modes[idx] for idx in mode_ids]
 
     # members are anchored at their modes' tau0; require a common anchor
-    anchors = {family.modes[idx].tau0 for idx in mode_ids}
+    anchors = {mode.tau0 for mode in modes}
     if len(anchors) != 1:
         raise InvalidParameter("trace integral needs a common tau0 across modes")
-    tau0 = anchors.pop()
+    check_mode_scale(modes[0], scale)
 
     if isinstance(scale, PiecewiseConstantScale):
         lo, hi = 0.0, scale.tau_end
@@ -346,27 +305,17 @@ def correlation_trace_lifetime_integral(family: SolutionFamily,
         d_lo, d_hi = _choose_cutoffs(scale, quad_tol)
         lo, hi = d_lo, scale.tau_end - d_hi
 
-    y0 = np.zeros(nu + 1, dtype=complex)
-    for idx in mode_ids:
-        y0[offsets[idx]:offsets[idx] + 4] = IDENTITY2.ravel()
+    def integrand(t, r, x):
+        tr = 0.0
+        for u, idx in zip(x.reshape(-1, 2, 2), mode_ids):
+            for j in groups[idx]:
+                psi = u @ family.members[j].spinor
+                tr -= np.vdot(psi, SIGMA3 @ psi).real
+        return (tr * r,)
 
-    fmax = lambda t: max(frequency_all(family, mode_ids, scale.value(t)), 1e-3)
-    ceiling = lambda t: 0.1 / fmax(t)
-
-    acc = 0.0 + 0.0j
-    if hi != tau0:
-        acc += integrate(rhs, tau0, hi, y0, rtol=ode_tol, atol=ode_tol * 1e-2,
-                         max_step=ceiling)[nu]
-    if lo != tau0:
-        acc -= integrate(rhs, tau0, lo, y0, rtol=ode_tol, atol=ode_tol * 1e-2,
-                         max_step=ceiling)[nu]
-    return float(acc.real)
-
-
-def frequency_all(family: SolutionFamily, mode_ids, r: float) -> float:
-    from .evolution import frequency
-
-    return max(frequency(family.modes[idx], r) for idx in mode_ids)
+    transport = exact_transport(modes, scale, anchors.pop(), ode_tol)
+    acc = interval_integral(transport, integrand, 1, lo, hi, ode_tol)
+    return float(acc[0].real)
 
 
 class Classification(enum.Enum):

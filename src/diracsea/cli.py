@@ -26,7 +26,7 @@ from . import projector as proj_mod
 from . import studies as studies_mod
 from .errors import DiracSeaError, InvalidParameter
 from .evolution import evolve_grid
-from .model import Mode, bump, unitarity_defect
+from .model import Mode, unitarity_defect
 from .scenario_io import ScenarioConfig, Tolerances, load_scenario
 
 log = logging.getLogger("diracsea")
@@ -66,20 +66,13 @@ def _complex_pairs(vec):
     return [[float(z.real), float(z.imag)] for z in vec]
 
 
-def _parse_phi(doc: dict):
-    if "phi" not in doc:
-        raise InvalidParameter("run options must include a 'phi' block")
-    p = doc["phi"]
-    support = tuple(float(x) for x in p["support"])
-    raw = p.get("direction", [1.0, 0.0])
-    direction = []
-    for entry in raw:
-        if isinstance(entry, (list, tuple)):
-            direction.append(complex(entry[0], entry[1]))
-        else:
-            direction.append(complex(entry))
-    return bump(support, np.array(direction, dtype=complex),
-                float(p.get("amplitude", 1.0)))
+def _parse_probe(p: dict) -> studies_mod.ProbeSpec:
+    """A 'phi' block: support, direction ([re, im] pairs or numbers), amplitude."""
+    direction = tuple(complex(e[0], e[1]) if isinstance(e, (list, tuple))
+                      else complex(e) for e in p.get("direction", [1.0, 0.0]))
+    return studies_mod.ProbeSpec(support=tuple(float(x) for x in p["support"]),
+                                 direction=direction,
+                                 amplitude=float(p.get("amplitude", 1.0)))
 
 
 def cmd_evolve(cfg: ScenarioConfig, args, out):
@@ -141,7 +134,9 @@ def cmd_signature(cfg: ScenarioConfig, args, out):
 
 
 def cmd_project(cfg: ScenarioConfig, args, out):
-    phi = _parse_phi(cfg.run)
+    if "phi" not in cfg.run:
+        raise InvalidParameter("run options must include a 'phi' block")
+    phi = _parse_probe(cfg.run["phi"]).build()
     variant = cfg.run.get("variant", "exact")
     scale = cfg.plain_scale()
     tols = cfg.tolerances
@@ -259,18 +254,7 @@ def cmd_study(cfg: ScenarioConfig, args, out):
         value=float(lam_doc.get("value", cfg.mode.lam)),
         k=float(lam_doc.get("k", 1.0)),
         exponent=float(lam_doc.get("exponent", 0.8)))
-    probe = None
-    if "phi" in run:
-        p = run["phi"]
-        direction = []
-        for entry in p.get("direction", [1.0, 0.0]):
-            direction.append(complex(entry[0], entry[1])
-                             if isinstance(entry, (list, tuple))
-                             else complex(entry))
-        probe = studies_mod.ProbeSpec(
-            support=tuple(float(x) for x in p["support"]),
-            direction=tuple(direction),
-            amplitude=float(p.get("amplitude", 1.0)))
+    probe = _parse_probe(run["phi"]) if "phi" in run else None
     tols = cfg.tolerances
     result = studies_mod.run_study(
         kind, grid, lam_spec=lam_spec, probe=probe,

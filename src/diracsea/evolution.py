@@ -7,6 +7,10 @@ formula for each segment exponential); smooth ones go through the shared
 adaptive stepper with a step ceiling resolving the instantaneous frequency
 and polar re-unitarization after every accepted step.
 
+A ``Transport`` carries a fiber state along tau from a reference time: the
+exact propagators of modes sharing R, or the WKB phase (``bloch`` adds the
+rotation frame).  Integrals ride on one through ``projector.cointegrate``.
+
 The WKB propagator is assembled from the instantaneous diagonalizing frame
 and the accumulated frequency integral; it is exact whenever R is constant.
 """
@@ -14,6 +18,8 @@ and the accumulated frequency integral; it is exact whenever R is constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
@@ -26,14 +32,18 @@ from .model import (
     ScaleFunction,
     SmoothScale,
     Unitary2,
+    check_mode_scale,
     polar_unitary,
     spectral_norm,
     unitarity_defect,
     DEFAULT_ODE_TOL,
 )
 
-#: Step ceiling: at most this fraction of an oscillation period per step.
+#: Step ceiling: the phase advances by at most this many radians per step
+#: (0.1 rad, about 1/63 of an oscillation period).
 OSCILLATION_RESOLUTION = 0.1
+#: The finer ceiling of WKB lifetime sweeps and rotation-frame sweeps.
+FINE_OSCILLATION_RESOLUTION = 0.05
 
 MIN_ODE_TOL = 1e-14
 MAX_ODE_TOL = 1e-4
@@ -102,34 +112,61 @@ def _piecewise_propagate(mode: Mode, scale: PiecewiseConstantScale,
     return u, len(cuts) - 1
 
 
-class _UnitaryProjector:
-    """Post-acceptance hook: re-unitarize the leading 2x2 block of the state."""
+def step_ceiling(freq: Callable[[float], float], scale: ScaleFunction,
+                 resolution: float = OSCILLATION_RESOLUTION,
+                 cap: float = np.inf):
+    """Step ceiling at tau: ``resolution`` radians of phase, and at most ``cap``.
 
-    def __init__(self):
-        self.max_defect = 0.0
-
-    def __call__(self, t, y):
-        u = y[:4].reshape(2, 2)
-        self.max_defect = max(self.max_defect, unitarity_defect(u))
-        y = y.copy()
-        y[:4] = polar_unitary(u).ravel()
-        return y
+    ``freq`` maps a scale value to the oscillation frequency.
+    """
+    return lambda t: min(resolution / max(freq(scale.value(t)), 1e-3), cap)
 
 
-def _smooth_rhs(mode: Mode, scale: ScaleFunction):
-    lam, mass = mode.lam, mode.mass
+@dataclass(frozen=True)
+class Transport:
+    """A fiber state carried along tau, referenced to ``tau0``.
 
-    def rhs(t, y):
-        u = y.reshape(2, 2)
-        m_r = mass * scale.value(t)
-        h = np.array([[m_r, -lam], [-lam, -m_r]], dtype=complex)
-        return (-1j * (h @ u)).ravel()
+    ``at(anchor)`` is the flat complex state at ``anchor``; ``rhs(r, x)`` its
+    derivative at scale value r; ``restore(t, x)``, if given, maps the state
+    back onto its manifold after every accepted step; ``frequency(r)`` is
+    the oscillation frequency that sets the step ceiling.
+    """
 
-    return rhs
+    scale: ScaleFunction
+    tau0: float
+    at: Callable
+    rhs: Callable
+    restore: Callable | None
+    frequency: Callable[[float], float]
+
+    def derivative(self, t: float, x):
+        return self.rhs(self.scale.value(t), x)
 
 
-def _step_ceiling(mode: Mode, scale: ScaleFunction):
-    return lambda t: OSCILLATION_RESOLUTION / max(frequency(mode, scale.value(t)), 1e-3)
+def exact_transport(modes, scale: ScaleFunction, tau0: float,
+                    tol: float = DEFAULT_ODE_TOL) -> Transport:
+    """Exact propagators U(tau <- tau0) of modes sharing R, one 2x2 block each.
+
+    Each block solves dU/dtau = -i H U and is polar re-unitarized after
+    every accepted step.
+    """
+    modes = tuple(modes)
+
+    def at(anchor):
+        if anchor == tau0:
+            return np.tile(IDENTITY2.ravel(), len(modes))
+        return np.concatenate([evolve(m, scale, tau0, anchor, tol=tol).u.matrix.ravel()
+                               for m in modes])
+
+    def rhs(r, x):
+        return np.concatenate([(-1j * (coefficient_matrix(m, r) @ u)).ravel()
+                               for m, u in zip(modes, x.reshape(-1, 2, 2))])
+
+    def restore(t, x):
+        return polar_unitary(x.reshape(-1, 2, 2)).ravel()
+
+    return Transport(scale, tau0, at, rhs, restore,
+                     lambda r: max(frequency(m, r) for m in modes))
 
 
 def evolve(mode: Mode, scale: ScaleFunction, tau_from: float, tau_to: float,
@@ -147,12 +184,12 @@ def evolve(mode: Mode, scale: ScaleFunction, tau_from: float, tau_to: float,
 
     from .stepper import StepStats, integrate
 
-    projector = _UnitaryProjector()
+    tr = exact_transport((mode,), scale, tau_from, tol)
     stats = StepStats()
-    y = integrate(_smooth_rhs(mode, scale), tau_from, tau_to,
-                  IDENTITY2.ravel(), rtol=tol, atol=tol * 1e-2,
-                  max_step=_step_ceiling(mode, scale), post_accept=projector,
-                  stats=stats)
+    y = integrate(tr.derivative, tau_from, tau_to, tr.at(tau_from),
+                  rtol=tol, atol=tol * 1e-2,
+                  max_step=step_ceiling(tr.frequency, scale),
+                  post_accept=tr.restore, stats=stats)
     u = polar_unitary(y.reshape(2, 2))
     return EvolutionResult(u=Unitary2(u), tau_from=tau_from, tau_to=tau_to,
                            step_count=stats.accepted,
@@ -178,14 +215,11 @@ def evolve_grid(mode: Mode, scale: ScaleFunction, tau_from: float, taus,
             prev = t
         return out
 
-    from .stepper import integrate_with_checkpoints
+    from .projector import cointegrate
 
-    projector = _UnitaryProjector()
-    states = integrate_with_checkpoints(
-        _smooth_rhs(mode, scale), tau_from, taus, IDENTITY2.ravel(),
-        rtol=tol, atol=tol * 1e-2, max_step=_step_ceiling(mode, scale),
-        post_accept=projector)
-    return [polar_unitary(y.reshape(2, 2)) for y in states]
+    states = cointegrate(exact_transport((mode,), scale, tau_from, tol), None, 0,
+                         tau_from, taus, tol)
+    return [polar_unitary(x.reshape(2, 2)) for x, _ in states]
 
 
 def diagonalizer(mode: Mode, r: float) -> np.ndarray:
@@ -247,8 +281,19 @@ class WkbFrame:
     phase: float
 
 
+def phase_transport(mode: Mode, scale: ScaleFunction) -> Transport:
+    """The WKB phase psi(tau): the frequency integral from the mode's tau0."""
+    freq = partial(frequency, mode)
+
+    def at(anchor):
+        return np.array([accumulated_phase(mode, scale, mode.tau0, anchor)],
+                        dtype=complex)
+
+    return Transport(scale, mode.tau0, at, lambda r, x: (freq(r),), None, freq)
+
+
 def wkb_frame(mode: Mode, scale: ScaleFunction, tau: float) -> WkbFrame:
-    scale.check_domain(tau)
+    check_mode_scale(mode, scale, tau)
     r = scale.value(tau)
     return WkbFrame(f=frequency(mode, r),
                     v=Unitary2(diagonalizer(mode, r)),
@@ -330,6 +375,7 @@ def wkb_deviation_by_generator(mode: Mode, scale: SmoothScale, tau: float,
     accuracy.  Needs a smooth scale with a derivative.
     """
     check_ode_tol(tol)
+    check_mode_scale(mode, scale)
     from .stepper import integrate
 
     r0 = scale.value(mode.tau0)
@@ -349,5 +395,6 @@ def wkb_deviation_by_generator(mode: Mode, scale: SmoothScale, tau: float,
 
     y0 = np.concatenate([[0.0 + 0.0j], IDENTITY2.ravel()])
     y = integrate(rhs, mode.tau0, tau, y0, rtol=tol, atol=tol * 1e-2,
-                  max_step=_step_ceiling(mode, scale), post_accept=post)
+                  max_step=step_ceiling(partial(frequency, mode), scale),
+                  post_accept=post)
     return Unitary2(polar_unitary(y[1:].reshape(2, 2)))

@@ -219,6 +219,16 @@ class PiecewiseConstantScale(ScaleFunction):
         return delta * self.values[-1]
 
 
+def check_mode_scale(mode: Mode, scale: ScaleFunction, *taus: float):
+    """DomainError unless tau0 and ``taus`` lie in the scale's domain.
+
+    Every entry point taking a (mode, scale) pair calls this, so none
+    extrapolates the scale function.
+    """
+    for tau in (mode.tau0, *taus):
+        scale.check_domain(tau)
+
+
 def dust_scale(r_max: float) -> SmoothScale:
     """Dust-matter scale function, normalized so that max R = r_max.
 

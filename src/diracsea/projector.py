@@ -13,11 +13,12 @@ and the projector onto the filled states is  P(phi) = -X_neg(S) k(phi)
 with X_neg the spectral projection onto S's negative subspace.  WKB
 counterparts replace U by the frame-and-phase propagator.
 
-Quadratures over the open lifetime are accumulated as augmented state of
-the same adaptive stepper that drives the evolution (one error budget for
-propagator and integral); the endpoint limits are handled by shrinking a
-cutoff delta until the rigorous tail bound (the integrand norm is at most
-R) drops below the requested tolerance.  Piecewise-constant scales skip
+Every such integral rides as augmented state on one transport (exact U,
+or the WKB phase) through ``cointegrate``, so one adaptive stepper and one
+error budget cover propagator and integral; each caller supplies only its
+integrand.  Over the open lifetime, the endpoint limits are handled by
+shrinking a cutoff delta until the rigorous tail bound (the integrand norm
+is at most R) drops below the requested tolerance.  Piecewise-constant scales skip
 all of this: every segment integral has a closed form.
 """
 
@@ -31,30 +32,33 @@ from scipy.integrate import quad
 
 from .errors import ConvergenceFailure, DegenerateSignature, InvalidParameter
 from .evolution import (
+    FINE_OSCILLATION_RESOLUTION,
+    OSCILLATION_RESOLUTION,
+    Transport,
     accumulated_phase,
     check_ode_tol,
     diagonalizer,
-    evolve,
+    exact_transport,
     frequency,
-    _smooth_rhs,
-    _step_ceiling,
-    _UnitaryProjector,
+    phase_transport,
+    step_ceiling,
+    wkb_propagator_raw,
 )
 from .model import (
     DEFAULT_GAP_TOL,
     DEFAULT_ODE_TOL,
     DEFAULT_QUAD_TOL,
     Hermitian2,
-    IDENTITY2,
     Mode,
     PiecewiseConstantScale,
     ScaleFunction,
     SIGMA3,
     TestFunction,
     Unitary2,
-    spectral_norm,
+    check_mode_scale,
 )
-from .stepper import integrate
+# perfbench/test_perfbench.py reads ``projector.integrate``; keep it bound.
+from .stepper import integrate, integrate_with_checkpoints  # noqa: F401
 
 TWO_PI = 2.0 * np.pi
 
@@ -118,81 +122,124 @@ def _choose_cutoffs(scale: ScaleFunction, tol: float):
     return cutoffs[0], cutoffs[1]
 
 
-def _two_leg_accumulate(rhs, tau0: float, lo: float, hi: float, y0,
-                        ode_tol: float, max_step, post_accept,
-                        slice_acc) -> np.ndarray:
-    """Accumulated integral over [lo, hi] for a tau0-anchored augmented state.
+def cointegrate(transport: Transport, integrand, width: int, anchor: float,
+                stops, tol: float, resolution: float = OSCILLATION_RESOLUTION,
+                cap: float = np.inf):
+    """Carry a transport from ``anchor`` through the monotone ``stops``.
 
-    Integrates the augmented system from tau0 towards both interval ends
-    and differences the accumulator slices, so the anchor may sit inside,
-    below, or above the interval.
+    The integral of ``integrand(t, r, x)`` (``width`` complex entries; r the
+    scale value, x the transport state) from ``anchor`` rides along as
+    augmented state, so one adaptive stepper and one error budget cover
+    both.  The step ceiling allows ``resolution`` radians of phase per step
+    and at most ``cap``.  Returns one (state, integral) pair per stop.
     """
-    acc_hi = np.zeros_like(slice_acc(np.asarray(y0, dtype=complex)))
-    acc_lo = acc_hi.copy()
-    if hi != tau0:
-        y = integrate(rhs, tau0, hi, y0, rtol=ode_tol, atol=ode_tol * 1e-2,
-                      max_step=max_step, post_accept=post_accept)
-        acc_hi = slice_acc(y)
-    if lo != tau0:
-        y = integrate(rhs, tau0, lo, y0, rtol=ode_tol, atol=ode_tol * 1e-2,
-                      max_step=max_step, post_accept=post_accept)
-        acc_lo = slice_acc(y)
-    return acc_hi - acc_lo
+    x0 = transport.at(anchor)
+    k = x0.size
+    scale = transport.scale
+    if integrand is None:
+        rhs = transport.derivative
+    else:
+        def rhs(t, y):
+            r = scale.value(t)
+            x = y[:k]
+            return np.concatenate([transport.rhs(r, x), integrand(t, r, x)])
+    post = None
+    if transport.restore is not None:
+        def post(t, y):
+            y = y.copy()
+            y[:k] = transport.restore(t, y[:k])
+            return y
+    ceiling = step_ceiling(transport.frequency, scale, resolution, cap)
+    states = integrate_with_checkpoints(
+        rhs, anchor, stops, np.concatenate([x0, np.zeros(width, dtype=complex)]),
+        rtol=tol, atol=tol * 1e-2, max_step=ceiling, post_accept=post)
+    return [(y[:k], y[k:]) for y in states]
+
+
+def interval_integral(transport: Transport, integrand, width: int, lo: float,
+                      hi: float, tol: float,
+                      resolution: float = OSCILLATION_RESOLUTION,
+                      cap: float = np.inf) -> np.ndarray:
+    """Integral over [lo, hi] of an integrand riding on a tau0-referenced transport.
+
+    From a tau0 inside the interval the sweeps run out to both ends; from
+    a tau0 outside it the transport is first carried to the nearer end.
+    """
+    def leg(anchor, end):
+        return cointegrate(transport, integrand, width, anchor, [end], tol,
+                           resolution, cap)[0][1]
+
+    tau0 = transport.tau0
+    if tau0 <= lo:
+        return leg(lo, hi)
+    if tau0 >= hi:
+        return -leg(hi, lo)
+    return leg(tau0, hi) - leg(tau0, lo)
+
+
+def support_integral(transport: Transport, integrand, width: int,
+                     phi: TestFunction, tol: float) -> np.ndarray:
+    """Integral over a probe's support; steps are also capped at width/16."""
+    a, b = phi.support
+    return interval_integral(transport, integrand, width, a, b, tol,
+                             cap=(b - a) / 16.0)
+
+
+def _exact(mode: Mode, scale: ScaleFunction, tol: float):
+    """The exact transport of one mode and its propagator U(tau)."""
+    return (exact_transport((mode,), scale, mode.tau0, tol),
+            lambda r, x: x.reshape(2, 2))
+
+
+def _wkb(mode: Mode, scale: ScaleFunction):
+    """The WKB phase transport and its propagator V(tau)^-1 D(psi) V(tau0)."""
+    v0 = diagonalizer(mode, scale.value(mode.tau0))
+    return (phase_transport(mode, scale),
+            lambda r, x: wkb_propagator_raw(diagonalizer(mode, r), v0, x[0].real))
+
+
+def _signature(mode: Mode, scale: ScaleFunction, tol: float, ode_tol: float,
+               closed_form, transported, resolution: float) -> SignatureResult:
+    """Closed form on piecewise scales, else lifetime quadrature of U^dagger sigma3 U R.
+
+    ``transported()`` gives the transport and its propagator U(r, state);
+    the quadrature runs between the endpoint cutoffs.
+    """
+    check_ode_tol(ode_tol)
+    check_mode_scale(mode, scale)
+    scale_bound = scale.lifetime_integral()
+    if isinstance(scale, PiecewiseConstantScale):
+        return _finish_signature(closed_form(mode, scale),
+                                 1e-13 * max(scale_bound, 1.0), scale_bound)
+
+    transport, propagator = transported()
+    d_lo, d_hi = _choose_cutoffs(scale, tol)
+
+    def integrand(t, r, x):
+        u = propagator(r, x)
+        return ((u.conj().T @ SIGMA3 @ u) * r).ravel()
+
+    acc = interval_integral(transport, integrand, 4, d_lo, scale.tau_end - d_hi,
+                            ode_tol, resolution)
+    quad_error = (scale.tail_below(d_lo) + scale.tail_above(d_hi)
+                  + ode_tol * scale_bound)
+    return _finish_signature(acc.reshape(2, 2), quad_error, scale_bound)
+
+
+def _piecewise_signature(mode: Mode, scale: PiecewiseConstantScale) -> np.ndarray:
+    from .bloch import piecewise_signature_vector
+    from .model import SIGMA1, SIGMA2
+
+    svec = piecewise_signature_vector(mode, scale)
+    return svec[0] * SIGMA1 + svec[1] * SIGMA2 + svec[2] * SIGMA3
 
 
 def signature_operator(mode: Mode, scale: ScaleFunction,
                        tol: float = DEFAULT_QUAD_TOL,
                        ode_tol: float = DEFAULT_ODE_TOL) -> SignatureResult:
     """The signature matrix by lifetime quadrature of U^dagger sigma3 U R."""
-    check_ode_tol(ode_tol)
-    scale_bound = scale.lifetime_integral()
-
-    if isinstance(scale, PiecewiseConstantScale):
-        from .bloch import piecewise_signature_vector
-        from .model import SIGMA1, SIGMA2
-
-        svec = piecewise_signature_vector(mode, scale)
-        matrix = svec[0] * SIGMA1 + svec[1] * SIGMA2 + svec[2] * SIGMA3
-        return _finish_signature(matrix, 1e-13 * max(scale_bound, 1.0), scale_bound)
-
-    d_lo, d_hi = _choose_cutoffs(scale, tol)
-    base = _smooth_rhs(mode, scale)
-
-    def rhs(t, y):
-        du = base(t, y[:4])
-        u = y[:4].reshape(2, 2)
-        b = (u.conj().T @ SIGMA3 @ u) * scale.value(t)
-        return np.concatenate([du, b.ravel()])
-
-    projector = _UnitaryProjector()
-
-    def post(t, y):
-        y = y.copy()
-        y[:4] = projector(t, y[:4])
-        return y
-
-    y0 = np.concatenate([IDENTITY2.ravel(), np.zeros(4, dtype=complex)])
-    acc = _two_leg_accumulate(rhs, mode.tau0, d_lo, scale.tau_end - d_hi, y0,
-                              ode_tol, _step_ceiling(mode, scale), post,
-                              lambda y: y[4:])
-    quad_error = (scale.tail_below(d_lo) + scale.tail_above(d_hi)
-                  + ode_tol * scale_bound)
-    return _finish_signature(acc.reshape(2, 2), quad_error, scale_bound)
-
-
-def _wkb_conjugated_rhs(mode: Mode, scale: ScaleFunction, v0: np.ndarray):
-    """State [phase, 4 accumulator entries]: WKB-conjugated sigma3 times R."""
-
-    def rhs(t, y):
-        psi = y[0].real
-        r = scale.value(t)
-        v = diagonalizer(mode, r)
-        d = np.array([np.exp(-1j * psi), np.exp(1j * psi)])
-        uw = v.conj().T @ (d[:, None] * v0)
-        b = (uw.conj().T @ SIGMA3 @ uw) * r
-        return np.concatenate([[frequency(mode, r)], b.ravel()])
-
-    return rhs
+    return _signature(mode, scale, tol, ode_tol, _piecewise_signature,
+                      lambda: _exact(mode, scale, ode_tol), OSCILLATION_RESOLUTION)
 
 
 def _wkb_piecewise_signature(mode: Mode, scale: PiecewiseConstantScale) -> np.ndarray:
@@ -222,23 +269,8 @@ def signature_operator_wkb(mode: Mode, scale: ScaleFunction,
                            tol: float = DEFAULT_QUAD_TOL,
                            ode_tol: float = DEFAULT_ODE_TOL) -> SignatureResult:
     """Signature quadrature with the WKB propagator in place of the exact one."""
-    check_ode_tol(ode_tol)
-    scale_bound = scale.lifetime_integral()
-
-    if isinstance(scale, PiecewiseConstantScale):
-        matrix = _wkb_piecewise_signature(mode, scale)
-        return _finish_signature(matrix, 1e-13 * max(scale_bound, 1.0), scale_bound)
-
-    d_lo, d_hi = _choose_cutoffs(scale, tol)
-    v0 = diagonalizer(mode, scale.value(mode.tau0))
-    rhs = _wkb_conjugated_rhs(mode, scale, v0)
-    ceiling = lambda t: 0.05 / max(frequency(mode, scale.value(t)), 1e-3)
-    y0 = np.zeros(5, dtype=complex)
-    acc = _two_leg_accumulate(rhs, mode.tau0, d_lo, scale.tau_end - d_hi, y0,
-                              ode_tol, ceiling, None, lambda y: y[1:])
-    quad_error = (scale.tail_below(d_lo) + scale.tail_above(d_hi)
-                  + ode_tol * scale_bound)
-    return _finish_signature(acc.reshape(2, 2), quad_error, scale_bound)
+    return _signature(mode, scale, tol, ode_tol, _wkb_piecewise_signature,
+                      lambda: _wkb(mode, scale), FINE_OSCILLATION_RESOLUTION)
 
 
 def _mass_term_integral(mode: Mode, scale: ScaleFunction) -> float:
@@ -259,6 +291,7 @@ def wkb_signature_leading_term(mode: Mode, scale: ScaleFunction) -> Hermitian2:
     The mass-term integral times the tau0 frame's conjugated sigma3; the
     remainder of the WKB signature is suppressed by one power of the mass.
     """
+    check_mode_scale(mode, scale)
     v0 = diagonalizer(mode, scale.value(mode.tau0))
     coeff = _mass_term_integral(mode, scale)
     return Hermitian2(coeff * (v0.conj().T @ SIGMA3 @ v0))
@@ -282,6 +315,7 @@ class WkbScalarIntegrals:
 def wkb_scalar_integrals(mode: Mode, scale: ScaleFunction,
                          tol: float = DEFAULT_QUAD_TOL,
                          ode_tol: float = DEFAULT_ODE_TOL) -> WkbScalarIntegrals:
+    check_mode_scale(mode, scale)
     if isinstance(scale, PiecewiseConstantScale):
         widths = np.diff(scale.breakpoints)
         mass_term = cos_term = sin_term = 0.0
@@ -297,20 +331,16 @@ def wkb_scalar_integrals(mode: Mode, scale: ScaleFunction,
     check_ode_tol(ode_tol)
     d_lo, d_hi = _choose_cutoffs(scale, tol)
 
-    def rhs(t, y):
-        psi = y[0].real
-        r = scale.value(t)
+    def integrand(t, r, x):
         f = frequency(mode, r)
-        ph = -2.0 * psi
-        return np.array([f,
-                         mode.mass * r * r / f,
+        ph = -2.0 * x[0].real
+        return np.array([mode.mass * r * r / f,
                          r / f * np.cos(ph),
                          r / f * np.sin(ph)], dtype=complex)
 
-    ceiling = lambda t: 0.05 / max(frequency(mode, scale.value(t)), 1e-3)
-    acc = _two_leg_accumulate(rhs, mode.tau0, d_lo, scale.tau_end - d_hi,
-                              np.zeros(4, dtype=complex), ode_tol, ceiling,
-                              None, lambda y: y[1:])
+    acc = interval_integral(phase_transport(mode, scale), integrand, 3, d_lo,
+                            scale.tau_end - d_hi, ode_tol,
+                            FINE_OSCILLATION_RESOLUTION)
     return WkbScalarIntegrals(float(acc[0].real), float(acc[1].real),
                               float(acc[2].real))
 
@@ -355,23 +385,17 @@ class ProjectorOutput:
         return float(np.linalg.norm(self.value))
 
 
-def _support_max_step(mode: Mode, scale: ScaleFunction, phi: TestFunction):
-    a, b = phi.support
-    width_cap = (b - a) / 16.0
+def _k_apply(mode: Mode, scale: ScaleFunction, phi: TestFunction, tol: float,
+             transported, provenance: Provenance) -> ProjectorOutput:
+    check_ode_tol(tol)
+    check_mode_scale(mode, scale, *phi.support)
+    transport, propagator = transported()
 
-    def ceiling(t):
-        return min(0.1 / max(frequency(mode, scale.value(t)), 1e-3), width_cap)
+    def integrand(t, r, x):
+        return propagator(r, x).conj().T @ (SIGMA3 @ phi(t)) * r / TWO_PI
 
-    return ceiling
-
-
-def _support_legs(tau0: float, a: float, b: float):
-    """(start, leg_start, leg_end, sign) sweeps covering [a, b] from tau0."""
-    if tau0 <= a:
-        return [(a, a, b, +1.0)]
-    if tau0 >= b:
-        return [(b, b, a, -1.0)]
-    return [(tau0, tau0, b, +1.0), (tau0, tau0, a, -1.0)]
+    return ProjectorOutput(value=support_integral(transport, integrand, 2, phi, tol),
+                           provenance=provenance)
 
 
 def k_m_apply(mode: Mode, scale: ScaleFunction, phi: TestFunction,
@@ -381,68 +405,20 @@ def k_m_apply(mode: Mode, scale: ScaleFunction, phi: TestFunction,
     1/(2 pi) times the support integral of U^dagger sigma3 phi R,
     co-integrated with the propagator itself.
     """
-    check_ode_tol(tol)
-    a, b = phi.support
-    scale.check_domain(a)
-    scale.check_domain(b)
-    base = _smooth_rhs(mode, scale)
-    ceiling = _support_max_step(mode, scale, phi)
-    projector = _UnitaryProjector()
-
-    def rhs(t, y):
-        du = base(t, y[:4])
-        u = y[:4].reshape(2, 2)
-        dk = u.conj().T @ (SIGMA3 @ phi(t)) * scale.value(t) / TWO_PI
-        return np.concatenate([du, dk])
-
-    def post(t, y):
-        y = y.copy()
-        y[:4] = projector(t, y[:4])
-        return y
-
-    total = np.zeros(2, dtype=complex)
-    for anchor, lo, hi, sign in _support_legs(mode.tau0, a, b):
-        u0 = evolve(mode, scale, mode.tau0, anchor, tol=tol).u.matrix \
-            if anchor != mode.tau0 else IDENTITY2
-        y0 = np.concatenate([u0.ravel(), np.zeros(2, dtype=complex)])
-        y = integrate(rhs, lo, hi, y0, rtol=tol, atol=tol * 1e-2,
-                      max_step=ceiling, post_accept=post)
-        total += sign * y[4:]
-    return ProjectorOutput(value=total, provenance=Provenance.EXACT)
+    return _k_apply(mode, scale, phi, tol, lambda: _exact(mode, scale, tol),
+                    Provenance.EXACT)
 
 
 def k_wkb_apply(mode: Mode, scale: ScaleFunction, phi: TestFunction,
                 tol: float = DEFAULT_ODE_TOL) -> ProjectorOutput:
     """WKB counterpart of ``k_m_apply``."""
-    check_ode_tol(tol)
-    a, b = phi.support
-    scale.check_domain(a)
-    scale.check_domain(b)
-    v0 = diagonalizer(mode, scale.value(mode.tau0))
-    ceiling = _support_max_step(mode, scale, phi)
-
-    def rhs(t, y):
-        psi = y[0].real
-        r = scale.value(t)
-        v = diagonalizer(mode, r)
-        d = np.array([np.exp(-1j * psi), np.exp(1j * psi)])
-        uw = v.conj().T @ (d[:, None] * v0)
-        dk = uw.conj().T @ (SIGMA3 @ phi(t)) * r / TWO_PI
-        return np.concatenate([[frequency(mode, r)], dk])
-
-    total = np.zeros(2, dtype=complex)
-    for anchor, lo, hi, sign in _support_legs(mode.tau0, a, b):
-        psi0 = accumulated_phase(mode, scale, mode.tau0, anchor)
-        y0 = np.concatenate([[psi0], np.zeros(2, dtype=complex)])
-        y = integrate(rhs, lo, hi, y0, rtol=tol, atol=tol * 1e-2,
-                      max_step=ceiling)
-        total += sign * y[1:]
-    return ProjectorOutput(value=total, provenance=Provenance.WKB)
+    return _k_apply(mode, scale, phi, tol, lambda: _wkb(mode, scale),
+                    Provenance.WKB)
 
 
-def negative_projection(sig: SignatureResult,
-                        gap_tol: float = DEFAULT_GAP_TOL) -> Hermitian2:
-    """Orthogonal projection onto the negative spectral subspace.
+def _spectral_projection(sig: SignatureResult, sign: float,
+                         gap_tol: float) -> Hermitian2:
+    """Orthogonal projection onto the spectral subspace where sign * mu > 0.
 
     Refuses to choose a branch when an eigenvalue sits within
     ``gap_tol * max(norm, scale_bound)`` of zero: the split is genuinely
@@ -454,22 +430,20 @@ def negative_projection(sig: SignatureResult,
     vecs = sig.eigvectors.matrix
     proj = np.zeros((2, 2), dtype=complex)
     for i, mu in enumerate(sig.eigenvalues):
-        if mu < 0:
+        if sign * mu > 0:
             proj += np.outer(vecs[:, i], vecs[:, i].conj())
     return Hermitian2(proj)
+
+
+def negative_projection(sig: SignatureResult,
+                        gap_tol: float = DEFAULT_GAP_TOL) -> Hermitian2:
+    """Projection onto the negative spectral subspace (the sea)."""
+    return _spectral_projection(sig, -1.0, gap_tol)
 
 
 def positive_projection(sig: SignatureResult,
                         gap_tol: float = DEFAULT_GAP_TOL) -> Hermitian2:
-    threshold = gap_tol * max(sig.norm(), sig.scale_bound)
-    if min(abs(sig.mu_minus), abs(sig.mu_plus)) < threshold:
-        raise DegenerateSignature(sig.mu_minus, sig.mu_plus, threshold)
-    vecs = sig.eigvectors.matrix
-    proj = np.zeros((2, 2), dtype=complex)
-    for i, mu in enumerate(sig.eigenvalues):
-        if mu > 0:
-            proj += np.outer(vecs[:, i], vecs[:, i].conj())
-    return Hermitian2(proj)
+    return _spectral_projection(sig, 1.0, gap_tol)
 
 
 def fermionic_projector_apply(mode: Mode, scale: ScaleFunction,
@@ -494,27 +468,15 @@ def p_wkb_leading_apply(mode: Mode, scale: ScaleFunction, phi: TestFunction,
                         tol: float = DEFAULT_ODE_TOL) -> ProjectorOutput:
     """Pure negative-frequency image: only the decaying phase branch survives."""
     check_ode_tol(tol)
-    a, b = phi.support
-    scale.check_domain(a)
-    scale.check_domain(b)
+    check_mode_scale(mode, scale, *phi.support)
     v0 = diagonalizer(mode, scale.value(mode.tau0))
-    ceiling = _support_max_step(mode, scale, phi)
 
-    def rhs(t, y):
-        psi = y[0].real
-        r = scale.value(t)
+    def integrand(t, r, x):
         v = diagonalizer(mode, r)
-        mid = v0.conj().T @ (np.array([0.0, np.exp(-1j * psi)])[:, None] * v)
-        dk = -mid @ (SIGMA3 @ phi(t)) * r / TWO_PI
-        return np.concatenate([[frequency(mode, r)], dk])
+        mid = v0.conj().T @ (np.array([0.0, np.exp(-1j * x[0].real)])[:, None] * v)
+        return -mid @ (SIGMA3 @ phi(t)) * r / TWO_PI
 
-    total = np.zeros(2, dtype=complex)
-    for anchor, lo, hi, sign in _support_legs(mode.tau0, a, b):
-        psi0 = accumulated_phase(mode, scale, mode.tau0, anchor)
-        y0 = np.concatenate([[psi0], np.zeros(2, dtype=complex)])
-        y = integrate(rhs, lo, hi, y0, rtol=tol, atol=tol * 1e-2,
-                      max_step=ceiling)
-        total += sign * y[1:]
+    total = support_integral(phase_transport(mode, scale), integrand, 2, phi, tol)
     return ProjectorOutput(value=total, provenance=Provenance.WKB_LEADING_ORDER)
 
 

@@ -6,8 +6,10 @@ augmented state components so one error budget covers propagator and
 integral alike.  Two features the stock library solvers lack drive the
 hand-rolled implementation:
 
-* a state-dependent step ceiling (h <= 0.1 / frequency) so oscillations are
-  always resolved, independently of how optimistic the controller gets;
+* a state-dependent step ceiling (h <= 0.1 / frequency: at most 0.1 rad of
+  phase, about 1/63 of an oscillation period, per step; callers may ask
+  for finer) so oscillations are always resolved, independently of how
+  optimistic the controller gets;
 * a post-acceptance projection hook, used to restore unitarity (polar
   decomposition) or frame orthogonality after every accepted step.
 
@@ -137,10 +139,8 @@ def integrate_with_checkpoints(rhs, t0: float, checkpoints: Sequence[float], y0,
     """
     states = []
     y = np.array(y0, dtype=complex)
-    t = t0
-    for tc in checkpoints:
+    for t, tc in zip([t0, *checkpoints], checkpoints):
         y = integrate(rhs, t, tc, y, rtol=rtol, atol=atol,
                       max_step=max_step, post_accept=post_accept, stats=stats)
-        t = tc
         states.append(y.copy())
     return states

@@ -156,6 +156,12 @@ class TestSixAndTwelve:
         assert scen.segments[1].r_value == pytest.approx(r2)
         assert [s.p for s in scen.segments] == [5.5, 0.5] * 3
 
+    @pytest.mark.parametrize("builder", [build_six_segment, build_twelve_segment])
+    def test_non_physical_lambda_builds_research_mode(self, builder):
+        scen = builder(lam=0.5)
+        assert scen.mode.physical is False
+        assert scen.mode.lam == 0.5
+
     def test_six_segment_partial_symmetry(self):
         scen = build_six_segment()
         svec, s0 = scenario_signature_components(scen)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 
-from diracsea.errors import DegenerateSignature
+from diracsea.errors import DegenerateSignature, DomainError
 from diracsea.evolution import (
     accumulated_phase,
     diagonalizer,
@@ -362,3 +362,32 @@ class TestFermionicProjector:
         factor = lambda r: np.hypot(mode.lam, r) / r ** 2
         c_fit = rel[10.0] / factor(10.0)
         assert rel[30.0] <= 1.05 * c_fit * factor(30.0)
+
+
+class TestModeScaleCompatibility:
+    """tau0 outside the scale's domain must raise, never extrapolate.
+
+    A piecewise scale's domain is the closed [0, tau_end]; a smooth one's is
+    the open (0, tau_end), where R vanishes at both ends.
+    """
+
+    @pytest.mark.parametrize("mode, sc", [
+        (Mode(lam=1.5, mass=1.0, tau0=2.0),
+         PiecewiseConstantScale(breakpoints=(0.0, 1.0), values=(2.0,))),
+        (Mode(lam=1.5, mass=1.0, tau0=0.0), dust_scale(10.0)),
+    ], ids=["piecewise_beyond_end", "smooth_at_zero"])
+    @pytest.mark.parametrize("call", [
+        lambda m, sc, phi: signature_operator(m, sc),
+        lambda m, sc, phi: signature_operator_wkb(m, sc),
+        lambda m, sc, phi: wkb_scalar_integrals(m, sc),
+        lambda m, sc, phi: wkb_signature_leading_term(m, sc),
+        lambda m, sc, phi: k_wkb_apply(m, sc, phi),
+        lambda m, sc, phi: p_wkb_apply(m, sc, phi,
+                                       variant=PWkbVariant.LEADING_ORDER),
+    ], ids=["signature_operator", "signature_operator_wkb",
+            "wkb_scalar_integrals", "wkb_signature_leading_term",
+            "k_wkb_apply", "p_wkb_apply_leading"])
+    def test_tau0_outside_scale_domain_raises(self, call, mode, sc):
+        phi = bump((0.2, 0.8), np.array([1.0, 0.0]))
+        with pytest.raises(DomainError):
+            call(mode, sc, phi)
