@@ -17,6 +17,7 @@ and the accumulated frequency integral; it is exact whenever R is constant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -241,12 +242,11 @@ def diagonalizer(mode: Mode, r: float) -> np.ndarray:
     if f == 0.0:
         raise DegenerateFrame(f"frequency vanishes at R={r} for lam={mode.lam}")
     m_r = mode.mass * r
-    c = np.sqrt((f + m_r) / (2.0 * f))
-    s = mode.lam / np.sqrt(2.0 * f * (f + m_r))
+    c = math.sqrt((f + m_r) / (2.0 * f))
+    s = mode.lam / math.sqrt(2.0 * f * (f + m_r))
     v = np.array([[c, -s], [s, c]], dtype=complex)
-    for i in range(2):
-        lead = v[i, 0].real if abs(v[i, 0]) > 1e-14 else v[i, 1].real
-        if lead < 0:
+    for i, (first, second) in enumerate(((c, -s), (s, c))):
+        if (first if abs(first) > 1e-14 else second) < 0:
             v[i, :] = -v[i, :]
     return v
 

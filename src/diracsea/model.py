@@ -33,6 +33,10 @@ DEFAULT_ODE_TOL = 1e-10
 DEFAULT_QUAD_TOL = 1e-9
 #: Default relative eigenvalue-gap threshold for spectral projections.
 DEFAULT_GAP_TOL = 1e-6
+#: How far a table scale's spline may stray outside [0, 1].  A table of a
+#: valid profile strays by its interpolation error (3.8e-6 for 12 points of
+#: sin^2(tau / 2), 4.7e-5 for 8), so the bound leaves room for that.
+SPLINE_RANGE_TOL = 1e-4
 
 
 def spectral_norm(a) -> float:
@@ -265,6 +269,8 @@ def smooth_table_scale(taus: Sequence[float], values: Sequence[float],
     """C^2 scale function interpolated from a (tau, g) table.
 
     The table is normalized so max g = 1 before scaling by ``r_max``.
+    Raises ``InvalidParameter`` when the spline, sampled densely over
+    [0, pi], dips below 0 or exceeds 1 by more than ``SPLINE_RANGE_TOL``.
     """
     from scipy.interpolate import CubicSpline
 
@@ -279,6 +285,17 @@ def smooth_table_scale(taus: Sequence[float], values: Sequence[float],
     if np.any(values < 0.0) or values.max() <= 0.0:
         raise InvalidParameter("table values must be nonnegative with positive max")
     spline = CubicSpline(taus, values / values.max())
+    # The spline may undershoot below 0 or overshoot 1 between table points
+    # (and beyond the table, where it extrapolates); R >= 0 underlies the
+    # tail bound and max g = 1 the meaning of r_max, so sample it densely.
+    dense = np.concatenate([np.linspace(0.0, np.pi, 2049),
+                            (taus[:-1, None] + np.diff(taus)[:, None]
+                             * np.linspace(0.0, 1.0, 33)).ravel()])
+    g = spline(dense)
+    if g.min() < -SPLINE_RANGE_TOL or g.max() > 1.0 + SPLINE_RANGE_TOL:
+        raise InvalidParameter(
+            f"interpolated scale function leaves [0, 1]: g ranges over "
+            f"[{g.min():.4g}, {g.max():.4g}]; refine or smooth the table")
     return SmoothScale(
         g=lambda t: float(spline(t)),
         dg=lambda t: float(spline(t, 1)),

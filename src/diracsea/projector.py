@@ -13,13 +13,17 @@ and the projector onto the filled states is  P(phi) = -X_neg(S) k(phi)
 with X_neg the spectral projection onto S's negative subspace.  WKB
 counterparts replace U by the frame-and-phase propagator.
 
-Every such integral rides as augmented state on one transport (exact U,
+The exact integrals ride as augmented state on one transport (exact U,
 or the WKB phase) through ``cointegrate``, so one adaptive stepper and one
 error budget cover propagator and integral; each caller supplies only its
-integrand.  Over the open lifetime, the endpoint limits are handled by
-shrinking a cutoff delta until the rigorous tail bound (the integrand norm
-is at most R) drops below the requested tolerance.  Piecewise-constant scales skip
-all of this: every segment integral has a closed form.
+integrand.  On smooth scales the WKB signature, k and leading-order
+projector are instead Levin quadratures against the phase
+(``levin.levin_integral``), whose cost does not grow with m * r_max;
+``wkb_scalar_integrals`` keeps the stepper as an independent oracle.
+Over the open lifetime, the endpoint limits are handled by shrinking a
+cutoff delta until the rigorous tail bound (the integrand norm is at most
+R) drops below the requested tolerance.  On piecewise-constant scales the
+signatures have closed forms; k and the WKB images still use the stepper.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .evolution import (
     step_ceiling,
     wkb_propagator_raw,
 )
+from .levin import levin_integral
 from .model import (
     DEFAULT_GAP_TOL,
     DEFAULT_ODE_TOL,
@@ -199,11 +204,11 @@ def _wkb(mode: Mode, scale: ScaleFunction):
 
 
 def _signature(mode: Mode, scale: ScaleFunction, tol: float, ode_tol: float,
-               closed_form, transported, resolution: float) -> SignatureResult:
+               closed_form, lifetime_integral) -> SignatureResult:
     """Closed form on piecewise scales, else lifetime quadrature of U^dagger sigma3 U R.
 
-    ``transported()`` gives the transport and its propagator U(r, state);
-    the quadrature runs between the endpoint cutoffs.
+    ``lifetime_integral(lo, hi)`` gives the 2x2 integral between the
+    endpoint cutoffs.
     """
     check_ode_tol(ode_tol)
     check_mode_scale(mode, scale)
@@ -212,18 +217,11 @@ def _signature(mode: Mode, scale: ScaleFunction, tol: float, ode_tol: float,
         return _finish_signature(closed_form(mode, scale),
                                  1e-13 * max(scale_bound, 1.0), scale_bound)
 
-    transport, propagator = transported()
     d_lo, d_hi = _choose_cutoffs(scale, tol)
-
-    def integrand(t, r, x):
-        u = propagator(r, x)
-        return ((u.conj().T @ SIGMA3 @ u) * r).ravel()
-
-    acc = interval_integral(transport, integrand, 4, d_lo, scale.tau_end - d_hi,
-                            ode_tol, resolution)
+    acc = lifetime_integral(d_lo, scale.tau_end - d_hi)
     quad_error = (scale.tail_below(d_lo) + scale.tail_above(d_hi)
                   + ode_tol * scale_bound)
-    return _finish_signature(acc.reshape(2, 2), quad_error, scale_bound)
+    return _finish_signature(acc, quad_error, scale_bound)
 
 
 def _piecewise_signature(mode: Mode, scale: PiecewiseConstantScale) -> np.ndarray:
@@ -238,8 +236,18 @@ def signature_operator(mode: Mode, scale: ScaleFunction,
                        tol: float = DEFAULT_QUAD_TOL,
                        ode_tol: float = DEFAULT_ODE_TOL) -> SignatureResult:
     """The signature matrix by lifetime quadrature of U^dagger sigma3 U R."""
+    def lifetime_integral(lo, hi):
+        transport, propagator = _exact(mode, scale, ode_tol)
+
+        def integrand(t, r, x):
+            u = propagator(r, x)
+            return ((u.conj().T @ SIGMA3 @ u) * r).ravel()
+
+        return interval_integral(transport, integrand, 4, lo, hi,
+                                 ode_tol).reshape(2, 2)
+
     return _signature(mode, scale, tol, ode_tol, _piecewise_signature,
-                      lambda: _exact(mode, scale, ode_tol), OSCILLATION_RESOLUTION)
+                      lifetime_integral)
 
 
 def _wkb_piecewise_signature(mode: Mode, scale: PiecewiseConstantScale) -> np.ndarray:
@@ -268,9 +276,25 @@ def _wkb_piecewise_signature(mode: Mode, scale: PiecewiseConstantScale) -> np.nd
 def signature_operator_wkb(mode: Mode, scale: ScaleFunction,
                            tol: float = DEFAULT_QUAD_TOL,
                            ode_tol: float = DEFAULT_ODE_TOL) -> SignatureResult:
-    """Signature quadrature with the WKB propagator in place of the exact one."""
+    """Signature quadrature with the WKB propagator in place of the exact one.
+
+    With Y = V sigma3 V^dagger the conjugated integrand is V0^dagger
+    [[Y00 R, Y01 R e^{2 i psi}], [c.c., -Y00 R]] V0; on smooth scales its
+    two integrals are Levin quadratures against the phase.
+    """
+    def lifetime_integral(lo, hi):
+        def integrand(t, r):
+            # Y00 R and Y01 R from the real frame's entries
+            (v00, v01), (v10, v11) = diagonalizer(mode, r).real.tolist()
+            return ((v00 * v00 - v01 * v01) * r, (v00 * v10 - v01 * v11) * r)
+
+        mass, osc = levin_integral(mode, scale, integrand, (0.0, 2.0), lo, hi,
+                                   ode_tol)
+        v0 = diagonalizer(mode, scale.value(mode.tau0))
+        return v0.conj().T @ np.array([[mass, osc], [np.conj(osc), -mass]]) @ v0
+
     return _signature(mode, scale, tol, ode_tol, _wkb_piecewise_signature,
-                      lambda: _wkb(mode, scale), FINE_OSCILLATION_RESOLUTION)
+                      lifetime_integral)
 
 
 def _mass_term_integral(mode: Mode, scale: ScaleFunction) -> float:
@@ -411,9 +435,38 @@ def k_m_apply(mode: Mode, scale: ScaleFunction, phi: TestFunction,
 
 def k_wkb_apply(mode: Mode, scale: ScaleFunction, phi: TestFunction,
                 tol: float = DEFAULT_ODE_TOL) -> ProjectorOutput:
-    """WKB counterpart of ``k_m_apply``."""
-    return _k_apply(mode, scale, phi, tol, lambda: _wkb(mode, scale),
-                    Provenance.WKB)
+    """WKB counterpart of ``k_m_apply``.
+
+    U_wkb^dagger sigma3 phi R / 2 pi = V0^dagger diag(e^{i psi}, e^{-i psi})
+    w with w = V sigma3 phi R / 2 pi, so on smooth scales it is a Levin
+    quadrature of the two phase branches.
+    """
+    if isinstance(scale, PiecewiseConstantScale):
+        return _k_apply(mode, scale, phi, tol, lambda: _wkb(mode, scale),
+                        Provenance.WKB)
+    return ProjectorOutput(value=_wkb_branches(mode, scale, phi, (0, 1), tol),
+                           provenance=Provenance.WKB)
+
+
+def _wkb_branches(mode: Mode, scale: ScaleFunction, phi: TestFunction,
+                  rows, tol: float) -> np.ndarray:
+    """Levin route of the WKB probe images on a smooth scale.
+
+    With w = V sigma3 phi R / 2 pi, returns the columns ``rows`` of
+    V0^dagger times the support integrals of w[0] e^{i psi} (row 0) and
+    w[1] e^{-i psi} (row 1).
+    """
+    check_ode_tol(tol)
+    check_mode_scale(mode, scale, *phi.support)
+    rows = list(rows)
+
+    def integrand(t, r):
+        return diagonalizer(mode, r)[rows] @ (SIGMA3 @ phi(t)) * (r / TWO_PI)
+
+    vals = levin_integral(mode, scale, integrand, [1.0 - 2.0 * i for i in rows],
+                          *phi.support, tol)
+    v0 = diagonalizer(mode, scale.value(mode.tau0))
+    return v0.conj().T[:, rows] @ vals
 
 
 def _spectral_projection(sig: SignatureResult, sign: float,
@@ -467,6 +520,16 @@ class PWkbVariant(enum.Enum):
 def p_wkb_leading_apply(mode: Mode, scale: ScaleFunction, phi: TestFunction,
                         tol: float = DEFAULT_ODE_TOL) -> ProjectorOutput:
     """Pure negative-frequency image: only the decaying phase branch survives."""
+    if isinstance(scale, PiecewiseConstantScale):
+        total = _p_wkb_leading_transported(mode, scale, phi, tol)
+    else:
+        total = -_wkb_branches(mode, scale, phi, (1,), tol)
+    return ProjectorOutput(value=total, provenance=Provenance.WKB_LEADING_ORDER)
+
+
+def _p_wkb_leading_transported(mode: Mode, scale: ScaleFunction,
+                               phi: TestFunction, tol: float) -> np.ndarray:
+    """The leading-order image with the phase carried by the stepper."""
     check_ode_tol(tol)
     check_mode_scale(mode, scale, *phi.support)
     v0 = diagonalizer(mode, scale.value(mode.tau0))
@@ -476,8 +539,7 @@ def p_wkb_leading_apply(mode: Mode, scale: ScaleFunction, phi: TestFunction,
         mid = v0.conj().T @ (np.array([0.0, np.exp(-1j * x[0].real)])[:, None] * v)
         return -mid @ (SIGMA3 @ phi(t)) * r / TWO_PI
 
-    total = support_integral(phase_transport(mode, scale), integrand, 2, phi, tol)
-    return ProjectorOutput(value=total, provenance=Provenance.WKB_LEADING_ORDER)
+    return support_integral(phase_transport(mode, scale), integrand, 2, phi, tol)
 
 
 def p_wkb_apply(mode: Mode, scale: ScaleFunction, phi: TestFunction,

@@ -1,9 +1,10 @@
 """Embedded Dormand-Prince 5(4) stepper with structure-restoring hooks.
 
 This is the single adaptive controller behind the exact evolution, the WKB
-phase accumulation, and every lifetime integral: quadratures ride along as
-augmented state components so one error budget covers propagator and
-integral alike.  Two features the stock library solvers lack drive the
+phase accumulation, and every exact-route integral (the smooth-scale WKB
+integrals use ``levin`` instead): quadratures ride along as augmented
+state components so one error budget covers propagator and integral
+alike.  Two features the stock library solvers lack drive the
 hand-rolled implementation:
 
 * a state-dependent step ceiling (h <= 0.1 / frequency: at most 0.1 rad of

@@ -75,6 +75,17 @@ def test_project_degenerate_scenario_exits_2(tmp_path, capsys):
     assert json.loads(err.strip().split("\n")[-1])["error"] == "degenerate_signature"
 
 
+def test_undershooting_smooth_table_exits_1(tmp_path, capsys):
+    # the spline through these nonnegative values dips to g = -0.427
+    doc = dict(BASE, scale={"kind": "smooth_table",
+                            "taus": list(np.linspace(0, np.pi, 6)),
+                            "values": [0, 0, 1, .05, 0, 0], "r_max": 5.0},
+               run={})
+    code, text = run_cli(tmp_path, "signature", doc)
+    assert code == 1 and text == ""
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "invalid_parameter"
+
+
 def test_invalid_scenario_exits_1(tmp_path, capsys):
     doc = dict(BASE, scale={"kind": "dust", "r_max": -1.0})
     code, _ = run_cli(tmp_path, "signature", doc)

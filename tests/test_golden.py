@@ -1,7 +1,17 @@
-"""The sample scenarios' CLI CSV must stay byte-identical to the committed goldens.
+r"""The sample scenarios' CLI CSV must stay byte-identical to the committed goldens.
 
 The goldens in ``tests/golden/`` define what "same answers" means for a
 refactor: a change that moves any printed digit fails here.
+
+Regenerate a golden only for an intended change of the numbers, one file
+at a time, from the root of the repository, for example::
+
+    PYTHONPATH=src python -m diracsea.cli study \
+        --scenario scenarios/scaling_study.json \
+        --out tests/golden/scaling_study.csv
+
+and name the file and the reason in CHANGES.md.  Each CASES entry gives
+the command; its scenario and its golden share the entry's name.
 """
 
 from pathlib import Path

@@ -198,6 +198,11 @@ class TestSmoothTable:
         with pytest.raises(InvalidParameter):
             smooth_table_scale([0, 1, 2, 3], [-1, 2, 3, 4], 1.0)
 
+    def test_rejects_spline_leaving_unit_range(self):
+        # nonnegative table values whose spline swings to g in [-0.427, 1.0009]
+        with pytest.raises(InvalidParameter, match="leaves"):
+            smooth_table_scale(np.linspace(0, np.pi, 6), [0, 0, 1, .05, 0, 0], 1.0)
+
 
 def test_constant_scale_flat():
     sc = constant_scale(3.0)

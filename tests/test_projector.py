@@ -1,8 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 
-from diracsea.errors import DegenerateSignature, DomainError
+from diracsea import levin, projector
+from diracsea.errors import ConvergenceFailure, DegenerateSignature, DomainError
 from diracsea.evolution import (
     accumulated_phase,
     diagonalizer,
@@ -20,11 +23,17 @@ from diracsea.model import (
     complex_bump,
     constant_scale,
     dust_scale,
+    is_physical_eigenvalue,
     spectral_norm,
 )
+from diracsea.levin import levin_integral
 from diracsea.projector import (
+    Provenance,
     PWkbVariant,
     _finish_signature,
+    _k_apply,
+    _p_wkb_leading_transported,
+    _wkb,
     fermionic_projector_apply,
     k_m_apply,
     k_wkb_apply,
@@ -391,3 +400,94 @@ class TestModeScaleCompatibility:
         phi = bump((0.2, 0.8), np.array([1.0, 0.0]))
         with pytest.raises(DomainError):
             call(mode, sc, phi)
+
+
+LEVIN_LAMBDAS = [1.5, -1.5, 2.5, -2.5, 0.0, 0.5]
+
+
+def levin_mode(lam, tau0=TAU0):
+    return Mode(lam=lam, mass=1.0, tau0=tau0, physical=is_physical_eigenvalue(lam))
+
+
+@functools.lru_cache(maxsize=None)
+def stepper_scalar_integrals(abs_lam, r_max):
+    # the scalar integrals depend on lam only through f = hypot(lam, m R)
+    return wkb_scalar_integrals(levin_mode(abs_lam), dust_scale(r_max))
+
+
+def rel_diff(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+class TestLevinRoute:
+    """Levin quadrature against the phase (smooth scales) versus the stepper.
+
+    The stepper's phase transport, resolving every oscillation, is the
+    oracle; research modes lam in {0, 0.5} have the lowest panel
+    frequencies, where Levin collocation is least well conditioned.
+    """
+
+    @pytest.mark.parametrize("r_max", [10.0, 300.0])
+    @pytest.mark.parametrize("lam", LEVIN_LAMBDAS)
+    def test_signature_matches_scalar_integral_reconstruction(self, lam, r_max):
+        mode = levin_mode(lam)
+        sc = dust_scale(r_max)
+        sw = signature_operator_wkb(mode, sc).s.matrix
+        ints = stepper_scalar_integrals(abs(lam), r_max)
+        # Y = V sigma3 V^T has Y00 = m R / f and Y01 = |lam| / f
+        osc = abs(lam) * (ints.cos_term - 1j * ints.sin_term)
+        v0 = diagonalizer(mode, sc.value(TAU0))
+        rebuilt = v0.conj().T @ np.array([[ints.mass_term, osc],
+                                          [np.conj(osc), -ints.mass_term]]) @ v0
+        assert rel_diff(sw, rebuilt) < 1e-9
+
+    @pytest.mark.parametrize("r_max", [10.0, 300.0])
+    @pytest.mark.parametrize("lam", LEVIN_LAMBDAS)
+    def test_k_and_leading_projector_match_phase_transport(self, lam, r_max):
+        mode = levin_mode(lam)
+        sc = dust_scale(r_max)
+        phi = bump((1.0, 2.0), np.array([0.6, 0.8j]))
+        k_rk = _k_apply(mode, sc, phi, 1e-12, lambda: _wkb(mode, sc),
+                        Provenance.WKB).value
+        assert rel_diff(k_wkb_apply(mode, sc, phi).value, k_rk) < 1e-9
+        p_rk = _p_wkb_leading_transported(mode, sc, phi, 1e-12)
+        p = p_wkb_apply(mode, sc, phi, variant=PWkbVariant.LEADING_ORDER)
+        assert rel_diff(p.value, p_rk) < 1e-9
+
+    @pytest.mark.parametrize("tau0", [0.4, 2.8])
+    def test_k_with_anchor_outside_support(self, tau0):
+        mode = levin_mode(2.5, tau0)
+        sc = dust_scale(10.0)
+        phi = bump((1.2, 1.9), np.array([1.0, 0.0]))
+        k_rk = _k_apply(mode, sc, phi, 1e-12, lambda: _wkb(mode, sc),
+                        Provenance.WKB).value
+        assert rel_diff(k_wkb_apply(mode, sc, phi).value, k_rk) < 1e-9
+
+    def test_signature_cost_is_flat_in_m_rmax(self, monkeypatch):
+        # integrand evaluations (one frame per node), not timings
+        calls = []
+        frame = projector.diagonalizer
+        monkeypatch.setattr(projector, "diagonalizer",
+                            lambda mode, r: calls.append(r) or frame(mode, r))
+        counts = {}
+        for r_max in (10.0, 300.0):
+            calls.clear()
+            signature_operator_wkb(levin_mode(1.5), dust_scale(r_max))
+            counts[r_max] = len(calls)
+        assert counts[300.0] <= 1.5 * counts[10.0]
+
+    def test_exhausted_panel_budget_raises(self, monkeypatch):
+        # [0.1, 3.0] starts as 12 panels, more than the budget allows
+        monkeypatch.setattr(levin, "MAX_PANELS", 5)
+        with pytest.raises(ConvergenceFailure, match="5 panels"):
+            levin_integral(levin_mode(1.5), dust_scale(10.0), lambda t, r: (r,),
+                           (2.0,), 0.1, 3.0, 1e-10)
+
+    def test_unresolvable_integrand_raises(self):
+        # a jump never meets the per-unit-tau criterion: refinement must
+        # stop with an error, not hand back a truncated sum
+        mode = levin_mode(1.5)
+        sc = dust_scale(10.0)
+        with pytest.raises(ConvergenceFailure, match="underflow"):
+            levin_integral(mode, sc, lambda t, r: (float(t > 1.234),), (2.0,),
+                           0.1, 3.0, 1e-10)

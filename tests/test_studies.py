@@ -65,6 +65,14 @@ class TestRunStudy:
         # the residual shrinks like 1/mass, so the log-log slope is near -1
         assert res.slope < -0.6
 
+    def test_leading_term_bound_reaches_asymptotic_regime(self):
+        # the Levin quadrature's cost does not grow with m * r_max, so the
+        # 1/m envelope can be checked out to m = 1e5
+        res = run_study(StudyKind.LEADING_TERM_BOUND, [10.0, 1e3, 1e5],
+                        lam_spec=LambdaSpec(kind="fixed", value=1.5))
+        assert res.passed
+        assert res.slope < -1.0
+
     def test_w_deviation_tracked(self):
         res = run_study(StudyKind.W_DEVIATION, [5.0, 10.0],
                         lam_spec=LambdaSpec(kind="track_power", exponent=0.8))
