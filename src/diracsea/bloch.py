@@ -16,6 +16,7 @@ signature integrals are exact to rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -144,15 +145,16 @@ class Scenario:
                 raise InvalidParameter("segments need r_value > 0 and p > 0")
 
     @property
+    def durations(self) -> list:
+        return [s.duration for s in self.segments]
+
+    @property
     def total_duration(self) -> float:
-        return sum(s.duration for s in self.segments)
+        return sum(self.durations)
 
     @property
     def breakpoints(self) -> tuple:
-        out = [0.0]
-        for s in self.segments:
-            out.append(out[-1] + s.duration)
-        return tuple(out)
+        return tuple(accumulate(self.durations, initial=0.0))
 
     @property
     def r_max(self) -> float:
@@ -214,14 +216,43 @@ def perturb_scenario(scenario: Scenario, index: int, dp: float) -> Scenario:
     return make_scenario(scenario.mode, pairs)
 
 
-def _scenario_frames(scenario: Scenario):
-    """Frame at the start of each segment (reference identity at tau = 0)."""
-    frames = [np.eye(3)]
-    for seg in scenario.segments:
-        gen = rotation_generator(scenario.mode, seg.r_value)
-        rot = rotation_matrix(gen, np.linalg.norm(gen) * seg.duration)
-        frames.append(rot @ frames[-1])
-    return frames
+def _segment_v_integral(frame, generator, dt):
+    """integral over a segment prefix of the v-vector (e3 rows of the frame)."""
+    return (rotation_time_integral(generator, dt) @ frame)[2, :]
+
+
+def _segment_frames(mode: Mode, widths, values):
+    """Frames and running integrals of v R at the segment starts and the end.
+
+    The frame is the identity at tau = 0, where the integral starts.
+    Scenarios pass their segment durations as ``widths``, piecewise scales
+    the differences of their breakpoints.
+    """
+    frames, prefix = [np.eye(3)], [np.zeros(3)]
+    for dt, r in zip(widths, values):
+        gen = rotation_generator(mode, r)
+        prefix.append(prefix[-1] + _segment_v_integral(frames[-1], gen, dt) * r)
+        frames.append(rotation_matrix(gen, np.linalg.norm(gen) * dt) @ frames[-1])
+    return frames, prefix
+
+
+def _frames_at(mode: Mode, scale: PiecewiseConstantScale, widths, taus):
+    """(frame, running integral of v R) at each of ``taus``, from tau = 0.
+
+    ``widths`` as for ``_segment_frames``.
+    """
+    frames, prefix = _segment_frames(mode, widths, scale.values)
+    out = []
+    for t in taus:
+        if not (0.0 <= t <= scale.tau_end + 1e-12):
+            raise InvalidParameter(f"tau={t} outside scenario duration")
+        idx = scale.segment_index(t)
+        r = scale.values[idx]
+        gen = rotation_generator(mode, r)
+        dt = t - scale.breakpoints[idx]
+        out.append((rotation_matrix(gen, np.linalg.norm(gen) * dt) @ frames[idx],
+                    prefix[idx] + _segment_v_integral(frames[idx], gen, dt) * r))
+    return out
 
 
 def propagate_bloch(target, tau_grid, tol: float = DEFAULT_ODE_TOL):
@@ -234,28 +265,14 @@ def propagate_bloch(target, tau_grid, tol: float = DEFAULT_ODE_TOL):
     """
     taus = [float(t) for t in tau_grid]
     if isinstance(target, Scenario):
-        return _propagate_scenario(target, taus)
+        frames = _frames_at(target.mode, target.to_scale(), target.durations, taus)
+        return [BlochState(w=w, tau=t) for t, (w, _) in zip(taus, frames)]
     mode, scale = target
     _check_grid(mode, scale, taus)
     states = cointegrate(frame_transport(mode, scale, tol), None, 0, mode.tau0,
                          taus, tol, FINE_OSCILLATION_RESOLUTION)
     return [BlochState(w=_project_rotation(x.reshape(3, 3).real), tau=t)
             for t, (x, _) in zip(taus, states)]
-
-
-def _propagate_scenario(scenario: Scenario, taus):
-    scale = scenario.to_scale()
-    frames = _scenario_frames(scenario)
-    out = []
-    for t in taus:
-        if not (0.0 <= t <= scenario.total_duration + 1e-12):
-            raise InvalidParameter(f"tau={t} outside scenario duration")
-        idx = scale.segment_index(t)
-        seg = scenario.segments[idx]
-        gen = rotation_generator(scenario.mode, seg.r_value)
-        rot = rotation_matrix(gen, np.linalg.norm(gen) * (t - scale.breakpoints[idx]))
-        out.append(BlochState(w=rot @ frames[idx], tau=t))
-    return out
 
 
 def _project_rotation(f):
@@ -321,14 +338,9 @@ def v_components(target, tau_grid, tol: float = DEFAULT_ODE_TOL):
     tolerance raises ConventionMismatch.  The trace values are returned.
     """
     taus = [float(t) for t in tau_grid]
-    if isinstance(target, Scenario):
-        mode, arg = target.mode, target
-    else:
-        mode, scale = target
-        arg = target
-    trace_rows = v_trace_formula(mode, target if isinstance(target, Scenario)
-                                 else scale, taus, tol=tol)
-    bloch_rows = [st.v() for st in propagate_bloch(arg, taus, tol=tol)]
+    mode, scale = (target.mode, target) if isinstance(target, Scenario) else target
+    trace_rows = v_trace_formula(mode, scale, taus, tol=tol)
+    bloch_rows = [st.v() for st in propagate_bloch(target, taus, tol=tol)]
     worst = max((float(np.max(np.abs(a - b)))
                  for a, b in zip(trace_rows, bloch_rows)), default=0.0)
     if worst > TRACE_CROSSCHECK_TOL:
@@ -338,31 +350,12 @@ def v_components(target, tau_grid, tol: float = DEFAULT_ODE_TOL):
     return [(t, *row) for t, row in zip(taus, trace_rows)]
 
 
-def _segment_v_integral(frame, generator, dt):
-    """integral over a segment prefix of the v-vector (e3 rows of the frame)."""
-    return (rotation_time_integral(generator, dt) @ frame)[2, :]
-
-
 def scenario_v_rows_with_cumulative(scenario: Scenario, tau_grid):
     """(tau, v1..v3, cumulative integral of v_alpha R) rows, exact per segment."""
-    scale = scenario.to_scale()
-    frames = _scenario_frames(scenario)
-    prefix = [np.zeros(3)]
-    for i, seg in enumerate(scenario.segments):
-        gen = rotation_generator(scenario.mode, seg.r_value)
-        whole = _segment_v_integral(frames[i], gen, seg.duration) * seg.r_value
-        prefix.append(prefix[-1] + whole)
-    rows = []
-    for st in _propagate_scenario(scenario, tau_grid):
-        t = st.tau
-        idx = scale.segment_index(t)
-        seg = scenario.segments[idx]
-        gen = rotation_generator(scenario.mode, seg.r_value)
-        part = (_segment_v_integral(frames[idx], gen, t - scale.breakpoints[idx])
-                * seg.r_value)
-        cum = prefix[idx] + part
-        rows.append((t, *st.v(), *cum))
-    return rows
+    frames = _frames_at(scenario.mode, scenario.to_scale(), scenario.durations,
+                        tau_grid)
+    return [(t, *BlochState(w=w, tau=t).v(), *cum)
+            for t, (w, cum) in zip(tau_grid, frames)]
 
 
 def smooth_v_rows_with_cumulative(mode: Mode, scale: SmoothScale, tau_grid,
@@ -391,12 +384,9 @@ def scenario_signature_components(scenario: Scenario):
     whole scenario, s0 the identity component (identically zero because the
     conjugated sigma3 is traceless).
     """
-    frames = _scenario_frames(scenario)
-    svec = np.zeros(3)
-    for i, seg in enumerate(scenario.segments):
-        gen = rotation_generator(scenario.mode, seg.r_value)
-        svec += _segment_v_integral(frames[i], gen, seg.duration) * seg.r_value
-    return svec, 0.0
+    _, prefix = _segment_frames(scenario.mode, scenario.durations,
+                                scenario.to_scale().values)
+    return prefix[-1], 0.0
 
 
 def piecewise_signature_vector(mode: Mode, scale: PiecewiseConstantScale):
@@ -406,20 +396,8 @@ def piecewise_signature_vector(mode: Mode, scale: PiecewiseConstantScale):
     result into the tau0 frame.
     """
     widths = np.diff(scale.breakpoints)
-    frame = np.eye(3)
-    svec = np.zeros(3)
-    for r, dt in zip(scale.values, widths):
-        gen = rotation_generator(mode, r)
-        svec += _segment_v_integral(frame, gen, dt) * r
-        frame = rotation_matrix(gen, np.linalg.norm(gen) * dt) @ frame
+    svec = _segment_frames(mode, widths, scale.values)[1][-1]
     if mode.tau0 != 0.0:
-        idx = scale.segment_index(mode.tau0)
-        ref = np.eye(3)
-        for r, dt in zip(scale.values[:idx], widths[:idx]):
-            gen = rotation_generator(mode, r)
-            ref = rotation_matrix(gen, np.linalg.norm(gen) * dt) @ ref
-        gen = rotation_generator(mode, scale.values[idx])
-        ref = rotation_matrix(
-            gen, np.linalg.norm(gen) * (mode.tau0 - scale.breakpoints[idx])) @ ref
+        ((ref, _),) = _frames_at(mode, scale, widths, [mode.tau0])
         svec = ref @ svec
     return svec

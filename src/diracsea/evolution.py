@@ -100,17 +100,13 @@ def _piecewise_propagate(mode: Mode, scale: PiecewiseConstantScale,
     """Exact product of segment exponentials between two times."""
     if tau_to == tau_from:
         return IDENTITY2.copy(), 0
-    sign = 1.0 if tau_to > tau_from else -1.0
-    lo, hi = min(tau_from, tau_to), max(tau_from, tau_to)
-    bps = scale.breakpoints
-    cuts = [lo] + [b for b in bps if lo < b < hi] + [hi]
+    pieces = scale.pieces(min(tau_from, tau_to), max(tau_from, tau_to))
     u = IDENTITY2.copy()
-    for a, b in zip(cuts, cuts[1:]):
-        r = scale.value(0.5 * (a + b))
+    for a, b, r in pieces:
         u = segment_propagator(mode, r, b - a) @ u
-    if sign < 0:
+    if tau_to < tau_from:
         u = u.conj().T
-    return u, len(cuts) - 1
+    return u, len(pieces)
 
 
 def step_ceiling(freq: Callable[[float], float], scale: ScaleFunction,
@@ -206,15 +202,10 @@ def evolve_grid(mode: Mode, scale: ScaleFunction, tau_from: float, taus,
         scale.check_domain(t)
 
     if isinstance(scale, PiecewiseConstantScale):
-        out = []
-        u = IDENTITY2.copy()
-        prev = tau_from
-        for t in taus:
-            du, _ = _piecewise_propagate(mode, scale, prev, t)
-            u = du @ u
-            out.append(u.copy())
-            prev = t
-        return out
+        out = [IDENTITY2]
+        for prev, t in zip([tau_from] + taus, taus):
+            out.append(_piecewise_propagate(mode, scale, prev, t)[0] @ out[-1])
+        return out[1:]
 
     from .projector import cointegrate
 
@@ -262,10 +253,8 @@ def accumulated_phase(mode: Mode, scale: ScaleFunction, tau_from: float,
         return 0.0
     if isinstance(scale, PiecewiseConstantScale):
         sign = 1.0 if tau_to > tau_from else -1.0
-        lo, hi = min(tau_from, tau_to), max(tau_from, tau_to)
-        cuts = [lo] + [b for b in scale.breakpoints if lo < b < hi] + [hi]
-        total = sum(frequency(mode, scale.value(0.5 * (a + b))) * (b - a)
-                    for a, b in zip(cuts, cuts[1:]))
+        total = sum(frequency(mode, r) * (b - a) for a, b, r
+                    in scale.pieces(min(tau_from, tau_to), max(tau_from, tau_to)))
         return sign * total
     val, _ = quad(lambda t: frequency(mode, scale.value(t)), tau_from, tau_to,
                   limit=400, epsabs=1e-13, epsrel=1e-13)

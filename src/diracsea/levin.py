@@ -1,7 +1,9 @@
 """Oscillatory quadrature against the WKB phase (Chebyshev-Levin collocation).
 
-On a smooth scale the WKB phase psi(tau) = integral of f from the mode's
-tau0 is itself smooth and non-oscillatory, so integrals of the form
+The WKB phase psi(tau) = integral of f from the mode's tau0 does not
+oscillate: it is smooth on a smooth scale and linear between the
+breakpoints of a piecewise-constant one, where the panels are cut.  So
+integrals of the form
 
     integral over [lo, hi] of F_j(tau) exp(i omega_j psi(tau)) dtau
 
@@ -57,7 +59,8 @@ def levin_integral(mode: Mode, scale: ScaleFunction, integrand, omegas,
     """integral over [lo, hi] of integrand(t, r)[j] * exp(i omegas[j] psi(t)).
 
     psi is the frequency integral from ``mode.tau0``; r the scale value at
-    t.  The leg rule is ``projector.interval_integral``'s: from a tau0
+    t (on a piecewise scale, that of the segment holding the panel).  The
+    leg rule is ``projector.interval_integral``'s: from a tau0
     inside [lo, hi] the sweeps run out to both ends, otherwise psi is
     carried to the nearer end first.
 
@@ -75,11 +78,11 @@ def levin_integral(mode: Mode, scale: ScaleFunction, integrand, omegas,
     osc = omegas != 0.0
     tested = 0
 
-    def panel(a, b):
+    def panel(a, b, r):
         """(local integral with psi(a) = 0, psi increment, node maxima)."""
         h = 0.5 * (b - a)
         ts = 0.5 * (a + b) + h * _X
-        rs = [scale.value(t) for t in ts]
+        rs = [scale.value(t) for t in ts] if r is None else [r] * ts.size
         f = np.array([frequency(mode, r) for r in rs])
         vals = np.array([integrand(t, r) for t, r in zip(ts, rs)], dtype=complex)
         dpsi = h * (_W @ f)
@@ -95,11 +98,17 @@ def levin_integral(mode: Mode, scale: ScaleFunction, integrand, omegas,
         nonlocal tested
         total = np.zeros(omegas.size, dtype=complex)
         sign = 1.0 if end > anchor else -1.0
-        cuts = np.linspace(anchor, end, int(np.ceil(abs(end - anchor) / MAX_PANEL)) + 1)
-        # (end nearer the anchor, far end, the panel's result if known)
-        pending = [(x, y, None) for x, y in zip(cuts, cuts[1:])]
+        # (end nearer the anchor, far end, R if constant there, the panel's
+        # result if known).  Panels stop at breakpoints and carry their
+        # segment's R: scale.value, right-continuous, would read the next
+        # segment's at a panel's upper end node.
+        pending = []
+        for a, b, r in scale.pieces(min(anchor, end), max(anchor, end))[::int(sign)]:
+            near, far = (a, b) if sign > 0 else (b, a)
+            cuts = np.linspace(near, far, int(np.ceil((b - a) / MAX_PANEL)) + 1)
+            pending += [(x, y, r, None) for x, y in zip(cuts, cuts[1:])]
         while pending:
-            near, far, whole = pending.pop(0)
+            near, far, r, whole = pending.pop(0)
             tested += 1
             if tested > MAX_PANELS:
                 raise ConvergenceFailure(
@@ -108,8 +117,8 @@ def levin_integral(mode: Mode, scale: ScaleFunction, integrand, omegas,
             a, b = min(near, far), max(near, far)
             mid = 0.5 * (a + b)
             if whole is None:
-                whole = panel(a, b)
-            left, right = panel(a, mid), panel(mid, b)
+                whole = panel(a, b, r)
+            left, right = panel(a, mid, r), panel(mid, b, r)
             local = left[0] + np.exp(1j * omegas * left[1]) * right[0]
             dpsi = left[1] + right[1]
             size = np.maximum(np.max([whole[2], left[2], right[2]], axis=0), 1.0)
@@ -119,7 +128,7 @@ def levin_integral(mode: Mode, scale: ScaleFunction, integrand, omegas,
                     raise ConvergenceFailure(
                         f"oscillatory quadrature panel underflow at tau={mid:.6g}")
                 near_half, far_half = (left, right) if sign > 0 else (right, left)
-                pending[:0] = [(near, mid, near_half), (mid, far, far_half)]
+                pending[:0] = [(near, mid, r, near_half), (mid, far, r, far_half)]
                 continue
             psi_a = psi if sign > 0 else psi - dpsi
             total += np.exp(1j * omegas * psi_a) * local

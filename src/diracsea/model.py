@@ -107,6 +107,10 @@ class ScaleFunction:
     def value(self, tau: float) -> float:
         raise NotImplementedError
 
+    def pieces(self, lo: float, hi: float):
+        """(a, b, r) stretches of [lo, hi]: R = r on each, or r = None where R varies."""
+        return [(lo, hi, None)]
+
     def check_domain(self, tau: float):
         if self.is_piecewise:
             ok = 0.0 <= tau <= self.tau_end
@@ -138,7 +142,6 @@ class SmoothScale(ScaleFunction):
     g: Callable[[float], float]
     r_max: float
     dg: Callable[[float], float] | None = None
-    d2g: Callable[[float], float] | None = None
     label: str = "smooth"
     tau_end: float = field(default=float(np.pi))
     is_piecewise = False
@@ -212,6 +215,11 @@ class PiecewiseConstantScale(ScaleFunction):
     def value(self, tau: float) -> float:
         return self.values[self.segment_index(tau)]
 
+    def pieces(self, lo: float, hi: float):
+        """[lo, hi] cut at the breakpoints, with the segment value r on each piece."""
+        cuts = [lo] + [b for b in self.breakpoints if lo < b < hi] + [hi]
+        return [(a, b, self.value(0.5 * (a + b))) for a, b in zip(cuts, cuts[1:])]
+
     def lifetime_integral(self) -> float:
         widths = np.diff(self.breakpoints)
         return float(np.dot(widths, self.values))
@@ -245,7 +253,6 @@ def dust_scale(r_max: float) -> SmoothScale:
     return SmoothScale(
         g=lambda t: 0.5 * (1.0 - np.cos(t)),
         dg=lambda t: 0.5 * np.sin(t),
-        d2g=lambda t: 0.5 * np.cos(t),
         r_max=float(r_max),
         label="dust",
     )
@@ -258,7 +265,6 @@ def constant_scale(r: float) -> SmoothScale:
     return SmoothScale(
         g=lambda t: 1.0,
         dg=lambda t: 0.0,
-        d2g=lambda t: 0.0,
         r_max=float(r),
         label="constant",
     )
@@ -299,7 +305,6 @@ def smooth_table_scale(taus: Sequence[float], values: Sequence[float],
     return SmoothScale(
         g=lambda t: float(spline(t)),
         dg=lambda t: float(spline(t, 1)),
-        d2g=lambda t: float(spline(t, 2)),
         r_max=float(r_max),
         label="smooth_table",
     )
@@ -325,9 +330,6 @@ class Unitary2:
     @property
     def matrix(self) -> np.ndarray:
         return self.entries
-
-    def dagger(self) -> "Unitary2":
-        return Unitary2(self.entries.conj().T)
 
 
 @dataclass(frozen=True)

@@ -16,14 +16,15 @@ counterparts replace U by the frame-and-phase propagator.
 The exact integrals ride as augmented state on one transport (exact U,
 or the WKB phase) through ``cointegrate``, so one adaptive stepper and one
 error budget cover propagator and integral; each caller supplies only its
-integrand.  On smooth scales the WKB signature, k and leading-order
-projector are instead Levin quadratures against the phase
-(``levin.levin_integral``), whose cost does not grow with m * r_max;
-``wkb_scalar_integrals`` keeps the stepper as an independent oracle.
-Over the open lifetime, the endpoint limits are handled by shrinking a
-cutoff delta until the rigorous tail bound (the integrand norm is at most
-R) drops below the requested tolerance.  On piecewise-constant scales the
-signatures have closed forms; k and the WKB images still use the stepper.
+integrand.  The WKB k and leading-order projector are instead Levin
+quadratures against the phase (``levin.levin_integral``) on both scale
+kinds, and so is the WKB signature on smooth scales; their cost does not
+grow with m * r_max.  ``wkb_scalar_integrals`` keeps the stepper as an
+independent oracle.  Over the open lifetime, the endpoint limits are
+handled by shrinking a cutoff delta until the rigorous tail bound (the
+integrand norm is at most R) drops below the requested tolerance.  On
+piecewise-constant scales both signatures have closed forms; the exact k
+still steps across the jumps of R.
 """
 
 from __future__ import annotations
@@ -250,59 +251,42 @@ def signature_operator(mode: Mode, scale: ScaleFunction,
                       lifetime_integral)
 
 
-def _wkb_piecewise_signature(mode: Mode, scale: PiecewiseConstantScale) -> np.ndarray:
-    """Closed-form WKB signature for piecewise scales.
-
-    Within a segment the frame is constant and the phase linear, so the
-    conjugated matrix splits into a constant part and a uniformly rotating
-    off-diagonal part whose time integral is elementary.
-    """
-    v0 = diagonalizer(mode, scale.value(mode.tau0))
-    total = np.zeros((2, 2), dtype=complex)
-    widths = np.diff(scale.breakpoints)
-    for start, dt, r in zip(scale.breakpoints, widths, scale.values):
-        f = frequency(mode, r)
-        v = diagonalizer(mode, r)
-        y = v @ SIGMA3 @ v.conj().T
-        psi0 = accumulated_phase(mode, scale, mode.tau0, start)
-        # integral of e^{2 i psi} over the segment, psi linear with slope f
-        osc = np.exp(2j * psi0) * (np.exp(2j * f * dt) - 1.0) / (2j * f)
-        block = np.array([[y[0, 0] * dt, y[0, 1] * osc],
-                          [y[1, 0] * np.conj(osc), y[1, 1] * dt]])
-        total += r * (v0.conj().T @ block @ v0)
-    return total
-
-
 def signature_operator_wkb(mode: Mode, scale: ScaleFunction,
                            tol: float = DEFAULT_QUAD_TOL,
                            ode_tol: float = DEFAULT_ODE_TOL) -> SignatureResult:
     """Signature quadrature with the WKB propagator in place of the exact one.
 
     With Y = V sigma3 V^dagger the conjugated integrand is V0^dagger
-    [[Y00 R, Y01 R e^{2 i psi}], [c.c., -Y00 R]] V0; on smooth scales its
-    two integrals are Levin quadratures against the phase.
+    [[Y00 R, Y01 R e^{2 i psi}], [c.c., -Y00 R]] V0.  On smooth scales its
+    two integrals are Levin quadratures against the phase; on piecewise
+    scales, where Y00 R = m R^2 / f and Y01 R = |lam| R / f, they are the
+    closed forms of ``wkb_scalar_integrals``.
     """
+    def conjugated(mass, osc):
+        v0 = diagonalizer(mode, scale.value(mode.tau0))
+        return v0.conj().T @ np.array([[mass, osc], [np.conj(osc), -mass]]) @ v0
+
+    def closed_form(mode, scale):
+        ints = wkb_scalar_integrals(mode, scale)
+        return conjugated(ints.mass_term,
+                          abs(mode.lam) * (ints.cos_term - 1j * ints.sin_term))
+
     def lifetime_integral(lo, hi):
         def integrand(t, r):
             # Y00 R and Y01 R from the real frame's entries
             (v00, v01), (v10, v11) = diagonalizer(mode, r).real.tolist()
             return ((v00 * v00 - v01 * v01) * r, (v00 * v10 - v01 * v11) * r)
 
-        mass, osc = levin_integral(mode, scale, integrand, (0.0, 2.0), lo, hi,
-                                   ode_tol)
-        v0 = diagonalizer(mode, scale.value(mode.tau0))
-        return v0.conj().T @ np.array([[mass, osc], [np.conj(osc), -mass]]) @ v0
+        return conjugated(*levin_integral(mode, scale, integrand, (0.0, 2.0),
+                                          lo, hi, ode_tol))
 
-    return _signature(mode, scale, tol, ode_tol, _wkb_piecewise_signature,
-                      lifetime_integral)
+    return _signature(mode, scale, tol, ode_tol, closed_form, lifetime_integral)
 
 
 def _mass_term_integral(mode: Mode, scale: ScaleFunction) -> float:
     """integral of m R^2 / f over the lifetime (smooth, non-oscillatory)."""
     if isinstance(scale, PiecewiseConstantScale):
-        widths = np.diff(scale.breakpoints)
-        return float(sum(mode.mass * r * r / frequency(mode, r) * dt
-                         for r, dt in zip(scale.values, widths)))
+        return wkb_scalar_integrals(mode, scale).mass_term
     val, _ = quad(lambda t: mode.mass * scale.value(t) ** 2
                   / frequency(mode, scale.value(t)),
                   0.0, scale.tau_end, limit=400, epsabs=1e-12, epsrel=1e-12)
@@ -341,9 +325,9 @@ def wkb_scalar_integrals(mode: Mode, scale: ScaleFunction,
                          ode_tol: float = DEFAULT_ODE_TOL) -> WkbScalarIntegrals:
     check_mode_scale(mode, scale)
     if isinstance(scale, PiecewiseConstantScale):
-        widths = np.diff(scale.breakpoints)
         mass_term = cos_term = sin_term = 0.0
-        for start, dt, r in zip(scale.breakpoints, widths, scale.values):
+        for start, end, r in scale.pieces(0.0, scale.tau_end):
+            dt = end - start
             f = frequency(mode, r)
             psi0 = accumulated_phase(mode, scale, mode.tau0, start)
             mass_term += mode.mass * r * r / f * dt
@@ -438,19 +422,16 @@ def k_wkb_apply(mode: Mode, scale: ScaleFunction, phi: TestFunction,
     """WKB counterpart of ``k_m_apply``.
 
     U_wkb^dagger sigma3 phi R / 2 pi = V0^dagger diag(e^{i psi}, e^{-i psi})
-    w with w = V sigma3 phi R / 2 pi, so on smooth scales it is a Levin
-    quadrature of the two phase branches.
+    w with w = V sigma3 phi R / 2 pi, so it is a Levin quadrature of the
+    two phase branches.
     """
-    if isinstance(scale, PiecewiseConstantScale):
-        return _k_apply(mode, scale, phi, tol, lambda: _wkb(mode, scale),
-                        Provenance.WKB)
     return ProjectorOutput(value=_wkb_branches(mode, scale, phi, (0, 1), tol),
                            provenance=Provenance.WKB)
 
 
 def _wkb_branches(mode: Mode, scale: ScaleFunction, phi: TestFunction,
                   rows, tol: float) -> np.ndarray:
-    """Levin route of the WKB probe images on a smooth scale.
+    """Levin route of the WKB probe images.
 
     With w = V sigma3 phi R / 2 pi, returns the columns ``rows`` of
     V0^dagger times the support integrals of w[0] e^{i psi} (row 0) and
@@ -520,16 +501,13 @@ class PWkbVariant(enum.Enum):
 def p_wkb_leading_apply(mode: Mode, scale: ScaleFunction, phi: TestFunction,
                         tol: float = DEFAULT_ODE_TOL) -> ProjectorOutput:
     """Pure negative-frequency image: only the decaying phase branch survives."""
-    if isinstance(scale, PiecewiseConstantScale):
-        total = _p_wkb_leading_transported(mode, scale, phi, tol)
-    else:
-        total = -_wkb_branches(mode, scale, phi, (1,), tol)
-    return ProjectorOutput(value=total, provenance=Provenance.WKB_LEADING_ORDER)
+    return ProjectorOutput(value=-_wkb_branches(mode, scale, phi, (1,), tol),
+                           provenance=Provenance.WKB_LEADING_ORDER)
 
 
 def _p_wkb_leading_transported(mode: Mode, scale: ScaleFunction,
                                phi: TestFunction, tol: float) -> np.ndarray:
-    """The leading-order image with the phase carried by the stepper."""
+    """The leading-order image with the phase carried by the stepper (an oracle)."""
     check_ode_tol(tol)
     check_mode_scale(mode, scale, *phi.support)
     v0 = diagonalizer(mode, scale.value(mode.tau0))

@@ -8,6 +8,7 @@ silently running with defaults.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -134,6 +135,18 @@ SCENARIO_SCHEMA = {
 }
 
 
+@functools.cache
+def _validator():
+    """The schema's validator, built and checked against the metaschema once.
+
+    ``jsonschema.validate`` repeats that check on every call, and it costs
+    far more than validating a document.
+    """
+    validator = jsonschema.validators.validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
+    validator.check_schema(SCENARIO_SCHEMA)
+    return validator
+
+
 @dataclass(frozen=True)
 class Tolerances:
     ode_tol: float = DEFAULT_ODE_TOL
@@ -158,10 +171,9 @@ class ScenarioConfig:
 
 
 def parse_scenario(doc: dict) -> ScenarioConfig:
-    try:
-        jsonschema.validate(doc, SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise InvalidParameter(f"scenario file invalid: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
+    if error is not None:
+        raise InvalidParameter(f"scenario file invalid: {error.message}") from error
 
     mdoc = doc["mode"]
     mode = Mode(lam=float(mdoc["lambda"]), mass=float(mdoc["mass"]),

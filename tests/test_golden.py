@@ -37,4 +37,7 @@ def test_scenario_csv_matches_golden(tmp_path, command, name):
     code = main([command, "--scenario", str(ROOT / "scenarios" / f"{name}.json"),
                  "--out", str(out)])
     assert code == 0
-    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+    got, want = out.read_bytes(), (GOLDEN / f"{name}.csv").read_bytes()
+    # rows first, so a failure names the first row that differs
+    assert got.decode().splitlines() == want.decode().splitlines()
+    assert got == want

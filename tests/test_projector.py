@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad, simpson
 
 from diracsea import levin, projector
+from diracsea.bloch import build_twelve_segment, make_scenario, perturb_scenario
 from diracsea.errors import ConvergenceFailure, DegenerateSignature, DomainError
 from diracsea.evolution import (
     accumulated_phase,
@@ -39,6 +40,7 @@ from diracsea.projector import (
     k_wkb_apply,
     negative_projection,
     p_wkb_apply,
+    p_wkb_leading_apply,
     positive_projection,
     signature_operator,
     signature_operator_wkb,
@@ -81,12 +83,17 @@ class TestSignatureOperator:
         assert spectral_norm(rebuilt - sig.s.matrix) \
             < 1e-12 * max(1.0, sig.norm())
 
-    def test_piecewise_closed_form_vs_quadrature_oracle(self):
-        # brute force: Simpson over each segment with exact propagators
-        mode = Mode(lam=1.5, mass=1.0, tau0=0.0)
+    @pytest.mark.parametrize("tau0", [0.0, 1.3])
+    def test_piecewise_closed_form_vs_quadrature_oracle(self, tau0):
+        # brute force: Simpson over each segment with exact propagators from
+        # tau = 0, then conjugated by W = U(tau0 <- 0); 1.3 lies in the
+        # second segment
+        mode = Mode(lam=1.5, mass=1.0, tau0=tau0)
         sc = PiecewiseConstantScale(breakpoints=(0.0, 0.9, 1.7, 2.8),
                                     values=(2.2, 0.7, 1.4))
         sig = signature_operator(mode, sc)
+        w = (segment_propagator(mode, 0.7, tau0 - 0.9)
+             @ segment_propagator(mode, 2.2, 0.9)) if tau0 else np.eye(2)
         acc = np.zeros((2, 2), dtype=complex)
         u_start = np.eye(2, dtype=complex)
         widths = np.diff(sc.breakpoints)
@@ -98,7 +105,7 @@ class TestSignatureOperator:
                 vals[i] = u.conj().T @ SIGMA3 @ u * r
             acc += simpson(vals, x=ts, axis=0)
             u_start = segment_propagator(mode, r, dt) @ u_start
-        assert spectral_norm(sig.s.matrix - acc) < 1e-8
+        assert spectral_norm(sig.s.matrix - w @ acc @ w.conj().T) < 1e-8
 
     def test_scale_bound_is_ceiling(self):
         mode = Mode(lam=1.5, mass=1.0, tau0=TAU0)
@@ -419,8 +426,31 @@ def rel_diff(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
+def segments_case(lam):
+    mode = Mode(lam=lam, mass=1.0, tau0=0.0)
+    pairs = [(2.0, 0.5), (0.7, 0.6), (4.1, 1.0), (1.2, 0.5)]
+    return mode, make_scenario(mode, pairs).to_scale(), (0.36, 1.82)
+
+
+FIVE_STEPS = PiecewiseConstantScale(breakpoints=(0.0, 0.7, 1.1, 1.6, 2.4, 3.0),
+                                    values=(2.0, 0.8, 3.5, 1.3, 2.6))
+
+# (mode, piecewise scale, probe support); every support straddles at least
+# two breakpoints
+PIECEWISE_CASES = {
+    "segments_lam+5/2": lambda: segments_case(2.5),
+    "segments_lam-5/2": lambda: segments_case(-2.5),
+    "twelve_perturbed": lambda: (
+        Mode(lam=1.5, mass=1.0, tau0=0.0),
+        perturb_scenario(build_twelve_segment(), 0, 0.01).to_scale(), (1.0, 2.0)),
+    "tau0_inside": lambda: (Mode(lam=-1.5, mass=1.0, tau0=1.3), FIVE_STEPS, (0.9, 2.0)),
+    "tau0_below": lambda: (Mode(lam=-1.5, mass=1.0, tau0=0.3), FIVE_STEPS, (0.9, 2.0)),
+    "tau0_above": lambda: (Mode(lam=-1.5, mass=1.0, tau0=2.7), FIVE_STEPS, (0.9, 2.0)),
+}
+
+
 class TestLevinRoute:
-    """Levin quadrature against the phase (smooth scales) versus the stepper.
+    """Levin quadrature against the phase (both scale kinds) versus the stepper.
 
     The stepper's phase transport, resolving every oscillation, is the
     oracle; research modes lam in {0, 0.5} have the lowest panel
@@ -453,6 +483,32 @@ class TestLevinRoute:
         p_rk = _p_wkb_leading_transported(mode, sc, phi, 1e-12)
         p = p_wkb_apply(mode, sc, phi, variant=PWkbVariant.LEADING_ORDER)
         assert rel_diff(p.value, p_rk) < 1e-9
+
+    @pytest.mark.parametrize("case", list(PIECEWISE_CASES))
+    def test_piecewise_k_and_leading_projector_match_phase_transport(self, case):
+        # the stepper steps across the jumps of R; at 1e-12 it still lands
+        # within 2e-10 of the Levin panels cut at the breakpoints
+        mode, sc, support = PIECEWISE_CASES[case]()
+        phi = bump(support, np.array([0.6, 0.8j]))
+        k_rk = _k_apply(mode, sc, phi, 1e-12, lambda: _wkb(mode, sc),
+                        Provenance.WKB).value
+        assert rel_diff(k_wkb_apply(mode, sc, phi).value, k_rk) < 1e-9
+        p_rk = _p_wkb_leading_transported(mode, sc, phi, 1e-12)
+        assert rel_diff(p_wkb_leading_apply(mode, sc, phi).value, p_rk) < 1e-9
+
+    @pytest.mark.parametrize("tau0", [0.0, 1.3])
+    def test_piecewise_leg_matches_closed_form(self, tau0):
+        # F = 1, omega = 2 across a jump of R: psi is linear on each piece,
+        # so its integral is (e^{2 i psi(b)} - e^{2 i psi(a)}) / (2 i f)
+        mode = Mode(lam=1.5, mass=1.0, tau0=tau0)
+        sc = PiecewiseConstantScale(breakpoints=(0.0, 1.1, 2.3), values=(2.0, 0.6))
+        want = 0.0
+        for a, b, r in [(0.5, 1.1, 2.0), (1.1, 1.7, 0.6)]:
+            psi_a, psi_b = (accumulated_phase(mode, sc, tau0, t) for t in (a, b))
+            want += (np.exp(2j * psi_b) - np.exp(2j * psi_a)) / (2j * frequency(mode, r))
+        (got,) = levin_integral(mode, sc, lambda t, r: (1.0,), (2.0,), 0.5, 1.7,
+                                1e-12)
+        assert abs(got - want) < 1e-12 * abs(want)
 
     @pytest.mark.parametrize("tau0", [0.4, 2.8])
     def test_k_with_anchor_outside_support(self, tau0):
