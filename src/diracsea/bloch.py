@@ -34,6 +34,7 @@ from .model import (
     SIGMA1,
     SIGMA2,
     SIGMA3,
+    ScaleFunction,
     SmoothScale,
     check_mode_scale,
     is_physical_eigenvalue,
@@ -178,30 +179,24 @@ def make_scenario(mode: Mode, pairs) -> Scenario:
     return Scenario(segments=tuple(segs), mode=mode)
 
 
-def _alternating_radii(lam: float, mass: float):
-    """Scale values tilting the axis 10 and 70 degrees away from -e3."""
-    r1 = (lam / mass) / np.tan(np.radians(10.0))
-    r2 = (lam / mass) / np.tan(np.radians(70.0))
-    return r1, r2
+def _alternating_preset(lam: float, mass: float):
+    """A preset's mode, and scale values tilting the axis 10 and 70 degrees from -e3."""
+    if not (lam > 0 and mass > 0):
+        raise InvalidParameter("lam and mass must be positive")
+    mode = Mode(lam=lam, mass=mass, tau0=0.0, physical=is_physical_eigenvalue(lam))
+    return (mode, (lam / mass) / np.tan(np.radians(10.0)),
+            (lam / mass) / np.tan(np.radians(70.0)))
 
 
 def build_six_segment(lam: float = 1.5, mass: float = 1.0) -> Scenario:
     """Three reflection pairs; symmetry in the e1/e3 plane kills S_1 and S_3."""
-    if not (lam > 0 and mass > 0):
-        raise InvalidParameter("lam and mass must be positive")
-    mode = Mode(lam=lam, mass=mass, tau0=0.0,
-                physical=is_physical_eigenvalue(lam))
-    r1, r2 = _alternating_radii(lam, mass)
+    mode, r1, r2 = _alternating_preset(lam, mass)
     return make_scenario(mode, [(r1, 5.5), (r2, 0.5)] * 3)
 
 
 def build_twelve_segment(lam: float = 1.5, mass: float = 1.0) -> Scenario:
     """Six-segment block followed by its mirror; all signature components cancel."""
-    if not (lam > 0 and mass > 0):
-        raise InvalidParameter("lam and mass must be positive")
-    mode = Mode(lam=lam, mass=mass, tau0=0.0,
-                physical=is_physical_eigenvalue(lam))
-    r1, r2 = _alternating_radii(lam, mass)
+    mode, r1, r2 = _alternating_preset(lam, mass)
     pairs = [(r1, 5.5), (r2, 0.5)] * 3 + [(r2, 0.5), (r1, 5.5)] * 3
     return make_scenario(mode, pairs)
 
@@ -236,39 +231,51 @@ def _segment_frames(mode: Mode, widths, values):
     return frames, prefix
 
 
-def _frames_at(mode: Mode, scale: PiecewiseConstantScale, widths, taus):
-    """(frame, running integral of v R) at each of ``taus``, from tau = 0.
+def _frames_at(mode: Mode, scale: PiecewiseConstantScale, taus, widths=None):
+    """(frame, running integral of v R from tau = 0) at each of ``taus``.
 
-    ``widths`` as for ``_segment_frames``.
+    Referenced to the mode's tau0: F(tau) F(tau0)^T, with F the frame that
+    is the identity at tau = 0; the integral turns likewise.  ``widths`` as
+    for ``_segment_frames``, by default the breakpoints' differences.
     """
+    if widths is None:
+        widths = np.diff(scale.breakpoints)
     frames, prefix = _segment_frames(mode, widths, scale.values)
-    out = []
-    for t in taus:
+
+    def at(t):
         if not (0.0 <= t <= scale.tau_end + 1e-12):
             raise InvalidParameter(f"tau={t} outside scenario duration")
         idx = scale.segment_index(t)
         r = scale.values[idx]
         gen = rotation_generator(mode, r)
         dt = t - scale.breakpoints[idx]
-        out.append((rotation_matrix(gen, np.linalg.norm(gen) * dt) @ frames[idx],
-                    prefix[idx] + _segment_v_integral(frames[idx], gen, dt) * r))
-    return out
+        return (rotation_matrix(gen, np.linalg.norm(gen) * dt) @ frames[idx],
+                prefix[idx] + _segment_v_integral(frames[idx], gen, dt) * r)
+
+    out = [at(t) for t in taus]
+    if mode.tau0 == 0.0:
+        return out
+    ref = at(mode.tau0)[0]
+    return [(w @ ref.T, cum @ ref.T) for w, cum in out]
 
 
 def propagate_bloch(target, tau_grid, tol: float = DEFAULT_ODE_TOL):
-    """Frame trajectory at the requested times.
+    """Frame trajectory at the requested times, reference frame at the mode's tau0.
 
-    ``target`` is either a Scenario (exact fixed-axis rotations, reference
-    frame at tau = 0) or a ``(mode, smooth_scale)`` pair (adaptive
-    integration with orthogonality re-projection, reference frame at the
-    mode's tau0).
+    ``target`` is either a Scenario or a ``(mode, scale)`` pair.  On
+    piecewise-constant scales (every Scenario) the frames are exact
+    fixed-axis rotations; on smooth scales they come from adaptive
+    integration with orthogonality re-projection.
     """
     taus = [float(t) for t in tau_grid]
     if isinstance(target, Scenario):
-        frames = _frames_at(target.mode, target.to_scale(), target.durations, taus)
-        return [BlochState(w=w, tau=t) for t, (w, _) in zip(taus, frames)]
-    mode, scale = target
-    _check_grid(mode, scale, taus)
+        mode, scale, widths = target.mode, target.to_scale(), target.durations
+    else:
+        (mode, scale), widths = target, None
+        _check_grid(mode, scale, taus)
+    if scale.is_piecewise:
+        return [BlochState(w=w, tau=t)
+                for t, (w, _) in zip(taus, _frames_at(mode, scale, taus, widths))]
     states = cointegrate(frame_transport(mode, scale, tol), None, 0, mode.tau0,
                          taus, tol, FINE_OSCILLATION_RESOLUTION)
     return [BlochState(w=_project_rotation(x.reshape(3, 3).real), tau=t)
@@ -305,7 +312,7 @@ def frame_transport(mode: Mode, scale: SmoothScale,
     return transport
 
 
-def _check_grid(mode: Mode, scale: SmoothScale, taus):
+def _check_grid(mode: Mode, scale: ScaleFunction, taus):
     if any(t2 < t1 for t1, t2 in zip(taus, taus[1:])):
         raise InvalidParameter("tau grid must be nondecreasing")
     check_mode_scale(mode, scale, *taus)
@@ -318,11 +325,8 @@ def v_trace_formula(mode: Mode, scale_or_scenario, tau_grid,
     This is the convention-free route: no rotation-axis orientation enters.
     """
     if isinstance(scale_or_scenario, Scenario):
-        mode = scale_or_scenario.mode
-        scale = scale_or_scenario.to_scale()
-    else:
-        scale = scale_or_scenario
-    us = evolve_grid(mode, scale, mode.tau0, tau_grid, tol=tol)
+        mode, scale_or_scenario = scale_or_scenario.mode, scale_or_scenario.to_scale()
+    us = evolve_grid(mode, scale_or_scenario, mode.tau0, tau_grid, tol=tol)
     rows = []
     for u in us:
         b = u.conj().T @ SIGMA3 @ u
@@ -352,21 +356,26 @@ def v_components(target, tau_grid, tol: float = DEFAULT_ODE_TOL):
 
 def scenario_v_rows_with_cumulative(scenario: Scenario, tau_grid):
     """(tau, v1..v3, cumulative integral of v_alpha R) rows, exact per segment."""
-    frames = _frames_at(scenario.mode, scenario.to_scale(), scenario.durations,
-                        tau_grid)
+    frames = _frames_at(scenario.mode, scenario.to_scale(), tau_grid,
+                        scenario.durations)
     return [(t, *BlochState(w=w, tau=t).v(), *cum)
             for t, (w, cum) in zip(tau_grid, frames)]
 
 
-def smooth_v_rows_with_cumulative(mode: Mode, scale: SmoothScale, tau_grid,
+def smooth_v_rows_with_cumulative(mode: Mode, scale: ScaleFunction, tau_grid,
                                   tol: float = DEFAULT_ODE_TOL):
-    """(tau, v1..v3, cumulative integral of v_alpha R) rows for smooth scales.
+    """(tau, v1..v3, cumulative integral of v_alpha R) rows for a (mode, scale) pair.
 
     The cumulative integrals run from the first grid point; the frame is
-    referenced to the mode's tau0.
+    referenced to the mode's tau0.  Piecewise scales take the closed-form
+    frames.
     """
     taus = [float(t) for t in tau_grid]
     _check_grid(mode, scale, taus)
+    if scale.is_piecewise:
+        frames = _frames_at(mode, scale, taus)
+        return [(t, *w[2, :], *(cum - frames[0][1]))
+                for t, (w, cum) in zip(taus, frames)]
 
     def integrand(t, r, x):
         return (x.reshape(3, 3).real[2, :] * r).astype(complex)
@@ -392,12 +401,6 @@ def scenario_signature_components(scenario: Scenario):
 def piecewise_signature_vector(mode: Mode, scale: PiecewiseConstantScale):
     """Signature Pauli vector for any piecewise scale, referenced to mode.tau0.
 
-    Closed form: accumulate with the bang-anchored frame, then rotate the
-    result into the tau0 frame.
+    Closed form: the running integral of v R over the whole scale.
     """
-    widths = np.diff(scale.breakpoints)
-    svec = _segment_frames(mode, widths, scale.values)[1][-1]
-    if mode.tau0 != 0.0:
-        ((ref, _),) = _frames_at(mode, scale, widths, [mode.tau0])
-        svec = ref @ svec
-    return svec
+    return _frames_at(mode, scale, [scale.tau_end])[0][1]

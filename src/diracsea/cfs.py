@@ -25,7 +25,6 @@ from .model import (
     DEFAULT_GAP_TOL,
     DEFAULT_ODE_TOL,
     DEFAULT_QUAD_TOL,
-    PiecewiseConstantScale,
     ScaleFunction,
     SIGMA3,
     TestFunction,
@@ -34,11 +33,11 @@ from .model import (
 )
 from .projector import (
     _choose_cutoffs,
+    _sigma3_integral,
     interval_integral,
+    k_m_apply,
     negative_projection,
     signature_operator,
-    support_integral,
-    TWO_PI,
 )
 
 MEMBERSHIP_TOL = 1e-8
@@ -79,14 +78,16 @@ class SolutionFamily:
         return groups
 
 
+def _block_pairing(members, left, right) -> np.ndarray:
+    """vdot(left[j], right[k]) for members j, k of one mode, 0 across modes."""
+    return np.array([[np.vdot(x, y) if a.mode_index == b.mode_index else 0.0
+                      for b, y in zip(members, right)]
+                     for a, x in zip(members, left)], dtype=complex)
+
+
 def _gram_matrix(members) -> np.ndarray:
-    n = len(members)
-    g = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            if members[j].mode_index == members[k].mode_index:
-                g[j, k] = np.vdot(members[j].spinor, members[k].spinor)
-    return g
+    spinors = [m.spinor for m in members]
+    return _block_pairing(members, spinors, spinors)
 
 
 def build_family(modes, scale: ScaleFunction, members,
@@ -220,12 +221,7 @@ def local_correlation(family: SolutionFamily, tau: float,
     """F_{jk}(tau) = -psi_j(tau)^dagger sigma3 psi_k(tau) within mode blocks."""
     family.scale.check_domain(tau)
     evolved = members_at(family, tau, tol=tol)
-    n = family.size
-    f = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            if family.members[j].mode_index == family.members[k].mode_index:
-                f[j, k] = -np.vdot(evolved[j], SIGMA3 @ evolved[k])
+    f = _block_pairing(family.members, evolved, [-(SIGMA3 @ p) for p in evolved])
     f = 0.5 * (f + f.conj().T)
     return CorrelationOperator(matrix=f, tau=tau,
                                mode_of_member=tuple(m.mode_index
@@ -254,29 +250,19 @@ def kernel_apply(family: SolutionFamily, tau_x: float, phi: TestFunction,
     """Action of the kernel on a probe in one mode's fiber, evaluated at tau_x.
 
     The pairing measure is R(tau) dtau / (2 pi), matching the causal
-    fundamental solution's normalization; each member's pairing integral is
-    co-integrated with the mode propagator over the probe's support.
+    fundamental solution's normalization, so member j's pairing integral
+    is s_j^dagger k(phi) and the image is -U(tau_x) sum_j s_j s_j^dagger
+    k(phi), with k the causal-solution image ``k_m_apply``.
     """
     mode = family.modes[mode_index]
     scale = family.scale
     check_mode_scale(mode, scale, *phi.support)
-    spinors = [family.members[j].spinor
-               for j in family.block_indices().get(mode_index, [])]
+    spinors = [m.spinor for m in family.members if m.mode_index == mode_index]
     if not spinors:
         return np.zeros(2, dtype=complex)
-
-    def integrand(t, r, x):
-        u = x.reshape(2, 2)
-        probe = SIGMA3 @ phi(t) * r / TWO_PI
-        return np.array([np.vdot(u @ s, probe) for s in spinors])
-
-    transport = exact_transport((mode,), scale, mode.tau0, tol)
-    total = support_integral(transport, integrand, len(spinors), phi, tol)
+    k = k_m_apply(mode, scale, phi, tol=tol).value
     u_x = evolve(mode, scale, mode.tau0, tau_x, tol=tol).u.matrix
-    out = np.zeros(2, dtype=complex)
-    for s, pairing in zip(spinors, total):
-        out -= (u_x @ s) * pairing
-    return out
+    return -u_x @ sum(np.outer(s, s.conj()) for s in spinors) @ k
 
 
 def correlation_trace_lifetime_integral(family: SolutionFamily,
@@ -284,9 +270,11 @@ def correlation_trace_lifetime_integral(family: SolutionFamily,
                                         ode_tol: float = DEFAULT_ODE_TOL) -> float:
     """Lifetime integral of Tr F(tau) R(tau).
 
-    Co-integrated with all member evolutions; equals minus the sum of the
-    members' signature quadratic forms, which the signature operator
-    computes by an independent route.
+    Equals minus the sum of the members' signature quadratic forms, which
+    the signature operator computes by an independent route.  On smooth
+    scales it is co-integrated with all member evolutions; on piecewise
+    scales each mode's integral of U^dagger sigma3 U R is the Levin
+    segment sum of ``projector._sigma3_integral``.
     """
     scale = family.scale
     groups = family.block_indices()
@@ -299,11 +287,13 @@ def correlation_trace_lifetime_integral(family: SolutionFamily,
         raise InvalidParameter("trace integral needs a common tau0 across modes")
     check_mode_scale(modes[0], scale)
 
-    if isinstance(scale, PiecewiseConstantScale):
-        lo, hi = 0.0, scale.tau_end
-    else:
-        d_lo, d_hi = _choose_cutoffs(scale, quad_tol)
-        lo, hi = d_lo, scale.tau_end - d_hi
+    if scale.is_piecewise:
+        sig = {idx: _sigma3_integral(mode, scale, 0.0, scale.tau_end, ode_tol, exact=True)
+               for idx, mode in zip(mode_ids, modes)}
+        return float(-sum(np.vdot(m.spinor, sig[m.mode_index] @ m.spinor).real
+                          for m in family.members))
+
+    d_lo, d_hi = _choose_cutoffs(scale, quad_tol)
 
     def integrand(t, r, x):
         tr = 0.0
@@ -314,7 +304,8 @@ def correlation_trace_lifetime_integral(family: SolutionFamily,
         return (tr * r,)
 
     transport = exact_transport(modes, scale, anchors.pop(), ode_tol)
-    acc = interval_integral(transport, integrand, 1, lo, hi, ode_tol)
+    acc = interval_integral(transport, integrand, 1, d_lo, scale.tau_end - d_hi,
+                            ode_tol)
     return float(acc[0].real)
 
 

@@ -320,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ode-tol", type=float, default=None)
         p.add_argument("--quad-tol", type=float, default=None)
         p.add_argument("--gap-tol", type=float, default=None)
-        p.add_argument("--jobs", type=int, default=1)
+        if name == "study":
+            p.add_argument("--jobs", type=int, default=1)
     return parser
 
 

@@ -9,7 +9,9 @@ and polar re-unitarization after every accepted step.
 
 A ``Transport`` carries a fiber state along tau from a reference time: the
 exact propagators of modes sharing R, or the WKB phase (``bloch`` adds the
-rotation frame).  Integrals ride on one through ``projector.cointegrate``.
+rotation frame).  Integrals ride on one through ``projector.cointegrate``
+on smooth scales; on piecewise-constant ones no production integral
+needs a transport.
 
 The WKB propagator is assembled from the instantaneous diagonalizing frame
 and the accumulated frequency integral; it is exact whenever R is constant.

@@ -15,6 +15,8 @@ Components with omega = 0, and the phase increment itself, use
 Clenshaw-Curtis weights on the same nodes.  Each panel is accepted when it
 agrees with the sum over its two halves; otherwise the halves are refined.
 The cost follows the smoothness of R and F, not the number of periods.
+On piecewise-constant scales the exact integrals are these too, taken per
+segment (see ``projector._segments``).
 """
 
 from __future__ import annotations

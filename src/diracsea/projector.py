@@ -13,18 +13,17 @@ and the projector onto the filled states is  P(phi) = -X_neg(S) k(phi)
 with X_neg the spectral projection onto S's negative subspace.  WKB
 counterparts replace U by the frame-and-phase propagator.
 
-The exact integrals ride as augmented state on one transport (exact U,
-or the WKB phase) through ``cointegrate``, so one adaptive stepper and one
-error budget cover propagator and integral; each caller supplies only its
-integrand.  The WKB k and leading-order projector are instead Levin
-quadratures against the phase (``levin.levin_integral``) on both scale
-kinds, and so is the WKB signature on smooth scales; their cost does not
-grow with m * r_max.  ``wkb_scalar_integrals`` keeps the stepper as an
-independent oracle.  Over the open lifetime, the endpoint limits are
+The WKB integrals are Levin quadratures against the phase
+(``levin.levin_integral``), whose cost does not grow with m * r_max.  So
+are the exact k and trace integrals on piecewise-constant scales: there
+the exact propagator is the WKB one times a constant per segment
+(``_segments``), and both signatures have closed forms.  On smooth scales
+the exact integrals ride as augmented state on a transport (exact U, or
+the WKB phase for the ``wkb_scalar_integrals`` oracle) through
+``cointegrate``, so one adaptive stepper and one error budget cover
+propagator and integral.  Over the open lifetime, the endpoint limits are
 handled by shrinking a cutoff delta until the rigorous tail bound (the
-integrand norm is at most R) drops below the requested tolerance.  On
-piecewise-constant scales both signatures have closed forms; the exact k
-still steps across the jumps of R.
+integrand norm is at most R) drops below the requested tolerance.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ from .evolution import (
     frequency,
     phase_transport,
     step_ceiling,
+    wkb_deviation,
     wkb_propagator_raw,
 )
 from .levin import levin_integral
@@ -183,14 +183,6 @@ def interval_integral(transport: Transport, integrand, width: int, lo: float,
     return leg(tau0, hi) - leg(tau0, lo)
 
 
-def support_integral(transport: Transport, integrand, width: int,
-                     phi: TestFunction, tol: float) -> np.ndarray:
-    """Integral over a probe's support; steps are also capped at width/16."""
-    a, b = phi.support
-    return interval_integral(transport, integrand, width, a, b, tol,
-                             cap=(b - a) / 16.0)
-
-
 def _exact(mode: Mode, scale: ScaleFunction, tol: float):
     """The exact transport of one mode and its propagator U(tau)."""
     return (exact_transport((mode,), scale, mode.tau0, tol),
@@ -256,31 +248,54 @@ def signature_operator_wkb(mode: Mode, scale: ScaleFunction,
                            ode_tol: float = DEFAULT_ODE_TOL) -> SignatureResult:
     """Signature quadrature with the WKB propagator in place of the exact one.
 
-    With Y = V sigma3 V^dagger the conjugated integrand is V0^dagger
-    [[Y00 R, Y01 R e^{2 i psi}], [c.c., -Y00 R]] V0.  On smooth scales its
-    two integrals are Levin quadratures against the phase; on piecewise
-    scales, where Y00 R = m R^2 / f and Y01 R = |lam| R / f, they are the
-    closed forms of ``wkb_scalar_integrals``.
+    On smooth scales the lifetime integral is ``_sigma3_integral``'s Levin
+    quadrature; on piecewise scales, where Y00 R = m R^2 / f and
+    Y01 R = |lam| R / f, its two integrals are the closed forms of
+    ``wkb_scalar_integrals``.
     """
-    def conjugated(mass, osc):
-        v0 = diagonalizer(mode, scale.value(mode.tau0))
-        return v0.conj().T @ np.array([[mass, osc], [np.conj(osc), -mass]]) @ v0
-
     def closed_form(mode, scale):
         ints = wkb_scalar_integrals(mode, scale)
-        return conjugated(ints.mass_term,
-                          abs(mode.lam) * (ints.cos_term - 1j * ints.sin_term))
+        v0 = diagonalizer(mode, scale.value(mode.tau0))
+        return _conjugated(v0, ints.mass_term,
+                           abs(mode.lam) * (ints.cos_term - 1j * ints.sin_term))
 
-    def lifetime_integral(lo, hi):
-        def integrand(t, r):
-            # Y00 R and Y01 R from the real frame's entries
-            (v00, v01), (v10, v11) = diagonalizer(mode, r).real.tolist()
-            return ((v00 * v00 - v01 * v01) * r, (v00 * v10 - v01 * v11) * r)
+    return _signature(mode, scale, tol, ode_tol, closed_form,
+                      lambda lo, hi: _sigma3_integral(mode, scale, lo, hi, ode_tol))
 
-        return conjugated(*levin_integral(mode, scale, integrand, (0.0, 2.0),
-                                          lo, hi, ode_tol))
 
-    return _signature(mode, scale, tol, ode_tol, closed_form, lifetime_integral)
+def _segments(mode: Mode, scale: ScaleFunction, integrand, omegas, lo: float,
+              hi: float, tol: float, exact: bool):
+    """(C, Levin integral against e^{i omegas psi}) pairs covering [lo, hi].
+
+    WKB route: one pair, C = V0.  Exact route (piecewise scales): one pair
+    per segment, C = V0 W.  The WKB deviation W = U_wkb^dagger U has a
+    generator proportional to R', so it is constant on a segment, where
+    U = U_wkb W; it is taken at the segment's midpoint.
+    """
+    v0 = diagonalizer(mode, scale.value(mode.tau0))
+    for a, b, _ in scale.pieces(lo, hi) if exact else [(lo, hi, None)]:
+        c = v0 @ wkb_deviation(mode, scale, 0.5 * (a + b)).matrix if exact else v0
+        yield c, levin_integral(mode, scale, integrand, omegas, a, b, tol)
+
+
+def _conjugated(c, mass, osc) -> np.ndarray:
+    return c.conj().T @ np.array([[mass, osc], [np.conj(osc), -mass]]) @ c
+
+
+def _sigma3_integral(mode: Mode, scale: ScaleFunction, lo: float, hi: float,
+                     tol: float, exact: bool = False) -> np.ndarray:
+    """integral over [lo, hi] of U^dagger sigma3 U R, summed over ``_segments``.
+
+    With Y = V sigma3 V^dagger, U_wkb^dagger sigma3 U_wkb R is
+    V0^dagger [[Y00 R, Y01 R e^{2 i psi}], [c.c., -Y00 R]] V0.
+    """
+    def integrand(t, r):
+        # Y00 R and Y01 R from the real frame's entries
+        (v00, v01), (v10, v11) = diagonalizer(mode, r).real.tolist()
+        return ((v00 * v00 - v01 * v01) * r, (v00 * v10 - v01 * v11) * r)
+
+    return sum(_conjugated(c, *vals) for c, vals
+               in _segments(mode, scale, integrand, (0.0, 2.0), lo, hi, tol, exact))
 
 
 def _mass_term_integral(mode: Mode, scale: ScaleFunction) -> float:
@@ -395,6 +410,7 @@ class ProjectorOutput:
 
 def _k_apply(mode: Mode, scale: ScaleFunction, phi: TestFunction, tol: float,
              transported, provenance: Provenance) -> ProjectorOutput:
+    """The probe image co-integrated with a transport; steps capped at width/16."""
     check_ode_tol(tol)
     check_mode_scale(mode, scale, *phi.support)
     transport, propagator = transported()
@@ -402,17 +418,23 @@ def _k_apply(mode: Mode, scale: ScaleFunction, phi: TestFunction, tol: float,
     def integrand(t, r, x):
         return propagator(r, x).conj().T @ (SIGMA3 @ phi(t)) * r / TWO_PI
 
-    return ProjectorOutput(value=support_integral(transport, integrand, 2, phi, tol),
-                           provenance=provenance)
+    a, b = phi.support
+    return ProjectorOutput(interval_integral(transport, integrand, 2, a, b, tol,
+                                             cap=(b - a) / 16.0), provenance)
 
 
 def k_m_apply(mode: Mode, scale: ScaleFunction, phi: TestFunction,
               tol: float = DEFAULT_ODE_TOL) -> ProjectorOutput:
     """Causal-solution image of a probe, in the tau0 fiber.
 
-    1/(2 pi) times the support integral of U^dagger sigma3 phi R,
-    co-integrated with the propagator itself.
+    1/(2 pi) times the support integral of U^dagger sigma3 phi R.  On
+    smooth scales it is co-integrated with the propagator itself; on
+    piecewise scales it is the WKB Levin route with each segment's sum
+    conjugated by the constant WKB deviation there (``_segments``).
     """
+    if scale.is_piecewise:
+        return ProjectorOutput(_wkb_branches(mode, scale, phi, (0, 1), tol, True),
+                               Provenance.EXACT)
     return _k_apply(mode, scale, phi, tol, lambda: _exact(mode, scale, tol),
                     Provenance.EXACT)
 
@@ -430,12 +452,13 @@ def k_wkb_apply(mode: Mode, scale: ScaleFunction, phi: TestFunction,
 
 
 def _wkb_branches(mode: Mode, scale: ScaleFunction, phi: TestFunction,
-                  rows, tol: float) -> np.ndarray:
-    """Levin route of the WKB probe images.
+                  rows, tol: float, exact: bool = False) -> np.ndarray:
+    """Levin route of the probe images.
 
     With w = V sigma3 phi R / 2 pi, returns the columns ``rows`` of
-    V0^dagger times the support integrals of w[0] e^{i psi} (row 0) and
-    w[1] e^{-i psi} (row 1).
+    C^dagger times the support integrals of w[0] e^{i psi} (row 0) and
+    w[1] e^{-i psi} (row 1), summed over ``_segments``: C = V0 gives the
+    WKB image, C = V0 W per segment the exact one on a piecewise scale.
     """
     check_ode_tol(tol)
     check_mode_scale(mode, scale, *phi.support)
@@ -444,10 +467,9 @@ def _wkb_branches(mode: Mode, scale: ScaleFunction, phi: TestFunction,
     def integrand(t, r):
         return diagonalizer(mode, r)[rows] @ (SIGMA3 @ phi(t)) * (r / TWO_PI)
 
-    vals = levin_integral(mode, scale, integrand, [1.0 - 2.0 * i for i in rows],
-                          *phi.support, tol)
-    v0 = diagonalizer(mode, scale.value(mode.tau0))
-    return v0.conj().T[:, rows] @ vals
+    return sum(c.conj().T[:, rows] @ vals for c, vals
+               in _segments(mode, scale, integrand, [1.0 - 2.0 * i for i in rows],
+                            *phi.support, tol, exact))
 
 
 def _spectral_projection(sig: SignatureResult, sign: float,
@@ -503,21 +525,6 @@ def p_wkb_leading_apply(mode: Mode, scale: ScaleFunction, phi: TestFunction,
     """Pure negative-frequency image: only the decaying phase branch survives."""
     return ProjectorOutput(value=-_wkb_branches(mode, scale, phi, (1,), tol),
                            provenance=Provenance.WKB_LEADING_ORDER)
-
-
-def _p_wkb_leading_transported(mode: Mode, scale: ScaleFunction,
-                               phi: TestFunction, tol: float) -> np.ndarray:
-    """The leading-order image with the phase carried by the stepper (an oracle)."""
-    check_ode_tol(tol)
-    check_mode_scale(mode, scale, *phi.support)
-    v0 = diagonalizer(mode, scale.value(mode.tau0))
-
-    def integrand(t, r, x):
-        v = diagonalizer(mode, r)
-        mid = v0.conj().T @ (np.array([0.0, np.exp(-1j * x[0].real)])[:, None] * v)
-        return -mid @ (SIGMA3 @ phi(t)) * r / TWO_PI
-
-    return support_integral(phase_transport(mode, scale), integrand, 2, phi, tol)
 
 
 def p_wkb_apply(mode: Mode, scale: ScaleFunction, phi: TestFunction,

@@ -29,9 +29,8 @@ from .model import (
     spectral_norm,
 )
 from .projector import (
-    k_m_apply,
-    k_wkb_apply,
-    negative_projection,
+    fermionic_projector_apply,
+    p_wkb_apply,
     signature_operator,
     signature_operator_wkb,
     wkb_signature_leading_term,
@@ -148,14 +147,9 @@ def _measure(kind: StudyKind, m_rmax: float, lam: float, mass: float,
         sw = signature_operator_wkb(mode, scale, tol=quad_tol, ode_tol=ode_tol)
         return spectral_norm(s.s.matrix - sw.s.matrix)
     if kind is StudyKind.P_WKB_BOUND:
-        phi = probe.build()
-        s = signature_operator(mode, scale, tol=quad_tol, ode_tol=ode_tol)
-        sw = signature_operator_wkb(mode, scale, tol=quad_tol, ode_tol=ode_tol)
-        p = -(negative_projection(s, gap_tol).matrix
-              @ k_m_apply(mode, scale, phi, tol=ode_tol).value)
-        pw = -(negative_projection(sw, gap_tol).matrix
-               @ k_wkb_apply(mode, scale, phi, tol=ode_tol).value)
-        return float(np.linalg.norm(p - pw))
+        phi, tols = probe.build(), dict(tol=ode_tol, quad_tol=quad_tol, gap_tol=gap_tol)
+        p = fermionic_projector_apply(mode, scale, phi, **tols).value
+        return float(np.linalg.norm(p - p_wkb_apply(mode, scale, phi, **tols).value))
     if kind is StudyKind.LEADING_TERM_BOUND:
         sw = signature_operator_wkb(mode, scale, tol=quad_tol, ode_tol=ode_tol)
         lead = wkb_signature_leading_term(mode, scale)
@@ -168,10 +162,8 @@ def _measure(kind: StudyKind, m_rmax: float, lam: float, mass: float,
 
 
 def _point_task(args):
-    kind_value, m_rmax, lam, mass, r_max, tau0, probe, tols = args
-    kind = StudyKind(kind_value)
-    measured = _measure(kind, m_rmax, lam, mass, r_max, tau0, probe, *tols)
-    return measured
+    kind_value, *point, tols = args
+    return _measure(StudyKind(kind_value), *point, *tols)
 
 
 def run_study(kind: StudyKind, grid, lam_spec: LambdaSpec = LambdaSpec(),

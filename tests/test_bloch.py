@@ -21,7 +21,8 @@ from diracsea.bloch import (
 )
 from diracsea.errors import InvalidParameter
 from diracsea.evolution import evolve_grid, frequency
-from diracsea.model import Mode, dust_scale, SIGMA1, SIGMA2, SIGMA3
+from diracsea.model import (Mode, PiecewiseConstantScale, dust_scale, SIGMA1,
+                            SIGMA2, SIGMA3)
 
 PAULI = (SIGMA1, SIGMA2, SIGMA3)
 
@@ -255,6 +256,25 @@ class TestVComponents:
         sig = signature_operator(mode, sc, tol=1e-11, ode_tol=1e-11)
         _, c1, c2, c3 = sig.s.pauli_components()
         assert np.allclose(cum, [c1, c2, c3], atol=1e-6)
+
+
+    @pytest.mark.parametrize("tau0", [0.0, 0.2, 1.3])
+    def test_piecewise_pair_cumulative_against_quadrature(self, tau0):
+        # closed-form frames re-referenced to tau0, against segment-wise
+        # quadrature of the trace formula's v R from the first grid point
+        from scipy.integrate import quad_vec
+
+        mode = Mode(lam=5.5, mass=1.0, tau0=tau0)
+        sc = PiecewiseConstantScale((0.0, 0.9, 1.7, 2.8), (2.2, 0.7, 1.4))
+        taus = [0.1, 0.8, 1.2, 2.75]
+        rows = smooth_v_rows_with_cumulative(mode, sc, taus)
+        trace_rows = v_trace_formula(mode, sc, taus)
+        for t, row, want_v in zip(taus, rows, trace_rows):
+            want = sum(quad_vec(lambda s: v_trace_formula(mode, sc, [s])[0] * r,
+                                a, b, epsabs=1e-13)[0]
+                       for a, b, r in sc.pieces(taus[0], t)) if t > taus[0] else 0.0
+            assert np.allclose(row[1:4], want_v, rtol=0.0, atol=1e-12)
+            assert np.allclose(row[4:], want, rtol=0.0, atol=1e-11)
 
 
 class TestBlochState:

@@ -15,11 +15,14 @@ from diracsea.cfs import (
     regularized_kernel,
 )
 from diracsea.errors import DegenerateFamily, InvalidParameter
-from diracsea.model import Mode, SIGMA3, bump, dust_scale, spectral_norm
+from diracsea.model import (Mode, PiecewiseConstantScale, SIGMA3, bump, dust_scale,
+                            spectral_norm)
 from diracsea.projector import fermionic_projector_apply, signature_operator
 
 TAU0 = float(np.pi / 2)
 SCALE = dust_scale(5.0)
+FIVE_STEPS = PiecewiseConstantScale(breakpoints=(0.0, 0.7, 1.1, 1.6, 2.4, 3.0),
+                                    values=(2.0, 0.8, 3.5, 1.3, 2.6))
 
 
 def modes(*lams):
@@ -118,6 +121,18 @@ class TestLocalCorrelation:
             route_b -= float(np.real(mem.spinor.conj()
                                      @ sig.s.matrix @ mem.spinor))
         assert route_a == pytest.approx(route_b, rel=1e-7)
+
+    @pytest.mark.parametrize("tau0", [0.3, 1.3, 2.7])
+    def test_piecewise_trace_integral_matches_signature(self, tau0):
+        # Levin segment sums against the signature's SO(3) closed form
+        ms = tuple(Mode(lam=l, mass=1.0, tau0=tau0) for l in (1.5, -2.5))
+        fam = orthonormalize(negative_subspace_family(ms, FIVE_STEPS))
+        want = 0.0
+        for mem in fam.members:
+            sig = signature_operator(fam.modes[mem.mode_index], FIVE_STEPS)
+            want -= float(np.real(mem.spinor.conj() @ sig.s.matrix @ mem.spinor))
+        got = correlation_trace_lifetime_integral(fam)
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_phase_rescaling_invariance(self):
         ms = modes(1.5, 2.5)

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from diracsea.cli import main
 
@@ -106,6 +107,36 @@ def test_bloch_twelve_segment_cancellation(tmp_path):
     last = rows[-1].split(",")
     r_max = 1.5 / np.tan(np.radians(10.0))
     assert all(abs(float(x)) <= 1e-8 * r_max for x in last[4:])
+
+
+@pytest.mark.parametrize("tolerances", [{}, {"ode_tol": 1e-9}],
+                         ids=["default_tol", "ode_tol_1e-9"])
+def test_bloch_piecewise_pair_matches_trace_formula(tmp_path, tolerances):
+    # a (mode, piecewise scale) pair takes the closed-form frames, so the
+    # rotation cross-check holds at any ode tolerance
+    from diracsea.bloch import v_trace_formula
+    from diracsea.model import Mode, PiecewiseConstantScale
+
+    breakpoints, values = [0.0, 0.9, 1.7, 2.8], [2.2, 0.7, 1.4]
+    doc = {"mode": {"lambda": 5.5, "mass": 1.0, "tau0": 0.2},
+           "scale": {"kind": "piecewise", "breakpoints": breakpoints,
+                     "values": values},
+           "tolerances": tolerances}
+    code, text = run_cli(tmp_path, "bloch", doc)
+    assert code == 0
+    rows = np.array([[float(x) for x in line.split(",")]
+                     for line in text.strip().split("\n")[1:]])
+    assert len(rows) == 481
+    want = v_trace_formula(Mode(lam=5.5, mass=1.0, tau0=0.2),
+                           PiecewiseConstantScale(breakpoints, values), rows[:, 0])
+    assert np.max(np.abs(rows[:, 1:4] - np.array(want))) < 1e-12
+
+
+def test_jobs_is_a_study_option_only(tmp_path):
+    scen = write_scenario(tmp_path, BASE)
+    with pytest.raises(SystemExit) as exc:
+        main(["signature", "--scenario", scen, "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 def test_byte_identical_reruns(tmp_path):

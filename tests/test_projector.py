@@ -33,7 +33,6 @@ from diracsea.projector import (
     PWkbVariant,
     _finish_signature,
     _k_apply,
-    _p_wkb_leading_transported,
     _wkb,
     fermionic_projector_apply,
     k_m_apply,
@@ -426,6 +425,19 @@ def rel_diff(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
+def phase_transport_images(mode, sc, phi):
+    """(k, leading-order P) images with the WKB phase carried by the stepper.
+
+    V0 k = support integral of (e^{i psi} w[0], e^{-i psi} w[1]), so the
+    leading-order image, the decaying branch alone, is
+    -V0^dagger[:, 1] (V0 k)[1].
+    """
+    k_rk = _k_apply(mode, sc, phi, 1e-12, lambda: _wkb(mode, sc),
+                    Provenance.WKB).value
+    v0 = diagonalizer(mode, sc.value(mode.tau0))
+    return k_rk, -v0.conj().T[:, 1] * (v0 @ k_rk)[1]
+
+
 def segments_case(lam):
     mode = Mode(lam=lam, mass=1.0, tau0=0.0)
     pairs = [(2.0, 0.5), (0.7, 0.6), (4.1, 1.0), (1.2, 0.5)]
@@ -477,10 +489,8 @@ class TestLevinRoute:
         mode = levin_mode(lam)
         sc = dust_scale(r_max)
         phi = bump((1.0, 2.0), np.array([0.6, 0.8j]))
-        k_rk = _k_apply(mode, sc, phi, 1e-12, lambda: _wkb(mode, sc),
-                        Provenance.WKB).value
+        k_rk, p_rk = phase_transport_images(mode, sc, phi)
         assert rel_diff(k_wkb_apply(mode, sc, phi).value, k_rk) < 1e-9
-        p_rk = _p_wkb_leading_transported(mode, sc, phi, 1e-12)
         p = p_wkb_apply(mode, sc, phi, variant=PWkbVariant.LEADING_ORDER)
         assert rel_diff(p.value, p_rk) < 1e-9
 
@@ -490,10 +500,8 @@ class TestLevinRoute:
         # within 2e-10 of the Levin panels cut at the breakpoints
         mode, sc, support = PIECEWISE_CASES[case]()
         phi = bump(support, np.array([0.6, 0.8j]))
-        k_rk = _k_apply(mode, sc, phi, 1e-12, lambda: _wkb(mode, sc),
-                        Provenance.WKB).value
+        k_rk, p_rk = phase_transport_images(mode, sc, phi)
         assert rel_diff(k_wkb_apply(mode, sc, phi).value, k_rk) < 1e-9
-        p_rk = _p_wkb_leading_transported(mode, sc, phi, 1e-12)
         assert rel_diff(p_wkb_leading_apply(mode, sc, phi).value, p_rk) < 1e-9
 
     @pytest.mark.parametrize("tau0", [0.0, 1.3])
@@ -547,3 +555,61 @@ class TestLevinRoute:
         with pytest.raises(ConvergenceFailure, match="underflow"):
             levin_integral(mode, sc, lambda t, r: (float(t > 1.234),), (2.0,),
                            0.1, 3.0, 1e-10)
+
+
+class TestPiecewiseExactRoute:
+    """Exact quantities on piecewise scales: Levin segment sums, closed-form frames.
+
+    R is constant on every segment, so the exact propagator there is the
+    WKB one times a constant W; no route needs the stepper.
+    """
+
+    @pytest.fixture
+    def stepper_calls(self, monkeypatch):
+        from diracsea import stepper
+
+        calls = []
+        integrate = stepper.integrate
+        monkeypatch.setattr(stepper, "integrate",
+                            lambda *a, **k: calls.append(a[1:3]) or integrate(*a, **k))
+        return calls
+
+    @pytest.mark.parametrize("case", ["tau0_below", "tau0_inside", "tau0_above"])
+    def test_no_stepper_call(self, case, stepper_calls):
+        from diracsea import bloch, cfs
+
+        mode, sc, support = PIECEWISE_CASES[case]()
+        phi = bump(support, np.array([0.6, 0.8j]))
+        family = cfs.orthonormalize(cfs.negative_subspace_family((mode,), sc))
+        taus = np.linspace(0.1, 2.9, 7)
+        k_m_apply(mode, sc, phi)
+        fermionic_projector_apply(mode, sc, phi)
+        cfs.kernel_apply(family, 1.7, phi, 0)
+        cfs.correlation_trace_lifetime_integral(family)
+        bloch.propagate_bloch((mode, sc), taus)
+        bloch.v_components((mode, sc), taus)
+        bloch.smooth_v_rows_with_cumulative(mode, sc, taus)
+        assert stepper_calls == []
+        # the counter sees the stepper where it does run
+        k_m_apply(mode, dust_scale(2.0), phi)
+        assert stepper_calls
+
+    @pytest.mark.parametrize("tau0", [0.3, 1.3, 2.7])
+    @pytest.mark.parametrize("lam", [1.5, -2.5, 0.0])
+    def test_k_matches_segment_quadrature(self, lam, tau0):
+        # U^dagger sigma3 phi R / 2 pi with U from the closed-form evolve,
+        # integrated segment by segment
+        from scipy.integrate import quad_vec
+
+        mode = Mode(lam=lam, mass=1.0, tau0=tau0, physical=is_physical_eigenvalue(lam))
+        phi = bump((0.9, 2.0), np.array([0.6, 0.8j]))
+
+        def integrand(t):
+            u = evolve(mode, FIVE_STEPS, tau0, t).u.matrix
+            v = u.conj().T @ (SIGMA3 @ phi(t)) * FIVE_STEPS.value(t) / (2 * np.pi)
+            return np.concatenate([v.real, v.imag])
+
+        want = sum(quad_vec(integrand, a, b, epsabs=1e-14, epsrel=1e-13)[0]
+                   for a, b, _ in FIVE_STEPS.pieces(*phi.support))
+        got = k_m_apply(mode, FIVE_STEPS, phi).value
+        assert rel_diff(got, want[:2] + 1j * want[2:]) < 1e-10
