@@ -335,23 +335,33 @@ def v_trace_formula(mode: Mode, scale_or_scenario, tau_grid,
 
 
 def v_components(target, tau_grid, tol: float = DEFAULT_ODE_TOL):
-    """(tau, v1, v2, v3) rows from the trace formula, cross-validated.
+    """(tau, v1, v2, v3) rows: the first columns of ``v_rows_with_cumulative``."""
+    return [row[:4] for row in v_rows_with_cumulative(target, tau_grid, tol)]
 
-    Both the trace route (unitary evolution) and the rotation route
-    (propagate_bloch) are evaluated; disagreement beyond the cross-check
-    tolerance raises ConventionMismatch.  The trace values are returned.
+
+def v_rows_with_cumulative(target, tau_grid, tol: float = DEFAULT_ODE_TOL):
+    """(tau, v1..v3, cumulative integral of v_alpha R) rows from one frame sweep.
+
+    The v columns come from the trace formula; the rotation route's frames
+    (``scenario_v_rows_with_cumulative`` for a Scenario, else
+    ``smooth_v_rows_with_cumulative``) give the cumulative columns and
+    cross-validate them, raising ConventionMismatch beyond the tolerance.
     """
     taus = [float(t) for t in tau_grid]
-    mode, scale = (target.mode, target) if isinstance(target, Scenario) else target
+    if isinstance(target, Scenario):
+        mode, scale = target.mode, target
+        frame_rows = scenario_v_rows_with_cumulative(target, taus)
+    else:
+        mode, scale = target
+        frame_rows = smooth_v_rows_with_cumulative(mode, scale, taus, tol)
     trace_rows = v_trace_formula(mode, scale, taus, tol=tol)
-    bloch_rows = [st.v() for st in propagate_bloch(target, taus, tol=tol)]
-    worst = max((float(np.max(np.abs(a - b)))
-                 for a, b in zip(trace_rows, bloch_rows)), default=0.0)
+    worst = max((float(np.max(np.abs(np.subtract(v, row[1:4]))))
+                 for v, row in zip(trace_rows, frame_rows)), default=0.0)
     if worst > TRACE_CROSSCHECK_TOL:
         raise ConventionMismatch(
             f"trace/rotation observables disagree by {worst:.3e} "
             f"(> {TRACE_CROSSCHECK_TOL}); rotation orientation suspect")
-    return [(t, *row) for t, row in zip(taus, trace_rows)]
+    return [(t, *v, *row[4:]) for t, v, row in zip(taus, trace_rows, frame_rows)]
 
 
 def scenario_v_rows_with_cumulative(scenario: Scenario, tau_grid):

@@ -9,7 +9,8 @@ all structure lives inside the per-mode blocks.
 The local correlation operator at a time tau collects the pairwise
 indefinite fiber products of the evolved members; two times are compared
 causally through the spectrum of the product of their correlation
-operators.
+operators.  The modes share R(tau), so one stacked sweep carries all
+their propagators (``evolution.propagators``, ``exact_transport``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFamily, InvalidParameter
-from .evolution import evolve, exact_transport
+from .evolution import evolve, exact_transport, propagators
 from .model import (
     DEFAULT_GAP_TOL,
     DEFAULT_ODE_TOL,
@@ -178,13 +179,17 @@ def orthonormalize(family: SolutionFamily) -> SolutionFamily:
 
 def members_at(family: SolutionFamily, tau: float,
                tol: float = DEFAULT_ODE_TOL):
-    """All member fiber values evolved to tau (one propagator per mode)."""
-    propagators = {}
-    for idx in {m.mode_index for m in family.members}:
-        mode = family.modes[idx]
-        propagators[idx] = evolve(mode, family.scale, mode.tau0, tau,
-                                  tol=tol).u.matrix
-    return [propagators[m.mode_index] @ m.spinor for m in family.members]
+    """All member fiber values evolved to tau: one ``propagators`` sweep per
+    distinct tau0 among the modes carrying members (one in practice)."""
+    groups = {}
+    for idx in dict.fromkeys(m.mode_index for m in family.members):
+        groups.setdefault(family.modes[idx].tau0, []).append(idx)
+    us = {}
+    for tau0, ids in groups.items():
+        stack, _ = propagators([family.modes[i] for i in ids], family.scale,
+                               tau0, tau, tol)
+        us.update(zip(ids, stack))
+    return [us[m.mode_index].matrix @ m.spinor for m in family.members]
 
 
 @dataclass(frozen=True)
@@ -254,6 +259,8 @@ def kernel_apply(family: SolutionFamily, tau_x: float, phi: TestFunction,
     is s_j^dagger k(phi) and the image is -U(tau_x) sum_j s_j s_j^dagger
     k(phi), with k the causal-solution image ``k_m_apply``.
     """
+    if not 0 <= mode_index < len(family.modes):
+        raise InvalidParameter(f"mode index {mode_index} out of range")
     mode = family.modes[mode_index]
     scale = family.scale
     check_mode_scale(mode, scale, *phi.support)
@@ -272,14 +279,19 @@ def correlation_trace_lifetime_integral(family: SolutionFamily,
 
     Equals minus the sum of the members' signature quadratic forms, which
     the signature operator computes by an independent route.  On smooth
-    scales it is co-integrated with all member evolutions; on piecewise
-    scales each mode's integral of U^dagger sigma3 U R is the Levin
-    segment sum of ``projector._sigma3_integral``.
+    scales it is co-integrated with the stacked propagators of all modes;
+    on piecewise scales each mode's integral of U^dagger sigma3 U R is the
+    Levin segment sum of ``projector._sigma3_integral``.
     """
     scale = family.scale
     groups = family.block_indices()
     mode_ids = sorted(groups)
     modes = [family.modes[idx] for idx in mode_ids]
+    # sum_j psi_j^dagger sigma3 psi_j = sum_n Tr(sigma3 U_n G_n U_n^dagger),
+    # with G_n the sum of s s^dagger over the members of mode n
+    grams = np.array([sum(np.outer(family.members[j].spinor,
+                                   family.members[j].spinor.conj())
+                          for j in groups[idx]) for idx in mode_ids])
 
     # members are anchored at their modes' tau0; require a common anchor
     anchors = {mode.tau0 for mode in modes}
@@ -288,20 +300,16 @@ def correlation_trace_lifetime_integral(family: SolutionFamily,
     check_mode_scale(modes[0], scale)
 
     if scale.is_piecewise:
-        sig = {idx: _sigma3_integral(mode, scale, 0.0, scale.tau_end, ode_tol, exact=True)
-               for idx, mode in zip(mode_ids, modes)}
-        return float(-sum(np.vdot(m.spinor, sig[m.mode_index] @ m.spinor).real
-                          for m in family.members))
+        return float(-sum(np.trace(_sigma3_integral(mode, scale, 0.0, scale.tau_end,
+                                                    ode_tol, exact=True) @ g).real
+                          for mode, g in zip(modes, grams)))
 
     d_lo, d_hi = _choose_cutoffs(scale, quad_tol)
 
     def integrand(t, r, x):
-        tr = 0.0
-        for u, idx in zip(x.reshape(-1, 2, 2), mode_ids):
-            for j in groups[idx]:
-                psi = u @ family.members[j].spinor
-                tr -= np.vdot(psi, SIGMA3 @ psi).real
-        return (tr * r,)
+        u = x.reshape(-1, 2, 2)
+        tr = np.einsum("nab,nbc,nac,a->", u, grams, u.conj(), np.diag(SIGMA3))
+        return (-tr.real * r,)
 
     transport = exact_transport(modes, scale, anchors.pop(), ode_tol)
     acc = interval_integral(transport, integrand, 1, d_lo, scale.tau_end - d_hi,

@@ -172,23 +172,17 @@ def cmd_bloch(cfg: ScenarioConfig, args, out):
     samples = int(cfg.run.get("samples", 481))
     tols = cfg.tolerances
     if cfg.is_rotation_scenario:
-        scenario = cfg.scale
-        taus = list(np.linspace(0.0, scenario.total_duration, samples))
-        trace_rows = bloch_mod.v_components(scenario, taus, tol=tols.ode_tol)
-        cum_rows = bloch_mod.scenario_v_rows_with_cumulative(scenario, taus)
+        target = cfg.scale
+        taus = list(np.linspace(0.0, target.total_duration, samples))
     else:
+        target = (cfg.mode, cfg.scale)
         tau_from = float(cfg.run.get("tau_from", cfg.mode.tau0))
         tau_to = float(cfg.run["tau_to"]) if "tau_to" in cfg.run \
             else cfg.plain_scale().tau_end - 0.05
         taus = list(np.linspace(tau_from, tau_to, samples))
-        trace_rows = bloch_mod.v_components((cfg.mode, cfg.scale), taus,
-                                            tol=tols.ode_tol)
-        cum_rows = bloch_mod.smooth_v_rows_with_cumulative(
-            cfg.mode, cfg.scale, taus, tol=tols.ode_tol)
     header = ["tau", "v1", "v2", "v3",
               "cum_int_v1R", "cum_int_v2R", "cum_int_v3R"]
-    rows = [[tr[0], tr[1], tr[2], tr[3], cr[4], cr[5], cr[6]]
-            for tr, cr in zip(trace_rows, cum_rows)]
+    rows = bloch_mod.v_rows_with_cumulative(target, taus, tol=tols.ode_tol)
     if args.format == "json":
         _write_json(out, {"rows": [dict(zip(header, map(float, r)))
                                    for r in rows]})

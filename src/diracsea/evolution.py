@@ -5,11 +5,12 @@ The mode propagator solves ``i dU/dtau = H(tau) U`` with
 Piecewise-constant scale functions are integrated exactly (spectral
 formula for each segment exponential); smooth ones go through the shared
 adaptive stepper with a step ceiling resolving the instantaneous frequency
-and polar re-unitarization after every accepted step.
+and polar re-unitarization after every accepted step.  ``propagators``
+does either for a stack of modes sharing R; ``evolve`` is its N = 1 case.
 
 A ``Transport`` carries a fiber state along tau from a reference time: the
-exact propagators of modes sharing R, or the WKB phase (``bloch`` adds the
-rotation frame).  Integrals ride on one through ``projector.cointegrate``
+(N, 2, 2) stack of exact propagators of modes sharing R, or the WKB phase
+(``bloch`` adds the rotation frame).  Integrals ride on one through ``projector.cointegrate``
 on smooth scales; on piecewise-constant ones no production integral
 needs a transport.
 
@@ -32,13 +33,14 @@ from .model import (
     IDENTITY2,
     Mode,
     PiecewiseConstantScale,
+    SIGMA1,
+    SIGMA3,
     ScaleFunction,
     SmoothScale,
     Unitary2,
     check_mode_scale,
     polar_unitary,
     spectral_norm,
-    unitarity_defect,
     DEFAULT_ODE_TOL,
 )
 
@@ -144,55 +146,68 @@ class Transport:
 
 def exact_transport(modes, scale: ScaleFunction, tau0: float,
                     tol: float = DEFAULT_ODE_TOL) -> Transport:
-    """Exact propagators U(tau <- tau0) of modes sharing R, one 2x2 block each.
+    """Exact propagators U(tau <- tau0) of modes sharing R, as one (N, 2, 2) stack.
 
-    Each block solves dU/dtau = -i H U and is polar re-unitarized after
-    every accepted step.
+    dU/dtau = -i H U, H = r (m sigma3) - lam sigma1, is one batched product
+    over precomputed stacks; the stack is polar re-unitarized after every
+    accepted step, and the fastest mode sets the step ceiling.
     """
     modes = tuple(modes)
+    lams, masses = np.array([(m.lam, m.mass) for m in modes]).T
+    mass_sigma3 = masses[:, None, None] * SIGMA3
+    lam_sigma1 = lams[:, None, None] * SIGMA1
 
     def at(anchor):
         if anchor == tau0:
             return np.tile(IDENTITY2.ravel(), len(modes))
-        return np.concatenate([evolve(m, scale, tau0, anchor, tol=tol).u.matrix.ravel()
-                               for m in modes])
+        us, _ = propagators(modes, scale, tau0, anchor, tol)
+        return np.array([u.matrix for u in us]).ravel()
 
     def rhs(r, x):
-        return np.concatenate([(-1j * (coefficient_matrix(m, r) @ u)).ravel()
-                               for m, u in zip(modes, x.reshape(-1, 2, 2))])
+        return (-1j * ((r * mass_sigma3 - lam_sigma1) @ x.reshape(-1, 2, 2))).ravel()
 
     def restore(t, x):
         return polar_unitary(x.reshape(-1, 2, 2)).ravel()
 
     return Transport(scale, tau0, at, rhs, restore,
-                     lambda r: max(frequency(m, r) for m in modes))
+                     lambda r: float(np.hypot(lams, masses * r).max()))
 
 
-def evolve(mode: Mode, scale: ScaleFunction, tau_from: float, tau_to: float,
-           tol: float = DEFAULT_ODE_TOL) -> EvolutionResult:
-    """Propagator from ``tau_from`` to ``tau_to`` with local error <= tol per unit tau."""
+def propagators(modes, scale: ScaleFunction, tau_from: float, tau_to: float,
+                tol: float = DEFAULT_ODE_TOL):
+    """U(tau_to <- tau_from) of modes sharing R, one ``Unitary2`` each, and the work.
+
+    Piecewise-constant scales: exact segment products, work = segments.
+    Otherwise one sweep of ``exact_transport`` with local error <= tol per
+    unit tau, polar-projected at the end; work = accepted steps.
+    """
     check_ode_tol(tol)
     scale.check_domain(tau_from)
     scale.check_domain(tau_to)
+    modes = tuple(modes)
 
     if isinstance(scale, PiecewiseConstantScale):
-        u, nseg = _piecewise_propagate(mode, scale, tau_from, tau_to)
-        return EvolutionResult(u=Unitary2(u), tau_from=tau_from, tau_to=tau_to,
-                               step_count=nseg,
-                               max_unitarity_defect=unitarity_defect(u))
+        exact = [_piecewise_propagate(m, scale, tau_from, tau_to) for m in modes]
+        return tuple(Unitary2(u) for u, _ in exact), exact[0][1]
 
     from .stepper import StepStats, integrate
 
-    tr = exact_transport((mode,), scale, tau_from, tol)
+    tr = exact_transport(modes, scale, tau_from, tol)
     stats = StepStats()
     y = integrate(tr.derivative, tau_from, tau_to, tr.at(tau_from),
                   rtol=tol, atol=tol * 1e-2,
                   max_step=step_ceiling(tr.frequency, scale),
                   post_accept=tr.restore, stats=stats)
-    u = polar_unitary(y.reshape(2, 2))
-    return EvolutionResult(u=Unitary2(u), tau_from=tau_from, tau_to=tau_to,
-                           step_count=stats.accepted,
-                           max_unitarity_defect=unitarity_defect(u))
+    return (tuple(Unitary2(u) for u in polar_unitary(y.reshape(-1, 2, 2))),
+            stats.accepted)
+
+
+def evolve(mode: Mode, scale: ScaleFunction, tau_from: float, tau_to: float,
+           tol: float = DEFAULT_ODE_TOL) -> EvolutionResult:
+    """Propagator from ``tau_from`` to ``tau_to``: the one-mode ``propagators``."""
+    (u,), work = propagators((mode,), scale, tau_from, tau_to, tol)
+    return EvolutionResult(u=u, tau_from=tau_from, tau_to=tau_to,
+                           step_count=work, max_unitarity_defect=u.defect)
 
 
 def evolve_grid(mode: Mode, scale: ScaleFunction, tau_from: float, taus,

@@ -312,9 +312,10 @@ def smooth_table_scale(taus: Sequence[float], values: Sequence[float],
 
 @dataclass(frozen=True)
 class Unitary2:
-    """A validated 2x2 unitary matrix."""
+    """A validated 2x2 unitary matrix; ``defect`` is its ``unitarity_defect``."""
 
     entries: np.ndarray
+    defect: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
@@ -326,6 +327,7 @@ class Unitary2:
         defect = unitarity_defect(m)
         if defect > UNITARITY_TOL:
             raise InvalidParameter(f"unitarity defect {defect:.3e} > {UNITARITY_TOL}")
+        object.__setattr__(self, "defect", defect)
 
     @property
     def matrix(self) -> np.ndarray:

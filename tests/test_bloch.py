@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+import diracsea.bloch
 from diracsea.bloch import (
     BlochState,
     bloch_axis,
@@ -17,9 +18,10 @@ from diracsea.bloch import (
     scenario_v_rows_with_cumulative,
     smooth_v_rows_with_cumulative,
     v_components,
+    v_rows_with_cumulative,
     v_trace_formula,
 )
-from diracsea.errors import InvalidParameter
+from diracsea.errors import ConventionMismatch, InvalidParameter
 from diracsea.evolution import evolve_grid, frequency
 from diracsea.model import (Mode, PiecewiseConstantScale, dust_scale, SIGMA1,
                             SIGMA2, SIGMA3)
@@ -228,6 +230,31 @@ class TestVComponents:
         sc = dust_scale(5.0)
         rows = v_components((mode, sc), np.linspace(0.5, 2.6, 11))
         assert rows[0][0] == 0.5
+
+    @pytest.mark.parametrize("kind", ["scenario", "piecewise", "smooth"])
+    def test_one_sweep_rows_join_both_routes(self, kind):
+        scen = build_six_segment()
+        if kind == "scenario":
+            mode, scale = scen.mode, scen
+            target, taus = scen, np.linspace(0.0, scen.total_duration, 21)
+            cum = scenario_v_rows_with_cumulative(scen, taus)
+        else:
+            mode = Mode(lam=1.5, mass=1.0, tau0=np.pi / 2)
+            scale = scen.to_scale() if kind == "piecewise" else dust_scale(5.0)
+            target, taus = (mode, scale), np.linspace(0.5, 2.6, 21)
+            cum = smooth_v_rows_with_cumulative(mode, scale, taus)
+        rows = v_rows_with_cumulative(target, taus)
+        trace = v_trace_formula(mode, scale, taus)
+        for t, row, v, cr in zip(taus, rows, trace, cum):
+            assert row == (t, *v, *cr[4:])
+        assert [r[:4] for r in rows] == v_components(target, taus)
+
+    def test_one_sweep_rows_catch_flipped_chirality(self, monkeypatch):
+        scen = build_six_segment()
+        monkeypatch.setattr(diracsea.bloch, "rotation_generator",
+                            diracsea.bloch.bloch_axis)
+        with pytest.raises(ConventionMismatch):
+            v_rows_with_cumulative(scen, np.linspace(0.0, scen.total_duration, 9))
 
     def test_twelve_segment_cumulative_cancellation(self):
         scen = build_twelve_segment()

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import diracsea.stepper
 from diracsea.cfs import (
     Classification,
     build_family,
@@ -15,11 +18,13 @@ from diracsea.cfs import (
     regularized_kernel,
 )
 from diracsea.errors import DegenerateFamily, InvalidParameter
+from diracsea.evolution import evolve
 from diracsea.model import (Mode, PiecewiseConstantScale, SIGMA3, bump, dust_scale,
                             spectral_norm)
 from diracsea.projector import fermionic_projector_apply, signature_operator
 
 TAU0 = float(np.pi / 2)
+SPECTRUM = (1.5, -1.5, 2.5, -2.5, 3.5, -3.5, 4.5, -4.5)
 SCALE = dust_scale(5.0)
 FIVE_STEPS = PiecewiseConstantScale(breakpoints=(0.0, 0.7, 1.1, 1.6, 2.4, 3.0),
                                     values=(2.0, 0.8, 3.5, 1.3, 2.6))
@@ -84,6 +89,66 @@ class TestOrthonormalize:
         assert spectral_norm(g - np.eye(4)) < 1e-10
 
 
+def one_member_per_mode(ms, scale=SCALE, seed=0):
+    rng = np.random.RandomState(seed)
+    return build_family(ms, scale, [(i, rng.randn(2) + 1j * rng.randn(2))
+                                    for i in range(len(ms))],
+                        require_negative_subspace=False)
+
+
+def per_mode_members(fam, tau, tol=1e-10):
+    return [evolve(fam.modes[m.mode_index], fam.scale, fam.modes[m.mode_index].tau0,
+                   tau, tol=tol).u.matrix @ m.spinor for m in fam.members]
+
+
+def max_rel(got, want):
+    return max(np.linalg.norm(a - b) / np.linalg.norm(b) for a, b in zip(got, want))
+
+
+class TestMembersAt:
+    def test_one_mode_family_is_evolve(self):
+        fam = full_fiber_family([-2.5], seed=7)
+        for tau in (0.6, TAU0, 2.7):
+            for got, want in zip(members_at(fam, tau), per_mode_members(fam, tau)):
+                assert np.array_equal(got, want)
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.lists(st.sampled_from(SPECTRUM), min_size=2, max_size=5, unique=True),
+           st.sampled_from([5.0, 10.0, 30.0]),
+           st.floats(min_value=0.2, max_value=2.9),
+           st.integers(min_value=0, max_value=2 ** 31 - 1))
+    def test_batched_members_match_per_mode(self, lams, r_max, tau, seed):
+        fam = one_member_per_mode(modes(*lams), dust_scale(r_max), seed)
+        assert max_rel(members_at(fam, tau), per_mode_members(fam, tau)) < 1e-9
+
+    def test_distinct_tau0_groups(self):
+        ms = (Mode(1.5, 1.0, TAU0), Mode(-2.5, 1.0, 0.9), Mode(3.5, 1.0, TAU0),
+              Mode(-1.5, 1.0, 0.9))
+        fam = one_member_per_mode(ms, seed=4)
+        for tau in (0.5, 2.2):
+            assert max_rel(members_at(fam, tau), per_mode_members(fam, tau)) < 1e-9
+
+    @pytest.mark.parametrize("tau0s", [(TAU0,), (TAU0, 1.2)])
+    def test_one_sweep_per_distinct_tau0(self, monkeypatch, tau0s):
+        calls = []
+        original = diracsea.stepper.integrate
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        ms = tuple(Mode(lam, 1.0, tau0s[i % len(tau0s)])
+                   for i, lam in enumerate(SPECTRUM))
+        fam = one_member_per_mode(ms, seed=2)
+        monkeypatch.setattr(diracsea.stepper, "integrate", counting)
+        local_correlation(fam, 2.1)
+        assert sorted(calls) == sorted(tau0s)
+        if len(tau0s) == 1:
+            calls.clear()
+            regularized_kernel(fam, 0.8, 2.4)
+            assert calls == [TAU0, TAU0]
+
+
 class TestLocalCorrelation:
     def test_single_member_block_value(self):
         ms = modes(1.5)
@@ -110,8 +175,10 @@ class TestLocalCorrelation:
                 if a.mode_index != b.mode_index:
                     assert f.matrix[j, k] == 0.0
 
-    def test_trace_integral_two_routes(self):
-        fam = orthonormalize(negative_subspace_family(modes(1.5, -2.5), SCALE))
+    @pytest.mark.parametrize("members", ["negative", "two_per_mode"])
+    def test_trace_integral_two_routes(self, members):
+        fam = orthonormalize(negative_subspace_family(modes(1.5, -2.5), SCALE)) \
+            if members == "negative" else full_fiber_family([1.5, -2.5], seed=6)
         route_a = correlation_trace_lifetime_integral(fam, quad_tol=1e-10,
                                                       ode_tol=1e-11)
         route_b = 0.0
@@ -179,10 +246,15 @@ class TestKernel:
                / np.linalg.norm(via_projector))
         assert rel < 1e-6
 
+    @pytest.mark.parametrize("index", [-1, 1])
+    def test_kernel_apply_mode_index_bounds(self, index):
+        fam = negative_subspace_family(modes(1.5), SCALE)
+        phi = bump((1.0, 2.0), np.array([1.0, 0.0]), 1.0)
+        with pytest.raises(InvalidParameter):
+            kernel_apply(fam, 1.3, phi, index)
+
     def test_kernel_action_away_from_anchor(self):
         # evaluating at another time transports by the mode propagator
-        from diracsea.evolution import evolve
-
         ms = modes(1.5)
         fam = orthonormalize(negative_subspace_family(ms, SCALE))
         phi = bump((1.0, 2.0), np.array([1.0, 0.0]), 1.0)
