@@ -24,6 +24,7 @@ from .errors import ConventionMismatch, InvalidParameter
 from .evolution import (
     FINE_OSCILLATION_RESOLUTION,
     Transport,
+    cointegrate,
     evolve_grid,
     frequency,
 )
@@ -39,7 +40,6 @@ from .model import (
     check_mode_scale,
     is_physical_eigenvalue,
 )
-from .projector import cointegrate
 
 FRAME_ORTHOGONALITY_TOL = 1e-10
 TRACE_CROSSCHECK_TOL = 1e-8
@@ -303,7 +303,7 @@ def frame_transport(mode: Mode, scale: SmoothScale,
                                 FINE_OSCILLATION_RESOLUTION)
         return restore(anchor, x)
 
-    def rhs(r, x):
+    def rhs(t, r, x):
         k = _cross_matrix(rotation_generator(mode, r))
         return (k @ x.reshape(3, 3).real).astype(complex).ravel()
 

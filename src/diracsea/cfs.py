@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFamily, InvalidParameter
-from .evolution import evolve, exact_transport, propagators
+from .evolution import evolve, exact_transport, interval_integral, propagators
 from .model import (
     DEFAULT_GAP_TOL,
     DEFAULT_ODE_TOL,
@@ -29,13 +29,13 @@ from .model import (
     ScaleFunction,
     SIGMA3,
     TestFunction,
+    Unitary2,
     check_mode_scale,
     spectral_norm,
 )
 from .projector import (
     _choose_cutoffs,
     _sigma3_integral,
-    interval_integral,
     k_m_apply,
     negative_projection,
     signature_operator,
@@ -186,9 +186,9 @@ def members_at(family: SolutionFamily, tau: float,
         groups.setdefault(family.modes[idx].tau0, []).append(idx)
     us = {}
     for tau0, ids in groups.items():
-        stack, _ = propagators([family.modes[i] for i in ids], family.scale,
-                               tau0, tau, tol)
-        us.update(zip(ids, stack))
+        (stack,), _ = propagators([family.modes[i] for i in ids], family.scale,
+                                  tau0, [tau], tol)
+        us.update(zip(ids, map(Unitary2, stack)))
     return [us[m.mode_index].matrix @ m.spinor for m in family.members]
 
 

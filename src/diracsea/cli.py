@@ -24,10 +24,10 @@ from . import bloch as bloch_mod
 from . import cfs as cfs_mod
 from . import projector as proj_mod
 from . import studies as studies_mod
-from .errors import DiracSeaError, InvalidParameter
+from .errors import DiracSeaError
 from .evolution import evolve_grid
 from .model import Mode, unitarity_defect
-from .scenario_io import ScenarioConfig, Tolerances, load_scenario
+from .scenario_io import ScenarioConfig, load_scenario
 
 log = logging.getLogger("diracsea")
 
@@ -103,16 +103,11 @@ def cmd_evolve(cfg: ScenarioConfig, args, out):
     return EXIT_OK
 
 
-def _signature(cfg: ScenarioConfig, wkb: bool):
-    scale = cfg.plain_scale()
-    fn = proj_mod.signature_operator_wkb if wkb else proj_mod.signature_operator
-    return fn(cfg.mode, scale, tol=cfg.tolerances.quad_tol,
-              ode_tol=cfg.tolerances.ode_tol)
-
-
 def cmd_signature(cfg: ScenarioConfig, args, out):
-    wkb = bool(cfg.run.get("wkb", False))
-    sig = _signature(cfg, wkb)
+    wkb = cfg.run.get("wkb", False)
+    fn = proj_mod.signature_operator_wkb if wkb else proj_mod.signature_operator
+    sig = fn(cfg.mode, cfg.plain_scale(), tol=cfg.tolerances.quad_tol,
+             ode_tol=cfg.tolerances.ode_tol)
     c0, c1, c2, c3 = sig.s.pauli_components()
     header = ["tau0", "mu_minus", "mu_plus", "s0", "s1", "s2", "s3",
               "quad_error_estimate"]
@@ -134,8 +129,6 @@ def cmd_signature(cfg: ScenarioConfig, args, out):
 
 
 def cmd_project(cfg: ScenarioConfig, args, out):
-    if "phi" not in cfg.run:
-        raise InvalidParameter("run options must include a 'phi' block")
     phi = _parse_probe(cfg.run["phi"]).build()
     variant = cfg.run.get("variant", "exact")
     scale = cfg.plain_scale()
@@ -149,12 +142,10 @@ def cmd_project(cfg: ScenarioConfig, args, out):
                                    variant=proj_mod.PWkbVariant.FULL,
                                    tol=tols.ode_tol, quad_tol=tols.quad_tol,
                                    gap_tol=tols.gap_tol)
-    elif variant == "wkb_leading":
+    else:
         res = proj_mod.p_wkb_apply(cfg.mode, scale, phi,
                                    variant=proj_mod.PWkbVariant.LEADING_ORDER,
                                    tol=tols.ode_tol)
-    else:
-        raise InvalidParameter(f"unknown projector variant {variant!r}")
     if args.format == "json":
         _write_json(out, {"value": _complex_pairs(res.value),
                           "norm": res.norm(),
@@ -193,9 +184,7 @@ def cmd_bloch(cfg: ScenarioConfig, args, out):
 
 def cmd_cfs(cfg: ScenarioConfig, args, out):
     run = cfg.run
-    taus = [float(t) for t in run.get("taus", [])]
-    if len(taus) < 1:
-        raise InvalidParameter("cfs run options need a nonempty 'taus' list")
+    taus = [float(t) for t in run["taus"]]
     lambdas = [float(x) for x in run.get("lambdas", [cfg.mode.lam])]
     members_per_mode = int(run.get("members_per_mode", 1))
     classify_tol = float(run.get("classify_tol", 1e-8))
@@ -207,7 +196,7 @@ def cmd_cfs(cfg: ScenarioConfig, args, out):
         family = cfs_mod.negative_subspace_family(
             modes, scale, gap_tol=tols.gap_tol, quad_tol=tols.quad_tol,
             ode_tol=tols.ode_tol)
-    elif members_per_mode == 2:
+    else:
         members = []
         for i, mode in enumerate(modes):
             sig = proj_mod.signature_operator(mode, scale, tol=tols.quad_tol,
@@ -216,8 +205,6 @@ def cmd_cfs(cfg: ScenarioConfig, args, out):
             members.append((i, sig.eigvectors.matrix[:, 1]))
         family = cfs_mod.build_family(modes, scale, members,
                                       require_negative_subspace=False)
-    else:
-        raise InvalidParameter("members_per_mode must be 1 or 2")
     family = cfs_mod.orthonormalize(family)
     correlations = {t: cfs_mod.local_correlation(family, t, tol=tols.ode_tol)
                     for t in taus}
@@ -238,8 +225,6 @@ def cmd_cfs(cfg: ScenarioConfig, args, out):
 
 def cmd_study(cfg: ScenarioConfig, args, out):
     run = cfg.run
-    if "kind" not in run or "grid" not in run:
-        raise InvalidParameter("study run options need 'kind' and 'grid'")
     kind = studies_mod.StudyKind(run["kind"])
     grid = [float(x) for x in run["grid"]]
     lam_doc = run.get("lambda", {"kind": "fixed", "value": cfg.mode.lam})
@@ -319,23 +304,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_tolerance_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
-    tols = cfg.tolerances
-    new = Tolerances(
-        ode_tol=args.ode_tol if args.ode_tol is not None else tols.ode_tol,
-        quad_tol=args.quad_tol if args.quad_tol is not None else tols.quad_tol,
-        gap_tol=args.gap_tol if args.gap_tol is not None else tols.gap_tol)
-    return ScenarioConfig(mode=cfg.mode, scale=cfg.scale, run=cfg.run,
-                          tolerances=new)
-
-
 def main(argv=None) -> int:
     logging.basicConfig(
         level=os.environ.get("DIRACSEA_LOG", "WARNING").upper(),
         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        cfg = _apply_tolerance_overrides(load_scenario(args.scenario), args)
+        flags = {name: getattr(args, name)
+                 for name in ("ode_tol", "quad_tol", "gap_tol")
+                 if getattr(args, name) is not None}
+        cfg = load_scenario(args.scenario, args.command, flags)
         sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
         try:
             code = _COMMANDS[args.command](cfg, args, sink)

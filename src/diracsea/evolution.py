@@ -2,17 +2,19 @@
 
 The mode propagator solves ``i dU/dtau = H(tau) U`` with
 ``H = m R(tau) sigma3 - lam sigma1`` and ``U = 1`` at the reference time.
-Piecewise-constant scale functions are integrated exactly (spectral
-formula for each segment exponential); smooth ones go through the shared
-adaptive stepper with a step ceiling resolving the instantaneous frequency
-and polar re-unitarization after every accepted step.  ``propagators``
-does either for a stack of modes sharing R; ``evolve`` is its N = 1 case.
+``propagators``, the one exact-propagator sweep, gives it for a stack of
+modes sharing R at every stop of a monotone list: piecewise-constant scale
+functions exactly (spectral formula for each segment exponential), smooth
+ones through the adaptive stepper with a step ceiling resolving the
+instantaneous frequency and polar re-unitarization after every accepted
+step.  ``evolve`` and ``evolve_grid`` are its one-mode cases.
 
 A ``Transport`` carries a fiber state along tau from a reference time: the
 (N, 2, 2) stack of exact propagators of modes sharing R, or the WKB phase
-(``bloch`` adds the rotation frame).  Integrals ride on one through ``projector.cointegrate``
-on smooth scales; on piecewise-constant ones no production integral
-needs a transport.
+(``bloch`` adds the rotation frame).  ``cointegrate``, the package's only
+caller of the stepper, carries one through a list of stops with an
+integral riding along; on piecewise-constant scales no production
+integral needs a transport.
 
 The WKB propagator is assembled from the instantaneous diagonalizing frame
 and the accumulated frequency integral; it is exact whenever R is constant.
@@ -30,6 +32,7 @@ from scipy.integrate import quad
 
 from .errors import DegenerateFrame, InvalidParameter
 from .model import (
+    Hermitian2,
     IDENTITY2,
     Mode,
     PiecewiseConstantScale,
@@ -43,6 +46,7 @@ from .model import (
     spectral_norm,
     DEFAULT_ODE_TOL,
 )
+from .stepper import StepStats, integrate_with_checkpoints
 
 #: Step ceiling: the phase advances by at most this many radians per step
 #: (0.1 rad, about 1/63 of an oscillation period).
@@ -72,8 +76,6 @@ def coefficient_matrix(mode: Mode, r: float) -> np.ndarray:
 
 def hamiltonian(mode: Mode, scale: ScaleFunction, tau: float):
     """H(tau) = m R(tau) sigma3 - lam sigma1 as a validated Hermitian matrix."""
-    from .model import Hermitian2
-
     scale.check_domain(tau)
     return Hermitian2(coefficient_matrix(mode, scale.value(tau)))
 
@@ -127,10 +129,10 @@ def step_ceiling(freq: Callable[[float], float], scale: ScaleFunction,
 class Transport:
     """A fiber state carried along tau, referenced to ``tau0``.
 
-    ``at(anchor)`` is the flat complex state at ``anchor``; ``rhs(r, x)`` its
-    derivative at scale value r; ``restore(t, x)``, if given, maps the state
-    back onto its manifold after every accepted step; ``frequency(r)`` is
-    the oscillation frequency that sets the step ceiling.
+    ``at(anchor)`` is the flat complex state at ``anchor``; ``rhs(t, r, x)``
+    its derivative at time t and scale value r = R(t); ``restore(t, x)``, if
+    given, maps the state back onto its manifold after every accepted step;
+    ``frequency(r)`` is the oscillation frequency that sets the step ceiling.
     """
 
     scale: ScaleFunction
@@ -141,7 +143,63 @@ class Transport:
     frequency: Callable[[float], float]
 
     def derivative(self, t: float, x):
-        return self.rhs(self.scale.value(t), x)
+        return self.rhs(t, self.scale.value(t), x)
+
+
+def cointegrate(transport: Transport, integrand, width: int, anchor: float,
+                stops, tol: float, resolution: float = OSCILLATION_RESOLUTION,
+                cap: float = np.inf, stats: StepStats | None = None):
+    """Carry a transport from ``anchor`` through the monotone ``stops``.
+
+    The integral of ``integrand(t, r, x)`` (``width`` complex entries; r the
+    scale value, x the transport state) from ``anchor`` rides along as
+    augmented state, so one adaptive stepper and one error budget cover
+    both.  The step ceiling allows ``resolution`` radians of phase per step
+    and at most ``cap``; the stepper counts its work into ``stats``.
+    Returns one (state, integral) pair per stop.
+    """
+    x0 = transport.at(anchor)
+    k = x0.size
+    scale = transport.scale
+    rhs, post = transport.derivative, transport.restore
+    if integrand is not None:
+        def rhs(t, y):
+            r = scale.value(t)
+            x = y[:k]
+            return np.concatenate([transport.rhs(t, r, x), integrand(t, r, x)])
+
+        if post is not None:
+            def post(t, y):
+                y = y.copy()
+                y[:k] = transport.restore(t, y[:k])
+                return y
+    ceiling = step_ceiling(transport.frequency, scale, resolution, cap)
+    states = integrate_with_checkpoints(
+        rhs, anchor, stops, np.concatenate([x0, np.zeros(width, dtype=complex)]),
+        rtol=tol, atol=tol * 1e-2, max_step=ceiling, post_accept=post,
+        stats=stats)
+    return [(y[:k], y[k:]) for y in states]
+
+
+def interval_integral(transport: Transport, integrand, width: int, lo: float,
+                      hi: float, tol: float,
+                      resolution: float = OSCILLATION_RESOLUTION,
+                      cap: float = np.inf) -> np.ndarray:
+    """Integral over [lo, hi] of an integrand riding on a tau0-referenced transport.
+
+    From a tau0 inside the interval the sweeps run out to both ends; from
+    a tau0 outside it the transport is first carried to the nearer end.
+    """
+    def leg(anchor, end):
+        return cointegrate(transport, integrand, width, anchor, [end], tol,
+                           resolution, cap)[0][1]
+
+    tau0 = transport.tau0
+    if tau0 <= lo:
+        return leg(lo, hi)
+    if tau0 >= hi:
+        return -leg(hi, lo)
+    return leg(tau0, hi) - leg(tau0, lo)
 
 
 def exact_transport(modes, scale: ScaleFunction, tau0: float,
@@ -160,10 +218,10 @@ def exact_transport(modes, scale: ScaleFunction, tau0: float,
     def at(anchor):
         if anchor == tau0:
             return np.tile(IDENTITY2.ravel(), len(modes))
-        us, _ = propagators(modes, scale, tau0, anchor, tol)
-        return np.array([u.matrix for u in us]).ravel()
+        (stack,), _ = propagators(modes, scale, tau0, [anchor], tol)
+        return np.array([Unitary2(u).matrix for u in stack]).ravel()
 
-    def rhs(r, x):
+    def rhs(t, r, x):
         return (-1j * ((r * mass_sigma3 - lam_sigma1) @ x.reshape(-1, 2, 2))).ravel()
 
     def restore(t, x):
@@ -173,62 +231,52 @@ def exact_transport(modes, scale: ScaleFunction, tau0: float,
                      lambda r: float(np.hypot(lams, masses * r).max()))
 
 
-def propagators(modes, scale: ScaleFunction, tau_from: float, tau_to: float,
+def propagators(modes, scale: ScaleFunction, tau_from: float, taus,
                 tol: float = DEFAULT_ODE_TOL):
-    """U(tau_to <- tau_from) of modes sharing R, one ``Unitary2`` each, and the work.
+    """U(tau <- tau_from) of modes sharing R, one raw (N, 2, 2) stack per stop.
 
-    Piecewise-constant scales: exact segment products, work = segments.
-    Otherwise one sweep of ``exact_transport`` with local error <= tol per
-    unit tau, polar-projected at the end; work = accepted steps.
+    Returns the stacks and the work.  Piecewise-constant scales: exact
+    segment products chained from stop to stop, work = segments.  Otherwise
+    one ``cointegrate`` sweep of ``exact_transport`` through the stops with
+    local error <= tol per unit tau, polar-projected at each stop; work =
+    accepted steps.
     """
     check_ode_tol(tol)
     scale.check_domain(tau_from)
-    scale.check_domain(tau_to)
+    taus = [float(t) for t in taus]
+    for t in taus:
+        scale.check_domain(t)
     modes = tuple(modes)
 
     if isinstance(scale, PiecewiseConstantScale):
-        exact = [_piecewise_propagate(m, scale, tau_from, tau_to) for m in modes]
-        return tuple(Unitary2(u) for u, _ in exact), exact[0][1]
+        stacks, work, u = [], 0, np.array([IDENTITY2] * len(modes))
+        for prev, t in zip([tau_from, *taus], taus):
+            legs = [_piecewise_propagate(m, scale, prev, t) for m in modes]
+            u = np.array([p for p, _ in legs]) @ u
+            stacks.append(u)
+            work += legs[0][1]
+        return stacks, work
 
-    from .stepper import StepStats, integrate
-
-    tr = exact_transport(modes, scale, tau_from, tol)
     stats = StepStats()
-    y = integrate(tr.derivative, tau_from, tau_to, tr.at(tau_from),
-                  rtol=tol, atol=tol * 1e-2,
-                  max_step=step_ceiling(tr.frequency, scale),
-                  post_accept=tr.restore, stats=stats)
-    return (tuple(Unitary2(u) for u in polar_unitary(y.reshape(-1, 2, 2))),
-            stats.accepted)
+    states = cointegrate(exact_transport(modes, scale, tau_from, tol), None, 0,
+                         tau_from, taus, tol, stats=stats)
+    return [polar_unitary(x.reshape(-1, 2, 2)) for x, _ in states], stats.accepted
 
 
 def evolve(mode: Mode, scale: ScaleFunction, tau_from: float, tau_to: float,
            tol: float = DEFAULT_ODE_TOL) -> EvolutionResult:
-    """Propagator from ``tau_from`` to ``tau_to``: the one-mode ``propagators``."""
-    (u,), work = propagators((mode,), scale, tau_from, tau_to, tol)
+    """Propagator from ``tau_from`` to ``tau_to``: one mode, one stop."""
+    ((u,),), work = propagators((mode,), scale, tau_from, [tau_to], tol)
+    u = Unitary2(u)
     return EvolutionResult(u=u, tau_from=tau_from, tau_to=tau_to,
                            step_count=work, max_unitarity_defect=u.defect)
 
 
 def evolve_grid(mode: Mode, scale: ScaleFunction, tau_from: float, taus,
                 tol: float = DEFAULT_ODE_TOL):
-    """Raw propagators U(tau_i <- tau_from), visiting the grid sequentially."""
-    check_ode_tol(tol)
-    taus = [float(t) for t in taus]
-    for t in taus:
-        scale.check_domain(t)
-
-    if isinstance(scale, PiecewiseConstantScale):
-        out = [IDENTITY2]
-        for prev, t in zip([tau_from] + taus, taus):
-            out.append(_piecewise_propagate(mode, scale, prev, t)[0] @ out[-1])
-        return out[1:]
-
-    from .projector import cointegrate
-
-    states = cointegrate(exact_transport((mode,), scale, tau_from, tol), None, 0,
-                         tau_from, taus, tol)
-    return [polar_unitary(x.reshape(2, 2)) for x, _ in states]
+    """Raw propagators U(tau_i <- tau_from): one mode of ``propagators``."""
+    stacks, _ = propagators((mode,), scale, tau_from, taus, tol)
+    return [stack[0] for stack in stacks]
 
 
 def diagonalizer(mode: Mode, r: float) -> np.ndarray:
@@ -295,7 +343,7 @@ def phase_transport(mode: Mode, scale: ScaleFunction) -> Transport:
         return np.array([accumulated_phase(mode, scale, mode.tau0, anchor)],
                         dtype=complex)
 
-    return Transport(scale, mode.tau0, at, lambda r, x: (freq(r),), None, freq)
+    return Transport(scale, mode.tau0, at, lambda t, r, x: (freq(r),), None, freq)
 
 
 def wkb_frame(mode: Mode, scale: ScaleFunction, tau: float) -> WkbFrame:
@@ -382,25 +430,20 @@ def wkb_deviation_by_generator(mode: Mode, scale: SmoothScale, tau: float,
     """
     check_ode_tol(tol)
     check_mode_scale(mode, scale)
-    from .stepper import integrate
-
     r0 = scale.value(mode.tau0)
     f0 = frequency(mode, r0)
     x_of = _deviation_generator(mode, scale, f0, r0)
 
-    def rhs(t, y):
-        phase = y[0].real
-        w = y[1:].reshape(2, 2)
-        dw = x_of(t, phase) @ w
-        return np.concatenate([[frequency(mode, scale.value(t))], dw.ravel()])
+    def rhs(t, r, y):
+        dw = x_of(t, y[0].real) @ y[1:].reshape(2, 2)
+        return np.concatenate([[frequency(mode, r)], dw.ravel()])
 
-    def post(t, y):
-        y = y.copy()
-        y[1:] = polar_unitary(y[1:].reshape(2, 2)).ravel()
-        return y
+    def restore(t, y):
+        return np.concatenate([y[:1], polar_unitary(y[1:].reshape(2, 2)).ravel()])
 
-    y0 = np.concatenate([[0.0 + 0.0j], IDENTITY2.ravel()])
-    y = integrate(rhs, mode.tau0, tau, y0, rtol=tol, atol=tol * 1e-2,
-                  max_step=step_ceiling(partial(frequency, mode), scale),
-                  post_accept=post)
+    # the state (WKB phase, W) is (0, 1) at tau0, where every sweep starts
+    transport = Transport(scale, mode.tau0,
+                          lambda anchor: np.concatenate([[0j], IDENTITY2.ravel()]),
+                          rhs, restore, partial(frequency, mode))
+    ((y, _),) = cointegrate(transport, None, 0, mode.tau0, [tau], tol)
     return Unitary2(polar_unitary(y[1:].reshape(2, 2)))

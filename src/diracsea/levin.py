@@ -62,7 +62,7 @@ def levin_integral(mode: Mode, scale: ScaleFunction, integrand, omegas,
 
     psi is the frequency integral from ``mode.tau0``; r the scale value at
     t (on a piecewise scale, that of the segment holding the panel).  The
-    leg rule is ``projector.interval_integral``'s: from a tau0
+    leg rule is ``evolution.interval_integral``'s: from a tau0
     inside [lo, hi] the sweeps run out to both ends, otherwise psi is
     carried to the nearer end first.
 

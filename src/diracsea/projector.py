@@ -20,8 +20,9 @@ the exact propagator is the WKB one times a constant per segment
 (``_segments``), and both signatures have closed forms.  On smooth scales
 the exact integrals ride as augmented state on a transport (exact U, or
 the WKB phase for the ``wkb_scalar_integrals`` oracle) through
-``cointegrate``, so one adaptive stepper and one error budget cover
-propagator and integral.  Over the open lifetime, the endpoint limits are
+``evolution.interval_integral``, the leg rule over ``evolution.cointegrate``,
+so one adaptive stepper and one error budget cover propagator and
+integral.  Over the open lifetime, the endpoint limits are
 handled by shrinking a cutoff delta until the rigorous tail bound (the
 integrand norm is at most R) drops below the requested tolerance.
 """
@@ -34,18 +35,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
+from .bloch import piecewise_signature_vector
 from .errors import ConvergenceFailure, DegenerateSignature, InvalidParameter
 from .evolution import (
     FINE_OSCILLATION_RESOLUTION,
-    OSCILLATION_RESOLUTION,
-    Transport,
     accumulated_phase,
     check_ode_tol,
     diagonalizer,
     exact_transport,
     frequency,
+    interval_integral,
     phase_transport,
-    step_ceiling,
     wkb_deviation,
     wkb_propagator_raw,
 )
@@ -58,13 +58,15 @@ from .model import (
     Mode,
     PiecewiseConstantScale,
     ScaleFunction,
+    SIGMA1,
+    SIGMA2,
     SIGMA3,
     TestFunction,
     Unitary2,
     check_mode_scale,
 )
 # perfbench/test_perfbench.py reads ``projector.integrate``; keep it bound.
-from .stepper import integrate, integrate_with_checkpoints  # noqa: F401
+from .stepper import integrate  # noqa: F401
 
 TWO_PI = 2.0 * np.pi
 
@@ -128,61 +130,6 @@ def _choose_cutoffs(scale: ScaleFunction, tol: float):
     return cutoffs[0], cutoffs[1]
 
 
-def cointegrate(transport: Transport, integrand, width: int, anchor: float,
-                stops, tol: float, resolution: float = OSCILLATION_RESOLUTION,
-                cap: float = np.inf):
-    """Carry a transport from ``anchor`` through the monotone ``stops``.
-
-    The integral of ``integrand(t, r, x)`` (``width`` complex entries; r the
-    scale value, x the transport state) from ``anchor`` rides along as
-    augmented state, so one adaptive stepper and one error budget cover
-    both.  The step ceiling allows ``resolution`` radians of phase per step
-    and at most ``cap``.  Returns one (state, integral) pair per stop.
-    """
-    x0 = transport.at(anchor)
-    k = x0.size
-    scale = transport.scale
-    if integrand is None:
-        rhs = transport.derivative
-    else:
-        def rhs(t, y):
-            r = scale.value(t)
-            x = y[:k]
-            return np.concatenate([transport.rhs(r, x), integrand(t, r, x)])
-    post = None
-    if transport.restore is not None:
-        def post(t, y):
-            y = y.copy()
-            y[:k] = transport.restore(t, y[:k])
-            return y
-    ceiling = step_ceiling(transport.frequency, scale, resolution, cap)
-    states = integrate_with_checkpoints(
-        rhs, anchor, stops, np.concatenate([x0, np.zeros(width, dtype=complex)]),
-        rtol=tol, atol=tol * 1e-2, max_step=ceiling, post_accept=post)
-    return [(y[:k], y[k:]) for y in states]
-
-
-def interval_integral(transport: Transport, integrand, width: int, lo: float,
-                      hi: float, tol: float,
-                      resolution: float = OSCILLATION_RESOLUTION,
-                      cap: float = np.inf) -> np.ndarray:
-    """Integral over [lo, hi] of an integrand riding on a tau0-referenced transport.
-
-    From a tau0 inside the interval the sweeps run out to both ends; from
-    a tau0 outside it the transport is first carried to the nearer end.
-    """
-    def leg(anchor, end):
-        return cointegrate(transport, integrand, width, anchor, [end], tol,
-                           resolution, cap)[0][1]
-
-    tau0 = transport.tau0
-    if tau0 <= lo:
-        return leg(lo, hi)
-    if tau0 >= hi:
-        return -leg(hi, lo)
-    return leg(tau0, hi) - leg(tau0, lo)
-
-
 def _exact(mode: Mode, scale: ScaleFunction, tol: float):
     """The exact transport of one mode and its propagator U(tau)."""
     return (exact_transport((mode,), scale, mode.tau0, tol),
@@ -218,9 +165,6 @@ def _signature(mode: Mode, scale: ScaleFunction, tol: float, ode_tol: float,
 
 
 def _piecewise_signature(mode: Mode, scale: PiecewiseConstantScale) -> np.ndarray:
-    from .bloch import piecewise_signature_vector
-    from .model import SIGMA1, SIGMA2
-
     svec = piecewise_signature_vector(mode, scale)
     return svec[0] * SIGMA1 + svec[1] * SIGMA2 + svec[2] * SIGMA3
 
@@ -480,6 +424,8 @@ def _spectral_projection(sig: SignatureResult, sign: float,
     ``gap_tol * max(norm, scale_bound)`` of zero: the split is genuinely
     unstable there and silently picking one would be wrong.
     """
+    if not 0.0 < gap_tol < np.inf:
+        raise InvalidParameter(f"gap_tol must be finite and > 0, got {gap_tol}")
     threshold = gap_tol * max(sig.norm(), sig.scale_bound)
     if min(abs(sig.mu_minus), abs(sig.mu_plus)) < threshold:
         raise DegenerateSignature(sig.mu_minus, sig.mu_plus, threshold)

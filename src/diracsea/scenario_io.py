@@ -2,8 +2,9 @@
 
 A scenario file fixes the mode, the scale function (or rotation-count
 scenario), command-specific run options, and the three tolerances.
-Unknown keys are rejected everywhere so typos fail loudly instead of
-silently running with defaults.
+Unknown keys are rejected everywhere, run options included (``RUN_OPTIONS``
+lists each command's), so typos fail loudly instead of silently running
+with defaults.
 """
 
 from __future__ import annotations
@@ -28,9 +29,40 @@ from .model import (
     constant_scale,
     smooth_table_scale,
 )
+from .studies import StudyKind
 
 _NUMBER = {"type": "number"}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_NUMBERS = {"type": "array", "items": _NUMBER, "minItems": 1}
+_SAMPLES = {"type": "integer", "minimum": 1}
+
+
+def _options(*required, **properties):
+    """An object schema admitting exactly ``properties``."""
+    return {"type": "object", "additionalProperties": False,
+            "required": list(required), "properties": properties}
+
+
+_PAIR = {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2}
+# direction entries are numbers or [re, im] pairs
+_PROBE = _options("support", support=_PAIR, amplitude=_NUMBER,
+                  direction=dict(_PAIR, items={"oneOf": [_NUMBER, _PAIR]}))
+
+#: The run options of each command; any other key is an error.
+RUN_OPTIONS = {
+    "evolve": _options(tau_from=_NUMBER, tau_to=_NUMBER, samples=_SAMPLES),
+    "signature": _options(wkb={"type": "boolean"}),
+    "project": _options("phi", phi=_PROBE,
+                        variant={"enum": ["exact", "wkb", "wkb_leading"]}),
+    "bloch": _options(tau_from=_NUMBER, tau_to=_NUMBER, samples=_SAMPLES),
+    "cfs": _options("taus", taus=_NUMBERS, lambdas=_NUMBERS,
+                    members_per_mode={"enum": [1, 2]}, classify_tol=_POSITIVE),
+    "study": _options(
+        "kind", "grid", kind={"enum": [k.value for k in StudyKind]},
+        grid=_NUMBERS, phi=_PROBE, r_max=_POSITIVE, slack=_NUMBER,
+        **{"lambda": _options(kind={"type": "string"}, value=_NUMBER,
+                              k=_NUMBER, exponent=_NUMBER)}),
+}
 
 SCENARIO_SCHEMA = {
     "type": "object",
@@ -136,15 +168,26 @@ SCENARIO_SCHEMA = {
 
 
 @functools.cache
-def _validator():
-    """The schema's validator, built and checked against the metaschema once.
+def _validator(command: str | None):
+    """The validator of ``command``'s scenarios (any run block when None).
 
+    Built and checked against the metaschema once per command:
     ``jsonschema.validate`` repeats that check on every call, and it costs
     far more than validating a document.
     """
-    validator = jsonschema.validators.validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
-    validator.check_schema(SCENARIO_SCHEMA)
+    schema = SCENARIO_SCHEMA
+    if command is not None:
+        schema = dict(schema, properties=dict(schema["properties"],
+                                              run=RUN_OPTIONS[command]))
+    validator = jsonschema.validators.validator_for(schema)(schema)
+    validator.check_schema(schema)
     return validator
+
+
+def _check(doc, command: str | None):
+    error = jsonschema.exceptions.best_match(_validator(command).iter_errors(doc))
+    if error is not None:
+        raise InvalidParameter(f"scenario invalid: {error.message}") from error
 
 
 @dataclass(frozen=True)
@@ -170,10 +213,17 @@ class ScenarioConfig:
         return self.scale.to_scale() if self.is_rotation_scenario else self.scale
 
 
-def parse_scenario(doc: dict) -> ScenarioConfig:
-    error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
-    if error is not None:
-        raise InvalidParameter(f"scenario file invalid: {error.message}") from error
+def parse_scenario(doc: dict, command: str | None = None,
+                   tolerances: dict | None = None) -> ScenarioConfig:
+    """Validate a scenario document and build its objects.
+
+    ``command`` names the CLI command whose run options are checked;
+    ``tolerances`` replace the document's own before they are validated.
+    """
+    _check(doc, command)
+    if tolerances:
+        doc = dict(doc, tolerances={**doc.get("tolerances", {}), **tolerances})
+        _check(doc, command)
 
     mdoc = doc["mode"]
     mode = Mode(lam=float(mdoc["lambda"]), mass=float(mdoc["mass"]),
@@ -218,10 +268,12 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
                           tolerances=tols)
 
 
-def load_scenario(path: str) -> ScenarioConfig:
+def load_scenario(path: str, command: str | None = None,
+                  tolerances: dict | None = None) -> ScenarioConfig:
+    """``parse_scenario`` of a JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidParameter(f"scenario file is not valid JSON: {exc}") from exc
-    return parse_scenario(doc)
+    return parse_scenario(doc, command, tolerances)

@@ -1,11 +1,12 @@
 """Embedded Dormand-Prince 5(4) stepper with structure-restoring hooks.
 
-This is the single adaptive controller behind the exact evolution, the WKB
-phase accumulation, and every exact-route integral (the smooth-scale WKB
-integrals use ``levin`` instead): quadratures ride along as augmented
-state components so one error budget covers propagator and integral
-alike.  Two features the stock library solvers lack drive the
-hand-rolled implementation:
+This is the single adaptive controller behind the exact evolution on
+smooth scales, the generator route to the WKB deviation, the rotation
+frames, and every exact-route integral (the WKB integrals use ``levin``
+instead).  Its one caller is ``evolution.cointegrate``, where quadratures
+ride along as augmented state components so one error budget covers
+propagator and integral alike.  Two features the stock library solvers
+lack drive the hand-rolled implementation:
 
 * a state-dependent step ceiling (h <= 0.1 / frequency: at most 0.1 rad of
   phase, about 1/63 of an oscillation period, per step; callers may ask

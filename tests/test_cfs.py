@@ -253,6 +253,13 @@ class TestKernel:
         with pytest.raises(InvalidParameter):
             kernel_apply(fam, 1.3, phi, index)
 
+    def test_kernel_apply_for_a_mode_without_members_is_zero(self):
+        fam = build_family(modes(1.5, -2.5), SCALE, [(0, np.array([1.0, 0.0]))],
+                           require_negative_subspace=False)
+        phi = bump((1.0, 2.0), np.array([1.0, 0.0]), 1.0)
+        out = kernel_apply(fam, 1.3, phi, 1)
+        assert out.shape == (2,) and not out.any()
+
     def test_kernel_action_away_from_anchor(self):
         # evaluating at another time transports by the mode propagator
         ms = modes(1.5)

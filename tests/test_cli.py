@@ -212,3 +212,96 @@ def test_study_envelope_violation_exits_3(tmp_path, capsys):
 def test_missing_file_exits_1(tmp_path, capsys):
     code = main(["signature", "--scenario", str(tmp_path / "nope.json")])
     assert code == 1
+
+
+TWELVE = {"mode": {"lambda": 1.5, "mass": 1.0, "tau0": 0.0},
+          "scale": {"kind": "preset", "name": "twelve_segment"},
+          "run": {"phi": {"support": [1.0, 2.0]}}}
+
+
+@pytest.mark.parametrize("flag,value", [("--gap-tol", "0"), ("--gap-tol", "-1"),
+                                        ("--quad-tol", "0.5")])
+def test_tolerance_flags_checked_against_schema(tmp_path, capsys, flag, value):
+    # gap_tol 0 would accept the canonical degenerate signature
+    code, text = run_cli(tmp_path, "project", TWELVE, extra=(flag, value))
+    assert code == 1 and text == ""
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "invalid_parameter"
+
+
+@pytest.mark.parametrize("command,run", [
+    ("signature", {"wkbb": True}),
+    ("evolve", {"sample": 3}),
+    ("evolve", {"samples": -4}),
+    ("bloch", {"samples": 0}),
+    ("study", {"kind": "s_wkb_bound", "grid": "abc"}),
+    ("project", {"variant": "wkb_full", "phi": {"support": [1.0, 2.0]}}),
+    ("project", {"phi": {"support": [1.0, 2.0], "amplitud": 2.0}}),
+    ("cfs", {"taus": [0.8, 1.6], "members_per_mode": 3}),
+    ("study", {"kind": "s_wkb_bound", "grid": [5.0, 10.0],
+               "lambda": {"kind": "fixed", "valu": 2.5}}),
+], ids=["signature_unknown_key", "evolve_unknown_key", "evolve_negative_samples",
+        "bloch_zero_samples", "study_grid_string", "project_unknown_variant",
+        "probe_unknown_key", "cfs_three_members", "lambda_unknown_key"])
+def test_bad_run_options_exit_1(tmp_path, capsys, command, run):
+    code, text = run_cli(tmp_path, command, dict(BASE, run=run))
+    assert code == 1 and text == ""
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "invalid_parameter"
+
+
+@pytest.mark.parametrize("variant,pwkb", [("wkb", "FULL"),
+                                          ("wkb_leading", "LEADING_ORDER")])
+def test_project_wkb_variants_match_library(tmp_path, variant, pwkb):
+    from diracsea.model import Mode, bump, dust_scale
+    from diracsea.projector import PWkbVariant, p_wkb_apply
+
+    probe = {"support": [1.0, 2.0], "direction": [[1.0, 0.0], [0.0, 0.5]]}
+    doc = dict(BASE, run={"variant": variant, "phi": probe},
+               tolerances={"ode_tol": 1e-9, "quad_tol": 1e-8, "gap_tol": 1e-5})
+    code, text = run_cli(tmp_path, "project", doc, extra=("--format", "json"))
+    assert code == 0
+    want = p_wkb_apply(Mode(lam=1.5, mass=1.0, tau0=float(np.pi / 2)),
+                       dust_scale(5.0), bump((1.0, 2.0), [1.0, 0.5j]),
+                       variant=PWkbVariant[pwkb], tol=1e-9, quad_tol=1e-8,
+                       gap_tol=1e-5)
+    payload = json.loads(text)
+    assert payload["value"] == [[z.real, z.imag] for z in want.value]
+    assert payload["provenance"] == want.provenance.value
+
+
+def test_cfs_one_member_per_mode_is_the_negative_subspace_family(tmp_path):
+    from diracsea import cfs
+    from diracsea.model import Mode, dust_scale
+
+    taus = [0.8, 1.6, 2.4]
+    doc = dict(BASE, run={"taus": taus, "lambdas": [1.5, -2.5],
+                          "members_per_mode": 1})
+    code, text = run_cli(tmp_path, "cfs", doc)
+    assert code == 0
+    modes = [Mode(lam=l, mass=1.0, tau0=float(np.pi / 2)) for l in (1.5, -2.5)]
+    family = cfs.orthonormalize(cfs.negative_subspace_family(modes, dust_scale(5.0)))
+    assert family.size == 2
+    corr = {t: cfs.local_correlation(family, t) for t in taus}
+    want = [f"{tx:.17g},{ty:.17g},{cfs.causal_classify(corr[tx], corr[ty]).value}"
+            for tx in taus for ty in taus]
+    assert text.strip().split("\n")[1:] == want
+
+
+@pytest.mark.parametrize("command,run", [
+    ("evolve", {"tau_from": 0.5, "tau_to": 2.5, "samples": 4}),
+    ("bloch", {"samples": 5}),
+    ("cfs", {"taus": [0.8, 2.4], "members_per_mode": 2}),
+])
+def test_json_format_matches_csv(tmp_path, command, run):
+    doc = dict(BASE, run=run)
+    code, csv = run_cli(tmp_path, command, doc)
+    assert code == 0
+    code, text = run_cli(tmp_path, command, doc, extra=("--format", "json"))
+    assert code == 0
+    lines = csv.strip().split("\n")
+    header = lines[0].split(",")
+    rows = json.loads(text)["rows"]
+    assert len(rows) == len(lines) - 1
+    for line, row in zip(lines[1:], rows):
+        for name, cell in zip(header, line.split(",")):
+            value = row[name]
+            assert value == cell if isinstance(value, str) else value == float(cell)

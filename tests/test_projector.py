@@ -6,7 +6,8 @@ from scipy.integrate import quad, simpson
 
 from diracsea import levin, projector
 from diracsea.bloch import build_twelve_segment, make_scenario, perturb_scenario
-from diracsea.errors import ConvergenceFailure, DegenerateSignature, DomainError
+from diracsea.errors import (ConvergenceFailure, DegenerateSignature, DomainError,
+                             InvalidParameter)
 from diracsea.evolution import (
     accumulated_phase,
     diagonalizer,
@@ -175,6 +176,19 @@ class TestWkbSignature:
         assert evals[1] == pytest.approx(coeff, rel=1e-9)
         assert evals[0] == pytest.approx(-coeff, rel=1e-9)
 
+    @pytest.mark.parametrize("lam", [1.5, -2.5])
+    def test_leading_term_on_piecewise_scale(self, lam):
+        # the mass-term integral is the segment sum of m r^2 / f * width
+        mode = Mode(lam=lam, mass=1.3, tau0=0.9)
+        sc = PiecewiseConstantScale(breakpoints=(0.0, 0.7, 1.1, 1.6, 2.4, 3.0),
+                                    values=(2.0, 0.8, 3.5, 1.3, 2.6))
+        coeff = sum(mode.mass * r * r / frequency(mode, r) * (b - a)
+                    for a, b, r in sc.pieces(0.0, sc.tau_end))
+        v0 = diagonalizer(mode, sc.value(mode.tau0))
+        lead = wkb_signature_leading_term(mode, sc).matrix
+        assert spectral_norm(lead - coeff * (v0.conj().T @ SIGMA3 @ v0)) \
+            <= 1e-14 * coeff
+
     def test_leading_term_error_shrinks_with_mass(self):
         # residual after removing the leading term decays like 1/m: the
         # mass-weighted residual stays below its smallest-mass value
@@ -295,6 +309,12 @@ class TestNegativeProjection:
         with pytest.raises(DegenerateSignature) as err:
             negative_projection(sig)
         assert abs(err.value.mu_minus) < err.value.threshold
+
+    @pytest.mark.parametrize("gap_tol", [0.0, -1e-6, np.inf, np.nan])
+    def test_gap_tol_must_be_finite_and_positive(self, gap_tol):
+        sig = self._sig(np.diag([1.0, -1.0]))
+        with pytest.raises(InvalidParameter):
+            negative_projection(sig, gap_tol=gap_tol)
 
     def test_orthogonality_of_spectral_halves(self):
         mode = Mode(lam=2.5, mass=1.0, tau0=TAU0)
