@@ -10,12 +10,14 @@ convention-free trace formula on every call).
 
 For piecewise-constant R every segment is a fixed-axis rotation, so frames
 and their time integrals have closed forms: whole trajectories and the
-signature integrals are exact to rounding.
+signature integrals are exact to rounding.  A rotation-count ``Scenario``
+is such a scale, with breakpoints set by its mode; like the rest of the
+package, every entry point here takes ``(mode, scale, taus, tol)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
 import numpy as np
@@ -115,68 +117,43 @@ class BlochState:
 
 
 @dataclass(frozen=True)
-class Segment:
-    r_value: float
-    p: float
-    duration: float
-
-
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(PiecewiseConstantScale):
     """Piecewise-constant universe specified by rotation counts.
 
-    Each segment lasts exactly ``p`` full frame rotations at scale value
-    ``r_value``, i.e. pi * p / sqrt(lam^2 + (m r)^2) units of conformal
-    time.  The total duration is whatever the segments sum to; integrals
-    run over (0, T), not (0, pi).  Half-integer p makes a segment a
-    reflection through its axis, but any positive p is accepted (perturbed
-    scenarios probe the stability of the construction).
+    Segment k lasts exactly ``rotations[k]`` full frame rotations at scale
+    value ``values[k]``, i.e. pi * p / sqrt(lam^2 + (m r)^2) units of
+    conformal time: the breakpoints are the running sums of those widths.
+    Integrals run over (0, tau_end), not (0, pi).  Half-integer p makes a
+    segment a reflection through its axis, but any positive p is accepted
+    (perturbed scenarios probe the stability of the construction).
     """
 
-    segments: tuple
+    breakpoints: tuple = field(init=False)
     mode: Mode
+    rotations: tuple
 
     def __post_init__(self):
         if self.mode.tau0 != 0.0:
             raise InvalidParameter("scenario modes must have tau0 = 0")
-        if len(self.segments) == 0:
-            raise InvalidParameter("scenario needs at least one segment")
-        for seg in self.segments:
-            if not (seg.r_value > 0 and seg.p > 0):
-                raise InvalidParameter("segments need r_value > 0 and p > 0")
+        rots = tuple(map(float, self.rotations))
+        if not all(float(r) > 0 and p > 0 for r, p in zip(self.values, rots)):
+            raise InvalidParameter("scenario segments need r > 0 and p > 0")
+        object.__setattr__(self, "rotations", rots)
+        # lengths that differ leave a breakpoint count that super() rejects
+        object.__setattr__(self, "breakpoints", tuple(accumulate(
+            (np.pi * p / frequency(self.mode, float(r))
+             for r, p in zip(self.values, rots)), initial=0.0)))
+        super().__post_init__()
 
-    @property
-    def durations(self) -> list:
-        return [s.duration for s in self.segments]
-
-    @property
-    def total_duration(self) -> float:
-        return sum(self.durations)
-
-    @property
-    def breakpoints(self) -> tuple:
-        return tuple(accumulate(self.durations, initial=0.0))
-
-    @property
-    def r_max(self) -> float:
-        return max(s.r_value for s in self.segments)
-
-    def to_scale(self) -> PiecewiseConstantScale:
-        return PiecewiseConstantScale(
-            breakpoints=self.breakpoints,
-            values=tuple(s.r_value for s in self.segments))
+    # ``tau_end``, under the name the benchmark's scenario files read
+    total_duration = PiecewiseConstantScale.tau_end
 
 
 def make_scenario(mode: Mode, pairs) -> Scenario:
-    """Scenario from (r_value, p) pairs; durations derived from the mode."""
-    segs = []
-    for r, p in pairs:
-        r, p = float(r), float(p)
-        if not (r > 0 and p > 0):
-            raise InvalidParameter(f"invalid segment (r={r}, p={p})")
-        segs.append(Segment(r_value=r, p=p,
-                            duration=np.pi * p / frequency(mode, r)))
-    return Scenario(segments=tuple(segs), mode=mode)
+    """Scenario from (r_value, p) pairs; the widths follow from the mode."""
+    pairs = list(pairs)
+    return Scenario(values=tuple(r for r, _ in pairs), mode=mode,
+                    rotations=tuple(p for _, p in pairs))
 
 
 def _alternating_preset(lam: float, mass: float):
@@ -203,12 +180,11 @@ def build_twelve_segment(lam: float = 1.5, mass: float = 1.0) -> Scenario:
 
 def perturb_scenario(scenario: Scenario, index: int, dp: float) -> Scenario:
     """Same scenario with segment ``index``'s rotation count shifted by dp."""
-    pairs = [(s.r_value, s.p) for s in scenario.segments]
-    r, p = pairs[index]
-    if p + dp <= 0:
-        raise InvalidParameter("perturbed rotation count must stay positive")
-    pairs[index] = (r, p + dp)
-    return make_scenario(scenario.mode, pairs)
+    rotations = list(scenario.rotations)
+    if not 0 <= index < len(rotations):
+        raise InvalidParameter(f"no segment {index} to perturb")
+    rotations[index] += dp
+    return replace(scenario, rotations=tuple(rotations))
 
 
 def _segment_v_integral(frame, generator, dt):
@@ -216,35 +192,30 @@ def _segment_v_integral(frame, generator, dt):
     return (rotation_time_integral(generator, dt) @ frame)[2, :]
 
 
-def _segment_frames(mode: Mode, widths, values):
+def _segment_frames(mode: Mode, scale: PiecewiseConstantScale):
     """Frames and running integrals of v R at the segment starts and the end.
 
-    The frame is the identity at tau = 0, where the integral starts.
-    Scenarios pass their segment durations as ``widths``, piecewise scales
-    the differences of their breakpoints.
+    The frame is the identity at tau = 0, where the integral starts; the
+    segment widths are the differences of the breakpoints.
     """
     frames, prefix = [np.eye(3)], [np.zeros(3)]
-    for dt, r in zip(widths, values):
+    for dt, r in zip(np.diff(scale.breakpoints), scale.values):
         gen = rotation_generator(mode, r)
         prefix.append(prefix[-1] + _segment_v_integral(frames[-1], gen, dt) * r)
         frames.append(rotation_matrix(gen, np.linalg.norm(gen) * dt) @ frames[-1])
     return frames, prefix
 
 
-def _frames_at(mode: Mode, scale: PiecewiseConstantScale, taus, widths=None):
+def _frames_at(mode: Mode, scale: PiecewiseConstantScale, taus):
     """(frame, running integral of v R from tau = 0) at each of ``taus``.
 
     Referenced to the mode's tau0: F(tau) F(tau0)^T, with F the frame that
-    is the identity at tau = 0; the integral turns likewise.  ``widths`` as
-    for ``_segment_frames``, by default the breakpoints' differences.
+    is the identity at tau = 0; the integral turns likewise.  The callers
+    check that tau0 and ``taus`` lie in the scale's domain.
     """
-    if widths is None:
-        widths = np.diff(scale.breakpoints)
-    frames, prefix = _segment_frames(mode, widths, scale.values)
+    frames, prefix = _segment_frames(mode, scale)
 
     def at(t):
-        if not (0.0 <= t <= scale.tau_end + 1e-12):
-            raise InvalidParameter(f"tau={t} outside scenario duration")
         idx = scale.segment_index(t)
         r = scale.values[idx]
         gen = rotation_generator(mode, r)
@@ -259,23 +230,19 @@ def _frames_at(mode: Mode, scale: PiecewiseConstantScale, taus, widths=None):
     return [(w @ ref.T, cum @ ref.T) for w, cum in out]
 
 
-def propagate_bloch(target, tau_grid, tol: float = DEFAULT_ODE_TOL):
+def propagate_bloch(mode: Mode, scale: ScaleFunction, tau_grid,
+                    tol: float = DEFAULT_ODE_TOL):
     """Frame trajectory at the requested times, reference frame at the mode's tau0.
 
-    ``target`` is either a Scenario or a ``(mode, scale)`` pair.  On
-    piecewise-constant scales (every Scenario) the frames are exact
+    On piecewise-constant scales (every Scenario) the frames are exact
     fixed-axis rotations; on smooth scales they come from adaptive
     integration with orthogonality re-projection.
     """
     taus = [float(t) for t in tau_grid]
-    if isinstance(target, Scenario):
-        mode, scale, widths = target.mode, target.to_scale(), target.durations
-    else:
-        (mode, scale), widths = target, None
-        _check_grid(mode, scale, taus)
+    _check_grid(mode, scale, taus)
     if scale.is_piecewise:
         return [BlochState(w=w, tau=t)
-                for t, (w, _) in zip(taus, _frames_at(mode, scale, taus, widths))]
+                for t, (w, _) in zip(taus, _frames_at(mode, scale, taus))]
     states = cointegrate(frame_transport(mode, scale, tol), None, 0, mode.tau0,
                          taus, tol, FINE_OSCILLATION_RESOLUTION)
     return [BlochState(w=_project_rotation(x.reshape(3, 3).real), tau=t)
@@ -318,41 +285,36 @@ def _check_grid(mode: Mode, scale: ScaleFunction, taus):
     check_mode_scale(mode, scale, *taus)
 
 
-def v_trace_formula(mode: Mode, scale_or_scenario, tau_grid,
+def v_trace_formula(mode: Mode, scale: ScaleFunction, tau_grid,
                     tol: float = DEFAULT_ODE_TOL):
     """v_alpha(tau) = 1/2 Tr(sigma_alpha U^dagger sigma3 U), reference tau0.
 
     This is the convention-free route: no rotation-axis orientation enters.
     """
-    if isinstance(scale_or_scenario, Scenario):
-        mode, scale_or_scenario = scale_or_scenario.mode, scale_or_scenario.to_scale()
-    us = evolve_grid(mode, scale_or_scenario, mode.tau0, tau_grid, tol=tol)
-    rows = []
-    for u in us:
-        b = u.conj().T @ SIGMA3 @ u
-        rows.append(np.array([0.5 * np.trace(s @ b).real for s in _PAULI]))
-    return rows
+    bs = [u.conj().T @ SIGMA3 @ u
+          for u in evolve_grid(mode, scale, mode.tau0, tau_grid, tol=tol)]
+    return [np.array([0.5 * np.trace(s @ b).real for s in _PAULI]) for b in bs]
 
 
-def v_components(target, tau_grid, tol: float = DEFAULT_ODE_TOL):
+def v_components(mode: Mode, scale: ScaleFunction, tau_grid,
+                 tol: float = DEFAULT_ODE_TOL):
     """(tau, v1, v2, v3) rows: the first columns of ``v_rows_with_cumulative``."""
-    return [row[:4] for row in v_rows_with_cumulative(target, tau_grid, tol)]
+    return [row[:4] for row in v_rows_with_cumulative(mode, scale, tau_grid, tol)]
 
 
-def v_rows_with_cumulative(target, tau_grid, tol: float = DEFAULT_ODE_TOL):
+def v_rows_with_cumulative(mode: Mode, scale: ScaleFunction, tau_grid,
+                           tol: float = DEFAULT_ODE_TOL):
     """(tau, v1..v3, cumulative integral of v_alpha R) rows from one frame sweep.
 
     The v columns come from the trace formula; the rotation route's frames
-    (``scenario_v_rows_with_cumulative`` for a Scenario, else
+    (``scenario_v_rows_with_cumulative`` on piecewise scales, else
     ``smooth_v_rows_with_cumulative``) give the cumulative columns and
     cross-validate them, raising ConventionMismatch beyond the tolerance.
     """
     taus = [float(t) for t in tau_grid]
-    if isinstance(target, Scenario):
-        mode, scale = target.mode, target
-        frame_rows = scenario_v_rows_with_cumulative(target, taus)
+    if scale.is_piecewise:
+        frame_rows = scenario_v_rows_with_cumulative(mode, scale, taus)
     else:
-        mode, scale = target
         frame_rows = smooth_v_rows_with_cumulative(mode, scale, taus, tol)
     trace_rows = v_trace_formula(mode, scale, taus, tol=tol)
     worst = max((float(np.max(np.abs(np.subtract(v, row[1:4]))))
@@ -364,28 +326,31 @@ def v_rows_with_cumulative(target, tau_grid, tol: float = DEFAULT_ODE_TOL):
     return [(t, *v, *row[4:]) for t, v, row in zip(taus, trace_rows, frame_rows)]
 
 
-def scenario_v_rows_with_cumulative(scenario: Scenario, tau_grid):
-    """(tau, v1..v3, cumulative integral of v_alpha R) rows, exact per segment."""
-    frames = _frames_at(scenario.mode, scenario.to_scale(), tau_grid,
-                        scenario.durations)
-    return [(t, *BlochState(w=w, tau=t).v(), *cum)
-            for t, (w, cum) in zip(tau_grid, frames)]
-
-
-def smooth_v_rows_with_cumulative(mode: Mode, scale: ScaleFunction, tau_grid,
-                                  tol: float = DEFAULT_ODE_TOL):
-    """(tau, v1..v3, cumulative integral of v_alpha R) rows for a (mode, scale) pair.
+def scenario_v_rows_with_cumulative(mode: Mode, scale: PiecewiseConstantScale,
+                                    tau_grid):
+    """(tau, v1..v3, cumulative integral of v_alpha R) rows, exact per segment.
 
     The cumulative integrals run from the first grid point; the frame is
-    referenced to the mode's tau0.  Piecewise scales take the closed-form
-    frames.
+    referenced to the mode's tau0.
     """
     taus = [float(t) for t in tau_grid]
     _check_grid(mode, scale, taus)
-    if scale.is_piecewise:
-        frames = _frames_at(mode, scale, taus)
-        return [(t, *w[2, :], *(cum - frames[0][1]))
-                for t, (w, cum) in zip(taus, frames)]
+    frames = _frames_at(mode, scale, taus)
+    return [(t, *BlochState(w=w, tau=t).v(), *(cum - frames[0][1]))
+            for t, (w, cum) in zip(taus, frames)]
+
+
+def smooth_v_rows_with_cumulative(mode: Mode, scale: SmoothScale, tau_grid,
+                                  tol: float = DEFAULT_ODE_TOL):
+    """(tau, v1..v3, cumulative integral of v_alpha R) rows on a smooth scale.
+
+    The cumulative integrals run from the first grid point; the frame is
+    referenced to the mode's tau0.
+    """
+    if scale.is_piecewise:  # the stepper would run straight across the jumps
+        raise InvalidParameter("piecewise scales take scenario_v_rows_with_cumulative")
+    taus = [float(t) for t in tau_grid]
+    _check_grid(mode, scale, taus)
 
     def integrand(t, r, x):
         return (x.reshape(3, 3).real[2, :] * r).astype(complex)
@@ -403,8 +368,7 @@ def scenario_signature_components(scenario: Scenario):
     whole scenario, s0 the identity component (identically zero because the
     conjugated sigma3 is traceless).
     """
-    _, prefix = _segment_frames(scenario.mode, scenario.durations,
-                                scenario.to_scale().values)
+    _, prefix = _segment_frames(scenario.mode, scenario)
     return prefix[-1], 0.0
 
 
@@ -413,4 +377,5 @@ def piecewise_signature_vector(mode: Mode, scale: PiecewiseConstantScale):
 
     Closed form: the running integral of v R over the whole scale.
     """
+    check_mode_scale(mode, scale)
     return _frames_at(mode, scale, [scale.tau_end])[0][1]

@@ -80,12 +80,11 @@ def cmd_evolve(cfg: ScenarioConfig, args, out):
     tau_from = float(run.get("tau_from", cfg.mode.tau0))
     tau_to = float(run["tau_to"]) if "tau_to" in run else tau_from
     samples = int(run.get("samples", 1))
-    scale = cfg.plain_scale()
     if samples > 1:
         taus = list(np.linspace(tau_from, tau_to, samples))
     else:
         taus = [tau_to]
-    us = evolve_grid(cfg.mode, scale, tau_from, taus,
+    us = evolve_grid(cfg.mode, cfg.scale, tau_from, taus,
                      tol=cfg.tolerances.ode_tol)
     header = ["tau", "re_u11", "im_u11", "re_u12", "im_u12",
               "re_u21", "im_u21", "re_u22", "im_u22", "unitarity_defect"]
@@ -106,7 +105,7 @@ def cmd_evolve(cfg: ScenarioConfig, args, out):
 def cmd_signature(cfg: ScenarioConfig, args, out):
     wkb = cfg.run.get("wkb", False)
     fn = proj_mod.signature_operator_wkb if wkb else proj_mod.signature_operator
-    sig = fn(cfg.mode, cfg.plain_scale(), tol=cfg.tolerances.quad_tol,
+    sig = fn(cfg.mode, cfg.scale, tol=cfg.tolerances.quad_tol,
              ode_tol=cfg.tolerances.ode_tol)
     c0, c1, c2, c3 = sig.s.pauli_components()
     header = ["tau0", "mu_minus", "mu_plus", "s0", "s1", "s2", "s3",
@@ -131,7 +130,7 @@ def cmd_signature(cfg: ScenarioConfig, args, out):
 def cmd_project(cfg: ScenarioConfig, args, out):
     phi = _parse_probe(cfg.run["phi"]).build()
     variant = cfg.run.get("variant", "exact")
-    scale = cfg.plain_scale()
+    scale = cfg.scale
     tols = cfg.tolerances
     if variant == "exact":
         res = proj_mod.fermionic_projector_apply(
@@ -160,20 +159,15 @@ def cmd_project(cfg: ScenarioConfig, args, out):
 
 
 def cmd_bloch(cfg: ScenarioConfig, args, out):
-    samples = int(cfg.run.get("samples", 481))
-    tols = cfg.tolerances
-    if cfg.is_rotation_scenario:
-        target = cfg.scale
-        taus = list(np.linspace(0.0, target.total_duration, samples))
-    else:
-        target = (cfg.mode, cfg.scale)
-        tau_from = float(cfg.run.get("tau_from", cfg.mode.tau0))
-        tau_to = float(cfg.run["tau_to"]) if "tau_to" in cfg.run \
-            else cfg.plain_scale().tau_end - 0.05
-        taus = list(np.linspace(tau_from, tau_to, samples))
+    run, scale = cfg.run, cfg.scale
+    end = scale.tau_end if isinstance(scale, bloch_mod.Scenario) else scale.tau_end - 0.05
+    taus = list(np.linspace(float(run.get("tau_from", cfg.mode.tau0)),
+                            float(run.get("tau_to", end)),
+                            int(run.get("samples", 481))))
     header = ["tau", "v1", "v2", "v3",
               "cum_int_v1R", "cum_int_v2R", "cum_int_v3R"]
-    rows = bloch_mod.v_rows_with_cumulative(target, taus, tol=tols.ode_tol)
+    rows = bloch_mod.v_rows_with_cumulative(cfg.mode, scale, taus,
+                                            tol=cfg.tolerances.ode_tol)
     if args.format == "json":
         _write_json(out, {"rows": [dict(zip(header, map(float, r)))
                                    for r in rows]})
@@ -188,7 +182,7 @@ def cmd_cfs(cfg: ScenarioConfig, args, out):
     lambdas = [float(x) for x in run.get("lambdas", [cfg.mode.lam])]
     members_per_mode = int(run.get("members_per_mode", 1))
     classify_tol = float(run.get("classify_tol", 1e-8))
-    scale = cfg.plain_scale()
+    scale = cfg.scale
     tols = cfg.tolerances
     modes = tuple(Mode(lam=l, mass=cfg.mode.mass, tau0=cfg.mode.tau0,
                        physical=cfg.mode.physical) for l in lambdas)

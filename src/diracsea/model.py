@@ -193,8 +193,8 @@ class PiecewiseConstantScale(ScaleFunction):
             raise InvalidParameter("need at least one segment")
         if bps[0] != 0.0:
             raise InvalidParameter("first breakpoint must be 0")
-        if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
-            raise InvalidParameter("breakpoints must be strictly increasing")
+        if not (all(b1 < b2 for b1, b2 in zip(bps, bps[1:])) and bps[-1] < np.inf):
+            raise InvalidParameter("breakpoints must be strictly increasing and finite")
         if any(not (np.isfinite(v) and v > 0) for v in vals):
             raise InvalidParameter("segment values must be strictly positive")
 

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import jsonschema
 
-from .bloch import Scenario, build_six_segment, build_twelve_segment, \
-    make_scenario, perturb_scenario
+from .bloch import build_six_segment, build_twelve_segment, make_scenario, \
+    perturb_scenario
 from .errors import InvalidParameter
 from .model import (
     DEFAULT_GAP_TOL,
@@ -25,6 +25,7 @@ from .model import (
     DEFAULT_QUAD_TOL,
     Mode,
     PiecewiseConstantScale,
+    ScaleFunction,
     dust_scale,
     constant_scale,
     smooth_table_scale,
@@ -185,6 +186,10 @@ def _validator(command: str | None):
 
 
 def _check(doc, command: str | None):
+    try:  # JSON has no NaN or infinity; the schema's range keywords pass NaN
+        json.dumps(doc, allow_nan=False)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameter(f"scenario invalid: {exc}") from exc
     error = jsonschema.exceptions.best_match(_validator(command).iter_errors(doc))
     if error is not None:
         raise InvalidParameter(f"scenario invalid: {error.message}") from error
@@ -200,17 +205,13 @@ class Tolerances:
 @dataclass(frozen=True)
 class ScenarioConfig:
     mode: Mode
-    scale: object          # ScaleFunction or Scenario
+    scale: ScaleFunction   # a bloch.Scenario for segments and presets
     run: dict
     tolerances: Tolerances
 
-    @property
-    def is_rotation_scenario(self) -> bool:
-        return isinstance(self.scale, Scenario)
-
-    def plain_scale(self):
-        """The underlying scale function, whatever the scale kind."""
-        return self.scale.to_scale() if self.is_rotation_scenario else self.scale
+    def plain_scale(self) -> ScaleFunction:
+        """``scale``, under the name ``perfbench/refgen.py`` reads."""
+        return self.scale
 
 
 def parse_scenario(doc: dict, command: str | None = None,
@@ -243,15 +244,12 @@ def parse_scenario(doc: dict, command: str | None = None,
         scale = PiecewiseConstantScale(breakpoints=tuple(sdoc["breakpoints"]),
                                        values=tuple(sdoc["values"]))
     elif kind == "segments":
-        if mode.tau0 != 0.0:
-            raise InvalidParameter("rotation scenarios require tau0 = 0")
-        scale = make_scenario(mode, [(r, p) for r, p in sdoc["segments"]])
+        scale = make_scenario(mode, sdoc["segments"])
     elif kind == "preset":
-        if mode.tau0 != 0.0:
-            raise InvalidParameter("rotation scenarios require tau0 = 0")
         builder = {"six_segment": build_six_segment,
                    "twelve_segment": build_twelve_segment}[sdoc["name"]]
-        scale = builder(lam=mode.lam, mass=mode.mass)
+        # the document's mode, so that Scenario checks its tau0
+        scale = replace(builder(lam=mode.lam, mass=mode.mass), mode=mode)
         if "perturb" in sdoc:
             scale = perturb_scenario(scale, int(sdoc["perturb"]["index"]),
                                      float(sdoc["perturb"]["dp"]))

@@ -66,7 +66,7 @@ def _report(number, label, t0, budget):
 def test_01_twelve_segment_signature_vanishes():
     t0 = time.perf_counter()
     scen = build_twelve_segment(lam=1.5, mass=1.0)
-    sig = signature_operator(scen.mode, scen.to_scale())
+    sig = signature_operator(scen.mode, scen)
     assert sig.norm() <= 1e-8 * scen.r_max
     svec, _ = scenario_signature_components(scen)
     assert np.linalg.norm(svec) <= 1e-8 * scen.r_max
@@ -163,7 +163,7 @@ def test_07_structural_invariant_suite():
     for _ in range(60):
         scen = random_scenario()
         a, b = np.sort(rng.uniform(0.0, scen.total_duration, 2))
-        res = evolve(scen.mode, scen.to_scale(), a, b, tol=tol)
+        res = evolve(scen.mode, scen, a, b, tol=tol)
         assert unitarity_defect(res.u.matrix) <= 1e-10
     for _ in range(40):
         mode, sc = random_smooth()
@@ -175,7 +175,7 @@ def test_07_structural_invariant_suite():
     for i in range(100):
         if i % 2 == 0:
             scen = random_scenario()
-            mode, sc = scen.mode, scen.to_scale()
+            mode, sc = scen.mode, scen
             a, b, c = np.sort(rng.uniform(0.0, sc.tau_end, 3))
         else:
             mode, sc = random_smooth()
@@ -192,7 +192,7 @@ def test_07_structural_invariant_suite():
     for i in range(100):
         if i % 2 == 0:
             scen = random_scenario()
-            sig = signature_operator(scen.mode, scen.to_scale())
+            sig = signature_operator(scen.mode, scen)
         else:
             mode, sc = random_smooth()
             sig = signature_operator(mode, sc, tol=1e-8, ode_tol=1e-9)
@@ -215,7 +215,7 @@ def test_07_structural_invariant_suite():
     for _ in range(100):
         scen = random_scenario()
         taus = rng.uniform(0.0, scen.total_duration, 4)
-        for st in propagate_bloch(scen, np.sort(taus)):
+        for st in propagate_bloch(scen.mode, scen, np.sort(taus)):
             assert np.linalg.norm(st.w.T @ st.w - np.eye(3), 2) <= 1e-10
             assert np.linalg.det(st.w) > 0
 
@@ -227,12 +227,12 @@ def test_07_structural_invariant_suite():
             taus = np.sort(rng.uniform(0.3, np.pi - 0.3, 4))
             trace_rows = v_trace_formula(mode, sc, taus, tol=tol)
             bloch_rows = [st.v() for st in
-                          propagate_bloch((mode, sc), taus, tol=tol)]
+                          propagate_bloch(mode, sc, taus, tol=tol)]
         else:
             scen = random_scenario()
             taus = np.sort(rng.uniform(0.0, scen.total_duration, 4))
             trace_rows = v_trace_formula(scen.mode, scen, taus, tol=tol)
-            bloch_rows = [st.v() for st in propagate_bloch(scen, taus)]
+            bloch_rows = [st.v() for st in propagate_bloch(scen.mode, scen, taus)]
         for a, b in zip(trace_rows, bloch_rows):
             assert np.max(np.abs(a - b)) <= 1e-8
 
@@ -241,7 +241,7 @@ def test_07_structural_invariant_suite():
         scen = random_scenario()
         modes = (scen.mode,)
         spin = rng.randn(2, 2) + 1j * rng.randn(2, 2)
-        fam = build_family(modes, scen.to_scale(),
+        fam = build_family(modes, scen,
                            [(0, spin[0]), (0, spin[1])],
                            require_negative_subspace=False)
         tx, ty = rng.uniform(0.0, scen.total_duration, 2)

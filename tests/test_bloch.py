@@ -87,7 +87,7 @@ class TestRotationPrimitives:
         mode = Mode(lam=0.0, mass=1.0, tau0=0.0, physical=False)
         scen = make_scenario(mode, [(2.0, 1.0)])
         t = 0.2
-        state = propagate_bloch(scen, [t])[0]
+        state = propagate_bloch(mode, scen, [t])[0]
         speed = 2.0 * mode.mass * 2.0
         assert np.allclose(state.w[:, 0],
                            [np.cos(speed * t), np.sin(speed * t), 0.0],
@@ -98,14 +98,15 @@ class TestScenario:
     def test_segment_durations(self):
         mode = scenario_mode()
         scen = make_scenario(mode, [(2.0, 1.5), (0.5, 0.5)])
-        for seg in scen.segments:
-            f = frequency(mode, seg.r_value)
-            assert seg.duration == pytest.approx(np.pi * seg.p / f)
+        for width, r, p in zip(np.diff(scen.breakpoints), scen.values,
+                               scen.rotations):
+            f = frequency(mode, r)
+            assert width == pytest.approx(np.pi * p / f)
 
     def test_twelve_segment_total_duration_formula(self):
         scen = build_twelve_segment()
-        total = sum(np.pi * s.p / frequency(scen.mode, s.r_value)
-                    for s in scen.segments)
+        total = sum(np.pi * p / frequency(scen.mode, r)
+                    for r, p in zip(scen.values, scen.rotations))
         assert scen.total_duration == pytest.approx(total, rel=1e-14)
         assert scen.total_duration != pytest.approx(np.pi, rel=0.1)
 
@@ -117,19 +118,19 @@ class TestScenario:
     def test_perturbation(self):
         scen = build_twelve_segment()
         pert = perturb_scenario(scen, 0, 0.01)
-        assert pert.segments[0].p == pytest.approx(5.51)
-        assert pert.segments[1].p == scen.segments[1].p
+        assert pert.rotations[0] == pytest.approx(5.51)
+        assert pert.rotations[1] == scen.rotations[1]
 
     def test_integer_rotation_count_maps_to_identity(self):
         mode = scenario_mode()
         scen = make_scenario(mode, [(3.0, 2.0)])
-        state = propagate_bloch(scen, [scen.total_duration])[0]
+        state = propagate_bloch(mode, scen, [scen.total_duration])[0]
         assert np.allclose(state.w, np.eye(3), atol=1e-12)
 
     def test_half_integer_rotation_count_reflects_through_axis(self):
         mode = scenario_mode()
         scen = make_scenario(mode, [(3.0, 2.5)])
-        state = propagate_bloch(scen, [scen.total_duration])[0]
+        state = propagate_bloch(mode, scen, [scen.total_duration])[0]
         d = bloch_axis(mode, 3.0)
         a = d / np.linalg.norm(d)
         assert np.allclose(state.w, 2 * np.outer(a, a) - np.eye(3),
@@ -140,8 +141,8 @@ class TestScenario:
         mode = scenario_mode()
         scen = make_scenario(mode, [(2.0, 0.8), (0.7, 1.3), (4.0, 0.45)])
         taus = np.linspace(0.0, scen.total_duration, 9)
-        states = propagate_bloch(scen, taus)
-        us = evolve_grid(mode, scen.to_scale(), 0.0, taus)
+        states = propagate_bloch(mode, scen, taus)
+        us = evolve_grid(mode, scen, 0.0, taus)
         for st, u in zip(states, us):
             for alpha in range(3):
                 oracle = np.array([
@@ -155,9 +156,9 @@ class TestSixAndTwelve:
         scen = build_six_segment()
         r1 = 1.5 / np.tan(np.radians(10.0))
         r2 = 1.5 / np.tan(np.radians(70.0))
-        assert scen.segments[0].r_value == pytest.approx(r1)
-        assert scen.segments[1].r_value == pytest.approx(r2)
-        assert [s.p for s in scen.segments] == [5.5, 0.5] * 3
+        assert scen.values[0] == pytest.approx(r1)
+        assert scen.values[1] == pytest.approx(r2)
+        assert list(scen.rotations) == [5.5, 0.5] * 3
 
     @pytest.mark.parametrize("builder", [build_six_segment, build_twelve_segment])
     def test_non_physical_lambda_builds_research_mode(self, builder):
@@ -177,8 +178,8 @@ class TestSixAndTwelve:
     def test_reflection_pair_rotates_about_e2(self):
         # two half-integer segments compose to a 120-degree turn about e2
         scen = build_six_segment()
-        t_pair = scen.segments[0].duration + scen.segments[1].duration
-        state = propagate_bloch(scen, [t_pair])[0]
+        t_pair = scen.breakpoints[2]
+        state = propagate_bloch(scen.mode, scen, [t_pair])[0]
         rot = state.w
         angle = np.arccos((np.trace(rot) - 1.0) / 2.0)
         assert np.degrees(angle) == pytest.approx(120.0, abs=1e-9)
@@ -207,20 +208,20 @@ class TestSixAndTwelve:
 class TestVComponents:
     def test_initial_row_is_vertical(self):
         scen = build_six_segment()
-        rows = v_components(scen, [0.0, 1.0])
+        rows = v_components(scen.mode, scen, [0.0, 1.0])
         assert rows[0][1:] == (0.0, 0.0, 1.0)
 
     def test_components_bounded_by_one(self):
         scen = build_twelve_segment()
         taus = np.linspace(0.0, scen.total_duration, 101)
-        for row in v_components(scen, taus):
+        for row in v_components(scen.mode, scen, taus):
             assert all(abs(v) <= 1.0 + 1e-12 for v in row[1:])
 
     def test_trace_and_rotation_routes_agree(self):
         scen = build_six_segment()
         taus = np.linspace(0.0, scen.total_duration, 33)
         trace_rows = v_trace_formula(scen.mode, scen, taus)
-        bloch_rows = [st.v() for st in propagate_bloch(scen, taus)]
+        bloch_rows = [st.v() for st in propagate_bloch(scen.mode, scen, taus)]
         worst = max(np.max(np.abs(a - b))
                     for a, b in zip(trace_rows, bloch_rows))
         assert worst < 1e-8
@@ -228,7 +229,7 @@ class TestVComponents:
     def test_smooth_scale_routes_agree(self):
         mode = Mode(lam=1.5, mass=1.0, tau0=np.pi / 2)
         sc = dust_scale(5.0)
-        rows = v_components((mode, sc), np.linspace(0.5, 2.6, 11))
+        rows = v_components(mode, sc, np.linspace(0.5, 2.6, 11))
         assert rows[0][0] == 0.5
 
     @pytest.mark.parametrize("kind", ["scenario", "piecewise", "smooth"])
@@ -236,36 +237,42 @@ class TestVComponents:
         scen = build_six_segment()
         if kind == "scenario":
             mode, scale = scen.mode, scen
-            target, taus = scen, np.linspace(0.0, scen.total_duration, 21)
-            cum = scenario_v_rows_with_cumulative(scen, taus)
+            taus = np.linspace(0.0, scen.total_duration, 21)
+            cum = scenario_v_rows_with_cumulative(mode, scale, taus)
         else:
             mode = Mode(lam=1.5, mass=1.0, tau0=np.pi / 2)
-            scale = scen.to_scale() if kind == "piecewise" else dust_scale(5.0)
-            target, taus = (mode, scale), np.linspace(0.5, 2.6, 21)
-            cum = smooth_v_rows_with_cumulative(mode, scale, taus)
-        rows = v_rows_with_cumulative(target, taus)
+            taus = np.linspace(0.5, 2.6, 21)
+            if kind == "piecewise":
+                scale = PiecewiseConstantScale(scen.breakpoints, scen.values)
+                cum = scenario_v_rows_with_cumulative(mode, scale, taus)
+            else:
+                scale = dust_scale(5.0)
+                cum = smooth_v_rows_with_cumulative(mode, scale, taus)
+        rows = v_rows_with_cumulative(mode, scale, taus)
         trace = v_trace_formula(mode, scale, taus)
         for t, row, v, cr in zip(taus, rows, trace, cum):
             assert row == (t, *v, *cr[4:])
-        assert [r[:4] for r in rows] == v_components(target, taus)
+        assert [r[:4] for r in rows] == v_components(mode, scale, taus)
 
     def test_one_sweep_rows_catch_flipped_chirality(self, monkeypatch):
         scen = build_six_segment()
         monkeypatch.setattr(diracsea.bloch, "rotation_generator",
                             diracsea.bloch.bloch_axis)
         with pytest.raises(ConventionMismatch):
-            v_rows_with_cumulative(scen, np.linspace(0.0, scen.total_duration, 9))
+            v_rows_with_cumulative(scen.mode, scen,
+                                   np.linspace(0.0, scen.total_duration, 9))
 
     def test_twelve_segment_cumulative_cancellation(self):
         scen = build_twelve_segment()
         rows = scenario_v_rows_with_cumulative(
-            scen, [0.0, scen.total_duration / 3, scen.total_duration])
+            scen.mode, scen, [0.0, scen.total_duration / 3, scen.total_duration])
         final = np.array(rows[-1][4:])
         assert np.all(np.abs(final) <= 1e-8 * scen.r_max)
 
     def test_cumulative_matches_signature_components(self):
         scen = build_six_segment()
-        rows = scenario_v_rows_with_cumulative(scen, [scen.total_duration])
+        rows = scenario_v_rows_with_cumulative(scen.mode, scen,
+                                               [0.0, scen.total_duration])
         svec, _ = scenario_signature_components(scen)
         assert np.allclose(np.array(rows[-1][4:]), svec, atol=1e-12)
 
@@ -285,6 +292,13 @@ class TestVComponents:
         assert np.allclose(cum, [c1, c2, c3], atol=1e-6)
 
 
+    def test_smooth_rows_refuse_piecewise_scales(self):
+        # the stepper would cross the jumps of R (1e-8 off at this pair)
+        mode = Mode(lam=5.5, mass=1.0, tau0=0.2)
+        sc = PiecewiseConstantScale((0.0, 0.9, 1.7, 2.8), (2.2, 0.7, 1.4))
+        with pytest.raises(InvalidParameter):
+            smooth_v_rows_with_cumulative(mode, sc, [0.1, 2.75])
+
     @pytest.mark.parametrize("tau0", [0.0, 0.2, 1.3])
     def test_piecewise_pair_cumulative_against_quadrature(self, tau0):
         # closed-form frames re-referenced to tau0, against segment-wise
@@ -294,7 +308,7 @@ class TestVComponents:
         mode = Mode(lam=5.5, mass=1.0, tau0=tau0)
         sc = PiecewiseConstantScale((0.0, 0.9, 1.7, 2.8), (2.2, 0.7, 1.4))
         taus = [0.1, 0.8, 1.2, 2.75]
-        rows = smooth_v_rows_with_cumulative(mode, sc, taus)
+        rows = scenario_v_rows_with_cumulative(mode, sc, taus)
         trace_rows = v_trace_formula(mode, sc, taus)
         for t, row, want_v in zip(taus, rows, trace_rows):
             want = sum(quad_vec(lambda s: v_trace_formula(mode, sc, [s])[0] * r,
@@ -318,7 +332,7 @@ class TestBlochState:
                      for _ in range(rng.randint(1, 6))]
             scen = make_scenario(scenario_mode(), pairs)
             taus = np.linspace(0.0, scen.total_duration, 17)
-            for st in propagate_bloch(scen, taus):
+            for st in propagate_bloch(scen.mode, scen, taus):
                 defect = np.linalg.norm(st.w.T @ st.w - np.eye(3), 2)
                 assert defect <= 1e-10
                 assert np.linalg.det(st.w) > 0

@@ -132,6 +132,40 @@ def test_bloch_piecewise_pair_matches_trace_formula(tmp_path, tolerances):
     assert np.max(np.abs(rows[:, 1:4] - np.array(want))) < 1e-12
 
 
+def test_bloch_scenario_honours_tau_range(tmp_path):
+    # a rotation scenario takes tau_from/tau_to like any other scale, and
+    # its cumulative columns start at the first grid point
+    from diracsea.bloch import build_six_segment, v_trace_formula
+
+    doc = {"mode": {"lambda": 1.5, "mass": 1.0, "tau0": 0.0},
+           "scale": {"kind": "preset", "name": "six_segment"},
+           "run": {"tau_from": 2.0, "tau_to": 2.5, "samples": 3}}
+    code, text = run_cli(tmp_path, "bloch", doc)
+    assert code == 0
+    rows = np.array([[float(x) for x in line.split(",")]
+                     for line in text.strip().split("\n")[1:]])
+    assert list(rows[:, 0]) == [2.0, 2.25, 2.5]
+    scen = build_six_segment()
+    want = v_trace_formula(scen.mode, scen, rows[:, 0])
+    assert np.max(np.abs(rows[:, 1:4] - np.array(want))) < 1e-12
+    assert list(rows[0, 4:]) == [0.0, 0.0, 0.0]
+
+
+CFS_NAN = dict(BASE, run={"taus": [0.6, 1.1, 1.6, 2.1, 2.6],
+                          "lambdas": [1.5, -1.5], "members_per_mode": 2,
+                          "classify_tol": float("nan")})
+
+
+@pytest.mark.parametrize("command,doc,extra", [
+    ("signature", BASE, ("--quad-tol", "nan")),
+    ("cfs", CFS_NAN, ()),
+], ids=["quad_tol_flag", "classify_tol_in_file"])
+def test_non_finite_numbers_exit_1(tmp_path, capsys, command, doc, extra):
+    code, text = run_cli(tmp_path, command, doc, extra=extra)
+    assert code == 1 and text == ""
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "invalid_parameter"
+
+
 def test_jobs_is_a_study_option_only(tmp_path):
     scen = write_scenario(tmp_path, BASE)
     with pytest.raises(SystemExit) as exc:

@@ -103,6 +103,13 @@ class TestPiecewiseScale:
         with pytest.raises(InvalidParameter):
             PiecewiseConstantScale(breakpoints=(0.0, 1.0), values=(1.0, 2.0))
 
+    @pytest.mark.parametrize("breakpoints", [(0.0, 1.0, np.inf), (0.0, np.nan, 2.0),
+                                             (0.0, 1.0, np.nan)])
+    def test_rejects_non_finite_breakpoints(self, breakpoints):
+        # an infinite end would reach numpy's SVD as NaN frames
+        with pytest.raises(InvalidParameter):
+            PiecewiseConstantScale(breakpoints=breakpoints, values=(1.0, 2.0))
+
     def test_lifetime_integral(self):
         sc = PiecewiseConstantScale(breakpoints=(0.0, 1.0, 3.0),
                                     values=(2.0, 5.0))

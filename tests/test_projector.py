@@ -305,7 +305,7 @@ class TestNegativeProjection:
         from diracsea.bloch import build_twelve_segment
 
         scen = build_twelve_segment()
-        sig = signature_operator(scen.mode, scen.to_scale())
+        sig = signature_operator(scen.mode, scen)
         with pytest.raises(DegenerateSignature) as err:
             negative_projection(sig)
         assert abs(err.value.mu_minus) < err.value.threshold
@@ -461,7 +461,7 @@ def phase_transport_images(mode, sc, phi):
 def segments_case(lam):
     mode = Mode(lam=lam, mass=1.0, tau0=0.0)
     pairs = [(2.0, 0.5), (0.7, 0.6), (4.1, 1.0), (1.2, 0.5)]
-    return mode, make_scenario(mode, pairs).to_scale(), (0.36, 1.82)
+    return mode, make_scenario(mode, pairs), (0.36, 1.82)
 
 
 FIVE_STEPS = PiecewiseConstantScale(breakpoints=(0.0, 0.7, 1.1, 1.6, 2.4, 3.0),
@@ -474,7 +474,7 @@ PIECEWISE_CASES = {
     "segments_lam-5/2": lambda: segments_case(-2.5),
     "twelve_perturbed": lambda: (
         Mode(lam=1.5, mass=1.0, tau0=0.0),
-        perturb_scenario(build_twelve_segment(), 0, 0.01).to_scale(), (1.0, 2.0)),
+        perturb_scenario(build_twelve_segment(), 0, 0.01), (1.0, 2.0)),
     "tau0_inside": lambda: (Mode(lam=-1.5, mass=1.0, tau0=1.3), FIVE_STEPS, (0.9, 2.0)),
     "tau0_below": lambda: (Mode(lam=-1.5, mass=1.0, tau0=0.3), FIVE_STEPS, (0.9, 2.0)),
     "tau0_above": lambda: (Mode(lam=-1.5, mass=1.0, tau0=2.7), FIVE_STEPS, (0.9, 2.0)),
@@ -606,9 +606,9 @@ class TestPiecewiseExactRoute:
         fermionic_projector_apply(mode, sc, phi)
         cfs.kernel_apply(family, 1.7, phi, 0)
         cfs.correlation_trace_lifetime_integral(family)
-        bloch.propagate_bloch((mode, sc), taus)
-        bloch.v_components((mode, sc), taus)
-        bloch.smooth_v_rows_with_cumulative(mode, sc, taus)
+        bloch.propagate_bloch(mode, sc, taus)
+        bloch.v_components(mode, sc, taus)
+        bloch.scenario_v_rows_with_cumulative(mode, sc, taus)
         assert stepper_calls == []
         # the counter sees the stepper where it does run
         k_m_apply(mode, dust_scale(2.0), phi)

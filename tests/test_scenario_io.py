@@ -68,8 +68,7 @@ def test_preset_twelve_segment():
     d["scale"] = {"kind": "preset", "name": "twelve_segment"}
     cfg = parse_scenario(d)
     assert isinstance(cfg.scale, Scenario)
-    assert len(cfg.scale.segments) == 12
-    assert cfg.is_rotation_scenario
+    assert len(cfg.scale.rotations) == 12
     assert isinstance(cfg.plain_scale(), PiecewiseConstantScale)
 
 
@@ -79,7 +78,30 @@ def test_preset_with_perturbation():
     d["scale"] = {"kind": "preset", "name": "twelve_segment",
                   "perturb": {"index": 0, "dp": 0.01}}
     cfg = parse_scenario(d)
-    assert cfg.scale.segments[0].p == pytest.approx(5.51)
+    assert cfg.scale.rotations[0] == pytest.approx(5.51)
+
+
+def test_preset_checks_tau0_and_perturbed_index():
+    d = doc()
+    d["scale"] = {"kind": "preset", "name": "six_segment"}
+    with pytest.raises(InvalidParameter, match="tau0"):
+        parse_scenario(d)
+    d["mode"]["tau0"] = 0.0
+    d["scale"]["perturb"] = {"index": 6, "dp": 0.01}
+    with pytest.raises(InvalidParameter, match="segment 6"):
+        parse_scenario(d)
+    d["scale"]["perturb"]["index"] = 5
+    assert parse_scenario(d).scale.rotations[5] == pytest.approx(0.51)
+
+
+@pytest.mark.parametrize("where", ["mode", "scale", "tolerances"])
+def test_non_finite_numbers_rejected(where):
+    d = doc(tolerances={"ode_tol": 1e-9})
+    key = {"mode": "lambda", "scale": "r_max", "tolerances": "ode_tol"}[where]
+    for bad in (float("nan"), float("inf")):
+        d[where] = dict(d[where], **{key: bad})
+        with pytest.raises(InvalidParameter, match="not JSON compliant"):
+            parse_scenario(d)
 
 
 def test_segments_scale_requires_tau0_zero():
@@ -89,7 +111,7 @@ def test_segments_scale_requires_tau0_zero():
         parse_scenario(d)
     d["mode"]["tau0"] = 0.0
     cfg = parse_scenario(d)
-    assert cfg.scale.segments[0].r_value == 2.0
+    assert cfg.scale.values[0] == 2.0
 
 
 def test_smooth_table_parses():

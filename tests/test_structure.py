@@ -9,6 +9,10 @@
   segment products.
 * No function body imports a module of the package, and the module import
   graph has no cycle.
+* A rotation-count ``Scenario`` is a ``PiecewiseConstantScale`` and nothing
+  more: no conversion to a plain scale, no scenario fork but the one that
+  picks ``bloch``'s default end, and the same frames and rows as the plain
+  scale with its breakpoints and values.
 """
 
 import ast
@@ -16,15 +20,24 @@ from collections import Counter
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from diracsea.bloch import (Scenario, build_six_segment, make_scenario,
+                            perturb_scenario, propagate_bloch,
+                            v_rows_with_cumulative)
+from diracsea.model import Mode, PiecewiseConstantScale
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "diracsea"
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
            for path in sorted(PACKAGE.glob("*.py"))}
 
 
-def _calls(names):
-    """Counter of (module, enclosing function path) for calls of ``names``."""
+def _calls(names, accept=lambda call: True):
+    """Counter of (module, enclosing function path) for calls of ``names``.
+
+    Only the calls ``accept`` returns true for are counted.
+    """
     found = Counter()
 
     def visit(node, module, where):
@@ -33,7 +46,7 @@ def _calls(names):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in names:
+            if name in names and accept(node):
                 found[(module, ".".join(where))] += 1
         for child in ast.iter_child_nodes(node):
             visit(child, module, where)
@@ -95,3 +108,41 @@ def test_module_import_graph_is_acyclic():
         tuple(TopologicalSorter(graph).static_order())
     except CycleError as exc:
         pytest.fail(f"import cycle: {exc.args[1]}")
+
+
+def test_scenario_is_a_piecewise_constant_scale():
+    assert issubclass(Scenario, PiecewiseConstantScale)
+
+
+def test_no_scenario_conversion():
+    names = {"to_scale", "is_rotation_scenario"}
+    found = [(module, node.lineno) for module, tree in MODULES.items()
+             for node in ast.walk(tree)
+             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and node.name in names)
+             or (isinstance(node, ast.Attribute) and node.attr in names)
+             or (isinstance(node, ast.Name) and node.id in names)]
+    assert found == []
+
+
+def test_one_scenario_isinstance():
+    def of_scenario(call):
+        return any(getattr(n, "id", getattr(n, "attr", None)) == "Scenario"
+                   for n in ast.walk(call.args[1]))
+
+    assert _calls({"isinstance"}, of_scenario) == Counter({("cli", "cmd_bloch"): 1})
+
+
+@pytest.mark.parametrize("scen", [
+    build_six_segment(),
+    perturb_scenario(build_six_segment(), 3, 0.01),
+    make_scenario(Mode(lam=-2.5, mass=0.7, tau0=0.0), [(2.0, 0.8), (0.4, 1.3)]),
+], ids=["six_segment", "six_perturbed", "two_segments"])
+def test_scenario_frames_and_rows_are_its_plain_scale(scen):
+    plain = PiecewiseConstantScale(scen.breakpoints, scen.values)
+    taus = np.linspace(0.0, scen.tau_end, 13)
+    for got, want in zip(propagate_bloch(scen.mode, scen, taus),
+                         propagate_bloch(scen.mode, plain, taus)):
+        assert np.array_equal(got.w, want.w)
+    assert np.array_equal(v_rows_with_cumulative(scen.mode, scen, taus),
+                          v_rows_with_cumulative(scen.mode, plain, taus))
