@@ -24,7 +24,7 @@ from . import bloch as bloch_mod
 from . import cfs as cfs_mod
 from . import projector as proj_mod
 from . import studies as studies_mod
-from .errors import DiracSeaError
+from .errors import DiracSeaError, InvalidParameter
 from .evolution import evolve_grid
 from .model import Mode, unitarity_defect
 from .scenario_io import ScenarioConfig, load_scenario
@@ -52,13 +52,20 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_csv(out, header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
-    out.write("\n".join(lines) + "\n")
+def _emit(out, args, header, rows, payload=None):
+    """Write ``rows`` under ``header`` as CSV, or ``payload`` as JSON.
 
-
-def _write_json(out, payload):
+    The JSON default is ``{"rows": [...]}``, each row keyed by the header,
+    its strings kept and its numbers as floats.
+    """
+    if args.format == "csv":
+        lines = [",".join(header)]
+        lines.extend(",".join(_fmt(x) for x in row) for row in rows)
+        out.write("\n".join(lines) + "\n")
+        return
+    if payload is None:
+        payload = {"rows": [{name: x if isinstance(x, str) else float(x)
+                             for name, x in zip(header, row)} for row in rows]}
     out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -94,11 +101,7 @@ def cmd_evolve(cfg: ScenarioConfig, args, out):
                      u[0, 0].real, u[0, 0].imag, u[0, 1].real, u[0, 1].imag,
                      u[1, 0].real, u[1, 0].imag, u[1, 1].real, u[1, 1].imag,
                      unitarity_defect(u)])
-    if args.format == "json":
-        _write_json(out, {"rows": [dict(zip(header, map(float, r)))
-                                   for r in rows]})
-    else:
-        _write_csv(out, header, rows)
+    _emit(out, args, header, rows)
     return EXIT_OK
 
 
@@ -112,18 +115,15 @@ def cmd_signature(cfg: ScenarioConfig, args, out):
               "quad_error_estimate"]
     row = [cfg.mode.tau0, sig.mu_minus, sig.mu_plus, c0, c1, c2, c3,
            sig.quad_error_estimate]
-    if args.format == "json":
-        _write_json(out, {
-            "tau0": cfg.mode.tau0,
-            "wkb": wkb,
-            "matrix": [_complex_pairs(r) for r in sig.s.matrix],
-            "eigenvalues": [sig.mu_minus, sig.mu_plus],
-            "pauli_components": [c0, c1, c2, c3],
-            "quad_error_estimate": sig.quad_error_estimate,
-            "scale_bound": sig.scale_bound,
-        })
-    else:
-        _write_csv(out, header, [row])
+    _emit(out, args, header, [row], {
+        "tau0": cfg.mode.tau0,
+        "wkb": wkb,
+        "matrix": [_complex_pairs(r) for r in sig.s.matrix],
+        "eigenvalues": [sig.mu_minus, sig.mu_plus],
+        "pauli_components": [c0, c1, c2, c3],
+        "quad_error_estimate": sig.quad_error_estimate,
+        "scale_bound": sig.scale_bound,
+    })
     return EXIT_OK
 
 
@@ -145,16 +145,12 @@ def cmd_project(cfg: ScenarioConfig, args, out):
         res = proj_mod.p_wkb_apply(cfg.mode, scale, phi,
                                    variant=proj_mod.PWkbVariant.LEADING_ORDER,
                                    tol=tols.ode_tol)
-    if args.format == "json":
-        _write_json(out, {"value": _complex_pairs(res.value),
-                          "norm": res.norm(),
-                          "provenance": res.provenance.value})
-    else:
-        header = ["re_1", "im_1", "re_2", "im_2", "norm", "provenance"]
-        row = [res.value[0].real, res.value[0].imag,
-               res.value[1].real, res.value[1].imag, res.norm(),
-               res.provenance.value]
-        _write_csv(out, header, [row])
+    norm, provenance = res.norm(), res.provenance.value
+    header = ["re_1", "im_1", "re_2", "im_2", "norm", "provenance"]
+    row = [res.value[0].real, res.value[0].imag,
+           res.value[1].real, res.value[1].imag, norm, provenance]
+    _emit(out, args, header, [row], {"value": _complex_pairs(res.value),
+                                     "norm": norm, "provenance": provenance})
     return EXIT_OK
 
 
@@ -168,11 +164,7 @@ def cmd_bloch(cfg: ScenarioConfig, args, out):
               "cum_int_v1R", "cum_int_v2R", "cum_int_v3R"]
     rows = bloch_mod.v_rows_with_cumulative(cfg.mode, scale, taus,
                                             tol=cfg.tolerances.ode_tol)
-    if args.format == "json":
-        _write_json(out, {"rows": [dict(zip(header, map(float, r)))
-                                   for r in rows]})
-    else:
-        _write_csv(out, header, rows)
+    _emit(out, args, header, rows)
     return EXIT_OK
 
 
@@ -208,12 +200,7 @@ def cmd_cfs(cfg: ScenarioConfig, args, out):
             cls = cfs_mod.causal_classify(correlations[tx], correlations[ty],
                                           tol=classify_tol)
             rows.append([tx, ty, cls.value])
-    header = ["tau_x", "tau_y", "class"]
-    if args.format == "json":
-        _write_json(out, {"rows": [{"tau_x": float(r[0]), "tau_y": float(r[1]),
-                                    "class": r[2]} for r in rows]})
-    else:
-        _write_csv(out, header, rows)
+    _emit(out, args, ["tau_x", "tau_y", "class"], rows)
     return EXIT_OK
 
 
@@ -221,12 +208,10 @@ def cmd_study(cfg: ScenarioConfig, args, out):
     run = cfg.run
     kind = studies_mod.StudyKind(run["kind"])
     grid = [float(x) for x in run["grid"]]
-    lam_doc = run.get("lambda", {"kind": "fixed", "value": cfg.mode.lam})
-    lam_spec = studies_mod.LambdaSpec(
-        kind=lam_doc.get("kind", "fixed"),
-        value=float(lam_doc.get("value", cfg.mode.lam)),
-        k=float(lam_doc.get("k", 1.0)),
-        exponent=float(lam_doc.get("exponent", 0.8)))
+    # the spec's own defaults, but the mode's lambda for a fixed value
+    lam_spec = studies_mod.LambdaSpec(**{
+        key: x if key == "kind" else float(x)
+        for key, x in {"value": cfg.mode.lam, **run.get("lambda", {})}.items()})
     probe = _parse_probe(run["phi"]) if "phi" in run else None
     tols = cfg.tolerances
     result = studies_mod.run_study(
@@ -240,19 +225,15 @@ def cmd_study(cfg: ScenarioConfig, args, out):
     header = ["m_rmax", "lambda", "measured", "envelope", "pass"]
     rows = [[r.m_rmax, r.lam, r.measured, r.envelope, r.passed]
             for r in result.records]
-    if args.format == "json":
-        _write_json(out, {
-            "kind": result.kind.value,
-            "fitted_constant": result.fitted_constant,
-            "slope": result.slope,
-            "slack": result.slack,
-            "passed": result.passed,
-            "records": [dict(zip(header, [r.m_rmax, r.lam, r.measured,
-                                          r.envelope, bool(r.passed)]))
-                        for r in result.records],
-        })
-    else:
-        _write_csv(out, header, rows)
+    _emit(out, args, header, rows, {
+        "kind": result.kind.value,
+        "fitted_constant": result.fitted_constant,
+        "slope": result.slope,
+        "slack": result.slack,
+        "passed": result.passed,
+        "records": [dict(zip(header, row)) for row in rows],
+    })
+    if args.format == "csv":
         sys.stderr.write(json.dumps(
             {"fitted_constant": result.fitted_constant,
              "slope": result.slope, "passed": result.passed}) + "\n")
@@ -298,12 +279,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _configure_logging():
+    raw = os.environ.get("DIRACSEA_LOG", "WARNING")
+    level = raw.upper()
+    if not isinstance(logging.getLevelName(level), int):
+        raise InvalidParameter(f"DIRACSEA_LOG={raw!r} is not a log level "
+                               "(DEBUG, INFO, WARNING, ERROR, CRITICAL)")
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("DIRACSEA_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
+        _configure_logging()
         flags = {name: getattr(args, name)
                  for name in ("ode_tol", "quad_tol", "gap_tol")
                  if getattr(args, name) is not None}

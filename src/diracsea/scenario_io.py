@@ -4,7 +4,8 @@ A scenario file fixes the mode, the scale function (or rotation-count
 scenario), command-specific run options, and the three tolerances.
 Unknown keys are rejected everywhere, run options included (``RUN_OPTIONS``
 lists each command's), so typos fail loudly instead of silently running
-with defaults.
+with defaults.  Each scale kind is one ``SCALE_KINDS`` entry, which both
+validates its block and builds its scale.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .model import (
     constant_scale,
     smooth_table_scale,
 )
-from .studies import StudyKind
+from .studies import LAMBDA_KINDS, StudyKind
 
 _NUMBER = {"type": "number"}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
@@ -61,111 +62,73 @@ RUN_OPTIONS = {
     "study": _options(
         "kind", "grid", kind={"enum": [k.value for k in StudyKind]},
         grid=_NUMBERS, phi=_PROBE, r_max=_POSITIVE, slack=_NUMBER,
-        **{"lambda": _options(kind={"type": "string"}, value=_NUMBER,
+        **{"lambda": _options(kind={"enum": list(LAMBDA_KINDS)}, value=_NUMBER,
                               k=_NUMBER, exponent=_NUMBER)}),
 }
 
-SCENARIO_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["mode", "scale"],
-    "properties": {
-        "mode": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["lambda", "mass", "tau0"],
-            "properties": {
-                "lambda": _NUMBER,
-                "mass": _POSITIVE,
-                "tau0": {"type": "number", "minimum": 0,
-                         "exclusiveMaximum": float(np.pi)},
-                "physical": {"type": "boolean"},
-            },
-        },
-        "scale": {
-            "type": "object",
-            "oneOf": [
-                {
-                    "additionalProperties": False,
-                    "required": ["kind", "r_max"],
-                    "properties": {"kind": {"const": "dust"},
-                                   "r_max": _POSITIVE},
-                },
-                {
-                    "additionalProperties": False,
-                    "required": ["kind", "r"],
-                    "properties": {"kind": {"const": "constant"},
-                                   "r": _POSITIVE},
-                },
-                {
-                    "additionalProperties": False,
-                    "required": ["kind", "taus", "values", "r_max"],
-                    "properties": {
-                        "kind": {"const": "smooth_table"},
-                        "taus": {"type": "array", "items": _NUMBER,
-                                 "minItems": 4},
-                        "values": {"type": "array", "items": _NUMBER,
-                                   "minItems": 4},
-                        "r_max": _POSITIVE,
-                    },
-                },
-                {
-                    "additionalProperties": False,
-                    "required": ["kind", "breakpoints", "values"],
-                    "properties": {
-                        "kind": {"const": "piecewise"},
-                        "breakpoints": {"type": "array", "items": _NUMBER,
-                                        "minItems": 2},
-                        "values": {"type": "array", "items": _POSITIVE,
-                                   "minItems": 1},
-                    },
-                },
-                {
-                    "additionalProperties": False,
-                    "required": ["kind", "segments"],
-                    "properties": {
-                        "kind": {"const": "segments"},
-                        "segments": {
-                            "type": "array",
-                            "minItems": 1,
-                            "items": {"type": "array", "minItems": 2,
-                                      "maxItems": 2, "items": _POSITIVE},
-                        },
-                    },
-                },
-                {
-                    "additionalProperties": False,
-                    "required": ["kind", "name"],
-                    "properties": {
-                        "kind": {"const": "preset"},
-                        "name": {"enum": ["six_segment", "twelve_segment"]},
-                        "perturb": {
-                            "type": "object",
-                            "additionalProperties": False,
-                            "required": ["index", "dp"],
-                            "properties": {"index": {"type": "integer",
-                                                     "minimum": 0},
-                                           "dp": _NUMBER},
-                        },
-                    },
-                },
-            ],
-        },
-        "run": {"type": "object"},
-        "tolerances": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "ode_tol": {"type": "number", "exclusiveMinimum": 1e-14,
-                            "exclusiveMaximum": 1e-4},
-                "quad_tol": {"type": "number", "exclusiveMinimum": 1e-14,
-                             "maximum": 1e-3},
-                "gap_tol": {"type": "number", "exclusiveMinimum": 1e-12,
-                            "maximum": 0.1},
-            },
-        },
-    },
+_PRESETS = {"six_segment": build_six_segment, "twelve_segment": build_twelve_segment}
+
+
+def _preset(sdoc, mode):
+    # the document's mode, so that Scenario checks its tau0
+    scale = replace(_PRESETS[sdoc["name"]](lam=mode.lam, mass=mode.mass), mode=mode)
+    if "perturb" in sdoc:
+        scale = perturb_scenario(scale, int(sdoc["perturb"]["index"]),
+                                 float(sdoc["perturb"]["dp"]))
+    return scale
+
+
+#: Each scale kind: the schema of its keys besides ``kind``, and the
+#: builder of its scale from the ``scale`` block and the mode.
+SCALE_KINDS = {
+    "dust": (_options("r_max", r_max=_POSITIVE),
+             lambda sdoc, mode: dust_scale(float(sdoc["r_max"]))),
+    "constant": (_options("r", r=_POSITIVE),
+                 lambda sdoc, mode: constant_scale(float(sdoc["r"]))),
+    "smooth_table": (
+        _options("taus", "values", "r_max", taus=dict(_NUMBERS, minItems=4),
+                 values=dict(_NUMBERS, minItems=4), r_max=_POSITIVE),
+        lambda sdoc, mode: smooth_table_scale(sdoc["taus"], sdoc["values"],
+                                              float(sdoc["r_max"]))),
+    "piecewise": (
+        _options("breakpoints", "values", breakpoints=dict(_NUMBERS, minItems=2),
+                 values=dict(_NUMBERS, items=_POSITIVE)),
+        lambda sdoc, mode: PiecewiseConstantScale(
+            breakpoints=tuple(sdoc["breakpoints"]), values=tuple(sdoc["values"]))),
+    "segments": (
+        _options("segments", segments=dict(_NUMBERS, items=dict(
+            _PAIR, items=_POSITIVE))),
+        lambda sdoc, mode: make_scenario(mode, sdoc["segments"])),
+    "preset": (
+        _options("name", name={"enum": list(_PRESETS)},
+                 perturb=_options("index", "dp",
+                                  index={"type": "integer", "minimum": 0},
+                                  dp=_NUMBER)),
+        _preset),
 }
+
+SCENARIO_SCHEMA = _options(
+    "mode", "scale",
+    mode=_options("lambda", "mass", "tau0", **{"lambda": _NUMBER}, mass=_POSITIVE,
+                  tau0={"type": "number", "minimum": 0,
+                        "exclusiveMaximum": float(np.pi)},
+                  physical={"type": "boolean"}),
+    # the named kind's schema applies; "required" keeps a block without
+    # kind from matching every branch
+    scale={"type": "object", "required": ["kind"],
+           "properties": {"kind": {"enum": list(SCALE_KINDS)}},
+           "allOf": [{"if": {"required": ["kind"],
+                             "properties": {"kind": {"const": kind}}},
+                      "then": dict(schema, properties={"kind": True,
+                                                       **schema["properties"]})}
+                     for kind, (schema, _) in SCALE_KINDS.items()]},
+    run={"type": "object"},
+    tolerances=_options(
+        ode_tol={"type": "number", "exclusiveMinimum": 1e-14,
+                 "exclusiveMaximum": 1e-4},
+        quad_tol={"type": "number", "exclusiveMinimum": 1e-14, "maximum": 1e-3},
+        gap_tol={"type": "number", "exclusiveMinimum": 1e-12, "maximum": 0.1}),
+)
 
 
 @functools.cache
@@ -232,38 +195,9 @@ def parse_scenario(doc: dict, command: str | None = None,
                 physical=bool(mdoc.get("physical", True)))
 
     sdoc = doc["scale"]
-    kind = sdoc["kind"]
-    if kind == "dust":
-        scale = dust_scale(float(sdoc["r_max"]))
-    elif kind == "constant":
-        scale = constant_scale(float(sdoc["r"]))
-    elif kind == "smooth_table":
-        scale = smooth_table_scale(sdoc["taus"], sdoc["values"],
-                                   float(sdoc["r_max"]))
-    elif kind == "piecewise":
-        scale = PiecewiseConstantScale(breakpoints=tuple(sdoc["breakpoints"]),
-                                       values=tuple(sdoc["values"]))
-    elif kind == "segments":
-        scale = make_scenario(mode, sdoc["segments"])
-    elif kind == "preset":
-        builder = {"six_segment": build_six_segment,
-                   "twelve_segment": build_twelve_segment}[sdoc["name"]]
-        # the document's mode, so that Scenario checks its tau0
-        scale = replace(builder(lam=mode.lam, mass=mode.mass), mode=mode)
-        if "perturb" in sdoc:
-            scale = perturb_scenario(scale, int(sdoc["perturb"]["index"]),
-                                     float(sdoc["perturb"]["dp"]))
-    else:  # pragma: no cover - schema forbids
-        raise InvalidParameter(f"unknown scale kind {kind!r}")
-
-    tdoc = doc.get("tolerances", {})
-    tols = Tolerances(
-        ode_tol=float(tdoc.get("ode_tol", DEFAULT_ODE_TOL)),
-        quad_tol=float(tdoc.get("quad_tol", DEFAULT_QUAD_TOL)),
-        gap_tol=float(tdoc.get("gap_tol", DEFAULT_GAP_TOL)),
-    )
+    scale = SCALE_KINDS[sdoc["kind"]][1](sdoc, mode)
     return ScenarioConfig(mode=mode, scale=scale, run=dict(doc.get("run", {})),
-                          tolerances=tols)
+                          tolerances=Tolerances(**doc.get("tolerances", {})))
 
 
 def load_scenario(path: str, command: str | None = None,

@@ -11,6 +11,8 @@ slope of the measured quantity is reported alongside.
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -65,13 +67,9 @@ class LambdaSpec:
     exponent: float = 0.8
 
     def resolve(self, m_rmax: float) -> float:
-        if self.kind == "fixed":
-            return self.value
-        if self.kind == "track_mrmax":
-            return nearest_physical_eigenvalue(self.k * m_rmax)
-        if self.kind == "track_power":
-            return nearest_physical_eigenvalue(m_rmax ** self.exponent)
-        raise InvalidParameter(f"unknown lambda spec kind {self.kind!r}")
+        if self.kind not in LAMBDA_KINDS:
+            raise InvalidParameter(f"unknown lambda spec kind {self.kind!r}")
+        return LAMBDA_KINDS[self.kind](self, m_rmax)
 
 
 def nearest_physical_eigenvalue(x: float) -> float:
@@ -80,6 +78,15 @@ def nearest_physical_eigenvalue(x: float) -> float:
     mag = max(abs(x), 1.5)
     half = round(mag - 0.5) + 0.5
     return sign * max(half, 1.5)
+
+
+#: Each lambda-spec kind: the eigenvalue a ``LambdaSpec`` picks at m r_max.
+LAMBDA_KINDS = {
+    "fixed": lambda spec, m_rmax: spec.value,
+    "track_mrmax": lambda spec, m_rmax: nearest_physical_eigenvalue(spec.k * m_rmax),
+    "track_power": lambda spec, m_rmax: nearest_physical_eigenvalue(
+        m_rmax ** spec.exponent),
+}
 
 
 @dataclass(frozen=True)
@@ -123,47 +130,50 @@ class ProbeSpec:
                     self.amplitude)
 
 
-def _envelope_shape(kind: StudyKind, m_rmax: float, mass: float,
-                    r_max: float, probe_l1: float) -> float:
-    if kind is StudyKind.S_WKB_BOUND:
-        return mass ** -0.2 * r_max ** 0.8
-    if kind is StudyKind.P_WKB_BOUND:
-        return m_rmax ** -0.2 * r_max * probe_l1
-    if kind is StudyKind.LEADING_TERM_BOUND:
-        return 1.0 / mass
-    if kind is StudyKind.W_DEVIATION:
-        return m_rmax ** -0.2
-    raise InvalidParameter(f"unknown study kind {kind}")
+def _s_wkb_gap(mode, scale, probe, ode_tol, quad_tol, gap_tol):
+    s = signature_operator(mode, scale, tol=quad_tol, ode_tol=ode_tol)
+    sw = signature_operator_wkb(mode, scale, tol=quad_tol, ode_tol=ode_tol)
+    return spectral_norm(s.s.matrix - sw.s.matrix)
+
+
+def _p_wkb_gap(mode, scale, probe, ode_tol, quad_tol, gap_tol):
+    phi, tols = probe.build(), dict(tol=ode_tol, quad_tol=quad_tol, gap_tol=gap_tol)
+    p = fermionic_projector_apply(mode, scale, phi, **tols).value
+    return float(np.linalg.norm(p - p_wkb_apply(mode, scale, phi, **tols).value))
+
+
+def _leading_term_gap(mode, scale, probe, ode_tol, quad_tol, gap_tol):
+    sw = signature_operator_wkb(mode, scale, tol=quad_tol, ode_tol=ode_tol)
+    lead = wkb_signature_leading_term(mode, scale)
+    return spectral_norm(sw.s.matrix - lead.matrix)
+
+
+def _w_deviation(mode, scale, probe, ode_tol, quad_tol, gap_tol):
+    taus = np.linspace(W_WINDOW_MARGIN, scale.tau_end - W_WINDOW_MARGIN,
+                       W_WINDOW_POINTS)
+    return float(max(wkb_deviation_grid(mode, scale, taus, tol=ode_tol)))
+
+
+#: Each study: its envelope shape at (m r_max, mass, r_max, probe L1 norm),
+#: and the quantity it measures on (mode, dust scale, probe, tolerances).
+STUDIES = {
+    StudyKind.S_WKB_BOUND: (lambda m_rmax, mass, r_max, l1: mass ** -0.2 * r_max ** 0.8,
+                            _s_wkb_gap),
+    StudyKind.P_WKB_BOUND: (lambda m_rmax, mass, r_max, l1: m_rmax ** -0.2 * r_max * l1,
+                            _p_wkb_gap),
+    StudyKind.LEADING_TERM_BOUND: (lambda m_rmax, mass, r_max, l1: 1.0 / mass,
+                                   _leading_term_gap),
+    StudyKind.W_DEVIATION: (lambda m_rmax, mass, r_max, l1: m_rmax ** -0.2,
+                            _w_deviation),
+}
 
 
 def _measure(kind: StudyKind, m_rmax: float, lam: float, mass: float,
-             r_max: float, tau0: float, probe: ProbeSpec | None,
+             r_max: float, *, tau0: float, probe: ProbeSpec | None,
              ode_tol: float, quad_tol: float, gap_tol: float) -> float:
     mode = Mode(lam=lam, mass=mass, tau0=tau0,
                 physical=is_physical_eigenvalue(lam))
-    scale = dust_scale(r_max)
-    if kind is StudyKind.S_WKB_BOUND:
-        s = signature_operator(mode, scale, tol=quad_tol, ode_tol=ode_tol)
-        sw = signature_operator_wkb(mode, scale, tol=quad_tol, ode_tol=ode_tol)
-        return spectral_norm(s.s.matrix - sw.s.matrix)
-    if kind is StudyKind.P_WKB_BOUND:
-        phi, tols = probe.build(), dict(tol=ode_tol, quad_tol=quad_tol, gap_tol=gap_tol)
-        p = fermionic_projector_apply(mode, scale, phi, **tols).value
-        return float(np.linalg.norm(p - p_wkb_apply(mode, scale, phi, **tols).value))
-    if kind is StudyKind.LEADING_TERM_BOUND:
-        sw = signature_operator_wkb(mode, scale, tol=quad_tol, ode_tol=ode_tol)
-        lead = wkb_signature_leading_term(mode, scale)
-        return spectral_norm(sw.s.matrix - lead.matrix)
-    if kind is StudyKind.W_DEVIATION:
-        taus = np.linspace(W_WINDOW_MARGIN, scale.tau_end - W_WINDOW_MARGIN,
-                           W_WINDOW_POINTS)
-        return float(max(wkb_deviation_grid(mode, scale, taus, tol=ode_tol)))
-    raise InvalidParameter(f"unknown study kind {kind}")
-
-
-def _point_task(args):
-    kind_value, *point, tols = args
-    return _measure(StudyKind(kind_value), *point, *tols)
+    return STUDIES[kind][1](mode, dust_scale(r_max), probe, ode_tol, quad_tol, gap_tol)
 
 
 def run_study(kind: StudyKind, grid, lam_spec: LambdaSpec = LambdaSpec(),
@@ -200,20 +210,16 @@ def run_study(kind: StudyKind, grid, lam_spec: LambdaSpec = LambdaSpec(),
         points.append((m_rmax, lam, mass, r_max))
 
     probe_l1 = probe.build().l1_norm if probe is not None else 1.0
-    tols = (ode_tol, quad_tol, gap_tol)
-    tasks = [(kind.value, m_rmax, lam, mass, r_max, tau0, probe, tols)
-             for (m_rmax, lam, mass, r_max) in points]
+    measure = functools.partial(_measure, kind, tau0=tau0, probe=probe,
+                                ode_tol=ode_tol, quad_tol=quad_tol, gap_tol=gap_tol)
+    measured = [measure(*points[0])]
+    if jobs > 1 and len(points) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            measured.extend(pool.map(measure, *zip(*points[1:])))
+    else:
+        measured.extend(itertools.starmap(measure, points[1:]))
 
-    measured = [_point_task(tasks[0])]
-    rest = tasks[1:]
-    if rest:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                measured.extend(pool.map(_point_task, rest))
-        else:
-            measured.extend(_point_task(t) for t in rest)
-
-    shapes = [_envelope_shape(kind, m_rmax, mass, r_max, probe_l1)
+    shapes = [STUDIES[kind][0](m_rmax, mass, r_max, probe_l1)
               for (m_rmax, lam, mass, r_max) in points]
     if shapes[0] <= 0 or measured[0] <= 0:
         raise InvalidParameter("degenerate fit point; cannot calibrate envelope")

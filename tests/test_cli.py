@@ -243,6 +243,26 @@ def test_study_envelope_violation_exits_3(tmp_path, capsys):
     assert text.strip().split("\n")[1].endswith("false")
 
 
+def test_unknown_lambda_kind_fails_validation(tmp_path, capsys):
+    doc = dict(BASE, run={"kind": "s_wkb_bound", "grid": [5.0, 10.0],
+                          "lambda": {"kind": "bogus"}})
+    code, text = run_cli(tmp_path, "study", doc)
+    assert code == 1 and text == ""
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "invalid_parameter"
+    assert err["message"] == ("scenario invalid: 'bogus' is not one of "
+                              "['fixed', 'track_mrmax', 'track_power']")
+
+
+def test_unknown_log_level_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DIRACSEA_LOG", "verbose")
+    code, text = run_cli(tmp_path, "signature", BASE)
+    assert code == 1 and text == ""
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "invalid_parameter"
+    assert "DIRACSEA_LOG" in err["message"]
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     code = main(["signature", "--scenario", str(tmp_path / "nope.json")])
     assert code == 1

@@ -139,3 +139,27 @@ def test_physical_flag_respected():
     d["mode"]["physical"] = False
     cfg = parse_scenario(d)
     assert cfg.mode.lam == 0.7
+
+
+@pytest.mark.parametrize("scale,message", [
+    ({"kind": "dust"}, "'r_max' is a required property"),
+    ({"kind": "constant", "r": 2.0, "r_max": 2.0},
+     "Additional properties are not allowed ('r_max' was unexpected)"),
+    ({"kind": "smooth_table", "taus": [0, 1, 2, 3], "values": [1, 2, 3, 4]},
+     "'r_max' is a required property"),
+    ({"kind": "piecewise", "breakpoints": [0.0, 1.0]},
+     "'values' is a required property"),
+    ({"kind": "segments", "segment": [[2.0, 1.5]]},
+     "Additional properties are not allowed ('segment' was unexpected)"),
+    ({"kind": "preset", "name": "nine"},
+     "'nine' is not one of ['six_segment', 'twelve_segment']"),
+    ({"kind": "preset", "name": "six_segment", "perturb": {"index": 0}},
+     "'dp' is a required property"),
+    ({"kind": "weird", "r": 1.0}, "'weird' is not one of ['dust', 'constant'"),
+    ({"r_max": 1.0}, "'kind' is a required property"),
+], ids=["dust", "constant", "smooth_table", "piecewise", "segments", "preset",
+        "preset_perturb", "unknown_kind", "no_kind"])
+def test_scale_errors_name_the_field(scale, message):
+    with pytest.raises(InvalidParameter) as exc:
+        parse_scenario(doc(scale=scale))
+    assert str(exc.value).startswith(f"scenario invalid: {message}")

@@ -13,6 +13,11 @@
   more: no conversion to a plain scale, no scenario fork but the one that
   picks ``bloch``'s default end, and the same frames and rows as the plain
   scale with its breakpoints and values.
+* Each scenario and CLI choice is one table entry: the schema's scale kinds
+  are ``SCALE_KINDS``, whose builders ``parse_scenario`` calls without
+  comparing kind names; the study kinds are ``STUDIES``; the lambda-spec
+  kinds are ``LAMBDA_KINDS``, for the schema and ``LambdaSpec.resolve``
+  alike; and the commands leave the output format to ``cli._emit``.
 """
 
 import ast
@@ -27,6 +32,8 @@ from diracsea.bloch import (Scenario, build_six_segment, make_scenario,
                             perturb_scenario, propagate_bloch,
                             v_rows_with_cumulative)
 from diracsea.model import Mode, PiecewiseConstantScale
+from diracsea.scenario_io import RUN_OPTIONS, SCALE_KINDS, SCENARIO_SCHEMA
+from diracsea.studies import LAMBDA_KINDS, STUDIES, LambdaSpec, StudyKind
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "diracsea"
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
@@ -146,3 +153,51 @@ def test_scenario_frames_and_rows_are_its_plain_scale(scen):
         assert np.array_equal(got.w, want.w)
     assert np.array_equal(v_rows_with_cumulative(scen.mode, scen, taus),
                           v_rows_with_cumulative(scen.mode, plain, taus))
+
+
+def _function(module, name):
+    """The ``def`` of ``name`` (``Class.method`` for a method) in ``module``."""
+    scope = MODULES[module]
+    for part in name.split("."):
+        scope = next(node for node in scope.body
+                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                     and node.name == part)
+    return scope
+
+
+def _compared_strings(fn):
+    """String constants that ``fn`` compares anything against."""
+    return {node.value for cmp in ast.walk(fn) if isinstance(cmp, ast.Compare)
+            for node in [cmp.left, *cmp.comparators]
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def test_schema_scale_kinds_are_the_table():
+    scale = SCENARIO_SCHEMA["properties"]["scale"]
+    assert scale["properties"]["kind"]["enum"] == list(SCALE_KINDS)
+    assert [branch["if"]["properties"]["kind"]["const"]
+            for branch in scale["allOf"]] == list(SCALE_KINDS)
+
+
+def test_parse_scenario_compares_no_kind_name():
+    assert _compared_strings(_function("scenario_io", "parse_scenario")) == set()
+
+
+def test_only_study_reads_the_output_format():
+    readers = {fn.name for fn in MODULES["cli"].body
+               if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Attribute) and node.attr == "format"}
+    assert readers == {"cmd_study"}  # its stderr summary is CSV-only
+
+
+def test_one_study_entry_per_kind():
+    assert set(STUDIES) == set(StudyKind) and len(STUDIES) == len(StudyKind)
+
+
+def test_lambda_kinds_of_schema_and_resolve_agree():
+    schema = RUN_OPTIONS["study"]["properties"]["lambda"]["properties"]["kind"]
+    assert schema["enum"] == list(LAMBDA_KINDS)
+    assert _compared_strings(_function("studies", "LambdaSpec.resolve")) == set()
+    for kind in LAMBDA_KINDS:
+        assert LambdaSpec(kind=kind).resolve(10.0) > 0
