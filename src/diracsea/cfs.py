@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFamily, InvalidParameter
-from .evolution import evolve, exact_transport, interval_integral, propagators
+from .evolution import (evolve, exact_transport, interval_integral, propagators,
+                        sigma3_conjugated)
 from .model import (
     DEFAULT_GAP_TOL,
     DEFAULT_ODE_TOL,
@@ -306,10 +307,12 @@ def correlation_trace_lifetime_integral(family: SolutionFamily,
 
     d_lo, d_hi = _choose_cutoffs(scale, quad_tol)
 
+    # Tr(sigma3 U G U^dagger) = Tr(G K) with K = U^dagger sigma3 U: the
+    # entrywise sum of G^T times K, real since G and K are Hermitian
+    weights = grams.transpose(0, 2, 1).ravel()
+
     def integrand(t, r, x):
-        u = x.reshape(-1, 2, 2)
-        tr = np.einsum("nab,nbc,nac,a->", u, grams, u.conj(), np.diag(SIGMA3))
-        return (-tr.real * r,)
+        return (-(weights @ sigma3_conjugated(x)).real * r,)
 
     transport = exact_transport(modes, scale, anchors.pop(), ode_tol)
     acc = interval_integral(transport, integrand, 1, d_lo, scale.tau_end - d_hi,

@@ -22,8 +22,9 @@ and the accumulated frequency integral; it is exact whenever R is constant.
 
 from __future__ import annotations
 
+import logging
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import partial
 from typing import Callable
 
@@ -36,8 +37,6 @@ from .model import (
     IDENTITY2,
     Mode,
     PiecewiseConstantScale,
-    SIGMA1,
-    SIGMA3,
     ScaleFunction,
     SmoothScale,
     Unitary2,
@@ -47,6 +46,8 @@ from .model import (
     DEFAULT_ODE_TOL,
 )
 from .stepper import StepStats, integrate_with_checkpoints
+
+log = logging.getLogger(__name__)
 
 #: Step ceiling: the phase advances by at most this many radians per step
 #: (0.1 rad, about 1/63 of an oscillation period).
@@ -130,7 +131,7 @@ class Transport:
     """A fiber state carried along tau, referenced to ``tau0``.
 
     ``at(anchor)`` is the flat complex state at ``anchor``; ``rhs(t, r, x)``
-    its derivative at time t and scale value r = R(t); ``restore(t, x)``, if
+    its derivative at time t, r = R(t) as a float; ``restore(t, x)``, if
     given, maps the state back onto its manifold after every accepted step;
     ``frequency(r)`` is the oscillation frequency that sets the step ceiling.
     """
@@ -142,9 +143,6 @@ class Transport:
     restore: Callable | None
     frequency: Callable[[float], float]
 
-    def derivative(self, t: float, x):
-        return self.rhs(t, self.scale.value(t), x)
-
 
 def cointegrate(transport: Transport, integrand, width: int, anchor: float,
                 stops, tol: float, resolution: float = OSCILLATION_RESOLUTION,
@@ -155,29 +153,38 @@ def cointegrate(transport: Transport, integrand, width: int, anchor: float,
     scale value, x the transport state) from ``anchor`` rides along as
     augmented state, so one adaptive stepper and one error budget cover
     both.  The step ceiling allows ``resolution`` radians of phase per step
-    and at most ``cap``; the stepper counts its work into ``stats``.
-    Returns one (state, integral) pair per stop.
+    and at most ``cap``; the stepper counts its work into ``stats``, and a
+    DEBUG log line reports it per sweep.  Returns one (state, integral)
+    pair per stop.
     """
     x0 = transport.at(anchor)
     k = x0.size
-    scale = transport.scale
-    rhs, post = transport.derivative, transport.restore
-    if integrand is not None:
-        def rhs(t, y):
-            r = scale.value(t)
-            x = y[:k]
-            return np.concatenate([transport.rhs(t, r, x), integrand(t, r, x)])
+    scale, restore = transport.scale, transport.restore
+    buf = np.empty(k + width, dtype=complex)
 
-        if post is not None:
-            def post(t, y):
-                y = y.copy()
-                y[:k] = transport.restore(t, y[:k])
-                return y
+    def rhs(t, y):
+        r = float(scale.value(t))
+        x = y[:k]
+        buf[:k] = transport.rhs(t, r, x)
+        if integrand is not None:
+            buf[k:] = integrand(t, r, x)
+        return buf
+
+    def post(t, y):
+        y[:k] = restore(t, y[:k])
+        return y
+
+    stats = stats if stats is not None else StepStats()
+    before = astuple(stats)
     ceiling = step_ceiling(transport.frequency, scale, resolution, cap)
     states = integrate_with_checkpoints(
         rhs, anchor, stops, np.concatenate([x0, np.zeros(width, dtype=complex)]),
-        rtol=tol, atol=tol * 1e-2, max_step=ceiling, post_accept=post,
-        stats=stats)
+        rtol=tol, atol=tol * 1e-2, max_step=ceiling,
+        post_accept=post if restore is not None else None, stats=stats)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("cointegrate: %d stops, width %d, %d accepted, %d rejected, "
+                  "%d rhs evaluations", len(states), width,
+                  *np.subtract(astuple(stats), before))
     return [(y[:k], y[k:]) for y in states]
 
 
@@ -206,14 +213,16 @@ def exact_transport(modes, scale: ScaleFunction, tau0: float,
                     tol: float = DEFAULT_ODE_TOL) -> Transport:
     """Exact propagators U(tau <- tau0) of modes sharing R, as one (N, 2, 2) stack.
 
-    dU/dtau = -i H U, H = r (m sigma3) - lam sigma1, is one batched product
-    over precomputed stacks; the stack is polar re-unitarized after every
-    accepted step, and the fastest mode sets the step ceiling.
+    dU/dtau = -i H U with H = r (m sigma3) - lam sigma1 is a signed row
+    permutation of the flat stack: -i r m sigma3 U flips the sign of row 1,
+    i lam sigma1 U swaps the rows.  The stack is polar re-unitarized after
+    every accepted step, and the fastest mode sets the step ceiling.
     """
     modes = tuple(modes)
     lams, masses = np.array([(m.lam, m.mass) for m in modes]).T
-    mass_sigma3 = masses[:, None, None] * SIGMA3
-    lam_sigma1 = lams[:, None, None] * SIGMA1
+    signed_mass = np.kron(-1j * masses, [1.0, 1.0, -1.0, -1.0])
+    coupling = np.repeat(1j * lams, 4)
+    row_swap = np.arange(4 * len(modes)) ^ 2
 
     def at(anchor):
         if anchor == tau0:
@@ -222,13 +231,28 @@ def exact_transport(modes, scale: ScaleFunction, tau0: float,
         return np.array([Unitary2(u).matrix for u in stack]).ravel()
 
     def rhs(t, r, x):
-        return (-1j * ((r * mass_sigma3 - lam_sigma1) @ x.reshape(-1, 2, 2))).ravel()
+        return r * signed_mass * x + coupling * x[row_swap]
 
     def restore(t, x):
         return polar_unitary(x.reshape(-1, 2, 2)).ravel()
 
     return Transport(scale, tau0, at, rhs, restore,
                      lambda r: float(np.hypot(lams, masses * r).max()))
+
+
+def sigma3_conjugated(x) -> list:
+    """U^dagger sigma3 U of each 2x2 block [[a, b], [c, d]] of a flat stack.
+
+    Flat and row-major per block, in closed form: |a|^2 - |c|^2,
+    conj(a) b - conj(c) d, its conjugate, |b|^2 - |d|^2.
+    """
+    out = []
+    for a, b, c, d in x.reshape(-1, 4).tolist():
+        ac, cc = a.conjugate(), c.conjugate()
+        off = ac * b - cc * d
+        out += ((ac * a - cc * c).real, off, off.conjugate(),
+                (b.conjugate() * b - d.conjugate() * d).real)
+    return out
 
 
 def propagators(modes, scale: ScaleFunction, tau_from: float, taus,

@@ -11,6 +11,7 @@ value).  All types are immutable after construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -50,9 +51,23 @@ def unitarity_defect(u) -> float:
 
 
 def polar_unitary(a):
-    """Closest unitary (polar factor) of an invertible matrix."""
-    w, _, vh = np.linalg.svd(a)
-    return w @ vh
+    """Closest unitary (polar factor) of an invertible 2x2 matrix or stack of them.
+
+    For A = W diag(s1, s2) V^dagger, A + e^{i arg det A} adj(A)^dagger =
+    (s1 + s2) W V^dagger, with (s1 + s2)^2 = ||A||_F^2 + 2 |det A|.
+    """
+    a = np.asarray(a)
+    out = []
+    for p, q, r, s in a.reshape(-1, 4).tolist():
+        det = p * s - q * r
+        phase = det / abs(det)
+        norm = math.sqrt((p.conjugate() * p + q.conjugate() * q + r.conjugate() * r
+                          + s.conjugate() * s).real + 2.0 * abs(det))
+        out.append(((p + phase * s.conjugate()) / norm,
+                    (q - phase * r.conjugate()) / norm,
+                    (r - phase * q.conjugate()) / norm,
+                    (s + phase * p.conjugate()) / norm))
+    return np.array(out).reshape(a.shape)
 
 
 def is_physical_eigenvalue(lam: float, tol: float = 1e-12) -> bool:

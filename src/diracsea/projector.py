@@ -46,6 +46,7 @@ from .evolution import (
     frequency,
     interval_integral,
     phase_transport,
+    sigma3_conjugated,
     wkb_deviation,
     wkb_propagator_raw,
 )
@@ -174,14 +175,11 @@ def signature_operator(mode: Mode, scale: ScaleFunction,
                        ode_tol: float = DEFAULT_ODE_TOL) -> SignatureResult:
     """The signature matrix by lifetime quadrature of U^dagger sigma3 U R."""
     def lifetime_integral(lo, hi):
-        transport, propagator = _exact(mode, scale, ode_tol)
-
         def integrand(t, r, x):
-            u = propagator(r, x)
-            return ((u.conj().T @ SIGMA3 @ u) * r).ravel()
+            return [v * r for v in sigma3_conjugated(x)]
 
-        return interval_integral(transport, integrand, 4, lo, hi,
-                                 ode_tol).reshape(2, 2)
+        return interval_integral(exact_transport((mode,), scale, mode.tau0, ode_tol),
+                                 integrand, 4, lo, hi, ode_tol).reshape(2, 2)
 
     return _signature(mode, scale, tol, ode_tol, _piecewise_signature,
                       lifetime_integral)
@@ -360,7 +358,11 @@ def _k_apply(mode: Mode, scale: ScaleFunction, phi: TestFunction, tol: float,
     transport, propagator = transported()
 
     def integrand(t, r, x):
-        return propagator(r, x).conj().T @ (SIGMA3 @ phi(t)) * r / TWO_PI
+        # U^dagger sigma3 phi R / 2 pi for U = [[a, b], [c, d]], phi = (p, q)
+        (a, b), (c, d) = propagator(r, x).tolist()
+        p, q = phi(t).tolist()
+        return ((a.conjugate() * p - c.conjugate() * q) * r / TWO_PI,
+                (b.conjugate() * p - d.conjugate() * q) * r / TWO_PI)
 
     a, b = phi.support
     return ProjectorOutput(interval_integral(transport, integrand, 2, a, b, tol,

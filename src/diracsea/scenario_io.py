@@ -66,6 +66,9 @@ RUN_OPTIONS = {
                               k=_NUMBER, exponent=_NUMBER)}),
 }
 
+#: Commands taking only some scale kinds: a study sweeps the dust scale.
+COMMAND_SCALE_KINDS = {"study": ["dust"]}
+
 _PRESETS = {"six_segment": build_six_segment, "twelve_segment": build_twelve_segment}
 
 
@@ -141,8 +144,11 @@ def _validator(command: str | None):
     """
     schema = SCENARIO_SCHEMA
     if command is not None:
-        schema = dict(schema, properties=dict(schema["properties"],
-                                              run=RUN_OPTIONS[command]))
+        properties = dict(schema["properties"], run=RUN_OPTIONS[command])
+        if command in COMMAND_SCALE_KINDS:
+            properties["scale"] = dict(properties["scale"], properties={
+                "kind": {"enum": COMMAND_SCALE_KINDS[command]}})
+        schema = dict(schema, properties=properties)
     validator = jsonschema.validators.validator_for(schema)(schema)
     validator.check_schema(schema)
     return validator

@@ -17,11 +17,15 @@ lack drive the hand-rolled implementation:
 
 The fifth-order solution is propagated; the embedded fourth-order solution
 provides the local error estimate, measured in the usual mixed
-absolute/relative norm.
+absolute/relative norm.  Each call keeps the seven stages in one (7, n)
+buffer; a stage state is one product of a tableau row with it.  The
+right-hand side, called once per stage, is copied into its stage's row,
+so it may return a buffer it reuses.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -29,20 +33,21 @@ import numpy as np
 
 from .errors import IntegrationFailure
 
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+# Row i holds the stage weights a_ij (j < i); the last row equals the
+# fifth-order weights b5, so the last stage state is the propagated solution.
+_A = np.array([
+    [0.0] * 7,
+    [1 / 5] + [0.0] * 6,
+    [3 / 40, 9 / 40] + [0.0] * 5,
+    [44 / 45, -56 / 15, 32 / 9] + [0.0] * 4,
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729] + [0.0] * 3,
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+], dtype=complex)
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                 187 / 2100, 1 / 40])
-_ERR = _B5 - _B4
+_ERR = (_A[6] - _B4).astype(complex)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -64,10 +69,10 @@ def integrate(rhs: Callable, t0: float, t1: float, y0,
               stats: StepStats | None = None):
     """Integrate y' = rhs(t, y) from t0 to t1; returns the final state.
 
-    ``max_step`` maps t to a step ceiling; ``post_accept(t, y)`` may return
-    a replacement state (projection back onto the invariant manifold).
-    State vectors are complex; real problems simply carry zero imaginary
-    parts.
+    ``max_step`` maps t to a step ceiling; ``post_accept(t, y)``, run once
+    per accepted step, returns the state to go on from (projection back onto
+    the invariant manifold) and may overwrite y, the stepper's own array.
+    State vectors are complex; real problems carry zero imaginary parts.
     """
     y = np.array(y0, dtype=complex)
     if t1 == t0:
@@ -80,7 +85,7 @@ def integrate(rhs: Callable, t0: float, t1: float, y0,
     h = min(1e-3 * max(span, 1.0), span)
     if max_step is not None:
         h = min(h, max_step(t0))
-    k = [None] * 7
+    k = np.empty((7, y.size), dtype=complex)
     tiny = 1e-15 * max(abs(t0), abs(t1), 1.0)
 
     while (t1 - t) * direction > tiny:
@@ -91,28 +96,23 @@ def integrate(rhs: Callable, t0: float, t1: float, y0,
             raise IntegrationFailure("step size underflow", t=t)
         hd = direction * h
 
+        tableau = hd * _A
         k[0] = rhs(t, y)
         for i in range(1, 7):
-            acc = _A[i][0] * k[0]
-            for j in range(1, i):
-                aij = _A[i][j]
-                if aij != 0.0:
-                    acc = acc + aij * k[j]
-            k[i] = rhs(t + _C[i] * hd, y + hd * acc)
+            y_new = tableau[i, :i] @ k[:i]
+            y_new += y
+            k[i] = rhs(t + _C[i] * hd, y_new)
         stats.rhs_evaluations += 7
 
-        y_new = y + hd * (_B5[0] * k[0] + _B5[2] * k[2] + _B5[3] * k[3]
-                          + _B5[4] * k[4] + _B5[5] * k[5])
-        err = hd * (_ERR[0] * k[0] + _ERR[2] * k[2] + _ERR[3] * k[3]
-                    + _ERR[4] * k[4] + _ERR[5] * k[5] + _ERR[6] * k[6])
-
-        if not np.all(np.isfinite(y_new)):
+        if not np.isfinite(y_new).all():
             raise IntegrationFailure(
                 "non-finite state encountered", t=t,
                 diagnostic={"h": h, "y_max": float(np.max(np.abs(y)))})
 
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
+        # mixed absolute/relative RMS norm of the embedded error estimate
+        w = np.abs(_ERR @ k)
+        w /= atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        err_norm = h * math.sqrt((w @ w) / w.size)
 
         if err_norm <= 1.0:
             t = t + hd

@@ -300,8 +300,11 @@ class TestCausalClassification:
         for fx in fs:
             for fy in fs:
                 prod = fx.block(0) @ fy.block(0)
-                tr, det = np.trace(prod), np.linalg.det(prod)
-                disc = np.sqrt(complex(tr * tr - 4.0 * det))
+                (p, q), (r, s) = prod
+                tr = p + s
+                # tr^2 - 4 det without its cancellation: at tau_x = tau_y the
+                # blocks square to 1 and tr^2 - 4 det is rounding residue
+                disc = np.sqrt(complex((p - s) ** 2 + 4.0 * q * r))
                 roots = np.array([(tr + disc) / 2.0, (tr - disc) / 2.0])
                 scale = max(np.abs(roots))
                 nontriv = roots[np.abs(roots) > tol * scale] \
@@ -355,3 +358,4 @@ class TestCausalClassification:
         fb = local_correlation(fam_b, 1.0)
         with pytest.raises(InvalidParameter):
             causal_classify(fa, fb)
+

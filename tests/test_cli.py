@@ -1,4 +1,6 @@
 import json
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -252,6 +254,38 @@ def test_unknown_lambda_kind_fails_validation(tmp_path, capsys):
     assert err["error"] == "invalid_parameter"
     assert err["message"] == ("scenario invalid: 'bogus' is not one of "
                               "['fixed', 'track_mrmax', 'track_power']")
+
+
+@pytest.mark.parametrize("scale", [
+    {"kind": "constant", "r": 3.0},
+    {"kind": "piecewise", "breakpoints": [0.0, 1.0, 3.0], "values": [1.0, 2.0]},
+    {"kind": "preset", "name": "six_segment"},
+], ids=["constant", "piecewise", "preset"])
+def test_study_rejects_a_scale_it_would_ignore(tmp_path, capsys, scale):
+    doc = dict(BASE, scale=scale, run={"kind": "s_wkb_bound", "grid": [5.0, 10.0]})
+    code, text = run_cli(tmp_path, "study", doc)
+    assert code == 1 and text == ""
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "invalid_parameter"
+    assert err["message"] == (f"scenario invalid: {scale['kind']!r} is not one "
+                              "of ['dust']")
+
+
+def test_debug_log_reports_each_stepper_sweep(tmp_path, capsys, caplog):
+    scen = write_scenario(tmp_path, dict(BASE, run={}))
+    assert main(["signature", "--scenario", scen]) == 0
+    quiet = capsys.readouterr().out
+    assert not caplog.records
+    caplog.set_level(logging.DEBUG, logger="diracsea")
+    assert main(["signature", "--scenario", scen]) == 0
+    assert capsys.readouterr().out == quiet
+    sweeps = [r.getMessage() for r in caplog.records
+              if r.name == "diracsea.evolution"]
+    # the exact signature integrates out from tau0 to both cutoffs
+    assert len(sweeps) == 2
+    for line in sweeps:
+        assert re.fullmatch(r"cointegrate: 1 stops, width 4, \d+ accepted, "
+                            r"\d+ rejected, \d+ rhs evaluations", line)
 
 
 def test_unknown_log_level_exits_1(tmp_path, capsys, monkeypatch):

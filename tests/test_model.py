@@ -14,6 +14,7 @@ from diracsea.model import (
     dust_scale,
     is_physical_eigenvalue,
     mollifier,
+    polar_unitary,
     smooth_table_scale,
 )
 
@@ -187,6 +188,26 @@ class TestMatrixTypes:
         h = Hermitian2(0.3 * SIGMA1 - 1.2 * SIGMA2 + 0.7 * SIGMA3 + 0.1 * IDENTITY2)
         c0, c1, c2, c3 = h.pauli_components()
         assert (c0, c1, c2, c3) == pytest.approx((0.1, 0.3, -1.2, 0.7))
+
+
+class TestPolarUnitary:
+    @given(st.sampled_from([1, 8]), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_is_the_svd_polar_factor(self, n, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+        p = polar_unitary(a)
+        assert p.shape == a.shape
+        w, s, vh = np.linalg.svd(a)
+        cond = s[:, 0] / s[:, 1]
+        defect = np.abs(p.conj().transpose(0, 2, 1) @ p - np.eye(2)).max(axis=(1, 2))
+        assert np.all(defect <= 1e-13)
+        assert np.all(np.abs(p - w @ vh).max(axis=(1, 2)) <= 1e-13 * cond)
+
+    def test_single_matrix_keeps_its_shape(self):
+        a = np.array([[2.0, 1.0j], [0.5, -1.0 + 0.3j]])
+        w, _, vh = np.linalg.svd(a)
+        assert np.abs(polar_unitary(a) - w @ vh).max() < 1e-14
 
 
 class TestSmoothTable:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 
-from diracsea import levin, projector
+from diracsea import cfs, levin, projector
 from diracsea.bloch import build_twelve_segment, make_scenario, perturb_scenario
 from diracsea.errors import (ConvergenceFailure, DegenerateSignature, DomainError,
                              InvalidParameter)
@@ -633,3 +633,66 @@ class TestPiecewiseExactRoute:
                    for a, b, _ in FIVE_STEPS.pieces(*phi.support))
         got = k_m_apply(mode, FIVE_STEPS, phi).value
         assert rel_diff(got, want[:2] + 1j * want[2:]) < 1e-10
+
+
+def random_unitaries(n, seed):
+    rng = np.random.default_rng(seed)
+    w, _, vh = np.linalg.svd(rng.normal(size=(n, 2, 2))
+                             + 1j * rng.normal(size=(n, 2, 2)))
+    return w @ vh
+
+
+def captured_integrand(monkeypatch, module, run):
+    """The integrand ``run`` hands to ``module.interval_integral``."""
+    seen = []
+
+    def capture(transport, integrand, width, *args, **kwargs):
+        seen.append(integrand)
+        return np.zeros(width, dtype=complex)
+
+    monkeypatch.setattr(module, "interval_integral", capture)
+    run()
+    return seen[0]
+
+
+class TestClosedFormIntegrands:
+    """The stepper's integrands against the matrix products they replace."""
+
+    def test_signature_integrand(self, monkeypatch):
+        mode = Mode(lam=1.5, mass=1.0, tau0=TAU0)
+        integrand = captured_integrand(
+            monkeypatch, projector, lambda: signature_operator(mode, dust_scale(5.0)))
+        for u, r in zip(random_unitaries(16, 1), np.linspace(0.1, 1.0, 16)):
+            want = (u.conj().T @ SIGMA3 @ u) * r
+            got = np.array(integrand(1.0, float(r), u.ravel())).reshape(2, 2)
+            assert np.abs(got - want).max() <= 1e-15
+
+    def test_k_integrand(self, monkeypatch):
+        mode = Mode(lam=1.5, mass=1.0, tau0=TAU0)
+        phi = bump((1.0, 2.0), np.array([1.0, 0.4 - 0.7j]), 2.0)
+        integrand = captured_integrand(
+            monkeypatch, projector, lambda: k_m_apply(mode, dust_scale(5.0), phi))
+        for u, t in zip(random_unitaries(16, 2), np.linspace(1.1, 1.9, 16)):
+            want = u.conj().T @ (SIGMA3 @ phi(t)) * 0.8 / (2 * np.pi)
+            got = np.array(integrand(t, 0.8, u.ravel()))
+            assert np.abs(got - want).max() <= 1e-15
+
+    def test_trace_integrand(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        lams = (1.5, -2.5, 3.5)
+        fam = cfs.build_family([Mode(lam=lam, mass=1.0, tau0=TAU0) for lam in lams],
+                               dust_scale(5.0),
+                               [(i, rng.normal(size=2) + 1j * rng.normal(size=2))
+                                for i in range(3) for _ in range(2)],
+                               require_negative_subspace=False)
+        integrand = captured_integrand(
+            monkeypatch, cfs, lambda: cfs.correlation_trace_lifetime_integral(fam))
+        grams = np.array([sum(np.outer(m.spinor, m.spinor.conj())
+                              for m in fam.members if m.mode_index == i)
+                          for i in range(3)])
+        for seed, r in enumerate(np.linspace(0.1, 1.0, 8)):
+            u = random_unitaries(3, seed)
+            want = -np.einsum("nab,nbc,nac,a->", u, grams, u.conj(),
+                              np.diag(SIGMA3)).real * r
+            (got,) = integrand(1.0, float(r), u.ravel())
+            assert abs(got - want) <= 1e-15 * max(1.0, abs(want))

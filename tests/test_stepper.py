@@ -66,3 +66,46 @@ def test_zero_span_returns_initial():
     y0 = np.array([3.0 + 1j])
     y = integrate(rhs, 1.0, 1.0, y0, rtol=1e-10, atol=1e-12)
     assert np.array_equal(y, y0)
+
+
+def test_seven_rhs_calls_per_attempt_and_one_hook_call_per_accepted_step():
+    calls = {"rhs": 0, "hook": 0}
+
+    def rhs(t, y):
+        calls["rhs"] += 1
+        return np.array([1j * 40.0 * y[0]])
+
+    def post(t, y):
+        calls["hook"] += 1
+        return y / abs(y[0])
+
+    stats = StepStats()
+    integrate(rhs, 0.0, 5.0, np.array([1.0 + 0j]), rtol=1e-10, atol=1e-12,
+              post_accept=post, stats=stats)
+    assert stats.rejected > 0
+    assert stats.rhs_evaluations == 7 * (stats.accepted + stats.rejected)
+    assert calls == {"rhs": stats.rhs_evaluations, "hook": stats.accepted}
+
+
+def test_rhs_may_return_a_reused_buffer():
+    # each stage is copied into the stage buffer, so an rhs that overwrites
+    # and returns one array gives the same steps and state as a fresh one
+    omega = 5.0
+    buf = np.empty(2, dtype=complex)
+
+    def fresh(t, y):
+        return np.array([y[1], -omega ** 2 * y[0]])
+
+    def reused(t, y):
+        buf[0], buf[1] = y[1], -omega ** 2 * y[0]
+        return buf
+
+    runs = []
+    for rhs in (fresh, reused):
+        stats = StepStats()
+        y = integrate(rhs, 0.0, 3.0, np.array([1.0 + 0j, 0.0 + 0j]),
+                      rtol=1e-11, atol=1e-13, stats=stats)
+        runs.append((y, stats))
+    (y_fresh, s_fresh), (y_reused, s_reused) = runs
+    assert s_reused == s_fresh
+    assert np.array_equal(y_reused, y_fresh)

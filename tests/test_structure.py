@@ -2,7 +2,8 @@
 
 * The adaptive stepper has one caller, ``evolution.cointegrate``; the
   stepper module's own internals aside, nothing else calls ``integrate``
-  or ``integrate_with_checkpoints``.
+  or ``integrate_with_checkpoints``.  ``integrate`` keeps the parameters
+  the benchmark's tracer (``perfbench/tracing.py``) wraps it with.
 * ``evolution.propagators`` is the one exact-propagator sweep: its callers
   are ``evolve``, ``evolve_grid``, ``exact_transport``'s ``at`` and
   ``cfs.members_at``, one call each, and it alone chains the piecewise
@@ -21,6 +22,7 @@
 """
 
 import ast
+import inspect
 from collections import Counter
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
@@ -33,6 +35,7 @@ from diracsea.bloch import (Scenario, build_six_segment, make_scenario,
                             v_rows_with_cumulative)
 from diracsea.model import Mode, PiecewiseConstantScale
 from diracsea.scenario_io import RUN_OPTIONS, SCALE_KINDS, SCENARIO_SCHEMA
+from diracsea.stepper import integrate
 from diracsea.studies import LAMBDA_KINDS, STUDIES, LambdaSpec, StudyKind
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "diracsea"
@@ -80,6 +83,25 @@ def test_cointegrate_is_the_only_stepper_caller():
     calls = _calls({"integrate", "integrate_with_checkpoints"})
     callers = {key for key in calls if key[0] != "stepper"}
     assert callers == {("evolution", "cointegrate")}
+
+
+def test_stepper_takes_the_parameters_the_tracer_wraps():
+    # perfbench/tracing.py calls integrate through a wrapper with these
+    # parameters; a traced run would break on any other signature
+    tracing = ast.parse((PACKAGE.parent.parent / "perfbench" / "tracing.py")
+                        .read_text(encoding="utf-8"))
+    wrap = next(fn for fn in ast.walk(tracing)
+                if isinstance(fn, ast.FunctionDef) and fn.name == "_wrap_integrate")
+    wrapper = next(fn for fn in ast.walk(wrap)
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "wrapper")
+    names = [a.arg for a in wrapper.args.args]
+    defaults = dict(zip(names[::-1], [ast.literal_eval(d)
+                                      for d in wrapper.args.defaults[::-1]]))
+    params = inspect.signature(integrate).parameters.values()
+    assert [p.name for p in params] == names
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    assert {p.name: p.default for p in params
+            if p.default is not p.empty} == defaults
 
 
 def test_propagators_is_the_only_exact_sweep():
