@@ -34,62 +34,68 @@ from .model import (
     DEFAULT_ODE_TOL,
     Mode,
     PiecewiseConstantScale,
-    SIGMA1,
-    SIGMA2,
-    SIGMA3,
     ScaleFunction,
     SmoothScale,
     check_mode_scale,
+    spectral_norm,
     is_physical_eigenvalue,
 )
 
 FRAME_ORTHOGONALITY_TOL = 1e-10
 TRACE_CROSSCHECK_TOL = 1e-8
-_PAULI = (SIGMA1, SIGMA2, SIGMA3)
 
 
-def bloch_axis(mode: Mode, r: float) -> np.ndarray:
-    """Nominal rotation axis d = 2 (lam, 0, -m R) for scale value r."""
-    if r < 0:
+def bloch_axis(mode: Mode, r) -> np.ndarray:
+    """Nominal rotation axis d = 2 (lam, 0, -m R); shape r.shape + (3,)."""
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 0):
         raise InvalidParameter(f"scale value must be >= 0, got {r}")
-    return 2.0 * np.array([mode.lam, 0.0, -mode.mass * r])
+    return 2.0 * np.stack(np.broadcast_arrays(mode.lam, 0.0, -mode.mass * r), -1)
 
 
-def rotation_generator(mode: Mode, r: float) -> np.ndarray:
+def rotation_generator(mode: Mode, r) -> np.ndarray:
     """Actual frame generator: dw/dtau = generator x w.  Equals -bloch_axis."""
     return -bloch_axis(mode, r)
 
 
 def _cross_matrix(v):
-    return np.array([[0.0, -v[2], v[1]],
-                     [v[2], 0.0, -v[0]],
-                     [-v[1], v[0], 0.0]])
+    """Cross-product matrix of each vector in a (..., 3) stack."""
+    x, y, z = np.moveaxis(np.asarray(v, dtype=float), -1, 0)
+    o = np.zeros_like(x)
+    return np.stack([o, -z, y, z, o, -x, -y, x, o], -1).reshape(x.shape + (3, 3))
 
 
-def rotation_matrix(axis, angle: float) -> np.ndarray:
-    """Rotation about ``axis`` by ``angle`` (Rodrigues formula)."""
-    n = np.linalg.norm(axis)
-    if n == 0.0:
-        return np.eye(3)
-    a = np.asarray(axis, dtype=float) / n
-    par = np.outer(a, a)
-    return par + np.cos(angle) * (np.eye(3) - par) + np.sin(angle) * _cross_matrix(a)
+def rotation_and_integral(generator, dt):
+    """The rotation by |w| dt about a generator w, and its integral over [0, dt].
 
-
-def rotation_time_integral(generator, dt: float) -> np.ndarray:
-    """integral over [0, dt] of the rotation about ``generator`` at its own speed.
-
-    With P the projector onto the axis and K the cross-product matrix of the
-    unit axis:  dt P + sin(|w| dt)/|w| (1 - P) + (1 - cos(|w| dt))/|w| K.
+    With P the projector onto the unit axis and K its cross-product matrix
+    (both 0 for w = 0), the rotation is P + cos(|w| dt) (1 - P) + sin(|w| dt) K
+    (Rodrigues) and the integral dt P + sin(|w| dt)/|w| (1 - P)
+    + (1 - cos(|w| dt))/|w| K.  (..., 3) generators and matching times give
+    (..., 3, 3) stacks.
     """
-    speed = np.linalg.norm(generator)
-    if speed == 0.0:
-        return dt * np.eye(3)
-    a = np.asarray(generator, dtype=float) / speed
-    par = np.outer(a, a)
-    return (dt * par
-            + np.sin(speed * dt) / speed * (np.eye(3) - par)
-            + (1.0 - np.cos(speed * dt)) / speed * _cross_matrix(a))
+    w = np.asarray(generator, dtype=float)
+    speed = np.sqrt(np.einsum("...i,...i", w, w))[..., None, None]
+    still = speed == 0.0
+    speed = np.where(still, 1.0, speed)
+    a = w / speed[..., 0]
+    par, cross, eye = a[..., :, None] * a[..., None, :], _cross_matrix(a), np.eye(3)
+    dt = np.asarray(dt, dtype=float)[..., None, None]
+    cos, sin = np.cos(speed * dt), np.sin(speed * dt)
+    return (np.where(still, eye, par + cos * (eye - par) + sin * cross),
+            np.where(still, dt * eye,
+                     dt * par + sin / speed * (eye - par) + (1.0 - cos) / speed * cross))
+
+
+def _check_rotations(ws):
+    """InvalidParameter unless ||W^T W - 1|| <= FRAME_ORTHOGONALITY_TOL and det W >= 0
+    for every frame W of the (..., 3, 3) stack."""
+    defect = spectral_norm(np.swapaxes(ws, -1, -2) @ ws - np.eye(3)).ravel()
+    det = np.linalg.det(ws).ravel()
+    bad = np.flatnonzero(~((defect <= FRAME_ORTHOGONALITY_TOL) & (det >= 0)))
+    if bad.size:
+        raise InvalidParameter(f"frame is not a rotation (defect {defect[bad[0]]:.3e}, "
+                               f"det {det[bad[0]]:.6f})")
 
 
 @dataclass(frozen=True)
@@ -103,11 +109,7 @@ class BlochState:
         w = np.asarray(self.w, dtype=float).copy()
         if w.shape != (3, 3):
             raise InvalidParameter("frame must be a 3x3 matrix")
-        defect = np.linalg.norm(w.T @ w - np.eye(3), 2)
-        if defect > FRAME_ORTHOGONALITY_TOL or np.linalg.det(w) < 0:
-            raise InvalidParameter(
-                f"frame is not a rotation (defect {defect:.3e}, "
-                f"det {np.linalg.det(w):.6f})")
+        _check_rotations(w)
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
 
@@ -187,47 +189,42 @@ def perturb_scenario(scenario: Scenario, index: int, dp: float) -> Scenario:
     return replace(scenario, rotations=tuple(rotations))
 
 
-def _segment_v_integral(frame, generator, dt):
-    """integral over a segment prefix of the v-vector (e3 rows of the frame)."""
-    return (rotation_time_integral(generator, dt) @ frame)[2, :]
-
-
 def _segment_frames(mode: Mode, scale: PiecewiseConstantScale):
     """Frames and running integrals of v R at the segment starts and the end.
 
     The frame is the identity at tau = 0, where the integral starts; the
-    segment widths are the differences of the breakpoints.
+    segment widths are the differences of the breakpoints.  Each segment's
+    rotation and integral are formed once, then chained.
     """
+    values = np.array(scale.values)
+    rots, ints = rotation_and_integral(rotation_generator(mode, values),
+                                       np.diff(scale.breakpoints))
     frames, prefix = [np.eye(3)], [np.zeros(3)]
-    for dt, r in zip(np.diff(scale.breakpoints), scale.values):
-        gen = rotation_generator(mode, r)
-        prefix.append(prefix[-1] + _segment_v_integral(frames[-1], gen, dt) * r)
-        frames.append(rotation_matrix(gen, np.linalg.norm(gen) * dt) @ frames[-1])
-    return frames, prefix
+    for rot, integral, r in zip(rots, ints, values):
+        prefix.append(prefix[-1] + (integral @ frames[-1])[2, :] * r)
+        frames.append(rot @ frames[-1])
+    return np.array(frames), np.array(prefix)
 
 
 def _frames_at(mode: Mode, scale: PiecewiseConstantScale, taus):
-    """(frame, running integral of v R from tau = 0) at each of ``taus``.
+    """(frames, running integrals of v R from tau = 0) at ``taus``, as stacks.
 
     Referenced to the mode's tau0: F(tau) F(tau0)^T, with F the frame that
     is the identity at tau = 0; the integral turns likewise.  The callers
     check that tau0 and ``taus`` lie in the scale's domain.
     """
     frames, prefix = _segment_frames(mode, scale)
-
-    def at(t):
-        idx = scale.segment_index(t)
-        r = scale.values[idx]
-        gen = rotation_generator(mode, r)
-        dt = t - scale.breakpoints[idx]
-        return (rotation_matrix(gen, np.linalg.norm(gen) * dt) @ frames[idx],
-                prefix[idx] + _segment_v_integral(frames[idx], gen, dt) * r)
-
-    out = [at(t) for t in taus]
+    taus = np.append(np.asarray(taus, dtype=float), mode.tau0)  # tau0 last
+    idx = scale.segment_index(taus)
+    r = np.take(scale.values, idx)
+    rots, ints = rotation_and_integral(rotation_generator(mode, r),
+                                       taus - np.take(scale.breakpoints, idx))
+    ws = rots @ frames[idx]
+    cums = prefix[idx] + (ints @ frames[idx])[:, 2, :] * r[:, None]
     if mode.tau0 == 0.0:
-        return out
-    ref = at(mode.tau0)[0]
-    return [(w @ ref.T, cum @ ref.T) for w, cum in out]
+        return ws[:-1], cums[:-1]
+    ref = ws[-1].T
+    return ws[:-1] @ ref, cums[:-1] @ ref
 
 
 def propagate_bloch(mode: Mode, scale: ScaleFunction, tau_grid,
@@ -242,7 +239,7 @@ def propagate_bloch(mode: Mode, scale: ScaleFunction, tau_grid,
     _check_grid(mode, scale, taus)
     if scale.is_piecewise:
         return [BlochState(w=w, tau=t)
-                for t, (w, _) in zip(taus, _frames_at(mode, scale, taus))]
+                for t, w in zip(taus, _frames_at(mode, scale, taus)[0])]
     states = cointegrate(frame_transport(mode, scale, tol), None, 0, mode.tau0,
                          taus, tol, FINE_OSCILLATION_RESOLUTION)
     return [BlochState(w=_project_rotation(x.reshape(3, 3).real), tau=t)
@@ -290,10 +287,16 @@ def v_trace_formula(mode: Mode, scale: ScaleFunction, tau_grid,
     """v_alpha(tau) = 1/2 Tr(sigma_alpha U^dagger sigma3 U), reference tau0.
 
     This is the convention-free route: no rotation-axis orientation enters.
+    One (3,) row per grid point, as an (n, 3) array.  With U = [[a, b],
+    [c, d]], B = U^dagger sigma3 U has B01 = conj(a) b - conj(c) d, so
+    v = (Re B01, -Im B01, (B00 - B11) / 2).
     """
-    bs = [u.conj().T @ SIGMA3 @ u
-          for u in evolve_grid(mode, scale, mode.tau0, tau_grid, tol=tol)]
-    return [np.array([0.5 * np.trace(s @ b).real for s in _PAULI]) for b in bs]
+    u = np.array(evolve_grid(mode, scale, mode.tau0, tau_grid, tol=tol)).reshape(-1, 4)
+    a, b, c, d = u.T
+    off = a.conj() * b - c.conj() * d
+    diag = (a.conj() * a - c.conj() * c).real - (b.conj() * b - d.conj() * d).real
+    # 0 - Im rather than -Im: no negative zero where U is diagonal
+    return np.stack([off.real, 0.0 - off.imag, 0.5 * diag], axis=-1)
 
 
 def v_components(mode: Mode, scale: ScaleFunction, tau_grid,
@@ -316,14 +319,15 @@ def v_rows_with_cumulative(mode: Mode, scale: ScaleFunction, tau_grid,
         frame_rows = scenario_v_rows_with_cumulative(mode, scale, taus)
     else:
         frame_rows = smooth_v_rows_with_cumulative(mode, scale, taus, tol)
+    frame_rows = np.array(frame_rows, dtype=float).reshape(-1, 7)
     trace_rows = v_trace_formula(mode, scale, taus, tol=tol)
-    worst = max((float(np.max(np.abs(np.subtract(v, row[1:4]))))
-                 for v, row in zip(trace_rows, frame_rows)), default=0.0)
+    worst = float(np.max(np.abs(trace_rows - frame_rows[:, 1:4]), initial=0.0))
     if worst > TRACE_CROSSCHECK_TOL:
         raise ConventionMismatch(
             f"trace/rotation observables disagree by {worst:.3e} "
             f"(> {TRACE_CROSSCHECK_TOL}); rotation orientation suspect")
-    return [(t, *v, *row[4:]) for t, v, row in zip(taus, trace_rows, frame_rows)]
+    return [(t, *v, *cum) for t, v, cum
+            in zip(taus, trace_rows.tolist(), frame_rows[:, 4:].tolist())]
 
 
 def scenario_v_rows_with_cumulative(mode: Mode, scale: PiecewiseConstantScale,
@@ -335,9 +339,10 @@ def scenario_v_rows_with_cumulative(mode: Mode, scale: PiecewiseConstantScale,
     """
     taus = [float(t) for t in tau_grid]
     _check_grid(mode, scale, taus)
-    frames = _frames_at(mode, scale, taus)
-    return [(t, *BlochState(w=w, tau=t).v(), *(cum - frames[0][1]))
-            for t, (w, cum) in zip(taus, frames)]
+    ws, cums = _frames_at(mode, scale, taus)
+    _check_rotations(ws)
+    return [(t, *v, *cum) for t, v, cum
+            in zip(taus, ws[:, 2, :].tolist(), (cums - cums[:1]).tolist())]
 
 
 def smooth_v_rows_with_cumulative(mode: Mode, scale: SmoothScale, tau_grid,
@@ -378,4 +383,4 @@ def piecewise_signature_vector(mode: Mode, scale: PiecewiseConstantScale):
     Closed form: the running integral of v R over the whole scale.
     """
     check_mode_scale(mode, scale)
-    return _frames_at(mode, scale, [scale.tau_end])[0][1]
+    return _frames_at(mode, scale, [scale.tau_end])[1][0]

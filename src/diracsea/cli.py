@@ -91,16 +91,14 @@ def cmd_evolve(cfg: ScenarioConfig, args, out):
         taus = list(np.linspace(tau_from, tau_to, samples))
     else:
         taus = [tau_to]
-    us = evolve_grid(cfg.mode, cfg.scale, tau_from, taus,
-                     tol=cfg.tolerances.ode_tol)
+    us = np.array(evolve_grid(cfg.mode, cfg.scale, tau_from, taus,
+                              tol=cfg.tolerances.ode_tol))
     header = ["tau", "re_u11", "im_u11", "re_u12", "im_u12",
               "re_u21", "im_u21", "re_u22", "im_u22", "unitarity_defect"]
-    rows = []
-    for t, u in zip(taus, us):
-        rows.append([t,
-                     u[0, 0].real, u[0, 0].imag, u[0, 1].real, u[0, 1].imag,
-                     u[1, 0].real, u[1, 0].imag, u[1, 1].real, u[1, 1].imag,
-                     unitarity_defect(u)])
+    # row-major entries, each as (real, imaginary), then the batched defects
+    entries = us.reshape(-1, 4).view(float).tolist()
+    defects = unitarity_defect(us).tolist()
+    rows = [[t, *e, d] for t, e, d in zip(taus, entries, defects)]
     _emit(out, args, header, rows)
     return EXIT_OK
 

@@ -65,9 +65,9 @@ def check_ode_tol(tol: float):
             f"ode tolerance {tol} outside ({MIN_ODE_TOL}, {MAX_ODE_TOL})")
 
 
-def frequency(mode: Mode, r: float) -> float:
-    """Instantaneous frequency sqrt(lam^2 + (m R)^2)."""
-    return float(np.hypot(mode.lam, mode.mass * r))
+def frequency(mode: Mode, r):
+    """Instantaneous frequency sqrt(lam^2 + (m R)^2), elementwise in r."""
+    return np.hypot(mode.lam, mode.mass * r)
 
 
 def coefficient_matrix(mode: Mode, r: float) -> np.ndarray:
@@ -81,16 +81,19 @@ def hamiltonian(mode: Mode, scale: ScaleFunction, tau: float):
     return Hermitian2(coefficient_matrix(mode, scale.value(tau)))
 
 
-def segment_propagator(mode: Mode, r: float, dt: float) -> np.ndarray:
-    """exp(-i H dt) for constant R = r, via the spectral formula.
+def segment_propagator(lam, mass, r, dt) -> np.ndarray:
+    """exp(-i H dt) for H = m r sigma3 - lam sigma1, via the spectral formula.
 
-    exp(-i H t) = cos(f t) 1 - i sin(f t) H / f, branch-free and exact.
+    exp(-i H t) = cos(f t) 1 - i sin(f t) H / f, branch-free and exact
+    (the identity where f = 0).  The four arguments broadcast; the result
+    has their shape followed by (2, 2).
     """
-    f = frequency(mode, r)
-    if f == 0.0:
-        return IDENTITY2.copy()
-    h = coefficient_matrix(mode, r)
-    return np.cos(f * dt) * IDENTITY2 - 1j * np.sin(f * dt) / f * h
+    lam, m_r, dt = np.broadcast_arrays(lam, np.multiply(mass, r), dt)
+    f = np.hypot(lam, m_r)
+    h = np.stack([m_r, -lam, -lam, -m_r], -1).reshape(f.shape + (2, 2)).astype(complex)
+    sin_over_f = np.sin(f * dt) / np.where(f == 0.0, 1.0, f)
+    return (np.cos(f * dt)[..., None, None] * IDENTITY2
+            - np.multiply(1j, sin_over_f)[..., None, None] * h)
 
 
 @dataclass(frozen=True)
@@ -102,18 +105,32 @@ class EvolutionResult:
     max_unitarity_defect: float
 
 
-def _piecewise_propagate(mode: Mode, scale: PiecewiseConstantScale,
-                         tau_from: float, tau_to: float):
-    """Exact product of segment exponentials between two times."""
-    if tau_to == tau_from:
-        return IDENTITY2.copy(), 0
-    pieces = scale.pieces(min(tau_from, tau_to), max(tau_from, tau_to))
-    u = IDENTITY2.copy()
-    for a, b, r in pieces:
-        u = segment_propagator(mode, r, b - a) @ u
-    if tau_to < tau_from:
-        u = u.conj().T
-    return u, len(pieces)
+def _piecewise_propagators(modes, scale: PiecewiseConstantScale,
+                           tau_from: float, taus):
+    """U(tau <- tau_from) of every mode at every stop, from segment exponentials.
+
+    U(tau <- tau_from) = E(r_k, tau - t_k) C_k U(tau_from <- 0)^dagger,
+    with k the segment holding tau, t_k its start, E the segment
+    exponential and C_k = U(t_k <- 0), the product of the full segments
+    before it, formed once.  Returns the (N, 2, 2) stacks and the pieces
+    of the stop-to-stop legs, which is the work; logs both at DEBUG.
+    """
+    lams, masses = np.array([(m.lam, m.mass) for m in modes]).T
+    bps, values = np.array(scale.breakpoints), np.array(scale.values)
+    full = segment_propagator(lams, masses, values[:-1, None], np.diff(bps)[:-1, None])
+    starts = [np.broadcast_to(IDENTITY2, full.shape[1:])]
+    for e in full:
+        starts.append(e @ starts[-1])
+    stops = np.array([tau_from, *taus])
+    idx = scale.segment_index(stops)
+    u = (segment_propagator(lams, masses, values[idx, None], (stops - bps[idx])[:, None])
+         @ np.array(starts)[idx])
+    lo, hi = np.minimum(stops[:-1], stops[1:]), np.maximum(stops[:-1], stops[1:])
+    crossed = np.searchsorted(bps, hi, "left") - np.searchsorted(bps, lo, "right")
+    work = int(np.sum(np.where(lo < hi, crossed + 1, 0)))
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("propagators: %d stops, %d segments", len(taus), work)
+    return list(u[1:] @ u[0].conj().swapaxes(-1, -2)), work
 
 
 def step_ceiling(freq: Callable[[float], float], scale: ScaleFunction,
@@ -219,7 +236,8 @@ def exact_transport(modes, scale: ScaleFunction, tau0: float,
     every accepted step, and the fastest mode sets the step ceiling.
     """
     modes = tuple(modes)
-    lams, masses = np.array([(m.lam, m.mass) for m in modes]).T
+    pairs = [(m.lam, m.mass) for m in modes]
+    lams, masses = np.array(pairs).T
     signed_mass = np.kron(-1j * masses, [1.0, 1.0, -1.0, -1.0])
     coupling = np.repeat(1j * lams, 4)
     row_swap = np.arange(4 * len(modes)) ^ 2
@@ -237,7 +255,7 @@ def exact_transport(modes, scale: ScaleFunction, tau0: float,
         return polar_unitary(x.reshape(-1, 2, 2)).ravel()
 
     return Transport(scale, tau0, at, rhs, restore,
-                     lambda r: float(np.hypot(lams, masses * r).max()))
+                     lambda r: max(math.hypot(lam, mass * r) for lam, mass in pairs))
 
 
 def sigma3_conjugated(x) -> list:
@@ -260,7 +278,8 @@ def propagators(modes, scale: ScaleFunction, tau_from: float, taus,
     """U(tau <- tau_from) of modes sharing R, one raw (N, 2, 2) stack per stop.
 
     Returns the stacks and the work.  Piecewise-constant scales: exact
-    segment products chained from stop to stop, work = segments.  Otherwise
+    segment products (``_piecewise_propagators``), work = the pieces of the
+    stop-to-stop legs.  Otherwise
     one ``cointegrate`` sweep of ``exact_transport`` through the stops with
     local error <= tol per unit tau, polar-projected at each stop; work =
     accepted steps.
@@ -273,13 +292,7 @@ def propagators(modes, scale: ScaleFunction, tau_from: float, taus,
     modes = tuple(modes)
 
     if isinstance(scale, PiecewiseConstantScale):
-        stacks, work, u = [], 0, np.array([IDENTITY2] * len(modes))
-        for prev, t in zip([tau_from, *taus], taus):
-            legs = [_piecewise_propagate(m, scale, prev, t) for m in modes]
-            u = np.array([p for p, _ in legs]) @ u
-            stacks.append(u)
-            work += legs[0][1]
-        return stacks, work
+        return _piecewise_propagators(modes, scale, tau_from, taus)
 
     stats = StepStats()
     states = cointegrate(exact_transport(modes, scale, tau_from, tol), None, 0,
@@ -303,7 +316,7 @@ def evolve_grid(mode: Mode, scale: ScaleFunction, tau_from: float, taus,
     return [stack[0] for stack in stacks]
 
 
-def diagonalizer(mode: Mode, r: float) -> np.ndarray:
+def diagonalizer(mode: Mode, r) -> np.ndarray:
     """The frame V with V H V^{-1} = f sigma3, in the fixed phase convention.
 
     Rows are the Hermitian conjugates of the eigenvectors of the coefficient
@@ -316,18 +329,21 @@ def diagonalizer(mode: Mode, r: float) -> np.ndarray:
 
     with rows sign-flipped as the convention demands.  The flip is a
     constant diagonal gauge, so it cancels in every V(b)^dagger ... V(a)
-    product along a mode.
+    product along a mode.  Elementwise in r: an array of scale values
+    gives the stack of frames, shape r.shape + (2, 2).
     """
     f = frequency(mode, r)
-    if f == 0.0:
+    if (f == 0.0).any():
         raise DegenerateFrame(f"frequency vanishes at R={r} for lam={mode.lam}")
-    m_r = mode.mass * r
-    c = math.sqrt((f + m_r) / (2.0 * f))
-    s = mode.lam / math.sqrt(2.0 * f * (f + m_r))
-    v = np.array([[c, -s], [s, c]], dtype=complex)
-    for i, (first, second) in enumerate(((c, -s), (s, c))):
-        if (first if abs(first) > 1e-14 else second) < 0:
-            v[i, :] = -v[i, :]
+    m_r = mode.mass * np.asarray(r, dtype=float)
+    c = np.sqrt((f + m_r) / (2.0 * f))
+    s = mode.lam / np.sqrt(2.0 * f * (f + m_r))
+    # a row's first entry decides its sign, its second where the first
+    # vanishes; c >= 0, so (c, -s) flips only at c ~ 0 with s > 0
+    g0 = 1.0 - 2.0 * ((c <= 1e-14) & (s > 0))
+    g1 = 1.0 - 2.0 * (s < -1e-14)
+    v = np.empty(np.shape(c) + (2, 2), dtype=complex)
+    v[..., 0, 0], v[..., 0, 1], v[..., 1, 0], v[..., 1, 1] = g0 * c, -g0 * s, g1 * s, g1 * c
     return v
 
 
@@ -378,37 +394,47 @@ def wkb_frame(mode: Mode, scale: ScaleFunction, tau: float) -> WkbFrame:
                     phase=accumulated_phase(mode, scale, mode.tau0, tau))
 
 
-def wkb_propagator_raw(v_to: np.ndarray, v_from: np.ndarray,
-                       phase: float) -> np.ndarray:
-    """V(to)^{-1} diag(e^{-i phase}, e^{+i phase}) V(from)."""
-    d = np.array([np.exp(-1j * phase), np.exp(1j * phase)])
-    return v_to.conj().T @ (d[:, None] * v_from)
+def wkb_propagator_raw(v_to: np.ndarray, v_from: np.ndarray, phase) -> np.ndarray:
+    """V(to)^{-1} diag(e^{-i phase}, e^{+i phase}) V(from); a stack of frames
+    ``v_to`` takes one phase each."""
+    d = np.exp(np.multiply.outer(phase, [-1j, 1j]))
+    return v_to.conj().swapaxes(-1, -2) @ (d[..., None] * v_from)
+
+
+def wkb_propagators(mode: Mode, scale: ScaleFunction, tau_from: float,
+                    taus) -> np.ndarray:
+    """``wkb_propagator_raw`` from tau_from to each of ``taus``: an (n, 2, 2) stack."""
+    check_mode_scale(mode, scale, tau_from, *taus)
+    taus = np.asarray(taus, dtype=float)
+    phases = [accumulated_phase(mode, scale, tau_from, t) for t in taus]
+    return wkb_propagator_raw(diagonalizer(mode, scale.value(taus)),
+                              diagonalizer(mode, scale.value(tau_from)), phases)
 
 
 def wkb_evolve(mode: Mode, scale: ScaleFunction, tau_from: float,
                tau_to: float) -> Unitary2:
     """WKB propagator from tau_from to tau_to; unitary by construction."""
-    scale.check_domain(tau_from)
-    scale.check_domain(tau_to)
-    v_from = diagonalizer(mode, scale.value(tau_from))
-    v_to = diagonalizer(mode, scale.value(tau_to))
-    phase = accumulated_phase(mode, scale, tau_from, tau_to)
-    return Unitary2(wkb_propagator_raw(v_to, v_from, phase))
+    return Unitary2(wkb_propagators(mode, scale, tau_from, [tau_to])[0])
+
+
+def wkb_deviations(mode: Mode, scale: ScaleFunction, taus,
+                   tol: float = DEFAULT_ODE_TOL) -> np.ndarray:
+    """W = (WKB propagator)^dagger (exact propagator) from the mode's tau0 to
+    each tau of a monotone grid, an (n, 2, 2) stack; ||W - 1|| is the
+    pointwise WKB error."""
+    us = np.array(evolve_grid(mode, scale, mode.tau0, taus, tol=tol))
+    uws = wkb_propagators(mode, scale, mode.tau0, taus)
+    return uws.conj().swapaxes(-1, -2) @ us
 
 
 def wkb_deviation(mode: Mode, scale: ScaleFunction, tau: float,
                   tol: float = DEFAULT_ODE_TOL) -> Unitary2:
-    """W(tau): the unitary mismatch between WKB and exact propagation.
-
-    W = (WKB propagator)^dagger (exact propagator), both referenced to the
-    mode's tau0; the distance ||W - 1|| is the pointwise WKB error.
-    """
-    u = evolve(mode, scale, mode.tau0, tau, tol=tol).u.matrix
-    uw = wkb_evolve(mode, scale, mode.tau0, tau).matrix
-    return Unitary2(uw.conj().T @ u)
+    """W(tau): ``wkb_deviations`` at one time."""
+    return Unitary2(wkb_deviations(mode, scale, [tau], tol)[0])
 
 
-def deviation_from_identity(w) -> float:
+def deviation_from_identity(w):
+    """||W - 1||, of a matrix or of each matrix in a stack."""
     mat = w.matrix if isinstance(w, Unitary2) else np.asarray(w)
     return spectral_norm(mat - IDENTITY2)
 
@@ -416,12 +442,7 @@ def deviation_from_identity(w) -> float:
 def wkb_deviation_grid(mode: Mode, scale: ScaleFunction, taus,
                        tol: float = DEFAULT_ODE_TOL):
     """||W - 1|| sampled along a monotone grid, in a single sweep."""
-    us = evolve_grid(mode, scale, mode.tau0, taus, tol=tol)
-    out = []
-    for t, u in zip(taus, us):
-        uw = wkb_evolve(mode, scale, mode.tau0, t).matrix
-        out.append(deviation_from_identity(uw.conj().T @ u))
-    return out
+    return list(deviation_from_identity(wkb_deviations(mode, scale, taus, tol)))
 
 
 def _deviation_generator(mode: Mode, scale: SmoothScale, f0: float, r0: float):

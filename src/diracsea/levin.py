@@ -21,11 +21,15 @@ segment (see ``projector._segments``).
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 
 from .errors import ConvergenceFailure
 from .evolution import accumulated_phase, frequency
 from .model import Mode, ScaleFunction
+
+log = logging.getLogger(__name__)
 
 #: Chebyshev-Lobatto nodes per panel.
 NODES = 12
@@ -61,10 +65,12 @@ def levin_integral(mode: Mode, scale: ScaleFunction, integrand, omegas,
     """integral over [lo, hi] of integrand(t, r)[j] * exp(i omegas[j] psi(t)).
 
     psi is the frequency integral from ``mode.tau0``; r the scale value at
-    t (on a piecewise scale, that of the segment holding the panel).  The
-    leg rule is ``evolution.interval_integral``'s: from a tau0
-    inside [lo, hi] the sweeps run out to both ends, otherwise psi is
-    carried to the nearer end first.
+    t (on a piecewise scale, that of the segment holding the panel).
+    ``integrand(ts, rs)`` is called once per panel with the arrays of its
+    ``NODES`` times and scale values, and returns the (nodes, k) array of
+    the k components there.  The leg rule is ``evolution.interval_integral``'s:
+    from a tau0 inside [lo, hi] the sweeps run out to both ends, otherwise
+    psi is carried to the nearer end first.
 
     A panel is accepted when every component moves by at most ``tol`` per
     unit tau (relative to its largest node value, floored at 1) between
@@ -74,19 +80,20 @@ def levin_integral(mode: Mode, scale: ScaleFunction, integrand, omegas,
     say) can exceed tol.  Raises ``ConvergenceFailure`` once ``MAX_PANELS``
     panels were tested without covering [lo, hi], or when a panel too
     narrow to split still fails the test: a truncated sum is never
-    returned.
+    returned.  A DEBUG log line per call reports the legs and the panels
+    tested and accepted.
     """
     omegas = np.asarray(omegas, dtype=float)
     osc = omegas != 0.0
-    tested = 0
+    tested = accepted = 0
 
     def panel(a, b, r):
         """(local integral with psi(a) = 0, psi increment, node maxima)."""
         h = 0.5 * (b - a)
         ts = 0.5 * (a + b) + h * _X
-        rs = [scale.value(t) for t in ts] if r is None else [r] * ts.size
-        f = np.array([frequency(mode, r) for r in rs])
-        vals = np.array([integrand(t, r) for t, r in zip(ts, rs)], dtype=complex)
+        rs = np.full(ts.shape, scale.value(ts) if r is None else r)
+        f = frequency(mode, rs)
+        vals = np.asarray(integrand(ts, rs), dtype=complex)
         dpsi = h * (_W @ f)
         local = h * (_W @ vals)
         if osc.any():
@@ -97,7 +104,7 @@ def levin_integral(mode: Mode, scale: ScaleFunction, integrand, omegas,
 
     def leg(anchor, end, psi):
         """Sum over [anchor, end] (either order), psi known at the anchor."""
-        nonlocal tested
+        nonlocal tested, accepted
         total = np.zeros(omegas.size, dtype=complex)
         sign = 1.0 if end > anchor else -1.0
         # (end nearer the anchor, far end, R if constant there, the panel's
@@ -135,11 +142,16 @@ def levin_integral(mode: Mode, scale: ScaleFunction, integrand, omegas,
             psi_a = psi if sign > 0 else psi - dpsi
             total += np.exp(1j * omegas * psi_a) * local
             psi += sign * dpsi
+            accepted += 1
         return total
 
     tau0 = mode.tau0
-    if tau0 <= lo:
-        return leg(lo, hi, accumulated_phase(mode, scale, tau0, lo))
-    if tau0 >= hi:
-        return leg(hi, lo, accumulated_phase(mode, scale, tau0, hi))
-    return leg(tau0, hi, 0.0) + leg(tau0, lo, 0.0)
+    if lo < tau0 < hi:
+        legs, result = 2, leg(tau0, hi, 0.0) + leg(tau0, lo, 0.0)
+    else:
+        anchor, end = (lo, hi) if tau0 <= lo else (hi, lo)
+        legs, result = 1, leg(anchor, end, accumulated_phase(mode, scale, tau0, anchor))
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("levin_integral: %d legs, %d panels tested, %d accepted",
+                  legs, tested, accepted)
+    return result

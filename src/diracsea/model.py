@@ -12,7 +12,7 @@ value).  All types are immutable after construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,14 +40,15 @@ DEFAULT_GAP_TOL = 1e-6
 SPLINE_RANGE_TOL = 1e-4
 
 
-def spectral_norm(a) -> float:
-    return float(np.linalg.norm(a, 2))
+def spectral_norm(a):
+    """Largest singular value of a matrix, or of each matrix in a stack."""
+    return np.linalg.norm(a, 2, axis=(-2, -1))
 
 
-def unitarity_defect(u) -> float:
-    """Spectral norm of U*U - 1."""
+def unitarity_defect(u):
+    """Spectral norm of U*U - 1, of a matrix or of each matrix in a stack."""
     u = np.asarray(u)
-    return spectral_norm(u.conj().T @ u - np.eye(u.shape[0]))
+    return spectral_norm(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(u.shape[-1]))
 
 
 def polar_unitary(a):
@@ -119,7 +120,8 @@ class ScaleFunction:
     r_max: float
     is_piecewise = False
 
-    def value(self, tau: float) -> float:
+    def value(self, tau):
+        """R at tau, elementwise for an array of times."""
         raise NotImplementedError
 
     def pieces(self, lo: float, hi: float):
@@ -152,7 +154,7 @@ class ScaleFunction:
 
 @dataclass(frozen=True)
 class SmoothScale(ScaleFunction):
-    """R(tau) = r_max * g(tau) with g in C^2, 0 < g <= 1 on (0, pi)."""
+    """R(tau) = r_max * g(tau), g in C^2 with 0 < g <= 1 on (0, pi); elementwise."""
 
     g: Callable[[float], float]
     r_max: float
@@ -165,7 +167,7 @@ class SmoothScale(ScaleFunction):
         if not (np.isfinite(self.r_max) and self.r_max > 0):
             raise InvalidParameter(f"r_max must be > 0, got {self.r_max}")
 
-    def value(self, tau: float) -> float:
+    def value(self, tau):
         return self.r_max * self.g(tau)
 
     def derivative(self, tau: float) -> float:
@@ -212,6 +214,9 @@ class PiecewiseConstantScale(ScaleFunction):
             raise InvalidParameter("breakpoints must be strictly increasing and finite")
         if any(not (np.isfinite(v) and v > 0) for v in vals):
             raise InvalidParameter("segment values must be strictly positive")
+        # array copies for elementwise lookups (not fields: eq and hash stay on the tuples)
+        object.__setattr__(self, "_inner", np.array(bps[1:-1]))
+        object.__setattr__(self, "_values", np.array(vals))
 
     is_piecewise = True
 
@@ -223,12 +228,12 @@ class PiecewiseConstantScale(ScaleFunction):
     def r_max(self) -> float:
         return max(self.values)
 
-    def segment_index(self, tau: float) -> int:
-        idx = int(np.searchsorted(self.breakpoints, tau, side="right")) - 1
-        return min(max(idx, 0), len(self.values) - 1)
+    def segment_index(self, tau):
+        """Index of the segment holding tau, clamped: inner breakpoints <= tau."""
+        return np.searchsorted(self._inner, tau, side="right")
 
-    def value(self, tau: float) -> float:
-        return self.values[self.segment_index(tau)]
+    def value(self, tau):
+        return self._values[self.segment_index(tau)]
 
     def pieces(self, lo: float, hi: float):
         """[lo, hi] cut at the breakpoints, with the segment value r on each piece."""
@@ -278,7 +283,7 @@ def constant_scale(r: float) -> SmoothScale:
     if not (np.isfinite(r) and r > 0):
         raise InvalidParameter(f"r must be > 0, got {r}")
     return SmoothScale(
-        g=lambda t: 1.0,
+        g=lambda t: np.ones_like(t, dtype=float),
         dg=lambda t: 0.0,
         r_max=float(r),
         label="constant",
@@ -318,7 +323,7 @@ def smooth_table_scale(taus: Sequence[float], values: Sequence[float],
             f"interpolated scale function leaves [0, 1]: g ranges over "
             f"[{g.min():.4g}, {g.max():.4g}]; refine or smooth the table")
     return SmoothScale(
-        g=lambda t: float(spline(t)),
+        g=lambda t: spline(t)[()],
         dg=lambda t: float(spline(t, 1)),
         r_max=float(r_max),
         label="smooth_table",
@@ -387,7 +392,9 @@ class TestFunction:
     """Smooth compactly supported C^2-valued probe on (0, pi).
 
     ``amplitude`` maps tau to a complex 2-vector and vanishes outside
-    [a, b]; ``l1_norm`` caches the integral of its pointwise norm.
+    (a, b); times broadcast against the two components, so a column of n
+    times gives an (n, 2) array.  ``l1_norm`` caches the integral of its
+    pointwise norm.
     """
 
     support: tuple
@@ -401,10 +408,8 @@ class TestFunction:
         if not (np.isfinite(self.l1_norm) and self.l1_norm >= 0):
             raise InvalidParameter("l1_norm must be finite and nonnegative")
 
-    def __call__(self, tau: float) -> np.ndarray:
-        a, b = self.support
-        if tau <= a or tau >= b:
-            return np.zeros(2, dtype=complex)
+    def __call__(self, tau) -> np.ndarray:
+        """phi(tau): a 2-vector, or an (n, 2) array for an (n, 1) column of times."""
         return np.asarray(self.amplitude(tau), dtype=complex)
 
     def recompute_l1_norm(self) -> float:
@@ -413,11 +418,11 @@ class TestFunction:
         return val
 
 
-def mollifier(x: float) -> float:
-    """The standard bump profile exp(-1/(1-x^2)) on (-1, 1), zero outside."""
-    if abs(x) >= 1.0:
-        return 0.0
-    return float(np.exp(-1.0 / (1.0 - x * x)))
+def mollifier(x):
+    """The bump profile exp(-1/(1-x^2)) on (-1, 1), zero outside (elementwise)."""
+    gap = 1.0 - x * x
+    # outside, the denominator |gap| + 1 only keeps the division finite
+    return np.exp(-1.0 / (abs(gap) + (gap <= 0.0))) * (gap > 0.0)
 
 
 def bump(support: tuple, direction, amplitude: float = 1.0) -> TestFunction:
@@ -435,7 +440,7 @@ def bump(support: tuple, direction, amplitude: float = 1.0) -> TestFunction:
     d = d / np.linalg.norm(d)
     amp = float(amplitude)
 
-    def profile(tau: float) -> np.ndarray:
+    def profile(tau):
         x = (2.0 * tau - a - b) / (b - a)
         return amp * mollifier(x) * d
 
@@ -451,12 +456,13 @@ def complex_bump(support: tuple, vector_of_tau: Callable[[float], np.ndarray]) -
     if not (0.0 < a < b < np.pi):
         raise InvalidParameter(f"support ({a}, {b}) must satisfy 0 < a < b < pi")
 
-    def profile(tau: float) -> np.ndarray:
-        x = (2.0 * tau - a - b) / (b - a)
-        w = mollifier(x)
-        if w == 0.0:
-            return np.zeros(2, dtype=complex)
-        return w * np.asarray(vector_of_tau(tau), dtype=complex)
+    def profile(tau):
+        # ``vector_of_tau`` takes one time, inside the support
+        times = np.ravel(tau).tolist()
+        weights = mollifier((2.0 * np.array(times) - a - b) / (b - a)).tolist()
+        vals = [w * np.asarray(vector_of_tau(t), dtype=complex) if w else (0j, 0j)
+                for t, w in zip(times, weights)]
+        return np.array(vals).reshape(np.broadcast_shapes(np.shape(tau), (2,)))
 
-    l1, _ = quad(lambda t: float(np.linalg.norm(profile(t))), a, b, limit=200)
-    return TestFunction(support=(a, b), amplitude=profile, l1_norm=l1)
+    phi = TestFunction(support=(a, b), amplitude=profile, l1_norm=0.0)
+    return replace(phi, l1_norm=phi.recompute_l1_norm())

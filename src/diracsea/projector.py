@@ -47,8 +47,7 @@ from .evolution import (
     interval_integral,
     phase_transport,
     sigma3_conjugated,
-    wkb_deviation,
-    wkb_propagator_raw,
+    wkb_deviations,
 )
 from .levin import levin_integral
 from .model import (
@@ -137,13 +136,6 @@ def _exact(mode: Mode, scale: ScaleFunction, tol: float):
             lambda r, x: x.reshape(2, 2))
 
 
-def _wkb(mode: Mode, scale: ScaleFunction):
-    """The WKB phase transport and its propagator V(tau)^-1 D(psi) V(tau0)."""
-    v0 = diagonalizer(mode, scale.value(mode.tau0))
-    return (phase_transport(mode, scale),
-            lambda r, x: wkb_propagator_raw(diagonalizer(mode, r), v0, x[0].real))
-
-
 def _signature(mode: Mode, scale: ScaleFunction, tol: float, ode_tol: float,
                closed_form, lifetime_integral) -> SignatureResult:
     """Closed form on piecewise scales, else lifetime quadrature of U^dagger sigma3 U R.
@@ -215,8 +207,10 @@ def _segments(mode: Mode, scale: ScaleFunction, integrand, omegas, lo: float,
     U = U_wkb W; it is taken at the segment's midpoint.
     """
     v0 = diagonalizer(mode, scale.value(mode.tau0))
-    for a, b, _ in scale.pieces(lo, hi) if exact else [(lo, hi, None)]:
-        c = v0 @ wkb_deviation(mode, scale, 0.5 * (a + b)).matrix if exact else v0
+    pieces = scale.pieces(lo, hi) if exact else [(lo, hi, None)]
+    mids = [0.5 * (a + b) for a, b, _ in pieces]
+    cs = v0 @ wkb_deviations(mode, scale, mids) if exact else [v0]
+    for c, (a, b, _) in zip(cs, pieces):
         yield c, levin_integral(mode, scale, integrand, omegas, a, b, tol)
 
 
@@ -231,10 +225,11 @@ def _sigma3_integral(mode: Mode, scale: ScaleFunction, lo: float, hi: float,
     With Y = V sigma3 V^dagger, U_wkb^dagger sigma3 U_wkb R is
     V0^dagger [[Y00 R, Y01 R e^{2 i psi}], [c.c., -Y00 R]] V0.
     """
-    def integrand(t, r):
-        # Y00 R and Y01 R from the real frame's entries
-        (v00, v01), (v10, v11) = diagonalizer(mode, r).real.tolist()
-        return ((v00 * v00 - v01 * v01) * r, (v00 * v10 - v01 * v11) * r)
+    def integrand(ts, rs):
+        # Y00 R and Y01 R from the real frames' entries
+        (v00, v01), (v10, v11) = diagonalizer(mode, rs).real.transpose(1, 2, 0)
+        return np.stack([(v00 * v00 - v01 * v01) * rs,
+                         (v00 * v10 - v01 * v11) * rs], axis=-1)
 
     return sum(_conjugated(c, *vals) for c, vals
                in _segments(mode, scale, integrand, (0.0, 2.0), lo, hi, tol, exact))
@@ -410,8 +405,9 @@ def _wkb_branches(mode: Mode, scale: ScaleFunction, phi: TestFunction,
     check_mode_scale(mode, scale, *phi.support)
     rows = list(rows)
 
-    def integrand(t, r):
-        return diagonalizer(mode, r)[rows] @ (SIGMA3 @ phi(t)) * (r / TWO_PI)
+    def integrand(ts, rs):
+        w = diagonalizer(mode, rs)[:, rows] @ (SIGMA3 @ phi(ts[:, None])[..., None])
+        return w[..., 0] * (rs / TWO_PI)[:, None]
 
     return sum(c.conj().T[:, rows] @ vals for c, vals
                in _segments(mode, scale, integrand, [1.0 - 2.0 * i for i in rows],

@@ -161,7 +161,9 @@ def _check(doc, command: str | None):
         raise InvalidParameter(f"scenario invalid: {exc}") from exc
     error = jsonschema.exceptions.best_match(_validator(command).iter_errors(doc))
     if error is not None:
-        raise InvalidParameter(f"scenario invalid: {error.message}") from error
+        # the path names the field, where a range or type message quotes only its value
+        where = "" if error.json_path == "$" else f"{error.json_path}: "
+        raise InvalidParameter(f"scenario invalid: {where}{error.message}") from error
 
 
 @dataclass(frozen=True)

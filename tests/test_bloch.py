@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import simpson
 
 import diracsea.bloch
+import mp_oracle
 from diracsea.bloch import (
     BlochState,
     bloch_axis,
@@ -11,9 +12,8 @@ from diracsea.bloch import (
     make_scenario,
     perturb_scenario,
     propagate_bloch,
+    rotation_and_integral,
     rotation_generator,
-    rotation_matrix,
-    rotation_time_integral,
     scenario_signature_components,
     scenario_v_rows_with_cumulative,
     smooth_v_rows_with_cumulative,
@@ -60,27 +60,36 @@ class TestAxis:
 class TestRotationPrimitives:
     def test_parallel_vector_is_stationary(self):
         axis = np.array([1.0, 2.0, -0.5])
-        rot = rotation_matrix(axis, 1.234)
+        rot, _ = rotation_and_integral(axis, 1.234 / np.linalg.norm(axis))
         assert np.allclose(rot @ axis, axis)
 
     def test_full_turn_is_identity(self):
-        rot = rotation_matrix([0.0, 1.0, 0.0], 2 * np.pi)
+        rot, _ = rotation_and_integral([0.0, 1.0, 0.0], 2 * np.pi)
         assert np.allclose(rot, np.eye(3), atol=1e-15)
 
     def test_half_turn_is_reflection_through_axis(self):
         axis = np.array([3.0, 0.0, -1.0])
         a = axis / np.linalg.norm(axis)
-        rot = rotation_matrix(axis, np.pi)
+        rot, _ = rotation_and_integral(a, np.pi)
         assert np.allclose(rot, 2 * np.outer(a, a) - np.eye(3), atol=1e-14)
 
     def test_time_integral_against_quadrature(self):
         gen = np.array([0.7, -1.1, 2.0])
         dt = 0.9
         ts = np.linspace(0.0, dt, 4001)
-        speed = np.linalg.norm(gen)
-        mats = np.array([rotation_matrix(gen, speed * t) for t in ts])
+        mats, _ = rotation_and_integral(gen, ts)
         oracle = simpson(mats, x=ts, axis=0)
-        assert np.allclose(rotation_time_integral(gen, dt), oracle, atol=1e-10)
+        assert np.allclose(rotation_and_integral(gen, dt)[1], oracle, atol=1e-10)
+
+    def test_stacks_are_elementwise_and_a_still_generator_is_identity(self):
+        gens = np.array([[0.7, -1.1, 2.0], [0.0, 0.0, 0.0], [3.0, 0.0, -1.0]])
+        dts = np.array([0.9, 0.4, 1.7])
+        rots, ints = rotation_and_integral(gens, dts)
+        for gen, dt, rot, integral in zip(gens, dts, rots, ints):
+            one_rot, one_int = rotation_and_integral(gen, dt)
+            assert np.array_equal(rot, one_rot) and np.array_equal(integral, one_int)
+        assert np.array_equal(rots[1], np.eye(3))
+        assert np.array_equal(ints[1], 0.4 * np.eye(3))
 
     def test_circular_motion_about_vertical_axis(self):
         # decoupled mode: the axis is vertical, e1 sweeps toward e2
@@ -254,6 +263,16 @@ class TestVComponents:
             assert row == (t, *v, *cr[4:])
         assert [r[:4] for r in rows] == v_components(mode, scale, taus)
 
+    def test_twelve_segment_rows_against_40_digit_reference(self):
+        # the bloch command's v columns on scenarios/twelve_segment_bloch.json
+        # (481 samples from tau0 = 0); the worst error there is 1.20e-14
+        scen = build_twelve_segment()
+        mode = scen.mode
+        taus = np.linspace(mode.tau0, scen.tau_end, 481)
+        for t, *v in (row[:4] for row in v_rows_with_cumulative(mode, scen, taus)):
+            want = mp_oracle.v_components(mp_oracle.propagator(mode, scen, mode.tau0, t))
+            assert np.abs(np.subtract(v, want)).max() <= 1.5e-14
+
     def test_one_sweep_rows_catch_flipped_chirality(self, monkeypatch):
         scen = build_six_segment()
         monkeypatch.setattr(diracsea.bloch, "rotation_generator",
@@ -319,6 +338,32 @@ class TestVComponents:
 
 
 class TestBlochState:
+    def test_batched_check_rejects_a_non_rotation_inside_a_grid(self):
+        scen = build_six_segment()
+        taus = np.linspace(0.0, scen.total_duration, 9)
+        ws, _ = diracsea.bloch._frames_at(scen.mode, scen, taus)
+        diracsea.bloch._check_rotations(ws)
+        for bad in (np.diag([1.0, 1.0, 1.1]), np.diag([1.0, 1.0, -1.0])):
+            grid = ws.copy()
+            grid[4] = bad
+            with pytest.raises(InvalidParameter, match="not a rotation"):
+                diracsea.bloch._check_rotations(grid)
+
+    def test_rows_check_every_frame_of_the_grid(self, monkeypatch):
+        # one stacked rotation stretched off SO(3) fails the rows' batched check
+        scen = build_six_segment()
+        rotations = diracsea.bloch.rotation_and_integral
+
+        def stretched(generator, dt):
+            rots, ints = rotations(generator, dt)
+            rots[3] *= 1.0 + 1e-6
+            return rots, ints
+
+        monkeypatch.setattr(diracsea.bloch, "rotation_and_integral", stretched)
+        with pytest.raises(InvalidParameter, match="not a rotation"):
+            scenario_v_rows_with_cumulative(scen.mode, scen,
+                                            np.linspace(0.0, scen.total_duration, 9))
+
     def test_rejects_non_rotation(self):
         with pytest.raises(InvalidParameter):
             BlochState(w=np.diag([1.0, 1.0, 1.1]), tau=0.0)

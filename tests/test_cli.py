@@ -252,8 +252,8 @@ def test_unknown_lambda_kind_fails_validation(tmp_path, capsys):
     assert code == 1 and text == ""
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "invalid_parameter"
-    assert err["message"] == ("scenario invalid: 'bogus' is not one of "
-                              "['fixed', 'track_mrmax', 'track_power']")
+    assert err["message"] == ("scenario invalid: $.run.lambda.kind: 'bogus' is not "
+                              "one of ['fixed', 'track_mrmax', 'track_power']")
 
 
 @pytest.mark.parametrize("scale", [
@@ -267,8 +267,8 @@ def test_study_rejects_a_scale_it_would_ignore(tmp_path, capsys, scale):
     assert code == 1 and text == ""
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "invalid_parameter"
-    assert err["message"] == (f"scenario invalid: {scale['kind']!r} is not one "
-                              "of ['dust']")
+    assert err["message"] == ("scenario invalid: $.scale.kind: "
+                              f"{scale['kind']!r} is not one of ['dust']")
 
 
 def test_debug_log_reports_each_stepper_sweep(tmp_path, capsys, caplog):

@@ -1,6 +1,13 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
+
+import mp_oracle
+from diracsea.bloch import build_six_segment, build_twelve_segment
 
 from diracsea.errors import DegenerateFrame, DomainError, InvalidParameter
 from diracsea.evolution import (
@@ -12,6 +19,7 @@ from diracsea.evolution import (
     evolve_grid,
     frequency,
     hamiltonian,
+    propagators,
     segment_propagator,
     wkb_deviation,
     wkb_deviation_by_generator,
@@ -79,7 +87,7 @@ class TestEvolve:
         r = 2.0
         f = frequency(mode, r)
         dt = np.pi * 0.5 / f
-        u = segment_propagator(mode, r, dt)
+        u = segment_propagator(mode.lam, mode.mass, r, dt)
         h = coefficient_matrix(mode, r)
         assert spectral_norm(u - (-1j * h / f)) < 1e-13
         assert spectral_norm(u - expm(-1j * h * dt)) < 1e-13
@@ -89,9 +97,9 @@ class TestEvolve:
         sc = PiecewiseConstantScale(breakpoints=(0.0, 0.7, 1.9, 3.0),
                                     values=(2.0, 0.5, 1.3))
         res = evolve(mode, sc, 0.2, 2.6)
-        oracle = (segment_propagator(mode, 1.3, 0.7)
-                  @ segment_propagator(mode, 0.5, 1.2)
-                  @ segment_propagator(mode, 2.0, 0.5))
+        oracle = (segment_propagator(mode.lam, mode.mass, 1.3, 0.7)
+                  @ segment_propagator(mode.lam, mode.mass, 0.5, 1.2)
+                  @ segment_propagator(mode.lam, mode.mass, 2.0, 0.5))
         assert spectral_norm(res.u.matrix - oracle) < 1e-13
 
     def test_group_law(self):
@@ -160,6 +168,22 @@ class TestWkbFrame:
             resid = v @ coeff @ v.conj().T - f * SIGMA3.real
             assert spectral_norm(resid) < 1e-12 * max(1.0, f)
             assert unitarity_defect(v) < 1e-14
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(1e-3, 50.0), st.sampled_from([1.0, -1.0]), st.floats(0.01, 10.0),
+           st.lists(st.floats(0.0, 1e4), min_size=1, max_size=12))
+    def test_array_frames_are_the_scalar_frames(self, size, sign, mass, rs):
+        # bit for bit per element, and V H V^T = f sigma3 to rounding
+        mode = research_mode(sign * size, mass=mass)
+        stack = diagonalizer(mode, np.array(rs))
+        assert stack.shape == (len(rs), 2, 2)
+        for r, v in zip(rs, stack):
+            one = diagonalizer(mode, r)
+            assert one.shape == (2, 2)
+            assert np.array_equal(one.view(float), v.view(float))
+            f = frequency(mode, r)
+            resid = v.real @ coefficient_matrix(mode, r).real @ v.real.T
+            assert spectral_norm(resid - f * SIGMA3.real) <= 1e-15 * f
 
     def test_phase_convention_first_component(self):
         mode = Mode(lam=-2.5, mass=1.0, tau0=TAU0)
@@ -233,3 +257,46 @@ class TestWkbEvolve:
                               for d, t in zip(devs, window))
         assert sups[100.0] <= 1.5 * sups[10.0]
         assert sups[100.0] < 1.0
+
+
+class TestPiecewisePropagators:
+    """The closed form U(t <- tau_from) = E(r_k, t - t_k) C_k U(tau_from <- 0)^dagger."""
+
+    @pytest.mark.parametrize("build", [build_six_segment, build_twelve_segment],
+                             ids=["six_segment", "twelve_segment"])
+    @pytest.mark.parametrize("tau_from_frac", [0.0, 0.37])
+    def test_every_stop_against_40_digit_products(self, build, tau_from_frac):
+        scen = build()
+        modes = (scen.mode, Mode(lam=-2.5, mass=1.0, tau0=0.0))
+        tau_from = tau_from_frac * scen.tau_end
+        # breakpoints, the ends and points inside segments, in both directions
+        taus = sorted({*scen.breakpoints, *np.linspace(0.0, scen.tau_end, 23)})
+        taus = taus[::-1] if tau_from_frac else taus
+        stacks, work = propagators(modes, scen, tau_from, taus)
+        for t, stack in zip(taus, stacks):
+            for mode, u in zip(modes, stack):
+                want = mp_oracle.to_complex(mp_oracle.propagator(mode, scen, tau_from, t))
+                assert np.abs(u - np.array(want)).max() <= 2e-14
+        # the work: the pieces of every stop-to-stop leg
+        legs = zip([tau_from, *taus], taus)
+        assert work == sum(len(scen.pieces(min(a, b), max(a, b)))
+                           for a, b in legs if a != b)
+
+    def test_group_law(self):
+        scen = build_twelve_segment()
+        mode = scen.mode
+        a, b, c = 0.2 * scen.tau_end, 0.55 * scen.tau_end, 0.9 * scen.tau_end
+        ((u_ca,),), _ = propagators((mode,), scen, a, [c])
+        ((u_cb,),), _ = propagators((mode,), scen, b, [c])
+        ((u_ba,),), _ = propagators((mode,), scen, a, [b])
+        assert spectral_norm(u_cb @ u_ba - u_ca) < 1e-14
+        assert spectral_norm(propagators((mode,), scen, c, [a])[0][0][0]
+                             - u_ca.conj().T) < 1e-14
+
+    def test_debug_line_per_call(self, caplog):
+        scen = build_six_segment()
+        taus = np.linspace(0.0, scen.tau_end, 5)
+        caplog.set_level(logging.DEBUG, logger="diracsea")
+        _, work = propagators((scen.mode,), scen, 0.0, taus)
+        lines = [r.getMessage() for r in caplog.records if r.name == "diracsea.evolution"]
+        assert lines == [f"propagators: 5 stops, {work} segments"]

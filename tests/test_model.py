@@ -137,7 +137,7 @@ class TestBump:
         phi = bump((a, b), np.array([3.0, 4.0]), 2.0)
         n = 1_000_001
         ts = np.linspace(a, b, n)
-        vals = np.array([np.linalg.norm(phi(t)) for t in ts])
+        vals = np.linalg.norm(phi(ts[:, None]), axis=-1)
         h = (b - a) / (n - 1)
         simpson = h / 3 * (vals[0] + vals[-1] + 4 * vals[1:-1:2].sum()
                            + 2 * vals[2:-1:2].sum())

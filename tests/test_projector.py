@@ -1,4 +1,6 @@
 import functools
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -13,8 +15,10 @@ from diracsea.evolution import (
     diagonalizer,
     evolve,
     frequency,
+    phase_transport,
     segment_propagator,
     wkb_evolve,
+    wkb_propagator_raw,
 )
 from diracsea.model import (
     Mode,
@@ -34,7 +38,6 @@ from diracsea.projector import (
     PWkbVariant,
     _finish_signature,
     _k_apply,
-    _wkb,
     fermionic_projector_apply,
     k_m_apply,
     k_wkb_apply,
@@ -92,8 +95,9 @@ class TestSignatureOperator:
         sc = PiecewiseConstantScale(breakpoints=(0.0, 0.9, 1.7, 2.8),
                                     values=(2.2, 0.7, 1.4))
         sig = signature_operator(mode, sc)
-        w = (segment_propagator(mode, 0.7, tau0 - 0.9)
-             @ segment_propagator(mode, 2.2, 0.9)) if tau0 else np.eye(2)
+        w = (segment_propagator(mode.lam, mode.mass, 0.7, tau0 - 0.9)
+             @ segment_propagator(mode.lam, mode.mass, 2.2, 0.9)
+             if tau0 else np.eye(2))
         acc = np.zeros((2, 2), dtype=complex)
         u_start = np.eye(2, dtype=complex)
         widths = np.diff(sc.breakpoints)
@@ -101,10 +105,10 @@ class TestSignatureOperator:
             ts = np.linspace(0.0, dt, 3001)
             vals = np.empty((len(ts), 2, 2), dtype=complex)
             for i, t in enumerate(ts):
-                u = segment_propagator(mode, r, t) @ u_start
+                u = segment_propagator(mode.lam, mode.mass, r, t) @ u_start
                 vals[i] = u.conj().T @ SIGMA3 @ u * r
             acc += simpson(vals, x=ts, axis=0)
-            u_start = segment_propagator(mode, r, dt) @ u_start
+            u_start = segment_propagator(mode.lam, mode.mass, r, dt) @ u_start
         assert spectral_norm(sig.s.matrix - w @ acc @ w.conj().T) < 1e-8
 
     def test_scale_bound_is_ceiling(self):
@@ -445,6 +449,13 @@ def rel_diff(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
+def _wkb(mode, sc):
+    """The WKB phase transport and its propagator V(tau)^-1 D(psi) V(tau0)."""
+    v0 = diagonalizer(mode, sc.value(mode.tau0))
+    return (phase_transport(mode, sc),
+            lambda r, x: wkb_propagator_raw(diagonalizer(mode, r), v0, x[0].real))
+
+
 def phase_transport_images(mode, sc, phi):
     """(k, leading-order P) images with the WKB phase carried by the stepper.
 
@@ -534,8 +545,8 @@ class TestLevinRoute:
         for a, b, r in [(0.5, 1.1, 2.0), (1.1, 1.7, 0.6)]:
             psi_a, psi_b = (accumulated_phase(mode, sc, tau0, t) for t in (a, b))
             want += (np.exp(2j * psi_b) - np.exp(2j * psi_a)) / (2j * frequency(mode, r))
-        (got,) = levin_integral(mode, sc, lambda t, r: (1.0,), (2.0,), 0.5, 1.7,
-                                1e-12)
+        (got,) = levin_integral(mode, sc, lambda ts, rs: np.ones((ts.size, 1)),
+                                (2.0,), 0.5, 1.7, 1e-12)
         assert abs(got - want) < 1e-12 * abs(want)
 
     @pytest.mark.parametrize("tau0", [0.4, 2.8])
@@ -552,7 +563,7 @@ class TestLevinRoute:
         calls = []
         frame = projector.diagonalizer
         monkeypatch.setattr(projector, "diagonalizer",
-                            lambda mode, r: calls.append(r) or frame(mode, r))
+                            lambda mode, r: calls.extend(np.ravel(r)) or frame(mode, r))
         counts = {}
         for r_max in (10.0, 300.0):
             calls.clear()
@@ -560,12 +571,31 @@ class TestLevinRoute:
             counts[r_max] = len(calls)
         assert counts[300.0] <= 1.5 * counts[10.0]
 
+    def test_debug_line_per_call(self, caplog):
+        # tau0 inside [lo, hi]: two legs; every panel accepted was tested
+        caplog.set_level(logging.DEBUG, logger="diracsea")
+        calls = []
+
+        def integrand(ts, rs):
+            calls.append(ts.size)
+            return rs[:, None]
+
+        levin_integral(levin_mode(1.5), dust_scale(10.0), integrand, (2.0,),
+                       0.5, 2.5, 1e-10)
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "diracsea.levin"]
+        match = re.fullmatch(r"levin_integral: 2 legs, (\d+) panels tested, "
+                             r"(\d+) accepted", line)
+        tested, accepted = map(int, match.groups())
+        assert 0 < accepted <= tested
+        # one call per evaluated panel, with all of its nodes
+        assert set(calls) == {levin.NODES} and len(calls) >= 2 * tested
+
     def test_exhausted_panel_budget_raises(self, monkeypatch):
         # [0.1, 3.0] starts as 12 panels, more than the budget allows
         monkeypatch.setattr(levin, "MAX_PANELS", 5)
         with pytest.raises(ConvergenceFailure, match="5 panels"):
-            levin_integral(levin_mode(1.5), dust_scale(10.0), lambda t, r: (r,),
-                           (2.0,), 0.1, 3.0, 1e-10)
+            levin_integral(levin_mode(1.5), dust_scale(10.0),
+                           lambda ts, rs: rs[:, None], (2.0,), 0.1, 3.0, 1e-10)
 
     def test_unresolvable_integrand_raises(self):
         # a jump never meets the per-unit-tau criterion: refinement must
@@ -573,8 +603,8 @@ class TestLevinRoute:
         mode = levin_mode(1.5)
         sc = dust_scale(10.0)
         with pytest.raises(ConvergenceFailure, match="underflow"):
-            levin_integral(mode, sc, lambda t, r: (float(t > 1.234),), (2.0,),
-                           0.1, 3.0, 1e-10)
+            levin_integral(mode, sc, lambda ts, rs: (ts > 1.234)[:, None] * 1.0,
+                           (2.0,), 0.1, 3.0, 1e-10)
 
 
 class TestPiecewiseExactRoute:

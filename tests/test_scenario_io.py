@@ -142,23 +142,27 @@ def test_physical_flag_respected():
 
 
 @pytest.mark.parametrize("scale,message", [
-    ({"kind": "dust"}, "'r_max' is a required property"),
+    ({"kind": "dust"}, "$.scale: 'r_max' is a required property"),
     ({"kind": "constant", "r": 2.0, "r_max": 2.0},
-     "Additional properties are not allowed ('r_max' was unexpected)"),
+     "$.scale: Additional properties are not allowed ('r_max' was unexpected)"),
     ({"kind": "smooth_table", "taus": [0, 1, 2, 3], "values": [1, 2, 3, 4]},
-     "'r_max' is a required property"),
+     "$.scale: 'r_max' is a required property"),
     ({"kind": "piecewise", "breakpoints": [0.0, 1.0]},
-     "'values' is a required property"),
+     "$.scale: 'values' is a required property"),
     ({"kind": "segments", "segment": [[2.0, 1.5]]},
-     "Additional properties are not allowed ('segment' was unexpected)"),
+     "$.scale: Additional properties are not allowed ('segment' was unexpected)"),
     ({"kind": "preset", "name": "nine"},
-     "'nine' is not one of ['six_segment', 'twelve_segment']"),
+     "$.scale.name: 'nine' is not one of ['six_segment', 'twelve_segment']"),
     ({"kind": "preset", "name": "six_segment", "perturb": {"index": 0}},
-     "'dp' is a required property"),
-    ({"kind": "weird", "r": 1.0}, "'weird' is not one of ['dust', 'constant'"),
-    ({"r_max": 1.0}, "'kind' is a required property"),
+     "$.scale.perturb: 'dp' is a required property"),
+    ({"kind": "weird", "r": 1.0},
+     "$.scale.kind: 'weird' is not one of ['dust', 'constant'"),
+    ({"r_max": 1.0}, "$.scale: 'kind' is a required property"),
+    ({"kind": "dust", "r_max": -1},
+     "$.scale.r_max: -1 is less than or equal to the minimum of 0"),
+    ({"kind": "dust", "r_max": "big"}, "$.scale.r_max: 'big' is not of type 'number'"),
 ], ids=["dust", "constant", "smooth_table", "piecewise", "segments", "preset",
-        "preset_perturb", "unknown_kind", "no_kind"])
+        "preset_perturb", "unknown_kind", "no_kind", "range", "type"])
 def test_scale_errors_name_the_field(scale, message):
     with pytest.raises(InvalidParameter) as exc:
         parse_scenario(doc(scale=scale))

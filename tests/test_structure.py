@@ -6,8 +6,15 @@
   the benchmark's tracer (``perfbench/tracing.py``) wraps it with.
 * ``evolution.propagators`` is the one exact-propagator sweep: its callers
   are ``evolve``, ``evolve_grid``, ``exact_transport``'s ``at`` and
-  ``cfs.members_at``, one call each, and it alone chains the piecewise
-  segment products.
+  ``cfs.members_at``, one call each, and it alone calls the one piecewise
+  routine, ``_piecewise_propagators``, the only caller of
+  ``segment_propagator``.
+* ``levin.levin_integral`` calls its integrand in one place, ``panel``,
+  with all of the panel's nodes at once: no loop runs there.
+* ``evolution.wkb_propagators`` alone assembles WKB propagators, and
+  ``wkb_deviations`` alone forms the WKB deviation: each grid takes one
+  call, and no package code calls the one-time ``wkb_evolve`` or
+  ``wkb_deviation``.
 * No function body imports a module of the package, and the module import
   graph has no cycle.
 * A rotation-count ``Scenario`` is a ``PiecewiseConstantScale`` and nothing
@@ -66,6 +73,13 @@ def _calls(names, accept=lambda call: True):
     return found
 
 
+def _calls_in(kinds, fn, names):
+    """Calls of ``names`` inside a node of ``kinds`` (a loop, say) in ``fn``."""
+    return [call for outer in ast.walk(fn) if isinstance(outer, kinds)
+            for call in ast.walk(outer) if isinstance(call, ast.Call)
+            and getattr(call.func, "id", getattr(call.func, "attr", None)) in names]
+
+
 def _package_targets(node):
     """Modules of the package an import statement names."""
     if isinstance(node, ast.Import):
@@ -111,8 +125,34 @@ def test_propagators_is_the_only_exact_sweep():
         ("evolution", "evolve_grid"): 1,
         ("cfs", "members_at"): 1,
     })
-    assert set(_calls({"_piecewise_propagate"})) == {("evolution", "propagators")}
-    assert set(_calls({"segment_propagator"})) == {("evolution", "_piecewise_propagate")}
+    assert set(_calls({"_piecewise_propagators"})) == {("evolution", "propagators")}
+    assert set(_calls({"segment_propagator"})) == {
+        ("evolution", "_piecewise_propagators")}
+
+
+def test_levin_calls_the_integrand_once_per_panel():
+    calls = Counter({key: n for key, n in _calls({"integrand"}).items()
+                     if key[0] == "levin"})
+    assert calls == Counter({("levin", "levin_integral.panel"): 1})
+    panel = _function("levin", "levin_integral.panel")
+    assert not [node for node in ast.walk(panel)
+                if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+
+
+def test_wkb_routes_take_one_call_per_grid():
+    assert set(_calls({"wkb_propagator_raw"})) == {("evolution", "wkb_propagators")}
+    assert _calls({"wkb_propagators"}) == Counter({("evolution", "wkb_evolve"): 1,
+                                                   ("evolution", "wkb_deviations"): 1})
+    assert _calls({"wkb_deviations"}) == Counter({
+        ("evolution", "wkb_deviation"): 1,
+        ("evolution", "wkb_deviation_grid"): 1,
+        ("projector", "_segments"): 1,
+    })
+    assert not _calls({"wkb_evolve", "wkb_deviation"})
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    for module, where in _calls({"wkb_propagators", "wkb_deviations"}):
+        assert not _calls_in(loops, _function(module, where),
+                             {"wkb_propagators", "wkb_deviations"}), where
 
 
 @pytest.mark.parametrize("module", sorted(MODULES))
