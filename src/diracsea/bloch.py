@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import ConventionMismatch, InvalidParameter
 from .evolution import (
-    FINE_OSCILLATION_RESOLUTION,
     Transport,
     cointegrate,
     evolve_grid,
@@ -241,7 +240,7 @@ def propagate_bloch(mode: Mode, scale: ScaleFunction, tau_grid,
         return [BlochState(w=w, tau=t)
                 for t, w in zip(taus, _frames_at(mode, scale, taus)[0])]
     states = cointegrate(frame_transport(mode, scale, tol), None, 0, mode.tau0,
-                         taus, tol, FINE_OSCILLATION_RESOLUTION)
+                         taus, tol)
     return [BlochState(w=_project_rotation(x.reshape(3, 3).real), tau=t)
             for t, (x, _) in zip(taus, states)]
 
@@ -256,15 +255,15 @@ def _project_rotation(f):
 
 def frame_transport(mode: Mode, scale: SmoothScale,
                     tol: float = DEFAULT_ODE_TOL) -> Transport:
-    """The rotation frame, identity at the mode's tau0, re-projected onto SO(3)."""
+    """The rotation frame, identity at the mode's tau0, re-projected onto
+    SO(3); it turns at |d| = 2f, twice the spinor's rate."""
     def restore(t, x):
         return _project_rotation(x.reshape(3, 3).real).astype(complex).ravel()
 
     def at(anchor):
         if anchor == mode.tau0:
             return np.eye(3, dtype=complex).ravel()
-        ((x, _),) = cointegrate(transport, None, 0, mode.tau0, [anchor], tol,
-                                FINE_OSCILLATION_RESOLUTION)
+        ((x, _),) = cointegrate(transport, None, 0, mode.tau0, [anchor], tol)
         return restore(anchor, x)
 
     def rhs(t, r, x):
@@ -272,7 +271,7 @@ def frame_transport(mode: Mode, scale: SmoothScale,
         return (k @ x.reshape(3, 3).real).astype(complex).ravel()
 
     transport = Transport(scale, mode.tau0, at, rhs, restore,
-                          lambda r: frequency(mode, r))
+                          lambda r: 2.0 * frequency(mode, r))
     return transport
 
 
@@ -361,7 +360,7 @@ def smooth_v_rows_with_cumulative(mode: Mode, scale: SmoothScale, tau_grid,
         return (x.reshape(3, 3).real[2, :] * r).astype(complex)
 
     states = cointegrate(frame_transport(mode, scale, tol), integrand, 3,
-                         taus[0], taus, tol, FINE_OSCILLATION_RESOLUTION)
+                         taus[0], taus, tol)
     return [(t, *_project_rotation(x.reshape(3, 3).real)[2, :], *acc.real)
             for t, (x, acc) in zip(taus, states)]
 

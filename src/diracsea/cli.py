@@ -13,6 +13,7 @@ output (floats are printed with 17 significant digits).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -154,7 +155,8 @@ def cmd_project(cfg: ScenarioConfig, args, out):
 
 def cmd_bloch(cfg: ScenarioConfig, args, out):
     run, scale = cfg.run, cfg.scale
-    end = scale.tau_end if isinstance(scale, bloch_mod.Scenario) else scale.tau_end - 0.05
+    # a piecewise domain is closed, a smooth one open
+    end = scale.tau_end if scale.is_piecewise else scale.tau_end - 0.05
     taus = list(np.linspace(float(run.get("tau_from", cfg.mode.tau0)),
                             float(run.get("tau_to", end)),
                             int(run.get("samples", 481))))
@@ -257,6 +259,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diracsea",

@@ -49,11 +49,9 @@ from .stepper import StepStats, integrate_with_checkpoints
 
 log = logging.getLogger(__name__)
 
-#: Step ceiling: the phase advances by at most this many radians per step
-#: (0.1 rad, about 1/63 of an oscillation period).
+#: Step ceiling: a transport turns by at most this many radians per step
+#: (0.1 rad, about 1/63 of a turn).
 OSCILLATION_RESOLUTION = 0.1
-#: The finer ceiling of WKB lifetime sweeps and rotation-frame sweeps.
-FINE_OSCILLATION_RESOLUTION = 0.05
 
 MIN_ODE_TOL = 1e-14
 MAX_ODE_TOL = 1e-4
@@ -112,17 +110,18 @@ def _piecewise_propagators(modes, scale: PiecewiseConstantScale,
     U(tau <- tau_from) = E(r_k, tau - t_k) C_k U(tau_from <- 0)^dagger,
     with k the segment holding tau, t_k its start, E the segment
     exponential and C_k = U(t_k <- 0), the product of the full segments
-    before it, formed once.  Returns the (N, 2, 2) stacks and the pieces
-    of the stop-to-stop legs, which is the work; logs both at DEBUG.
+    before it, formed up to the last stop's segment.  Returns the (N, 2, 2)
+    stacks and the pieces of the stop-to-stop legs, the work; logs both at DEBUG.
     """
     lams, masses = np.array([(m.lam, m.mass) for m in modes]).T
     bps, values = np.array(scale.breakpoints), np.array(scale.values)
-    full = segment_propagator(lams, masses, values[:-1, None], np.diff(bps)[:-1, None])
+    stops = np.array([tau_from, *taus])
+    idx = scale.segment_index(stops)
+    last = idx.max()
+    full = segment_propagator(lams, masses, values[:last, None], np.diff(bps)[:last, None])
     starts = [np.broadcast_to(IDENTITY2, full.shape[1:])]
     for e in full:
         starts.append(e @ starts[-1])
-    stops = np.array([tau_from, *taus])
-    idx = scale.segment_index(stops)
     u = (segment_propagator(lams, masses, values[idx, None], (stops - bps[idx])[:, None])
          @ np.array(starts)[idx])
     lo, hi = np.minimum(stops[:-1], stops[1:]), np.maximum(stops[:-1], stops[1:])
@@ -133,16 +132,6 @@ def _piecewise_propagators(modes, scale: PiecewiseConstantScale,
     return list(u[1:] @ u[0].conj().swapaxes(-1, -2)), work
 
 
-def step_ceiling(freq: Callable[[float], float], scale: ScaleFunction,
-                 resolution: float = OSCILLATION_RESOLUTION,
-                 cap: float = np.inf):
-    """Step ceiling at tau: ``resolution`` radians of phase, and at most ``cap``.
-
-    ``freq`` maps a scale value to the oscillation frequency.
-    """
-    return lambda t: min(resolution / max(freq(scale.value(t)), 1e-3), cap)
-
-
 @dataclass(frozen=True)
 class Transport:
     """A fiber state carried along tau, referenced to ``tau0``.
@@ -150,7 +139,8 @@ class Transport:
     ``at(anchor)`` is the flat complex state at ``anchor``; ``rhs(t, r, x)``
     its derivative at time t, r = R(t) as a float; ``restore(t, x)``, if
     given, maps the state back onto its manifold after every accepted step;
-    ``frequency(r)`` is the oscillation frequency that sets the step ceiling.
+    ``frequency(r)``, the rate the state turns at (f for a propagator, 2f
+    for a rotation frame or an e^{2 i psi}), sets the step ceiling.
     """
 
     scale: ScaleFunction
@@ -162,17 +152,17 @@ class Transport:
 
 
 def cointegrate(transport: Transport, integrand, width: int, anchor: float,
-                stops, tol: float, resolution: float = OSCILLATION_RESOLUTION,
-                cap: float = np.inf, stats: StepStats | None = None):
+                stops, tol: float, cap: float = np.inf,
+                stats: StepStats | None = None):
     """Carry a transport from ``anchor`` through the monotone ``stops``.
 
     The integral of ``integrand(t, r, x)`` (``width`` complex entries; r the
     scale value, x the transport state) from ``anchor`` rides along as
     augmented state, so one adaptive stepper and one error budget cover
-    both.  The step ceiling allows ``resolution`` radians of phase per step
-    and at most ``cap``; the stepper counts its work into ``stats``, and a
-    DEBUG log line reports it per sweep.  Returns one (state, integral)
-    pair per stop.
+    both.  A step turns the transport by at most ``OSCILLATION_RESOLUTION``
+    radians and spans at most ``cap``; the stepper counts its work into
+    ``stats``, and a DEBUG log line reports it per sweep.  Returns one
+    (state, integral) pair per stop.
     """
     x0 = transport.at(anchor)
     k = x0.size
@@ -191,9 +181,12 @@ def cointegrate(transport: Transport, integrand, width: int, anchor: float,
         y[:k] = restore(t, y[:k])
         return y
 
+    def ceiling(t):
+        rate = max(transport.frequency(scale.value(t)), 1e-3)
+        return min(OSCILLATION_RESOLUTION / rate, cap)
+
     stats = stats if stats is not None else StepStats()
     before = astuple(stats)
-    ceiling = step_ceiling(transport.frequency, scale, resolution, cap)
     states = integrate_with_checkpoints(
         rhs, anchor, stops, np.concatenate([x0, np.zeros(width, dtype=complex)]),
         rtol=tol, atol=tol * 1e-2, max_step=ceiling,
@@ -205,25 +198,28 @@ def cointegrate(transport: Transport, integrand, width: int, anchor: float,
     return [(y[:k], y[k:]) for y in states]
 
 
-def interval_integral(transport: Transport, integrand, width: int, lo: float,
-                      hi: float, tol: float,
-                      resolution: float = OSCILLATION_RESOLUTION,
-                      cap: float = np.inf) -> np.ndarray:
-    """Integral over [lo, hi] of an integrand riding on a tau0-referenced transport.
+def leg_plan(tau0: float, lo: float, hi: float):
+    """The (anchor, end) sweeps covering [lo, hi] from a state known at tau0.
 
     From a tau0 inside the interval the sweeps run out to both ends; from
-    a tau0 outside it the transport is first carried to the nearer end.
+    a tau0 outside it the state is first carried to the nearer end.
     """
-    def leg(anchor, end):
-        return cointegrate(transport, integrand, width, anchor, [end], tol,
-                           resolution, cap)[0][1]
-
-    tau0 = transport.tau0
     if tau0 <= lo:
-        return leg(lo, hi)
+        return [(lo, hi)]
     if tau0 >= hi:
-        return -leg(hi, lo)
-    return leg(tau0, hi) - leg(tau0, lo)
+        return [(hi, lo)]
+    return [(tau0, hi), (tau0, lo)]
+
+
+def interval_integral(transport: Transport, integrand, width: int, lo: float,
+                      hi: float, tol: float, cap: float = np.inf) -> np.ndarray:
+    """Integral over [lo, hi] of an integrand riding on a tau0-referenced
+    transport, one ``cointegrate`` sweep per leg of ``leg_plan``."""
+    parts = []
+    for anchor, end in leg_plan(transport.tau0, lo, hi):
+        ((_, acc),) = cointegrate(transport, integrand, width, anchor, [end], tol, cap)
+        parts.append(acc if end > anchor else -acc)
+    return sum(parts[1:], parts[0])
 
 
 def exact_transport(modes, scale: ScaleFunction, tau0: float,
@@ -291,7 +287,7 @@ def propagators(modes, scale: ScaleFunction, tau_from: float, taus,
         scale.check_domain(t)
     modes = tuple(modes)
 
-    if isinstance(scale, PiecewiseConstantScale):
+    if scale.is_piecewise:
         return _piecewise_propagators(modes, scale, tau_from, taus)
 
     stats = StepStats()
@@ -356,7 +352,7 @@ def accumulated_phase(mode: Mode, scale: ScaleFunction, tau_from: float,
     """
     if tau_to == tau_from:
         return 0.0
-    if isinstance(scale, PiecewiseConstantScale):
+    if scale.is_piecewise:
         sign = 1.0 if tau_to > tau_from else -1.0
         total = sum(frequency(mode, r) * (b - a) for a, b, r
                     in scale.pieces(min(tau_from, tau_to), max(tau_from, tau_to)))
@@ -376,14 +372,15 @@ class WkbFrame:
 
 
 def phase_transport(mode: Mode, scale: ScaleFunction) -> Transport:
-    """The WKB phase psi(tau): the frequency integral from the mode's tau0."""
+    """The WKB phase psi(tau) from the mode's tau0, turning as e^{2 i psi}: at 2f."""
     freq = partial(frequency, mode)
 
     def at(anchor):
         return np.array([accumulated_phase(mode, scale, mode.tau0, anchor)],
                         dtype=complex)
 
-    return Transport(scale, mode.tau0, at, lambda t, r, x: (freq(r),), None, freq)
+    return Transport(scale, mode.tau0, at, lambda t, r, x: (freq(r),), None,
+                     lambda r: 2.0 * freq(r))
 
 
 def wkb_frame(mode: Mode, scale: ScaleFunction, tau: float) -> WkbFrame:

@@ -26,7 +26,7 @@ import logging
 import numpy as np
 
 from .errors import ConvergenceFailure
-from .evolution import accumulated_phase, frequency
+from .evolution import accumulated_phase, frequency, leg_plan
 from .model import Mode, ScaleFunction
 
 log = logging.getLogger(__name__)
@@ -68,9 +68,8 @@ def levin_integral(mode: Mode, scale: ScaleFunction, integrand, omegas,
     t (on a piecewise scale, that of the segment holding the panel).
     ``integrand(ts, rs)`` is called once per panel with the arrays of its
     ``NODES`` times and scale values, and returns the (nodes, k) array of
-    the k components there.  The leg rule is ``evolution.interval_integral``'s:
-    from a tau0 inside [lo, hi] the sweeps run out to both ends, otherwise
-    psi is carried to the nearer end first.
+    the k components there.  The legs are ``evolution.leg_plan``'s, psi
+    known at each anchor.
 
     A panel is accepted when every component moves by at most ``tol`` per
     unit tau (relative to its largest node value, floored at 1) between
@@ -145,13 +144,9 @@ def levin_integral(mode: Mode, scale: ScaleFunction, integrand, omegas,
             accepted += 1
         return total
 
-    tau0 = mode.tau0
-    if lo < tau0 < hi:
-        legs, result = 2, leg(tau0, hi, 0.0) + leg(tau0, lo, 0.0)
-    else:
-        anchor, end = (lo, hi) if tau0 <= lo else (hi, lo)
-        legs, result = 1, leg(anchor, end, accumulated_phase(mode, scale, tau0, anchor))
+    legs = [leg(anchor, end, accumulated_phase(mode, scale, mode.tau0, anchor))
+            for anchor, end in leg_plan(mode.tau0, lo, hi)]
     if log.isEnabledFor(logging.DEBUG):
         log.debug("levin_integral: %d legs, %d panels tested, %d accepted",
-                  legs, tested, accepted)
-    return result
+                  len(legs), tested, accepted)
+    return sum(legs[1:], legs[0])

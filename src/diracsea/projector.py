@@ -20,7 +20,7 @@ the exact propagator is the WKB one times a constant per segment
 (``_segments``), and both signatures have closed forms.  On smooth scales
 the exact integrals ride as augmented state on a transport (exact U, or
 the WKB phase for the ``wkb_scalar_integrals`` oracle) through
-``evolution.interval_integral``, the leg rule over ``evolution.cointegrate``,
+``evolution.interval_integral``, one ``evolution.cointegrate`` sweep per leg,
 so one adaptive stepper and one error budget cover propagator and
 integral.  Over the open lifetime, the endpoint limits are
 handled by shrinking a cutoff delta until the rigorous tail bound (the
@@ -38,7 +38,6 @@ from scipy.integrate import quad
 from .bloch import piecewise_signature_vector
 from .errors import ConvergenceFailure, DegenerateSignature, InvalidParameter
 from .evolution import (
-    FINE_OSCILLATION_RESOLUTION,
     accumulated_phase,
     check_ode_tol,
     diagonalizer,
@@ -130,12 +129,6 @@ def _choose_cutoffs(scale: ScaleFunction, tol: float):
     return cutoffs[0], cutoffs[1]
 
 
-def _exact(mode: Mode, scale: ScaleFunction, tol: float):
-    """The exact transport of one mode and its propagator U(tau)."""
-    return (exact_transport((mode,), scale, mode.tau0, tol),
-            lambda r, x: x.reshape(2, 2))
-
-
 def _signature(mode: Mode, scale: ScaleFunction, tol: float, ode_tol: float,
                closed_form, lifetime_integral) -> SignatureResult:
     """Closed form on piecewise scales, else lifetime quadrature of U^dagger sigma3 U R.
@@ -146,7 +139,7 @@ def _signature(mode: Mode, scale: ScaleFunction, tol: float, ode_tol: float,
     check_ode_tol(ode_tol)
     check_mode_scale(mode, scale)
     scale_bound = scale.lifetime_integral()
-    if isinstance(scale, PiecewiseConstantScale):
+    if scale.is_piecewise:
         return _finish_signature(closed_form(mode, scale),
                                  1e-13 * max(scale_bound, 1.0), scale_bound)
 
@@ -237,7 +230,7 @@ def _sigma3_integral(mode: Mode, scale: ScaleFunction, lo: float, hi: float,
 
 def _mass_term_integral(mode: Mode, scale: ScaleFunction) -> float:
     """integral of m R^2 / f over the lifetime (smooth, non-oscillatory)."""
-    if isinstance(scale, PiecewiseConstantScale):
+    if scale.is_piecewise:
         return wkb_scalar_integrals(mode, scale).mass_term
     val, _ = quad(lambda t: mode.mass * scale.value(t) ** 2
                   / frequency(mode, scale.value(t)),
@@ -276,17 +269,18 @@ def wkb_scalar_integrals(mode: Mode, scale: ScaleFunction,
                          tol: float = DEFAULT_QUAD_TOL,
                          ode_tol: float = DEFAULT_ODE_TOL) -> WkbScalarIntegrals:
     check_mode_scale(mode, scale)
-    if isinstance(scale, PiecewiseConstantScale):
-        mass_term = cos_term = sin_term = 0.0
-        for start, end, r in scale.pieces(0.0, scale.tau_end):
-            dt = end - start
-            f = frequency(mode, r)
-            psi0 = accumulated_phase(mode, scale, mode.tau0, start)
-            mass_term += mode.mass * r * r / f * dt
-            # phase(tau) = -2 psi(tau); cos is even in psi, sin flips sign
-            cos_term += r / f * (np.sin(2 * (psi0 + f * dt)) - np.sin(2 * psi0)) / (2 * f)
-            sin_term += r / f * (np.cos(2 * (psi0 + f * dt)) - np.cos(2 * psi0)) / (2 * f)
-        return WkbScalarIntegrals(float(mass_term), float(cos_term), float(sin_term))
+    if scale.is_piecewise:
+        r, dt = np.array(scale.values), np.diff(scale.breakpoints)
+        f = frequency(mode, r)
+        # psi at every segment start: one running sum from tau = 0, less psi(tau0)
+        psi0 = (np.concatenate([[0.0], np.cumsum(f * dt)[:-1]])
+                - accumulated_phase(mode, scale, 0.0, mode.tau0))
+        # phase(tau) = -2 psi(tau); cos is even in psi, sin flips sign, and
+        # each sum runs in segment order
+        return WkbScalarIntegrals(*(float(sum(terms.tolist())) for terms in (
+            mode.mass * r * r / f * dt,
+            r / f * (np.sin(2 * (psi0 + f * dt)) - np.sin(2 * psi0)) / (2 * f),
+            r / f * (np.cos(2 * (psi0 + f * dt)) - np.cos(2 * psi0)) / (2 * f))))
 
     check_ode_tol(ode_tol)
     d_lo, d_hi = _choose_cutoffs(scale, tol)
@@ -299,10 +293,8 @@ def wkb_scalar_integrals(mode: Mode, scale: ScaleFunction,
                          r / f * np.sin(ph)], dtype=complex)
 
     acc = interval_integral(phase_transport(mode, scale), integrand, 3, d_lo,
-                            scale.tau_end - d_hi, ode_tol,
-                            FINE_OSCILLATION_RESOLUTION)
-    return WkbScalarIntegrals(float(acc[0].real), float(acc[1].real),
-                              float(acc[2].real))
+                            scale.tau_end - d_hi, ode_tol)
+    return WkbScalarIntegrals(*map(float, acc.real))
 
 
 def wkb_eigenvalues_closed_form(mode: Mode, scale: ScaleFunction,
@@ -345,25 +337,6 @@ class ProjectorOutput:
         return float(np.linalg.norm(self.value))
 
 
-def _k_apply(mode: Mode, scale: ScaleFunction, phi: TestFunction, tol: float,
-             transported, provenance: Provenance) -> ProjectorOutput:
-    """The probe image co-integrated with a transport; steps capped at width/16."""
-    check_ode_tol(tol)
-    check_mode_scale(mode, scale, *phi.support)
-    transport, propagator = transported()
-
-    def integrand(t, r, x):
-        # U^dagger sigma3 phi R / 2 pi for U = [[a, b], [c, d]], phi = (p, q)
-        (a, b), (c, d) = propagator(r, x).tolist()
-        p, q = phi(t).tolist()
-        return ((a.conjugate() * p - c.conjugate() * q) * r / TWO_PI,
-                (b.conjugate() * p - d.conjugate() * q) * r / TWO_PI)
-
-    a, b = phi.support
-    return ProjectorOutput(interval_integral(transport, integrand, 2, a, b, tol,
-                                             cap=(b - a) / 16.0), provenance)
-
-
 def k_m_apply(mode: Mode, scale: ScaleFunction, phi: TestFunction,
               tol: float = DEFAULT_ODE_TOL) -> ProjectorOutput:
     """Causal-solution image of a probe, in the tau0 fiber.
@@ -376,8 +349,21 @@ def k_m_apply(mode: Mode, scale: ScaleFunction, phi: TestFunction,
     if scale.is_piecewise:
         return ProjectorOutput(_wkb_branches(mode, scale, phi, (0, 1), tol, True),
                                Provenance.EXACT)
-    return _k_apply(mode, scale, phi, tol, lambda: _exact(mode, scale, tol),
-                    Provenance.EXACT)
+    check_ode_tol(tol)
+    check_mode_scale(mode, scale, *phi.support)
+
+    def integrand(t, r, x):
+        # U^dagger sigma3 phi R / 2 pi for U = [[a, b], [c, d]], phi = (p, q)
+        a, b, c, d = x.tolist()
+        p, q = phi(t).tolist()
+        return ((a.conjugate() * p - c.conjugate() * q) * r / TWO_PI,
+                (b.conjugate() * p - d.conjugate() * q) * r / TWO_PI)
+
+    lo, hi = phi.support
+    # steps capped at a sixteenth of the support
+    return ProjectorOutput(interval_integral(
+        exact_transport((mode,), scale, mode.tau0, tol), integrand, 2, lo, hi, tol,
+        cap=(hi - lo) / 16.0), Provenance.EXACT)
 
 
 def k_wkb_apply(mode: Mode, scale: ScaleFunction, phi: TestFunction,

@@ -8,9 +8,9 @@ ride along as augmented state components so one error budget covers
 propagator and integral alike.  Two features the stock library solvers
 lack drive the hand-rolled implementation:
 
-* a state-dependent step ceiling (h <= 0.1 / frequency: at most 0.1 rad of
-  phase, about 1/63 of an oscillation period, per step; callers may ask
-  for finer) so oscillations are always resolved, independently of how
+* a state-dependent step ceiling (h <= 0.1 / rate: the state turns by at
+  most 0.1 rad, about 1/63 of a turn, per step, at the rate its transport
+  states) so oscillations are always resolved, independently of how
   optimistic the controller gets;
 * a post-acceptance projection hook, used to restore unitarity (polar
   decomposition) or frame orthogonality after every accepted step.

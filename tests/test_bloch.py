@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -240,6 +243,20 @@ class TestVComponents:
         sc = dust_scale(5.0)
         rows = v_components(mode, sc, np.linspace(0.5, 2.6, 11))
         assert rows[0][0] == 0.5
+
+    @pytest.mark.parametrize("tol,steps", [(1e-10, [(146, 2), (433, 9)]),
+                                           (1e-6, [(46, 0), (169, 0)])])
+    def test_smooth_rows_take_pinned_steps(self, caplog, tol, steps):
+        # the frame turns at 2f, so a step turns it by at most 0.1 rad (the
+        # ceiling binds at tol 1e-6): the carry from tau0 to the first row,
+        # then the sweep through the rows
+        caplog.set_level(logging.DEBUG, logger="diracsea")
+        smooth_v_rows_with_cumulative(Mode(1.5, 1.0, np.pi / 2), dust_scale(5.0),
+                                      np.linspace(0.5, 2.6, 21), tol)
+        sweeps = [re.fullmatch(r"cointegrate: \d+ stops, width \d+, (\d+) accepted, "
+                               r"(\d+) rejected, \d+ rhs evaluations", r.getMessage())
+                  for r in caplog.records if r.name == "diracsea.evolution"]
+        assert [tuple(map(int, m.groups())) for m in sweeps] == steps
 
     @pytest.mark.parametrize("kind", ["scenario", "piecewise", "smooth"])
     def test_one_sweep_rows_join_both_routes(self, kind):

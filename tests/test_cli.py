@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from diracsea import cli
 from diracsea.cli import main
 
 BASE = {"mode": {"lambda": 1.5, "mass": 1.0, "tau0": float(np.pi / 2)},
@@ -153,6 +154,22 @@ def test_bloch_scenario_honours_tau_range(tmp_path):
     assert list(rows[0, 4:]) == [0.0, 0.0, 0.0]
 
 
+def test_bloch_default_end_closes_any_piecewise_domain(tmp_path):
+    # a plain piecewise file with the six-segment preset's breakpoints and
+    # values ends its default grid at tau_end, as the preset does
+    from diracsea.bloch import build_six_segment
+
+    scen = build_six_segment()
+    mode = {"lambda": 1.5, "mass": 1.0, "tau0": 0.0}
+    _, preset = run_cli(tmp_path, "bloch", {
+        "mode": mode, "scale": {"kind": "preset", "name": "six_segment"}})
+    _, plain = run_cli(tmp_path, "bloch", {
+        "mode": mode, "scale": {"kind": "piecewise", "values": list(scen.values),
+                                "breakpoints": list(scen.breakpoints)}})
+    assert plain == preset
+    assert float(plain.strip().split("\n")[-1].split(",")[0]) == scen.tau_end
+
+
 CFS_NAN = dict(BASE, run={"taus": [0.6, 1.1, 1.6, 2.1, 2.6],
                           "lambdas": [1.5, -1.5], "members_per_mode": 2,
                           "classify_tol": float("nan")})
@@ -180,6 +197,16 @@ def test_byte_identical_reruns(tmp_path):
     _, text1 = run_cli(tmp_path, "evolve", doc)
     _, text2 = run_cli(tmp_path, "evolve", doc)
     assert text1 == text2
+
+
+def test_parser_is_built_once(tmp_path, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(build()) or built[-1])
+    doc = dict(BASE, run={"tau_from": 0.5, "tau_to": 2.0, "samples": 3})
+    texts = [run_cli(tmp_path, "evolve", doc)[1] for _ in range(2)]
+    assert len(built) == 2 and built[0] is built[1]
+    assert texts[0] == texts[1]
 
 
 def test_tolerance_flag_overrides(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import mp_oracle
+from diracsea import evolution
 from diracsea.bloch import build_six_segment, build_twelve_segment
 
 from diracsea.errors import DegenerateFrame, DomainError, InvalidParameter
@@ -300,3 +301,23 @@ class TestPiecewisePropagators:
         _, work = propagators((scen.mode,), scen, 0.0, taus)
         lines = [r.getMessage() for r in caplog.records if r.name == "diracsea.evolution"]
         assert lines == [f"propagators: 5 stops, {work} segments"]
+
+    def test_one_stop_forms_no_product_past_its_segment(self, monkeypatch):
+        # a stop in segment 2 of five needs the full exponentials of
+        # segments 0 and 1 alone, one prefix product each
+        sc = PiecewiseConstantScale(breakpoints=(0.0, 0.7, 1.1, 1.6, 2.4, 3.0),
+                                    values=(2.0, 0.8, 3.5, 1.3, 2.6))
+        mode = Mode(lam=-1.5, mass=1.0, tau0=0.0)
+        formed = []
+        exponentials = evolution.segment_propagator
+        monkeypatch.setattr(evolution, "segment_propagator",
+                            lambda *args: formed.append(exponentials(*args)) or formed[-1])
+        one_stop = evolve(mode, sc, 0.2, 1.3)
+        assert [len(e) for e in formed] == [2, 2]  # full segments, then the two stops
+        assert one_stop.step_count == 3
+        # a stop in the last segment forms every full segment, and the
+        # product to the nearer stop stays the same bit for bit
+        formed.clear()
+        (_, (u_near,)), _ = propagators((mode,), sc, 0.2, [2.8, 1.3])
+        assert len(formed[0]) == 4
+        assert np.array_equal(u_near, one_stop.u.matrix)

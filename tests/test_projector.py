@@ -15,6 +15,7 @@ from diracsea.evolution import (
     diagonalizer,
     evolve,
     frequency,
+    interval_integral,
     phase_transport,
     segment_propagator,
     wkb_evolve,
@@ -34,10 +35,8 @@ from diracsea.model import (
 )
 from diracsea.levin import levin_integral
 from diracsea.projector import (
-    Provenance,
     PWkbVariant,
     _finish_signature,
-    _k_apply,
     fermionic_projector_apply,
     k_m_apply,
     k_wkb_apply,
@@ -213,6 +212,16 @@ class TestWkbSignature:
         sw = signature_operator_wkb(mode, sc, tol=1e-11)
         lead = wkb_signature_leading_term(mode, sc)
         assert spectral_norm(sw.s.matrix - lead.matrix) < 1e-8
+
+    def test_scalar_integral_sweeps_take_pinned_steps(self, caplog):
+        # e^{2 i psi} turns at 2f, so a step advances psi by at most
+        # 0.05 rad: the legs from tau0 out to both cutoffs
+        caplog.set_level(logging.DEBUG, logger="diracsea")
+        wkb_scalar_integrals(Mode(1.5, 1.0, TAU0), dust_scale(10.0))
+        sweeps = [re.fullmatch(r"cointegrate: 1 stops, width 3, (\d+) accepted, "
+                               r"(\d+) rejected, \d+ rhs evaluations", r.getMessage())
+                  for r in caplog.records if r.name == "diracsea.evolution"]
+        assert [tuple(map(int, m.groups())) for m in sweeps] == [(278, 0), (107, 0)]
 
     def test_oscillatory_integral_damping(self):
         # the cos-phase lifetime integral is capped by (monotone pieces) * pi/2|lam m|
@@ -449,11 +458,22 @@ def rel_diff(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
-def _wkb(mode, sc):
-    """The WKB phase transport and its propagator V(tau)^-1 D(psi) V(tau0)."""
+def stepper_wkb_image(mode, sc, phi):
+    """k_wkb(phi) with the WKB phase carried by the stepper.
+
+    The support integral of U_wkb^dagger sigma3 phi R / 2 pi, with
+    U_wkb = V(tau)^-1 D(psi) V(tau0), in steps of at most a sixteenth of
+    the support.
+    """
     v0 = diagonalizer(mode, sc.value(mode.tau0))
-    return (phase_transport(mode, sc),
-            lambda r, x: wkb_propagator_raw(diagonalizer(mode, r), v0, x[0].real))
+
+    def integrand(t, r, x):
+        u = wkb_propagator_raw(diagonalizer(mode, r), v0, x[0].real)
+        return u.conj().T @ SIGMA3 @ phi(t) * (r / (2 * np.pi))
+
+    lo, hi = phi.support
+    return interval_integral(phase_transport(mode, sc), integrand, 2, lo, hi,
+                             1e-12, cap=(hi - lo) / 16.0)
 
 
 def phase_transport_images(mode, sc, phi):
@@ -463,8 +483,7 @@ def phase_transport_images(mode, sc, phi):
     leading-order image, the decaying branch alone, is
     -V0^dagger[:, 1] (V0 k)[1].
     """
-    k_rk = _k_apply(mode, sc, phi, 1e-12, lambda: _wkb(mode, sc),
-                    Provenance.WKB).value
+    k_rk = stepper_wkb_image(mode, sc, phi)
     v0 = diagonalizer(mode, sc.value(mode.tau0))
     return k_rk, -v0.conj().T[:, 1] * (v0 @ k_rk)[1]
 
@@ -490,6 +509,25 @@ PIECEWISE_CASES = {
     "tau0_below": lambda: (Mode(lam=-1.5, mass=1.0, tau0=0.3), FIVE_STEPS, (0.9, 2.0)),
     "tau0_above": lambda: (Mode(lam=-1.5, mass=1.0, tau0=2.7), FIVE_STEPS, (0.9, 2.0)),
 }
+
+
+@pytest.mark.parametrize("mode,sc", [
+    (Mode(lam=-1.5, mass=1.0, tau0=0.0), FIVE_STEPS),
+    (Mode(lam=-1.5, mass=1.0, tau0=1.3), FIVE_STEPS),
+    (Mode(lam=1.5, mass=1.0, tau0=0.0), perturb_scenario(build_twelve_segment(), 0, 0.01)),
+], ids=["five_steps_tau0_0", "five_steps_tau0_1.3", "twelve_perturbed"])
+def test_piecewise_scalar_integrals_match_segment_loop(mode, sc):
+    # the closed forms segment by segment, psi at each start walked from tau0
+    want = np.zeros(3)
+    for a, b, r in sc.pieces(0.0, sc.tau_end):
+        f, dt = frequency(mode, r), b - a
+        psi0 = accumulated_phase(mode, sc, mode.tau0, a)
+        want += [mode.mass * r * r / f * dt,
+                 r / f * (np.sin(2 * (psi0 + f * dt)) - np.sin(2 * psi0)) / (2 * f),
+                 r / f * (np.cos(2 * (psi0 + f * dt)) - np.cos(2 * psi0)) / (2 * f)]
+    got = wkb_scalar_integrals(mode, sc)
+    assert np.all(np.abs(np.subtract([got.mass_term, got.cos_term, got.sin_term], want))
+                  <= 1e-13 * np.abs(want))
 
 
 class TestLevinRoute:
@@ -554,8 +592,7 @@ class TestLevinRoute:
         mode = levin_mode(2.5, tau0)
         sc = dust_scale(10.0)
         phi = bump((1.2, 1.9), np.array([1.0, 0.0]))
-        k_rk = _k_apply(mode, sc, phi, 1e-12, lambda: _wkb(mode, sc),
-                        Provenance.WKB).value
+        k_rk = stepper_wkb_image(mode, sc, phi)
         assert rel_diff(k_wkb_apply(mode, sc, phi).value, k_rk) < 1e-9
 
     def test_signature_cost_is_flat_in_m_rmax(self, monkeypatch):

@@ -4,6 +4,8 @@
   stepper module's own internals aside, nothing else calls ``integrate``
   or ``integrate_with_checkpoints``.  ``integrate`` keeps the parameters
   the benchmark's tracer (``perfbench/tracing.py``) wraps it with.
+  ``cointegrate`` alone reads ``OSCILLATION_RESOLUTION``: it forms every
+  step ceiling from the rate its transport turns at.
 * ``evolution.propagators`` is the one exact-propagator sweep: its callers
   are ``evolve``, ``evolve_grid``, ``exact_transport``'s ``at`` and
   ``cfs.members_at``, one call each, and it alone calls the one piecewise
@@ -18,9 +20,9 @@
 * No function body imports a module of the package, and the module import
   graph has no cycle.
 * A rotation-count ``Scenario`` is a ``PiecewiseConstantScale`` and nothing
-  more: no conversion to a plain scale, no scenario fork but the one that
-  picks ``bloch``'s default end, and the same frames and rows as the plain
-  scale with its breakpoints and values.
+  more: no conversion to a plain scale, no ``isinstance`` test of it or
+  of any scale kind (``is_piecewise`` tells them apart), and the same
+  frames and rows as the plain scale with its breakpoints and values.
 * Each scenario and CLI choice is one table entry: the schema's scale kinds
   are ``SCALE_KINDS``, whose builders ``parse_scenario`` calls without
   comparing kind names; the study kinds are ``STUDIES``; the lambda-spec
@@ -50,27 +52,33 @@ MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
            for path in sorted(PACKAGE.glob("*.py"))}
 
 
-def _calls(names, accept=lambda call: True):
-    """Counter of (module, enclosing function path) for calls of ``names``.
-
-    Only the calls ``accept`` returns true for are counted.
-    """
+def _sites(match):
+    """Counter of (module, enclosing function path) for the nodes ``match`` accepts."""
     found = Counter()
 
     def visit(node, module, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = where + (node.name,)
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in names and accept(node):
-                found[(module, ".".join(where))] += 1
+        if match(node):
+            found[(module, ".".join(where))] += 1
         for child in ast.iter_child_nodes(node):
             visit(child, module, where)
 
     for module, tree in MODULES.items():
         visit(tree, module, ())
     return found
+
+
+def _calls(names, accept=lambda call: True):
+    """``_sites`` of the calls of ``names`` that ``accept`` returns true for."""
+    def match(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name in names and accept(node)
+
+    return _sites(match)
 
 
 def _calls_in(kinds, fn, names):
@@ -97,6 +105,13 @@ def test_cointegrate_is_the_only_stepper_caller():
     calls = _calls({"integrate", "integrate_with_checkpoints"})
     callers = {key for key in calls if key[0] != "stepper"}
     assert callers == {("evolution", "cointegrate")}
+
+
+def test_only_cointegrate_reads_the_oscillation_resolution():
+    reads = _sites(lambda node: isinstance(node, ast.Name)
+                   and node.id == "OSCILLATION_RESOLUTION"
+                   and isinstance(node.ctx, ast.Load))
+    assert set(reads) == {("evolution", "cointegrate.ceiling")}
 
 
 def test_stepper_takes_the_parameters_the_tracer_wraps():
@@ -194,12 +209,15 @@ def test_no_scenario_conversion():
     assert found == []
 
 
-def test_one_scenario_isinstance():
-    def of_scenario(call):
-        return any(getattr(n, "id", getattr(n, "attr", None)) == "Scenario"
+def test_no_scale_isinstance():
+    # the scale kind is read from ``is_piecewise``
+    kinds = {"Scenario", "PiecewiseConstantScale", "SmoothScale"}
+
+    def of_scale(call):
+        return any(getattr(n, "id", getattr(n, "attr", None)) in kinds
                    for n in ast.walk(call.args[1]))
 
-    assert _calls({"isinstance"}, of_scenario) == Counter({("cli", "cmd_bloch"): 1})
+    assert _calls({"isinstance"}, of_scale) == Counter()
 
 
 @pytest.mark.parametrize("scen", [
