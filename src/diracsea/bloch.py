@@ -239,7 +239,7 @@ def propagate_bloch(mode: Mode, scale: ScaleFunction, tau_grid,
     if scale.is_piecewise:
         return [BlochState(w=w, tau=t)
                 for t, w in zip(taus, _frames_at(mode, scale, taus)[0])]
-    states = cointegrate(frame_transport(mode, scale, tol), None, 0, mode.tau0,
+    states = cointegrate(frame_transport(mode, scale), None, 0, mode.tau0,
                          taus, tol)
     return [BlochState(w=_project_rotation(x.reshape(3, 3).real), tau=t)
             for t, (x, _) in zip(taus, states)]
@@ -253,26 +253,18 @@ def _project_rotation(f):
     return r
 
 
-def frame_transport(mode: Mode, scale: SmoothScale,
-                    tol: float = DEFAULT_ODE_TOL) -> Transport:
+def frame_transport(mode: Mode, scale: SmoothScale) -> Transport:
     """The rotation frame, identity at the mode's tau0, re-projected onto
     SO(3); it turns at |d| = 2f, twice the spinor's rate."""
     def restore(t, x):
         return _project_rotation(x.reshape(3, 3).real).astype(complex).ravel()
 
-    def at(anchor):
-        if anchor == mode.tau0:
-            return np.eye(3, dtype=complex).ravel()
-        ((x, _),) = cointegrate(transport, None, 0, mode.tau0, [anchor], tol)
-        return restore(anchor, x)
-
     def rhs(t, r, x):
         k = _cross_matrix(rotation_generator(mode, r))
         return (k @ x.reshape(3, 3).real).astype(complex).ravel()
 
-    transport = Transport(scale, mode.tau0, at, rhs, restore,
-                          lambda r: 2.0 * frequency(mode, r))
-    return transport
+    return Transport(scale, mode.tau0, np.eye(3, dtype=complex).ravel(), rhs,
+                     restore, lambda r: 2.0 * frequency(mode, r))
 
 
 def _check_grid(mode: Mode, scale: ScaleFunction, taus):
@@ -359,7 +351,7 @@ def smooth_v_rows_with_cumulative(mode: Mode, scale: SmoothScale, tau_grid,
     def integrand(t, r, x):
         return (x.reshape(3, 3).real[2, :] * r).astype(complex)
 
-    states = cointegrate(frame_transport(mode, scale, tol), integrand, 3,
+    states = cointegrate(frame_transport(mode, scale), integrand, 3,
                          taus[0], taus, tol)
     return [(t, *_project_rotation(x.reshape(3, 3).real)[2, :], *acc.real)
             for t, (x, acc) in zip(taus, states)]

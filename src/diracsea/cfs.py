@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFamily, InvalidParameter
-from .evolution import (evolve, exact_transport, interval_integral, propagators,
-                        sigma3_conjugated)
+from .evolution import (check_ode_tol, evolve, exact_transport, interval_integral,
+                        propagators, sigma3_conjugated)
 from .model import (
     DEFAULT_GAP_TOL,
     DEFAULT_ODE_TOL,
@@ -284,6 +284,7 @@ def correlation_trace_lifetime_integral(family: SolutionFamily,
     on piecewise scales each mode's integral of U^dagger sigma3 U R is the
     Levin segment sum of ``projector._sigma3_integral``.
     """
+    check_ode_tol(ode_tol)
     scale = family.scale
     groups = family.block_indices()
     mode_ids = sorted(groups)
@@ -314,7 +315,7 @@ def correlation_trace_lifetime_integral(family: SolutionFamily,
     def integrand(t, r, x):
         return (-(weights @ sigma3_conjugated(x)).real * r,)
 
-    transport = exact_transport(modes, scale, anchors.pop(), ode_tol)
+    transport = exact_transport(modes, scale, anchors.pop())
     acc = interval_integral(transport, integrand, 1, d_lo, scale.tau_end - d_hi,
                             ode_tol)
     return float(acc[0].real)

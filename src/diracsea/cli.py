@@ -2,7 +2,8 @@
 
 Subcommands: evolve | signature | project | bloch | cfs | study.
 Every command reads a JSON scenario file, writes CSV or JSON to stdout (or
---out), and reports failures as machine-readable JSON on stderr.
+--out) once it has finished, and reports failures as machine-readable JSON
+on stderr; a failed command writes no output and leaves --out untouched.
 
 Exit codes: 0 success, 1 validation failure, 2 numerical failure
 (non-convergence, degenerate signature, ...), 3 envelope violation in a
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import logging
 import os
@@ -297,12 +299,14 @@ def main(argv=None) -> int:
                  for name in ("ode_tol", "quad_tol", "gap_tol")
                  if getattr(args, name) is not None}
         cfg = load_scenario(args.scenario, args.command, flags)
-        sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-        try:
-            code = _COMMANDS[args.command](cfg, args, sink)
-        finally:
-            if args.out:
-                sink.close()
+        # a command that fails leaves --out as it was: write only on return
+        buf = io.StringIO()
+        code = _COMMANDS[args.command](cfg, args, buf)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as sink:
+                sink.write(buf.getvalue())
+        else:
+            sys.stdout.write(buf.getvalue())
         return code
     except DiracSeaError as exc:
         payload = {"error": exc.kind, "message": str(exc)}

@@ -9,11 +9,12 @@ ones through the adaptive stepper with a step ceiling resolving the
 instantaneous frequency and polar re-unitarization after every accepted
 step.  ``evolve`` and ``evolve_grid`` are its one-mode cases.
 
-A ``Transport`` carries a fiber state along tau from a reference time: the
-(N, 2, 2) stack of exact propagators of modes sharing R, or the WKB phase
-(``bloch`` adds the rotation frame).  ``cointegrate``, the package's only
-caller of the stepper, carries one through a list of stops with an
-integral riding along; on piecewise-constant scales no production
+A ``Transport`` is plain data, a fiber state at tau0 and the equation that
+moves it: the (N, 2, 2) stack of exact propagators of modes sharing R, or
+the WKB phase (``bloch`` adds the rotation frame).  ``cointegrate``, the
+package's only caller of the stepper, carries one through a list of stops
+with an integral riding along, first carrying it from tau0 to the anchor
+by a sweep of its own; on piecewise-constant scales no production
 integral needs a transport.
 
 The WKB propagator is assembled from the instantaneous diagonalizing frame
@@ -45,7 +46,7 @@ from .model import (
     spectral_norm,
     DEFAULT_ODE_TOL,
 )
-from .stepper import StepStats, integrate_with_checkpoints
+from . import stepper
 
 log = logging.getLogger(__name__)
 
@@ -136,16 +137,16 @@ def _piecewise_propagators(modes, scale: PiecewiseConstantScale,
 class Transport:
     """A fiber state carried along tau, referenced to ``tau0``.
 
-    ``at(anchor)`` is the flat complex state at ``anchor``; ``rhs(t, r, x)``
-    its derivative at time t, r = R(t) as a float; ``restore(t, x)``, if
-    given, maps the state back onto its manifold after every accepted step;
+    ``start`` is the flat complex state at ``tau0``; ``rhs(t, r, x)`` its
+    derivative at time t, r = R(t) as a float; ``restore(t, x)``, if given,
+    maps the state back onto its manifold after every accepted step;
     ``frequency(r)``, the rate the state turns at (f for a propagator, 2f
     for a rotation frame or an e^{2 i psi}), sets the step ceiling.
     """
 
     scale: ScaleFunction
     tau0: float
-    at: Callable
+    start: np.ndarray
     rhs: Callable
     restore: Callable | None
     frequency: Callable[[float], float]
@@ -153,20 +154,26 @@ class Transport:
 
 def cointegrate(transport: Transport, integrand, width: int, anchor: float,
                 stops, tol: float, cap: float = np.inf,
-                stats: StepStats | None = None):
+                stats: stepper.StepStats | None = None):
     """Carry a transport from ``anchor`` through the monotone ``stops``.
 
-    The integral of ``integrand(t, r, x)`` (``width`` complex entries; r the
-    scale value, x the transport state) from ``anchor`` rides along as
-    augmented state, so one adaptive stepper and one error budget cover
-    both.  A step turns the transport by at most ``OSCILLATION_RESOLUTION``
-    radians and spans at most ``cap``; the stepper counts its work into
-    ``stats``, and a DEBUG log line reports it per sweep.  Returns one
-    (state, integral) pair per stop.
+    The one carry rule: away from ``tau0`` the state first reaches
+    ``anchor`` by a sweep of its own (no integral, no ``cap``), restored
+    once there.  The integral of ``integrand(t, r, x)`` (``width`` complex
+    entries; r the scale value, x the transport state) from ``anchor``
+    rides along as augmented state, so one adaptive stepper and one error
+    budget cover both.  A step turns the transport by at most
+    ``OSCILLATION_RESOLUTION`` radians and spans at most ``cap``; the
+    stepper counts its work into ``stats``, and a DEBUG log line reports
+    it per sweep.  Returns one (state, integral) pair per stop.
     """
-    x0 = transport.at(anchor)
+    stats = stats if stats is not None else stepper.StepStats()
+    scale, restore, x0 = transport.scale, transport.restore, transport.start
+    if anchor != transport.tau0:
+        ((x0, _),) = cointegrate(transport, None, 0, transport.tau0, [anchor], tol,
+                                 stats=stats)
+        x0 = x0 if restore is None else restore(anchor, x0)
     k = x0.size
-    scale, restore = transport.scale, transport.restore
     buf = np.empty(k + width, dtype=complex)
 
     def rhs(t, y):
@@ -185,17 +192,21 @@ def cointegrate(transport: Transport, integrand, width: int, anchor: float,
         rate = max(transport.frequency(scale.value(t)), 1e-3)
         return min(OSCILLATION_RESOLUTION / rate, cap)
 
-    stats = stats if stats is not None else StepStats()
     before = astuple(stats)
-    states = integrate_with_checkpoints(
-        rhs, anchor, stops, np.concatenate([x0, np.zeros(width, dtype=complex)]),
-        rtol=tol, atol=tol * 1e-2, max_step=ceiling,
-        post_accept=post if restore is not None else None, stats=stats)
+    y = np.concatenate([x0, np.zeros(width, dtype=complex)])
+    states = []
+    for t, stop in zip([anchor, *stops], stops):
+        # through the module, so a wrapped or patched stepper sees every leg
+        y = stepper.integrate(rhs, t, stop, y, rtol=tol, atol=tol * 1e-2,
+                              max_step=ceiling,
+                              post_accept=post if restore is not None else None,
+                              stats=stats)
+        states.append((y[:k], y[k:]))
     if log.isEnabledFor(logging.DEBUG):
         log.debug("cointegrate: %d stops, width %d, %d accepted, %d rejected, "
                   "%d rhs evaluations", len(states), width,
                   *np.subtract(astuple(stats), before))
-    return [(y[:k], y[k:]) for y in states]
+    return states
 
 
 def leg_plan(tau0: float, lo: float, hi: float):
@@ -222,8 +233,7 @@ def interval_integral(transport: Transport, integrand, width: int, lo: float,
     return sum(parts[1:], parts[0])
 
 
-def exact_transport(modes, scale: ScaleFunction, tau0: float,
-                    tol: float = DEFAULT_ODE_TOL) -> Transport:
+def exact_transport(modes, scale: ScaleFunction, tau0: float) -> Transport:
     """Exact propagators U(tau <- tau0) of modes sharing R, as one (N, 2, 2) stack.
 
     dU/dtau = -i H U with H = r (m sigma3) - lam sigma1 is a signed row
@@ -238,19 +248,13 @@ def exact_transport(modes, scale: ScaleFunction, tau0: float,
     coupling = np.repeat(1j * lams, 4)
     row_swap = np.arange(4 * len(modes)) ^ 2
 
-    def at(anchor):
-        if anchor == tau0:
-            return np.tile(IDENTITY2.ravel(), len(modes))
-        (stack,), _ = propagators(modes, scale, tau0, [anchor], tol)
-        return np.array([Unitary2(u).matrix for u in stack]).ravel()
-
     def rhs(t, r, x):
         return r * signed_mass * x + coupling * x[row_swap]
 
     def restore(t, x):
         return polar_unitary(x.reshape(-1, 2, 2)).ravel()
 
-    return Transport(scale, tau0, at, rhs, restore,
+    return Transport(scale, tau0, np.tile(IDENTITY2.ravel(), len(modes)), rhs, restore,
                      lambda r: max(math.hypot(lam, mass * r) for lam, mass in pairs))
 
 
@@ -290,8 +294,8 @@ def propagators(modes, scale: ScaleFunction, tau_from: float, taus,
     if scale.is_piecewise:
         return _piecewise_propagators(modes, scale, tau_from, taus)
 
-    stats = StepStats()
-    states = cointegrate(exact_transport(modes, scale, tau_from, tol), None, 0,
+    stats = stepper.StepStats()
+    states = cointegrate(exact_transport(modes, scale, tau_from), None, 0,
                          tau_from, taus, tol, stats=stats)
     return [polar_unitary(x.reshape(-1, 2, 2)) for x, _ in states], stats.accepted
 
@@ -374,13 +378,8 @@ class WkbFrame:
 def phase_transport(mode: Mode, scale: ScaleFunction) -> Transport:
     """The WKB phase psi(tau) from the mode's tau0, turning as e^{2 i psi}: at 2f."""
     freq = partial(frequency, mode)
-
-    def at(anchor):
-        return np.array([accumulated_phase(mode, scale, mode.tau0, anchor)],
-                        dtype=complex)
-
-    return Transport(scale, mode.tau0, at, lambda t, r, x: (freq(r),), None,
-                     lambda r: 2.0 * freq(r))
+    return Transport(scale, mode.tau0, np.zeros(1, dtype=complex),
+                     lambda t, r, x: (freq(r),), None, lambda r: 2.0 * freq(r))
 
 
 def wkb_frame(mode: Mode, scale: ScaleFunction, tau: float) -> WkbFrame:
@@ -442,50 +441,34 @@ def wkb_deviation_grid(mode: Mode, scale: ScaleFunction, taus,
     return list(deviation_from_identity(wkb_deviations(mode, scale, taus, tol)))
 
 
-def _deviation_generator(mode: Mode, scale: SmoothScale, f0: float, r0: float):
-    """The anti-Hermitian generator of dW/dtau = X W, in closed form.
-
-    Requires the scale function's derivative; valid for smooth scales only.
-    """
-    lam, mass = mode.lam, mode.mass
-
-    def x_of(t: float, phase_from_tau0: float) -> np.ndarray:
-        r = scale.value(t)
-        rdot = scale.derivative(t)
-        f = frequency(mode, r)
-        ph = -2.0 * phase_from_tau0
-        c, s = np.cos(ph), np.sin(ph)
-        pref = lam * mass * rdot / (2.0 * f * f * f0)
-        return pref * np.array(
-            [[-1j * lam * s, f0 * c - 1j * mass * r0 * s],
-             [-f0 * c - 1j * mass * r0 * s, 1j * lam * s]], dtype=complex)
-
-    return x_of
-
-
 def wkb_deviation_by_generator(mode: Mode, scale: SmoothScale, tau: float,
                                tol: float = DEFAULT_ODE_TOL) -> Unitary2:
-    """Independent route to W(tau): integrate its own differential equation.
+    """Independent route to W(tau): integrate dW/dtau = X W, with X the
+    anti-Hermitian generator in closed form.
 
     Cross-checks the product definition; the two must agree to quadrature
-    accuracy.  Needs a smooth scale with a derivative.
+    accuracy.  X needs R', so the scale must be smooth.
     """
     check_ode_tol(tol)
     check_mode_scale(mode, scale)
+    lam, mass = mode.lam, mode.mass
     r0 = scale.value(mode.tau0)
     f0 = frequency(mode, r0)
-    x_of = _deviation_generator(mode, scale, f0, r0)
 
     def rhs(t, r, y):
-        dw = x_of(t, y[0].real) @ y[1:].reshape(2, 2)
-        return np.concatenate([[frequency(mode, r)], dw.ravel()])
+        f = frequency(mode, r)
+        ph = -2.0 * y[0].real  # y[0] is the WKB phase from tau0
+        c, s = np.cos(ph), np.sin(ph)
+        x = lam * mass * scale.derivative(t) / (2.0 * f * f * f0) * np.array(
+            [[-1j * lam * s, f0 * c - 1j * mass * r0 * s],
+             [-f0 * c - 1j * mass * r0 * s, 1j * lam * s]], dtype=complex)
+        return np.concatenate([[f], (x @ y[1:].reshape(2, 2)).ravel()])
 
     def restore(t, y):
         return np.concatenate([y[:1], polar_unitary(y[1:].reshape(2, 2)).ravel()])
 
-    # the state (WKB phase, W) is (0, 1) at tau0, where every sweep starts
-    transport = Transport(scale, mode.tau0,
-                          lambda anchor: np.concatenate([[0j], IDENTITY2.ravel()]),
+    # the state (WKB phase, W) is (0, 1) at tau0
+    transport = Transport(scale, mode.tau0, np.concatenate([[0j], IDENTITY2.ravel()]),
                           rhs, restore, partial(frequency, mode))
     ((y, _),) = cointegrate(transport, None, 0, mode.tau0, [tau], tol)
     return Unitary2(polar_unitary(y[1:].reshape(2, 2)))

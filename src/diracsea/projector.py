@@ -163,7 +163,7 @@ def signature_operator(mode: Mode, scale: ScaleFunction,
         def integrand(t, r, x):
             return [v * r for v in sigma3_conjugated(x)]
 
-        return interval_integral(exact_transport((mode,), scale, mode.tau0, ode_tol),
+        return interval_integral(exact_transport((mode,), scale, mode.tau0),
                                  integrand, 4, lo, hi, ode_tol).reshape(2, 2)
 
     return _signature(mode, scale, tol, ode_tol, _piecewise_signature,
@@ -362,7 +362,7 @@ def k_m_apply(mode: Mode, scale: ScaleFunction, phi: TestFunction,
     lo, hi = phi.support
     # steps capped at a sixteenth of the support
     return ProjectorOutput(interval_integral(
-        exact_transport((mode,), scale, mode.tau0, tol), integrand, 2, lo, hi, tol,
+        exact_transport((mode,), scale, mode.tau0), integrand, 2, lo, hi, tol,
         cap=(hi - lo) / 16.0), Provenance.EXACT)
 
 

@@ -190,12 +190,12 @@ def parse_scenario(doc: dict, command: str | None = None,
     """Validate a scenario document and build its objects.
 
     ``command`` names the CLI command whose run options are checked;
-    ``tolerances`` replace the document's own before they are validated.
+    ``tolerances`` replace the document's own before the one validation.
     """
+    own = doc.get("tolerances", {}) if isinstance(doc, dict) else None
+    if tolerances and isinstance(own, dict):
+        doc = dict(doc, tolerances={**own, **tolerances})
     _check(doc, command)
-    if tolerances:
-        doc = dict(doc, tolerances={**doc.get("tolerances", {}), **tolerances})
-        _check(doc, command)
 
     mdoc = doc["mode"]
     mode = Mode(lam=float(mdoc["lambda"]), mass=float(mdoc["mass"]),

@@ -3,9 +3,10 @@
 This is the single adaptive controller behind the exact evolution on
 smooth scales, the generator route to the WKB deviation, the rotation
 frames, and every exact-route integral (the WKB integrals use ``levin``
-instead).  Its one caller is ``evolution.cointegrate``, where quadratures
-ride along as augmented state components so one error budget covers
-propagator and integral alike.  Two features the stock library solvers
+instead).  Its one caller is ``evolution.cointegrate``, which calls
+``integrate`` once per stop of a sweep and lets quadratures ride along as
+augmented state components, so one error budget covers propagator and
+integral alike.  Two features the stock library solvers
 lack drive the hand-rolled implementation:
 
 * a state-dependent step ceiling (h <= 0.1 / rate: the state turns by at
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -128,21 +129,3 @@ def integrate(rhs: Callable, t0: float, t1: float, y0,
         h = h * factor
     return y
 
-
-def integrate_with_checkpoints(rhs, t0: float, checkpoints: Sequence[float], y0,
-                               rtol: float, atol: float,
-                               max_step=None, post_accept=None,
-                               stats: StepStats | None = None):
-    """Integrate through a monotone sequence of times, yielding each state.
-
-    Checkpoints must be monotone in the direction away from ``t0`` (equal
-    consecutive entries are allowed).  Returns the list of states, one per
-    checkpoint; a checkpoint equal to the current time repeats the state.
-    """
-    states = []
-    y = np.array(y0, dtype=complex)
-    for t, tc in zip([t0, *checkpoints], checkpoints):
-        y = integrate(rhs, t, tc, y, rtol=rtol, atol=atol,
-                      max_step=max_step, post_accept=post_accept, stats=stats)
-        states.append(y.copy())
-    return states

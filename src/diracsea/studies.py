@@ -190,9 +190,12 @@ def run_study(kind: StudyKind, grid, lam_spec: LambdaSpec = LambdaSpec(),
     The dust model is used throughout with unit mass, except for the
     leading-term study which holds ``leading_r_max`` fixed and reads the
     grid as masses.  The constant is fitted at the first grid point
-    (serially); remaining points may be evaluated in parallel.
+    (serially); the remaining points are shared among at most ``jobs``
+    worker processes, never more than there are points.
     """
     grid = [float(x) for x in grid]
+    if jobs < 1:
+        raise InvalidParameter(f"jobs must be >= 1, got {jobs}")
     if len(grid) < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidParameter("grid must be a nonempty ascending sequence")
     if any(x <= 1.0 for x in grid):
@@ -213,8 +216,10 @@ def run_study(kind: StudyKind, grid, lam_spec: LambdaSpec = LambdaSpec(),
     measure = functools.partial(_measure, kind, tau0=tau0, probe=probe,
                                 ode_tol=ode_tol, quad_tol=quad_tol, gap_tol=gap_tol)
     measured = [measure(*points[0])]
-    if jobs > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a pool starts all of its workers at once: no more than there are points
+    workers = min(jobs, len(points) - 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             measured.extend(pool.map(measure, *zip(*points[1:])))
     else:
         measured.extend(itertools.starmap(measure, points[1:]))

@@ -189,6 +189,13 @@ class TestLocalCorrelation:
                                      @ sig.s.matrix @ mem.spinor))
         assert route_a == pytest.approx(route_b, rel=1e-7)
 
+    @pytest.mark.parametrize("tau0", [TAU0, 1e-4], ids=["inside", "below_cutoff"])
+    def test_trace_integral_rejects_an_ode_tol_out_of_range(self, tau0):
+        fam = build_family((Mode(1.5, 1.0, tau0),), SCALE, [(0, [1.0, 0.0])],
+                           require_negative_subspace=False)
+        with pytest.raises(InvalidParameter, match="ode tolerance"):
+            correlation_trace_lifetime_integral(fam, ode_tol=1e-2)
+
     @pytest.mark.parametrize("tau0", [0.3, 1.3, 2.7])
     def test_piecewise_trace_integral_matches_signature(self, tau0):
         # Levin segment sums against the signature's SO(3) closed form

@@ -79,6 +79,28 @@ def test_project_degenerate_scenario_exits_2(tmp_path, capsys):
     assert json.loads(err.strip().split("\n")[-1])["error"] == "degenerate_signature"
 
 
+@pytest.mark.parametrize("before", ["m_rmax\n1,2\n", None], ids=["existing", "absent"])
+def test_failed_command_leaves_out_untouched(tmp_path, capsys, before):
+    out = tmp_path / "out.txt"
+    if before is not None:
+        out.write_text(before)
+    scen = write_scenario(tmp_path, TWELVE)
+    assert main(["project", "--scenario", scen, "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "degenerate_signature"
+    if before is None:
+        assert not out.exists()
+    else:
+        assert out.read_text() == before
+
+
+def test_unwritable_out_exits_1_after_the_command(tmp_path, capsys):
+    scen = write_scenario(tmp_path, dict(BASE, run={}))
+    out = tmp_path / "no_such_dir" / "out.txt"
+    assert main(["signature", "--scenario", scen, "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "io_error"
+    assert not out.exists()
+
+
 def test_undershooting_smooth_table_exits_1(tmp_path, capsys):
     # the spline through these nonnegative values dips to g = -0.427
     doc = dict(BASE, scale={"kind": "smooth_table",
@@ -192,6 +214,15 @@ def test_jobs_is_a_study_option_only(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_study_jobs_below_one_exit_1(tmp_path, capsys, jobs):
+    doc = dict(BASE, run={"kind": "s_wkb_bound", "grid": [5.0, 10.0]})
+    code, text = run_cli(tmp_path, "study", doc, extra=("--jobs", jobs))
+    assert code == 1 and text == ""
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "invalid_parameter" and "jobs" in err["message"]
+
+
 def test_byte_identical_reruns(tmp_path):
     doc = dict(BASE, run={"tau_from": 0.5, "tau_to": 2.0, "samples": 3})
     _, text1 = run_cli(tmp_path, "evolve", doc)
@@ -218,6 +249,25 @@ def test_tolerance_flag_overrides(tmp_path):
                           extra=("--ode-tol", "1e-11"))
     assert code == 0
     assert text1 != text2  # different integration budgets change digits
+
+
+def test_tolerance_flags_replace_the_file_values_before_validation(tmp_path):
+    # the file's ode_tol alone is out of range; the flag's value replaces it
+    run = {"tau_from": 0.5, "tau_to": 2.0, "samples": 3}
+    code, text = run_cli(tmp_path, "evolve",
+                         dict(BASE, run=run, tolerances={"ode_tol": 1e-3}),
+                         extra=("--ode-tol", "1e-10"))
+    assert code == 0
+    assert text == run_cli(tmp_path, "evolve",
+                           dict(BASE, run=run, tolerances={"ode_tol": 1e-10}))[1]
+
+
+def test_bad_tolerance_flag_names_its_path(tmp_path, capsys):
+    code, text = run_cli(tmp_path, "evolve", dict(BASE, run={}),
+                         extra=("--ode-tol", "1e-3"))
+    assert code == 1 and text == ""
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["message"].startswith("scenario invalid: $.tolerances.ode_tol: ")
 
 
 def test_cfs_classification_grid(tmp_path):

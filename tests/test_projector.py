@@ -126,9 +126,12 @@ class TestWkbSignature:
         sw = signature_operator_wkb(mode, sc, tol=1e-10, ode_tol=tol)
         assert spectral_norm(s.s.matrix - sw.s.matrix) < 10 * tol * s.norm()
 
-    @pytest.mark.parametrize("r_max", [10.0])
-    def test_eigenvalues_match_closed_form(self, r_max):
-        mode = Mode(lam=1.5, mass=1.0, tau0=TAU0)
+    # from tau0 = 1e-4, below the lower cutoff, the scalar integrals' phase
+    # is first carried to the cutoff by the stepper
+    @pytest.mark.parametrize("r_max,tau0", [(10.0, TAU0), (10.0, 1e-4)],
+                             ids=["10.0", "10.0-tau0_1e-4"])
+    def test_eigenvalues_match_closed_form(self, r_max, tau0):
+        mode = Mode(lam=1.5, mass=1.0, tau0=tau0)
         sc = dust_scale(r_max)
         sw = signature_operator_wkb(mode, sc, tol=1e-10, ode_tol=1e-11)
         mu_m, mu_p = wkb_eigenvalues_closed_form(mode, sc, tol=1e-10,
@@ -291,6 +294,24 @@ class TestCausalSolution:
         u_hi = evolve(hi, sc, 2.8, 1.5, tol=1e-11).u.matrix
         assert np.linalg.norm(u_lo @ k_lo - k_in) < 1e-9
         assert np.linalg.norm(u_hi @ k_hi - k_in) < 1e-9
+
+
+@pytest.mark.parametrize("run,sweeps", [
+    (lambda: k_m_apply(Mode(1.5, 1.0, TAU0), dust_scale(10.0),
+                       bump((0.3, 0.9), [1.0, 0.5])),
+     [(0, 74, 0, 518), (2, 61, 7, 476)]),
+    (lambda: signature_operator(Mode(1.5, 1.0, 1e-4), dust_scale(10.0)),
+     [(0, 1, 0, 7), (4, 489, 0, 3423)]),
+], ids=["k_m_apply_probe_above_tau0", "signature_tau0_below_cutoff"])
+def test_carry_then_leg_take_pinned_steps(caplog, run, sweeps):
+    # an interval that excludes tau0: cointegrate first carries the propagator
+    # to its near end (width 0, no integral), then integrates across it
+    caplog.set_level(logging.DEBUG, logger="diracsea")
+    run()
+    found = [re.fullmatch(r"cointegrate: 1 stops, width (\d+), (\d+) accepted, "
+                          r"(\d+) rejected, (\d+) rhs evaluations", r.getMessage())
+             for r in caplog.records if r.name == "diracsea.evolution"]
+    assert [tuple(map(int, m.groups())) for m in found] == sweeps
 
 
 class TestNegativeProjection:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from diracsea.errors import IntegrationFailure
-from diracsea.stepper import StepStats, integrate, integrate_with_checkpoints
+from diracsea.evolution import Transport, cointegrate
+from diracsea.model import constant_scale
+from diracsea.stepper import StepStats, integrate
 
 
 def test_linear_decay_accuracy():
@@ -53,11 +55,12 @@ def test_nonfinite_state_raises():
 
 
 def test_checkpoints_match_single_shot():
-    rhs = lambda t, y: -0.7 * y
+    # cointegrate runs the stops, one stepper call each (atol = tol / 100)
+    decay = Transport(constant_scale(1.0), 0.0, np.array([2.0 + 0j]),
+                      lambda t, r, x: -0.7 * x, None, lambda r: 0.0)
     grid = [0.5, 1.0, 2.0, 2.0, 3.0]
-    states = integrate_with_checkpoints(rhs, 0.0, grid, np.array([2.0 + 0j]),
-                                        rtol=1e-11, atol=1e-13)
-    for t, y in zip(grid, states):
+    states = cointegrate(decay, None, 0, 0.0, grid, 1e-11)
+    for t, (y, _) in zip(grid, states):
         assert abs(y[0] - 2.0 * np.exp(-0.7 * t)) < 1e-9
 
 

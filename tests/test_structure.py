@@ -1,16 +1,19 @@
 """Structure of the package, read from its source with ``ast``.
 
 * The adaptive stepper has one caller, ``evolution.cointegrate``; the
-  stepper module's own internals aside, nothing else calls ``integrate``
-  or ``integrate_with_checkpoints``.  ``integrate`` keeps the parameters
-  the benchmark's tracer (``perfbench/tracing.py``) wraps it with.
-  ``cointegrate`` alone reads ``OSCILLATION_RESOLUTION``: it forms every
-  step ceiling from the rate its transport turns at.
+  stepper module's own internals aside, nothing else calls ``integrate``.
+  ``integrate`` keeps the parameters the benchmark's tracer
+  (``perfbench/tracing.py``) wraps it with.  ``cointegrate`` alone reads
+  ``OSCILLATION_RESOLUTION``: it forms every step ceiling from the rate
+  its transport turns at.
 * ``evolution.propagators`` is the one exact-propagator sweep: its callers
-  are ``evolve``, ``evolve_grid``, ``exact_transport``'s ``at`` and
-  ``cfs.members_at``, one call each, and it alone calls the one piecewise
-  routine, ``_piecewise_propagators``, the only caller of
-  ``segment_propagator``.
+  are ``evolve``, ``evolve_grid`` and ``cfs.members_at``, one call each,
+  and it alone calls the one piecewise routine, ``_piecewise_propagators``,
+  the only caller of ``segment_propagator``.
+* The stepper route stands on its own: ``cointegrate``, ``interval_integral``,
+  the transports and the generator route to the WKB deviation call none
+  of ``propagators``, ``accumulated_phase`` or ``levin_integral``, so the
+  oracles it gives never start from the routes they check.
 * ``levin.levin_integral`` calls its integrand in one place, ``panel``,
   with all of the panel's nodes at once: no loop runs there.
 * ``evolution.wkb_propagators`` alone assembles WKB propagators, and
@@ -102,7 +105,7 @@ def _package_targets(node):
 
 
 def test_cointegrate_is_the_only_stepper_caller():
-    calls = _calls({"integrate", "integrate_with_checkpoints"})
+    calls = _calls({"integrate"})
     callers = {key for key in calls if key[0] != "stepper"}
     assert callers == {("evolution", "cointegrate")}
 
@@ -135,7 +138,6 @@ def test_stepper_takes_the_parameters_the_tracer_wraps():
 
 def test_propagators_is_the_only_exact_sweep():
     assert _calls({"propagators"}) == Counter({
-        ("evolution", "exact_transport.at"): 1,
         ("evolution", "evolve"): 1,
         ("evolution", "evolve_grid"): 1,
         ("cfs", "members_at"): 1,
@@ -143,6 +145,13 @@ def test_propagators_is_the_only_exact_sweep():
     assert set(_calls({"_piecewise_propagators"})) == {("evolution", "propagators")}
     assert set(_calls({"segment_propagator"})) == {
         ("evolution", "_piecewise_propagators")}
+
+
+def test_stepper_route_calls_no_production_route():
+    route = {"cointegrate", "interval_integral", "exact_transport", "frame_transport",
+             "phase_transport", "wkb_deviation_by_generator"}
+    calls = _calls({"propagators", "accumulated_phase", "levin_integral"})
+    assert not [key for key in calls if key[1].split(".")[0] in route]
 
 
 def test_levin_calls_the_integrand_once_per_panel():

@@ -1,5 +1,6 @@
 import pytest
 
+from diracsea import studies
 from diracsea.errors import InvalidParameter
 from diracsea.studies import (
     LambdaSpec,
@@ -87,3 +88,33 @@ class TestRunStudy:
         for a, b in zip(serial.records, parallel.records):
             assert a.measured == b.measured
             assert a.envelope == b.envelope
+
+    def test_workers_never_outnumber_the_points(self, monkeypatch):
+        # a pool starts all of its workers at once; this stand-in records how
+        # many were asked for and runs the tasks in this process
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return list(map(fn, *iterables))
+
+        monkeypatch.setattr(studies, "ProcessPoolExecutor", InProcessPool)
+        kwargs = dict(lam_spec=LambdaSpec(kind="fixed", value=1.5))
+        grid = [10.0, 20.0, 30.0, 40.0]
+        pooled = run_study(StudyKind.LEADING_TERM_BOUND, grid, jobs=64, **kwargs)
+        assert asked == [3]
+        assert pooled == run_study(StudyKind.LEADING_TERM_BOUND, grid, **kwargs)
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(InvalidParameter, match="jobs"):
+            run_study(StudyKind.S_WKB_BOUND, [5.0, 10.0], jobs=jobs)
