@@ -35,7 +35,6 @@ from .model import (
     PiecewiseConstantScale,
     ScaleFunction,
     SmoothScale,
-    check_mode_scale,
     spectral_norm,
     is_physical_eigenvalue,
 )
@@ -124,7 +123,7 @@ class Scenario(PiecewiseConstantScale):
     Segment k lasts exactly ``rotations[k]`` full frame rotations at scale
     value ``values[k]``, i.e. pi * p / sqrt(lam^2 + (m r)^2) units of
     conformal time: the breakpoints are the running sums of those widths.
-    Integrals run over (0, tau_end), not (0, pi).  Half-integer p makes a
+    Its domain is the closed [0, tau_end], past pi alike.  Half-integer p makes a
     segment a reflection through its axis, but any positive p is accepted
     (perturbed scenarios probe the stability of the construction).
     """
@@ -234,8 +233,7 @@ def propagate_bloch(mode: Mode, scale: ScaleFunction, tau_grid,
     fixed-axis rotations; on smooth scales they come from adaptive
     integration with orthogonality re-projection.
     """
-    taus = [float(t) for t in tau_grid]
-    _check_grid(mode, scale, taus)
+    taus = _grid(mode, scale, tau_grid)
     if scale.is_piecewise:
         return [BlochState(w=w, tau=t)
                 for t, w in zip(taus, _frames_at(mode, scale, taus)[0])]
@@ -267,10 +265,15 @@ def frame_transport(mode: Mode, scale: SmoothScale) -> Transport:
                      restore, lambda r: 2.0 * frequency(mode, r))
 
 
-def _check_grid(mode: Mode, scale: ScaleFunction, taus):
+def _grid(mode: Mode, scale: ScaleFunction, tau_grid) -> list:
+    """The grid as floats: nonempty, nondecreasing, with tau0 in the scale's domain."""
+    taus = [float(t) for t in tau_grid]
+    if not taus:
+        raise InvalidParameter("tau grid is empty")
     if any(t2 < t1 for t1, t2 in zip(taus, taus[1:])):
         raise InvalidParameter("tau grid must be nondecreasing")
-    check_mode_scale(mode, scale, *taus)
+    scale.check_domain(mode.tau0, *taus)
+    return taus
 
 
 def v_trace_formula(mode: Mode, scale: ScaleFunction, tau_grid,
@@ -282,7 +285,8 @@ def v_trace_formula(mode: Mode, scale: ScaleFunction, tau_grid,
     [c, d]], B = U^dagger sigma3 U has B01 = conj(a) b - conj(c) d, so
     v = (Re B01, -Im B01, (B00 - B11) / 2).
     """
-    u = np.array(evolve_grid(mode, scale, mode.tau0, tau_grid, tol=tol)).reshape(-1, 4)
+    taus = _grid(mode, scale, tau_grid)
+    u = np.array(evolve_grid(mode, scale, mode.tau0, taus, tol=tol)).reshape(-1, 4)
     a, b, c, d = u.T
     off = a.conj() * b - c.conj() * d
     diag = (a.conj() * a - c.conj() * c).real - (b.conj() * b - d.conj() * d).real
@@ -328,8 +332,7 @@ def scenario_v_rows_with_cumulative(mode: Mode, scale: PiecewiseConstantScale,
     The cumulative integrals run from the first grid point; the frame is
     referenced to the mode's tau0.
     """
-    taus = [float(t) for t in tau_grid]
-    _check_grid(mode, scale, taus)
+    taus = _grid(mode, scale, tau_grid)
     ws, cums = _frames_at(mode, scale, taus)
     _check_rotations(ws)
     return [(t, *v, *cum) for t, v, cum
@@ -345,8 +348,7 @@ def smooth_v_rows_with_cumulative(mode: Mode, scale: SmoothScale, tau_grid,
     """
     if scale.is_piecewise:  # the stepper would run straight across the jumps
         raise InvalidParameter("piecewise scales take scenario_v_rows_with_cumulative")
-    taus = [float(t) for t in tau_grid]
-    _check_grid(mode, scale, taus)
+    taus = _grid(mode, scale, tau_grid)
 
     def integrand(t, r, x):
         return (x.reshape(3, 3).real[2, :] * r).astype(complex)
@@ -373,5 +375,5 @@ def piecewise_signature_vector(mode: Mode, scale: PiecewiseConstantScale):
 
     Closed form: the running integral of v R over the whole scale.
     """
-    check_mode_scale(mode, scale)
+    scale.check_domain(mode.tau0)
     return _frames_at(mode, scale, [scale.tau_end])[1][0]

@@ -31,11 +31,9 @@ from .model import (
     SIGMA3,
     TestFunction,
     Unitary2,
-    check_mode_scale,
     spectral_norm,
 )
 from .projector import (
-    _choose_cutoffs,
     _sigma3_integral,
     k_m_apply,
     negative_projection,
@@ -264,7 +262,7 @@ def kernel_apply(family: SolutionFamily, tau_x: float, phi: TestFunction,
         raise InvalidParameter(f"mode index {mode_index} out of range")
     mode = family.modes[mode_index]
     scale = family.scale
-    check_mode_scale(mode, scale, *phi.support)
+    scale.check_domain(mode.tau0, *phi.support)
     spinors = [m.spinor for m in family.members if m.mode_index == mode_index]
     if not spinors:
         return np.zeros(2, dtype=complex)
@@ -299,14 +297,14 @@ def correlation_trace_lifetime_integral(family: SolutionFamily,
     anchors = {mode.tau0 for mode in modes}
     if len(anchors) != 1:
         raise InvalidParameter("trace integral needs a common tau0 across modes")
-    check_mode_scale(modes[0], scale)
+    scale.check_domain(modes[0].tau0)
 
     if scale.is_piecewise:
         return float(-sum(np.trace(_sigma3_integral(mode, scale, 0.0, scale.tau_end,
                                                     ode_tol, exact=True) @ g).real
                           for mode, g in zip(modes, grams)))
 
-    d_lo, d_hi = _choose_cutoffs(scale, quad_tol)
+    lo, hi, _ = scale.window(quad_tol)
 
     # Tr(sigma3 U G U^dagger) = Tr(G K) with K = U^dagger sigma3 U: the
     # entrywise sum of G^T times K, real since G and K are Hermitian
@@ -316,8 +314,7 @@ def correlation_trace_lifetime_integral(family: SolutionFamily,
         return (-(weights @ sigma3_conjugated(x)).real * r,)
 
     transport = exact_transport(modes, scale, anchors.pop())
-    acc = interval_integral(transport, integrand, 1, d_lo, scale.tau_end - d_hi,
-                            ode_tol)
+    acc = interval_integral(transport, integrand, 1, lo, hi, ode_tol)
     return float(acc[0].real)
 
 
@@ -346,6 +343,8 @@ def causal_classify(fx: CorrelationOperator, fy: CorrelationOperator,
     largest magnitude).  Spacelike: all nontrivial eigenvalues genuinely
     complex with a common absolute value.  Lightlike: anything else.
     """
+    if not 0.0 < tol < np.inf:
+        raise InvalidParameter(f"classify tolerance must be finite and > 0, got {tol}")
     eigs = product_spectrum(fx, fy)
     scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     if scale == 0.0:

@@ -41,7 +41,6 @@ from .model import (
     ScaleFunction,
     SmoothScale,
     Unitary2,
-    check_mode_scale,
     polar_unitary,
     spectral_norm,
     DEFAULT_ODE_TOL,
@@ -162,11 +161,13 @@ def cointegrate(transport: Transport, integrand, width: int, anchor: float,
     once there.  The integral of ``integrand(t, r, x)`` (``width`` complex
     entries; r the scale value, x the transport state) from ``anchor``
     rides along as augmented state, so one adaptive stepper and one error
-    budget cover both.  A step turns the transport by at most
-    ``OSCILLATION_RESOLUTION`` radians and spans at most ``cap``; the
-    stepper counts its work into ``stats``, and a DEBUG log line reports
-    it per sweep.  Returns one (state, integral) pair per stop.
+    budget cover both; ``tol`` is checked here, where it is read.  A step
+    turns the transport by at most ``OSCILLATION_RESOLUTION`` radians and
+    spans at most ``cap``; the stepper counts its work into ``stats``, and
+    a DEBUG log line reports it per sweep.  Returns one (state, integral)
+    pair per stop.
     """
+    check_ode_tol(tol)
     stats = stats if stats is not None else stepper.StepStats()
     scale, restore, x0 = transport.scale, transport.restore, transport.start
     if anchor != transport.tau0:
@@ -285,10 +286,8 @@ def propagators(modes, scale: ScaleFunction, tau_from: float, taus,
     accepted steps.
     """
     check_ode_tol(tol)
-    scale.check_domain(tau_from)
     taus = [float(t) for t in taus]
-    for t in taus:
-        scale.check_domain(t)
+    scale.check_domain(tau_from, *taus)
     modes = tuple(modes)
 
     if scale.is_piecewise:
@@ -354,6 +353,7 @@ def accumulated_phase(mode: Mode, scale: ScaleFunction, tau_from: float,
     Piecewise scales sum exactly; smooth scales use adaptive quadrature
     (the integrand is smooth and positive, so this is cheap and tight).
     """
+    scale.check_domain(tau_from, tau_to)
     if tau_to == tau_from:
         return 0.0
     if scale.is_piecewise:
@@ -383,7 +383,7 @@ def phase_transport(mode: Mode, scale: ScaleFunction) -> Transport:
 
 
 def wkb_frame(mode: Mode, scale: ScaleFunction, tau: float) -> WkbFrame:
-    check_mode_scale(mode, scale, tau)
+    scale.check_domain(mode.tau0, tau)
     r = scale.value(tau)
     return WkbFrame(f=frequency(mode, r),
                     v=Unitary2(diagonalizer(mode, r)),
@@ -400,7 +400,7 @@ def wkb_propagator_raw(v_to: np.ndarray, v_from: np.ndarray, phase) -> np.ndarra
 def wkb_propagators(mode: Mode, scale: ScaleFunction, tau_from: float,
                     taus) -> np.ndarray:
     """``wkb_propagator_raw`` from tau_from to each of ``taus``: an (n, 2, 2) stack."""
-    check_mode_scale(mode, scale, tau_from, *taus)
+    scale.check_domain(mode.tau0, tau_from, *taus)
     taus = np.asarray(taus, dtype=float)
     phases = [accumulated_phase(mode, scale, tau_from, t) for t in taus]
     return wkb_propagator_raw(diagonalizer(mode, scale.value(taus)),
@@ -449,8 +449,7 @@ def wkb_deviation_by_generator(mode: Mode, scale: SmoothScale, tau: float,
     Cross-checks the product definition; the two must agree to quadrature
     accuracy.  X needs R', so the scale must be smooth.
     """
-    check_ode_tol(tol)
-    check_mode_scale(mode, scale)
+    scale.check_domain(mode.tau0, tau)
     lam, mass = mode.lam, mode.mass
     r0 = scale.value(mode.tau0)
     f0 = frequency(mode, r0)

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DomainError, InvalidParameter
+from .errors import ConvergenceFailure, DomainError, InvalidParameter
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -85,8 +85,8 @@ class Mode:
 
     ``physical=True`` (default) restricts ``lam`` to the 3-sphere spectrum
     {+-3/2, +-5/2, ...}; research mode accepts any real value, including 0
-    (useful because the dynamics decouples there).  ``tau0 = 0`` is allowed
-    so piecewise-constant scenarios can anchor at the bang.
+    (useful because the dynamics decouples there).  ``tau0 >= 0`` is all a
+    mode asks: the scale it meets says where tau0 may lie (``check_domain``).
     """
 
     lam: float
@@ -99,8 +99,8 @@ class Mode:
             raise InvalidParameter("lam must be finite")
         if not (np.isfinite(self.mass) and self.mass > 0):
             raise InvalidParameter(f"mass must be > 0, got {self.mass}")
-        if not (0.0 <= self.tau0 < np.pi):
-            raise InvalidParameter(f"tau0 must lie in [0, pi), got {self.tau0}")
+        if not (np.isfinite(self.tau0) and self.tau0 >= 0.0):
+            raise InvalidParameter(f"tau0 must be finite and >= 0, got {self.tau0}")
         if self.physical and not is_physical_eigenvalue(self.lam):
             raise InvalidParameter(
                 f"lam={self.lam} is not a half-integer with |lam| >= 3/2; "
@@ -113,7 +113,9 @@ class ScaleFunction:
 
     Two concrete kinds: ``SmoothScale`` (R = r_max * g with g in C^2) and
     ``PiecewiseConstantScale``.  ``tau_end`` is pi for cosmological models;
-    rotation-count scenarios carry their own total duration.
+    rotation-count scenarios carry their own total duration.  The scale owns
+    where tau may go: ``check_domain`` for tau0, stops and probe supports,
+    ``window`` for every integral over the lifetime.
     """
 
     tau_end: float
@@ -128,16 +130,35 @@ class ScaleFunction:
         """(a, b, r) stretches of [lo, hi]: R = r on each, or r = None where R varies."""
         return [(lo, hi, None)]
 
-    def check_domain(self, tau: float):
-        if self.is_piecewise:
-            ok = 0.0 <= tau <= self.tau_end
-        else:
-            ok = 0.0 < tau < self.tau_end
-        if not ok:
-            raise DomainError(
-                f"tau={tau} outside the scale-function domain "
-                f"{'[0, %g]' % self.tau_end if self.is_piecewise else '(0, %g)' % self.tau_end}"
-            )
+    def check_domain(self, *taus: float):
+        """DomainError unless each tau lies in the closed [0, tau_end] of a
+        piecewise scale or the open (0, tau_end) of a smooth one."""
+        closed, end = self.is_piecewise, self.tau_end
+        for tau in taus:
+            if not (0.0 <= tau <= end if closed else 0.0 < tau < end):
+                domain = ("[0, %g]" if closed else "(0, %g)") % end
+                raise DomainError(f"tau={tau} outside the scale-function domain {domain}")
+
+    def window(self, tol: float):
+        """(lo, hi, tail): the lifetime less its endpoint cutoffs, and the
+        integral of R over the cut-off ends.  Each cutoff shrinks on its own until
+        its tail is below tol/2, so a scale vanishing at one end is cut no finer
+        at the other."""
+        if not 0.0 < tol < np.inf:
+            raise InvalidParameter(f"quadrature tolerance must be finite and > 0, got {tol}")
+        ends = []
+        for tail in (self.tail_below, self.tail_above):
+            delta = min(0.05, self.tau_end / 16.0)
+            for _ in range(60):
+                if (part := tail(delta)) <= tol / 2.0:
+                    break
+                delta *= 0.25
+            else:
+                raise ConvergenceFailure(
+                    f"endpoint tail bound not reached (last delta {delta:.3e})")
+            ends.append((delta, part))
+        (d_lo, below), (d_hi, above) = ends
+        return d_lo, self.tau_end - d_hi, below + above
 
     def lifetime_integral(self) -> float:
         """integral of R over the whole domain (a priori operator-norm scale)."""
@@ -154,7 +175,7 @@ class ScaleFunction:
 
 @dataclass(frozen=True)
 class SmoothScale(ScaleFunction):
-    """R(tau) = r_max * g(tau), g in C^2 with 0 < g <= 1 on (0, pi); elementwise."""
+    """R(tau) = r_max * g(tau), g in C^2 with 0 < g <= 1 on (0, tau_end); elementwise."""
 
     g: Callable[[float], float]
     r_max: float
@@ -251,16 +272,6 @@ class PiecewiseConstantScale(ScaleFunction):
         return delta * self.values[-1]
 
 
-def check_mode_scale(mode: Mode, scale: ScaleFunction, *taus: float):
-    """DomainError unless tau0 and ``taus`` lie in the scale's domain.
-
-    Every entry point taking a (mode, scale) pair calls this, so none
-    extrapolates the scale function.
-    """
-    for tau in (mode.tau0, *taus):
-        scale.check_domain(tau)
-
-
 def dust_scale(r_max: float) -> SmoothScale:
     """Dust-matter scale function, normalized so that max R = r_max.
 
@@ -268,8 +279,6 @@ def dust_scale(r_max: float) -> SmoothScale:
     The 1/2 keeps the convention max g = 1, so every bound stated in terms
     of m * r_max uses the actual maximum of R.
     """
-    if not (np.isfinite(r_max) and r_max > 0):
-        raise InvalidParameter(f"r_max must be > 0, got {r_max}")
     return SmoothScale(
         g=lambda t: 0.5 * (1.0 - np.cos(t)),
         dg=lambda t: 0.5 * np.sin(t),
@@ -280,8 +289,6 @@ def dust_scale(r_max: float) -> SmoothScale:
 
 def constant_scale(r: float) -> SmoothScale:
     """Constant R; the frequency is time independent and WKB is exact."""
-    if not (np.isfinite(r) and r > 0):
-        raise InvalidParameter(f"r must be > 0, got {r}")
     return SmoothScale(
         g=lambda t: np.ones_like(t, dtype=float),
         dg=lambda t: 0.0,
@@ -389,12 +396,12 @@ class Hermitian2:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Smooth compactly supported C^2-valued probe on (0, pi).
+    """Smooth compactly supported C^2-valued probe on (a, b), 0 < a < b.
 
     ``amplitude`` maps tau to a complex 2-vector and vanishes outside
     (a, b); times broadcast against the two components, so a column of n
     times gives an (n, 2) array.  ``l1_norm`` caches the integral of its
-    pointwise norm.
+    pointwise norm.  The scale a probe meets says where (a, b) may lie.
     """
 
     support: tuple
@@ -403,8 +410,8 @@ class TestFunction:
 
     def __post_init__(self):
         a, b = self.support
-        if not (0.0 < a < b < np.pi):
-            raise InvalidParameter(f"support ({a}, {b}) must satisfy 0 < a < b < pi")
+        if not (0.0 < a < b < np.inf):
+            raise InvalidParameter(f"support ({a}, {b}) must satisfy 0 < a < b, both finite")
         if not (np.isfinite(self.l1_norm) and self.l1_norm >= 0):
             raise InvalidParameter("l1_norm must be finite and nonnegative")
 
@@ -432,8 +439,6 @@ def bump(support: tuple, direction, amplitude: float = 1.0) -> TestFunction:
     bump fills ``support``; the L1 norm is computed by adaptive quadrature.
     """
     a, b = float(support[0]), float(support[1])
-    if not (0.0 < a < b < np.pi):
-        raise InvalidParameter(f"support ({a}, {b}) must satisfy 0 < a < b < pi")
     d = np.asarray(direction, dtype=complex)
     if d.shape != (2,) or not np.linalg.norm(d) > 0:
         raise InvalidParameter("direction must be a nonzero complex 2-vector")
@@ -444,17 +449,15 @@ def bump(support: tuple, direction, amplitude: float = 1.0) -> TestFunction:
         x = (2.0 * tau - a - b) / (b - a)
         return amp * mollifier(x) * d
 
+    phi = TestFunction(support=(a, b), amplitude=profile, l1_norm=0.0)
     scalar_mass, _ = quad(lambda t: mollifier((2.0 * t - a - b) / (b - a)),
                           a, b, limit=200)
-    return TestFunction(support=(a, b), amplitude=profile,
-                        l1_norm=abs(amp) * scalar_mass)
+    return replace(phi, l1_norm=abs(amp) * scalar_mass)
 
 
 def complex_bump(support: tuple, vector_of_tau: Callable[[float], np.ndarray]) -> TestFunction:
     """Probe with an arbitrary smooth spinor-valued profile times the mollifier."""
     a, b = float(support[0]), float(support[1])
-    if not (0.0 < a < b < np.pi):
-        raise InvalidParameter(f"support ({a}, {b}) must satisfy 0 < a < b < pi")
 
     def profile(tau):
         # ``vector_of_tau`` takes one time, inside the support

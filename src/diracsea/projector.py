@@ -22,9 +22,10 @@ the exact integrals ride as augmented state on a transport (exact U, or
 the WKB phase for the ``wkb_scalar_integrals`` oracle) through
 ``evolution.interval_integral``, one ``evolution.cointegrate`` sweep per leg,
 so one adaptive stepper and one error budget cover propagator and
-integral.  Over the open lifetime, the endpoint limits are
-handled by shrinking a cutoff delta until the rigorous tail bound (the
-integrand norm is at most R) drops below the requested tolerance.
+integral.  Lifetime integrals run over the scale's ``window``, whose
+endpoint cutoffs shrink until the rigorous tail bound (the integrand norm
+is at most R) drops below the requested tolerance; tau0 and probe
+supports are checked against the scale's domain (``check_domain``).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .bloch import piecewise_signature_vector
-from .errors import ConvergenceFailure, DegenerateSignature, InvalidParameter
+from .errors import DegenerateSignature, InvalidParameter
 from .evolution import (
     accumulated_phase,
     check_ode_tol,
@@ -62,7 +63,6 @@ from .model import (
     SIGMA3,
     TestFunction,
     Unitary2,
-    check_mode_scale,
 )
 # perfbench/test_perfbench.py reads ``projector.integrate``; keep it bound.
 from .stepper import integrate  # noqa: F401
@@ -109,45 +109,22 @@ def _finish_signature(matrix, quad_error: float, scale_bound: float) -> Signatur
     )
 
 
-def _choose_cutoffs(scale: ScaleFunction, tol: float):
-    """Per-endpoint cutoffs: shrink each delta until its tail drops below tol/2.
-
-    Independent sides matter: a scale vanishing at one endpoint only should
-    not be forced to evaluate arbitrarily close to the other.
-    """
-    cutoffs = []
-    for tail in (scale.tail_below, scale.tail_above):
-        delta = min(0.05, scale.tau_end / 16.0)
-        for _ in range(60):
-            if tail(delta) <= tol / 2.0:
-                break
-            delta *= 0.25
-        else:
-            raise ConvergenceFailure(
-                f"endpoint tail bound not reached (last delta {delta:.3e})")
-        cutoffs.append(delta)
-    return cutoffs[0], cutoffs[1]
-
-
 def _signature(mode: Mode, scale: ScaleFunction, tol: float, ode_tol: float,
                closed_form, lifetime_integral) -> SignatureResult:
     """Closed form on piecewise scales, else lifetime quadrature of U^dagger sigma3 U R.
 
-    ``lifetime_integral(lo, hi)`` gives the 2x2 integral between the
-    endpoint cutoffs.
+    ``lifetime_integral(lo, hi)`` gives the 2x2 integral over ``scale.window``.
     """
     check_ode_tol(ode_tol)
-    check_mode_scale(mode, scale)
+    scale.check_domain(mode.tau0)
     scale_bound = scale.lifetime_integral()
     if scale.is_piecewise:
         return _finish_signature(closed_form(mode, scale),
                                  1e-13 * max(scale_bound, 1.0), scale_bound)
 
-    d_lo, d_hi = _choose_cutoffs(scale, tol)
-    acc = lifetime_integral(d_lo, scale.tau_end - d_hi)
-    quad_error = (scale.tail_below(d_lo) + scale.tail_above(d_hi)
-                  + ode_tol * scale_bound)
-    return _finish_signature(acc, quad_error, scale_bound)
+    lo, hi, tail = scale.window(tol)
+    return _finish_signature(lifetime_integral(lo, hi), tail + ode_tol * scale_bound,
+                             scale_bound)
 
 
 def _piecewise_signature(mode: Mode, scale: PiecewiseConstantScale) -> np.ndarray:
@@ -244,7 +221,7 @@ def wkb_signature_leading_term(mode: Mode, scale: ScaleFunction) -> Hermitian2:
     The mass-term integral times the tau0 frame's conjugated sigma3; the
     remainder of the WKB signature is suppressed by one power of the mass.
     """
-    check_mode_scale(mode, scale)
+    scale.check_domain(mode.tau0)
     v0 = diagonalizer(mode, scale.value(mode.tau0))
     coeff = _mass_term_integral(mode, scale)
     return Hermitian2(coeff * (v0.conj().T @ SIGMA3 @ v0))
@@ -268,7 +245,7 @@ class WkbScalarIntegrals:
 def wkb_scalar_integrals(mode: Mode, scale: ScaleFunction,
                          tol: float = DEFAULT_QUAD_TOL,
                          ode_tol: float = DEFAULT_ODE_TOL) -> WkbScalarIntegrals:
-    check_mode_scale(mode, scale)
+    scale.check_domain(mode.tau0)
     if scale.is_piecewise:
         r, dt = np.array(scale.values), np.diff(scale.breakpoints)
         f = frequency(mode, r)
@@ -282,8 +259,7 @@ def wkb_scalar_integrals(mode: Mode, scale: ScaleFunction,
             r / f * (np.sin(2 * (psi0 + f * dt)) - np.sin(2 * psi0)) / (2 * f),
             r / f * (np.cos(2 * (psi0 + f * dt)) - np.cos(2 * psi0)) / (2 * f))))
 
-    check_ode_tol(ode_tol)
-    d_lo, d_hi = _choose_cutoffs(scale, tol)
+    lo, hi, _ = scale.window(tol)
 
     def integrand(t, r, x):
         f = frequency(mode, r)
@@ -292,8 +268,8 @@ def wkb_scalar_integrals(mode: Mode, scale: ScaleFunction,
                          r / f * np.cos(ph),
                          r / f * np.sin(ph)], dtype=complex)
 
-    acc = interval_integral(phase_transport(mode, scale), integrand, 3, d_lo,
-                            scale.tau_end - d_hi, ode_tol)
+    acc = interval_integral(phase_transport(mode, scale), integrand, 3, lo, hi,
+                            ode_tol)
     return WkbScalarIntegrals(*map(float, acc.real))
 
 
@@ -349,8 +325,7 @@ def k_m_apply(mode: Mode, scale: ScaleFunction, phi: TestFunction,
     if scale.is_piecewise:
         return ProjectorOutput(_wkb_branches(mode, scale, phi, (0, 1), tol, True),
                                Provenance.EXACT)
-    check_ode_tol(tol)
-    check_mode_scale(mode, scale, *phi.support)
+    scale.check_domain(mode.tau0, *phi.support)
 
     def integrand(t, r, x):
         # U^dagger sigma3 phi R / 2 pi for U = [[a, b], [c, d]], phi = (p, q)
@@ -388,7 +363,7 @@ def _wkb_branches(mode: Mode, scale: ScaleFunction, phi: TestFunction,
     WKB image, C = V0 W per segment the exact one on a piecewise scale.
     """
     check_ode_tol(tol)
-    check_mode_scale(mode, scale, *phi.support)
+    scale.check_domain(mode.tau0, *phi.support)
     rows = list(rows)
 
     def integrand(ts, rs):

@@ -14,12 +14,12 @@ import functools
 import json
 from dataclasses import dataclass, replace
 
-import numpy as np
 import jsonschema
 
 from .bloch import build_six_segment, build_twelve_segment, make_scenario, \
     perturb_scenario
 from .errors import InvalidParameter
+from .evolution import MAX_ODE_TOL, MIN_ODE_TOL
 from .model import (
     DEFAULT_GAP_TOL,
     DEFAULT_ODE_TOL,
@@ -35,6 +35,7 @@ from .studies import LAMBDA_KINDS, StudyKind
 
 _NUMBER = {"type": "number"}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_NONNEGATIVE = {"type": "number", "minimum": 0}
 _NUMBERS = {"type": "array", "items": _NUMBER, "minItems": 1}
 _SAMPLES = {"type": "integer", "minimum": 1}
 
@@ -61,7 +62,7 @@ RUN_OPTIONS = {
                     members_per_mode={"enum": [1, 2]}, classify_tol=_POSITIVE),
     "study": _options(
         "kind", "grid", kind={"enum": [k.value for k in StudyKind]},
-        grid=_NUMBERS, phi=_PROBE, r_max=_POSITIVE, slack=_NUMBER,
+        grid=_NUMBERS, phi=_PROBE, r_max=_POSITIVE, slack=_NONNEGATIVE,
         **{"lambda": _options(kind={"enum": list(LAMBDA_KINDS)}, value=_NUMBER,
                               k=_NUMBER, exponent=_NUMBER)}),
 }
@@ -113,9 +114,7 @@ SCALE_KINDS = {
 SCENARIO_SCHEMA = _options(
     "mode", "scale",
     mode=_options("lambda", "mass", "tau0", **{"lambda": _NUMBER}, mass=_POSITIVE,
-                  tau0={"type": "number", "minimum": 0,
-                        "exclusiveMaximum": float(np.pi)},
-                  physical={"type": "boolean"}),
+                  tau0=_NONNEGATIVE, physical={"type": "boolean"}),
     # the named kind's schema applies; "required" keeps a block without
     # kind from matching every branch
     scale={"type": "object", "required": ["kind"],
@@ -127,8 +126,8 @@ SCENARIO_SCHEMA = _options(
                      for kind, (schema, _) in SCALE_KINDS.items()]},
     run={"type": "object"},
     tolerances=_options(
-        ode_tol={"type": "number", "exclusiveMinimum": 1e-14,
-                 "exclusiveMaximum": 1e-4},
+        ode_tol={"type": "number", "exclusiveMinimum": MIN_ODE_TOL,
+                 "exclusiveMaximum": MAX_ODE_TOL},
         quad_tol={"type": "number", "exclusiveMinimum": 1e-14, "maximum": 1e-3},
         gap_tol={"type": "number", "exclusiveMinimum": 1e-12, "maximum": 0.1}),
 )

@@ -196,6 +196,8 @@ def run_study(kind: StudyKind, grid, lam_spec: LambdaSpec = LambdaSpec(),
     grid = [float(x) for x in grid]
     if jobs < 1:
         raise InvalidParameter(f"jobs must be >= 1, got {jobs}")
+    if not 0.0 <= slack < np.inf:
+        raise InvalidParameter(f"slack must be finite and >= 0, got {slack}")
     if len(grid) < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidParameter("grid must be a nonempty ascending sequence")
     if any(x <= 1.0 for x in grid):

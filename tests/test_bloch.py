@@ -398,3 +398,27 @@ class TestBlochState:
                 defect = np.linalg.norm(st.w.T @ st.w - np.eye(3), 2)
                 assert defect <= 1e-10
                 assert np.linalg.det(st.w) > 0
+
+
+class TestGridAndToleranceChecks:
+    SMOOTH = dust_scale(5.0)
+    SMOOTH_MODE = Mode(lam=1.5, mass=1.0, tau0=1.0)
+
+    @pytest.mark.parametrize("tol", [0.5, float("nan")])
+    @pytest.mark.parametrize("route", [propagate_bloch, smooth_v_rows_with_cumulative,
+                                       v_rows_with_cumulative])
+    def test_smooth_routes_check_the_ode_tolerance(self, route, tol):
+        with pytest.raises(InvalidParameter, match="ode tolerance"):
+            route(self.SMOOTH_MODE, self.SMOOTH, [1.0, 2.0], tol=tol)
+
+    @pytest.mark.parametrize("route", [propagate_bloch, v_trace_formula, v_components,
+                                       v_rows_with_cumulative])
+    def test_empty_grid_rejected_on_both_scale_kinds(self, route):
+        for mode, scale in ((self.SMOOTH_MODE, self.SMOOTH),
+                            (scenario_mode(), build_six_segment())):
+            with pytest.raises(InvalidParameter, match="empty"):
+                route(mode, scale, [])
+        with pytest.raises(InvalidParameter, match="empty"):
+            smooth_v_rows_with_cumulative(self.SMOOTH_MODE, self.SMOOTH, [])
+        with pytest.raises(InvalidParameter, match="empty"):
+            scenario_v_rows_with_cumulative(scenario_mode(), build_six_segment(), [])

@@ -366,3 +366,10 @@ class TestCausalClassification:
         with pytest.raises(InvalidParameter):
             causal_classify(fa, fb)
 
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        fam = orthonormalize(full_fiber_family([1.5], seed=4))
+        fx = local_correlation(fam, 0.5)
+        with pytest.raises(InvalidParameter, match="classify tolerance"):
+            causal_classify(fx, fx, tol=tol)

@@ -309,17 +309,27 @@ def test_study_json_format(tmp_path):
 
 
 def test_study_envelope_violation_exits_3(tmp_path, capsys):
-    # a negative slack pushes the envelope below the measured fit point
-    doc = dict(BASE, run={"kind": "s_wkb_bound", "grid": [5.0, 10.0],
-                          "lambda": {"kind": "fixed", "value": 1.5},
-                          "slack": -0.99})
+    # lambda = 7.5 fixed while m r_max grows from 2 to 20: the WKB gap at 20
+    # is about 15 times the envelope fitted at 2
+    doc = dict(BASE, run={"kind": "s_wkb_bound", "grid": [2.0, 20.0],
+                          "lambda": {"kind": "fixed", "value": 7.5}})
     code, text = run_cli(tmp_path, "study", doc)
     assert code == 3
     err_lines = capsys.readouterr().err.strip().split("\n")
     offending = json.loads(err_lines[-1])
     assert offending["error"] == "bound_violation"
-    assert "record" in offending
-    assert text.strip().split("\n")[1].endswith("false")
+    assert offending["record"]["m_rmax"] == 20.0
+    assert text.strip().split("\n")[2].endswith("false")
+
+
+def test_negative_slack_fails_validation(tmp_path, capsys):
+    doc = dict(BASE, run={"kind": "leading_term_bound", "grid": [10.0, 30.0],
+                          "slack": -2})
+    code, text = run_cli(tmp_path, "study", doc)
+    assert code == 1 and text == ""
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "invalid_parameter"
+    assert err["message"].startswith("scenario invalid: $.run.slack")
 
 
 def test_unknown_lambda_kind_fails_validation(tmp_path, capsys):

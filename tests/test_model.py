@@ -38,9 +38,15 @@ class TestMode:
             Mode(lam=1.5, mass=0.0, tau0=1.0)
         with pytest.raises(InvalidParameter):
             Mode(lam=1.5, mass=-1.0, tau0=1.0)
-        with pytest.raises(InvalidParameter):
-            Mode(lam=1.5, mass=1.0, tau0=float(np.pi))
+        for tau0 in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(InvalidParameter):
+                Mode(lam=1.5, mass=1.0, tau0=tau0)
         Mode(lam=1.5, mass=1.0, tau0=0.0)  # scenario anchor
+        # pi and beyond are for the scale's domain to judge
+        mode = Mode(lam=1.5, mass=1.0, tau0=float(np.pi))
+        with pytest.raises(DomainError):
+            dust_scale(1.0).check_domain(mode.tau0)
+        PiecewiseConstantScale((0.0, 2.0, 5.0), (1.0, 2.0)).check_domain(mode.tau0)
 
     @given(st.integers(min_value=1, max_value=200),
            st.sampled_from([-1.0, 1.0]))
@@ -60,10 +66,11 @@ class TestDustScale:
         assert dust_scale(5.0).value(np.pi / 2) == pytest.approx(2.5)
 
     def test_rejects_nonpositive_r_max(self):
-        with pytest.raises(InvalidParameter):
-            dust_scale(0.0)
-        with pytest.raises(InvalidParameter):
-            dust_scale(-3.0)
+        for r in (0.0, -3.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidParameter, match="r_max"):
+                dust_scale(r)
+            with pytest.raises(InvalidParameter, match="r_max"):
+                constant_scale(r)
 
     def test_evaluation_is_pure(self):
         sc = dust_scale(7.0)
@@ -154,10 +161,13 @@ class TestBump:
     def test_invalid_support(self):
         with pytest.raises(InvalidParameter):
             bump((0.0, 1.0), np.array([1.0, 0.0]), 1.0)
-        with pytest.raises(InvalidParameter):
-            bump((1.0, np.pi), np.array([1.0, 0.0]), 1.0)
-        with pytest.raises(InvalidParameter):
-            bump((2.0, 1.0), np.array([1.0, 0.0]), 1.0)
+        for support in ((2.0, 1.0), (1.0, 1.0), (1.0, np.inf), (np.nan, 1.0)):
+            with pytest.raises(InvalidParameter):
+                bump(support, np.array([1.0, 0.0]), 1.0)
+        # an end at pi is for the scale's domain to judge
+        phi = bump((1.0, np.pi), np.array([1.0, 0.0]), 1.0)
+        with pytest.raises(DomainError):
+            dust_scale(1.0).check_domain(*phi.support)
         with pytest.raises(InvalidParameter):
             bump((1.0, 2.0), np.array([0.0, 0.0]), 1.0)
 

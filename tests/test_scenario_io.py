@@ -3,8 +3,9 @@ import pytest
 
 from diracsea.bloch import Scenario
 from diracsea.errors import InvalidParameter
+from diracsea.evolution import MAX_ODE_TOL, MIN_ODE_TOL
 from diracsea.model import PiecewiseConstantScale, SmoothScale
-from diracsea.scenario_io import parse_scenario
+from diracsea.scenario_io import SCENARIO_SCHEMA, parse_scenario
 
 BASE_MODE = {"lambda": 1.5, "mass": 1.0, "tau0": float(np.pi / 2)}
 
@@ -167,3 +168,21 @@ def test_scale_errors_name_the_field(scale, message):
     with pytest.raises(InvalidParameter) as exc:
         parse_scenario(doc(scale=scale))
     assert str(exc.value).startswith(f"scenario invalid: {message}")
+
+
+def test_ode_tol_range_is_the_library_one():
+    ode_tol = SCENARIO_SCHEMA["properties"]["tolerances"]["properties"]["ode_tol"]
+    assert (ode_tol["exclusiveMinimum"], ode_tol["exclusiveMaximum"]) == (MIN_ODE_TOL,
+                                                                          MAX_ODE_TOL)
+    for tol in (MIN_ODE_TOL, MAX_ODE_TOL):
+        with pytest.raises(InvalidParameter, match="ode_tol"):
+            parse_scenario(doc(tolerances={"ode_tol": tol}))
+
+
+def test_tau0_past_pi_is_left_to_the_scale():
+    cfg = parse_scenario(doc(mode=dict(BASE_MODE, tau0=4.0),
+                             scale={"kind": "piecewise", "breakpoints": [0.0, 2.0, 5.0],
+                                    "values": [1.0, 2.0]}))
+    assert cfg.mode.tau0 == 4.0
+    with pytest.raises(InvalidParameter, match="tau0"):
+        parse_scenario(doc(mode=dict(BASE_MODE, tau0=-0.5)))

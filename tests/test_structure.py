@@ -31,6 +31,11 @@
   comparing kind names; the study kinds are ``STUDIES``; the lambda-spec
   kinds are ``LAMBDA_KINDS``, for the schema and ``LambdaSpec.resolve``
   alike; and the commands leave the output format to ``cli._emit``.
+* The scale owns where tau may go: ``Mode``, ``TestFunction``, ``bump``,
+  ``complex_bump`` and ``SCENARIO_SCHEMA`` name no ``pi``; no
+  ``check_mode_scale`` or ``_choose_cutoffs`` is left anywhere, and
+  ``ScaleFunction.window`` alone reads the tails, for the three lifetime
+  integrals.
 """
 
 import ast
@@ -290,3 +295,38 @@ def test_lambda_kinds_of_schema_and_resolve_agree():
     assert _compared_strings(_function("studies", "LambdaSpec.resolve")) == set()
     for kind in LAMBDA_KINDS:
         assert LambdaSpec(kind=kind).resolve(10.0) > 0
+
+
+def _names(node):
+    """Every name, attribute, definition and imported name under ``node``."""
+    return {getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute, ast.FunctionDef,
+                              ast.ClassDef, ast.alias))}
+
+
+def test_no_pi_bound_outside_the_scale_types():
+    schema = next(node for node in MODULES["scenario_io"].body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["SCENARIO_SCHEMA"])
+    for node in [schema, *(_function("model", name) for name in
+                           ("Mode", "TestFunction", "bump", "complex_bump"))]:
+        assert "pi" not in _names(node), getattr(node, "name", "SCENARIO_SCHEMA")
+    tau0 = SCENARIO_SCHEMA["properties"]["mode"]["properties"]["tau0"]
+    assert tau0 == {"type": "number", "minimum": 0}
+
+
+def test_one_domain_rule_and_one_lifetime_window():
+    gone = {"check_mode_scale", "_choose_cutoffs"}
+    assert {module for module, tree in MODULES.items() if _names(tree) & gone} == set()
+    imported = {alias.name for node in ast.walk(MODULES["cfs"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "_choose_cutoffs" not in imported
+    tails = _sites(lambda node: isinstance(node, ast.Attribute)
+                   and node.attr in {"tail_below", "tail_above"})
+    assert set(tails) == {("model", "window")}  # ScaleFunction.window
+    assert set(_calls({"window"})) == {
+        ("projector", "_signature"),
+        ("projector", "wkb_scalar_integrals"),
+        ("cfs", "correlation_trace_lifetime_integral"),
+    }

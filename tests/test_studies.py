@@ -118,3 +118,9 @@ class TestRunStudy:
     def test_jobs_below_one_rejected(self, jobs):
         with pytest.raises(InvalidParameter, match="jobs"):
             run_study(StudyKind.S_WKB_BOUND, [5.0, 10.0], jobs=jobs)
+
+    @pytest.mark.parametrize("slack", [-2.0, float("nan"), float("inf")])
+    def test_slack_must_be_finite_and_nonnegative(self, slack):
+        # a negative slack puts the fit point outside its own envelope
+        with pytest.raises(InvalidParameter, match="slack"):
+            run_study(StudyKind.LEADING_TERM_BOUND, [10.0, 30.0], slack=slack)
