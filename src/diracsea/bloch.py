@@ -1,18 +1,19 @@
 """Rotation picture of the mode dynamics and piecewise-constant scenarios.
 
-Conjugating the Pauli basis by the mode propagator turns the 2x2 dynamics
-into rigid rotations of three orthonormal vectors w_1, w_2, w_3 (one per
-initial axis).  The nominal axis vector is d = 2 (lam, 0, -m R); the
-actual generator of the frame rotation is -d (conjugation acts on Pauli
-components through the inverse rotation; a sign slip here flips chirality,
-so ``v_components`` cross-validates the orientation against the
-convention-free trace formula on every call).
+Conjugating the Pauli basis by the mode propagator U turns the 2x2
+dynamics into rigid rotations of three orthonormal frame vectors, one per
+initial axis: (w_a)_b = 1/2 Tr(sigma_a U^dagger sigma_b U).  On smooth
+scales the frames are this adjoint action of the exact propagators, and
+no rotation convention enters.
 
 For piecewise-constant R every segment is a fixed-axis rotation, so frames
-and their time integrals have closed forms: whole trajectories and the
-signature integrals are exact to rounding.  A rotation-count ``Scenario``
-is such a scale, with breakpoints set by its mode; like the rest of the
-package, every entry point here takes ``(mode, scale, taus, tol)``.
+and their time integrals have closed forms, exact to rounding.  These
+hard-wire the generator -d, with d = 2 (lam, 0, -m R) the nominal axis
+(conjugation acts on Pauli components through the inverse rotation; a sign
+slip flips chirality), so on piecewise scales ``v_rows_with_cumulative``
+checks the orientation against the convention-free trace formula on every
+call.  A rotation-count ``Scenario`` is such a scale, with breakpoints set
+by its mode; every entry point here takes ``(mode, scale, taus, tol)``.
 """
 
 from __future__ import annotations
@@ -23,24 +24,14 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ConventionMismatch, InvalidParameter
-from .evolution import (
-    Transport,
-    cointegrate,
-    evolve_grid,
-    frequency,
-)
-from .model import (
-    DEFAULT_ODE_TOL,
-    Mode,
-    PiecewiseConstantScale,
-    ScaleFunction,
-    SmoothScale,
-    spectral_norm,
-    is_physical_eigenvalue,
-)
+from .evolution import (cointegrate, evolve_grid, exact_transport, frequency,
+                        sigma3_conjugated)
+from .model import (DEFAULT_ODE_TOL, SIGMA1, SIGMA2, SIGMA3, Mode, PiecewiseConstantScale,
+                    ScaleFunction, is_physical_eigenvalue, spectral_norm)
 
 FRAME_ORTHOGONALITY_TOL = 1e-10
 TRACE_CROSSCHECK_TOL = 1e-8
+PAULI = np.array([SIGMA1, SIGMA2, SIGMA3])
 
 
 def bloch_axis(mode: Mode, r) -> np.ndarray:
@@ -230,39 +221,16 @@ def propagate_bloch(mode: Mode, scale: ScaleFunction, tau_grid,
     """Frame trajectory at the requested times, reference frame at the mode's tau0.
 
     On piecewise-constant scales (every Scenario) the frames are exact
-    fixed-axis rotations; on smooth scales they come from adaptive
-    integration with orthogonality re-projection.
+    fixed-axis rotations; on smooth scales they are the adjoint action of
+    the exact propagators from one ``evolve_grid`` sweep.
     """
     taus = _grid(mode, scale, tau_grid)
     if scale.is_piecewise:
-        return [BlochState(w=w, tau=t)
-                for t, w in zip(taus, _frames_at(mode, scale, taus)[0])]
-    states = cointegrate(frame_transport(mode, scale), None, 0, mode.tau0,
-                         taus, tol)
-    return [BlochState(w=_project_rotation(x.reshape(3, 3).real), tau=t)
-            for t, (x, _) in zip(taus, states)]
-
-
-def _project_rotation(f):
-    u, _, vh = np.linalg.svd(f)
-    r = u @ vh
-    if np.linalg.det(r) < 0:
-        r = u @ np.diag([1.0, 1.0, -1.0]) @ vh
-    return r
-
-
-def frame_transport(mode: Mode, scale: SmoothScale) -> Transport:
-    """The rotation frame, identity at the mode's tau0, re-projected onto
-    SO(3); it turns at |d| = 2f, twice the spinor's rate."""
-    def restore(t, x):
-        return _project_rotation(x.reshape(3, 3).real).astype(complex).ravel()
-
-    def rhs(t, r, x):
-        k = _cross_matrix(rotation_generator(mode, r))
-        return (k @ x.reshape(3, 3).real).astype(complex).ravel()
-
-    return Transport(scale, mode.tau0, np.eye(3, dtype=complex).ravel(), rhs,
-                     restore, lambda r: 2.0 * frequency(mode, r))
+        ws = _frames_at(mode, scale, taus)[0]
+    else:
+        us = np.array(evolve_grid(mode, scale, mode.tau0, taus, tol=tol))
+        ws = 0.5 * np.einsum("aij,nkj,bkl,nli->nba", PAULI, us.conj(), PAULI, us).real
+    return [BlochState(w=w, tau=t) for t, w in zip(taus, ws)]
 
 
 def _grid(mode: Mode, scale: ScaleFunction, tau_grid) -> list:
@@ -276,22 +244,28 @@ def _grid(mode: Mode, scale: ScaleFunction, tau_grid) -> list:
     return taus
 
 
+def _sigma3_pauli(us) -> np.ndarray:
+    """v = (Re B01, -Im B01, (B00 - B11) / 2), the Pauli parts of B = U^dagger sigma3 U.
+
+    With U = [[a, b], [c, d]], B01 = conj(a) b - conj(c) d.  One (3,) row per
+    propagator of a flat or (n, 2, 2) stack, as an (n, 3) array.
+    """
+    a, b, c, d = np.reshape(us, (-1, 4)).T
+    off = a.conj() * b - c.conj() * d
+    diag = (a.conj() * a - c.conj() * c).real - (b.conj() * b - d.conj() * d).real
+    # 0 - Im rather than -Im: no negative zero where U is diagonal
+    return np.stack([off.real, 0.0 - off.imag, 0.5 * diag], axis=-1)
+
+
 def v_trace_formula(mode: Mode, scale: ScaleFunction, tau_grid,
                     tol: float = DEFAULT_ODE_TOL):
     """v_alpha(tau) = 1/2 Tr(sigma_alpha U^dagger sigma3 U), reference tau0.
 
     This is the convention-free route: no rotation-axis orientation enters.
-    One (3,) row per grid point, as an (n, 3) array.  With U = [[a, b],
-    [c, d]], B = U^dagger sigma3 U has B01 = conj(a) b - conj(c) d, so
-    v = (Re B01, -Im B01, (B00 - B11) / 2).
+    One (3,) row per grid point, as an (n, 3) array.
     """
     taus = _grid(mode, scale, tau_grid)
-    u = np.array(evolve_grid(mode, scale, mode.tau0, taus, tol=tol)).reshape(-1, 4)
-    a, b, c, d = u.T
-    off = a.conj() * b - c.conj() * d
-    diag = (a.conj() * a - c.conj() * c).real - (b.conj() * b - d.conj() * d).real
-    # 0 - Im rather than -Im: no negative zero where U is diagonal
-    return np.stack([off.real, 0.0 - off.imag, 0.5 * diag], axis=-1)
+    return _sigma3_pauli(np.array(evolve_grid(mode, scale, mode.tau0, taus, tol=tol)))
 
 
 def v_components(mode: Mode, scale: ScaleFunction, tau_grid,
@@ -302,19 +276,29 @@ def v_components(mode: Mode, scale: ScaleFunction, tau_grid,
 
 def v_rows_with_cumulative(mode: Mode, scale: ScaleFunction, tau_grid,
                            tol: float = DEFAULT_ODE_TOL):
-    """(tau, v1..v3, cumulative integral of v_alpha R) rows from one frame sweep.
+    """(tau, v1..v3, cumulative integral of v_alpha R) rows, frame referenced to tau0.
 
-    The v columns come from the trace formula; the rotation route's frames
-    (``scenario_v_rows_with_cumulative`` on piecewise scales, else
-    ``smooth_v_rows_with_cumulative``) give the cumulative columns and
-    cross-validate them, raising ConventionMismatch beyond the tolerance.
+    The integrals run from the first grid point.  Smooth scales: one sweep
+    of the exact propagator from there, the integral riding along and the v
+    columns the trace formula of its states.  Piecewise scales: the closed
+    forms of ``scenario_v_rows_with_cumulative``, whose v columns must match
+    the trace formula's (else ConventionMismatch).
     """
     taus = [float(t) for t in tau_grid]
-    if scale.is_piecewise:
-        frame_rows = scenario_v_rows_with_cumulative(mode, scale, taus)
-    else:
-        frame_rows = smooth_v_rows_with_cumulative(mode, scale, taus, tol)
-    frame_rows = np.array(frame_rows, dtype=float).reshape(-1, 7)
+    if not scale.is_piecewise:
+        taus = _grid(mode, scale, taus)
+
+        def integrand(t, r, x):  # v R, from signature_operator's integrand
+            b00, b01, _, b11 = sigma3_conjugated(x)
+            return b01.real * r, -b01.imag * r, 0.5 * (b00 - b11) * r
+
+        states = cointegrate(exact_transport((mode,), scale, mode.tau0), integrand,
+                             3, taus[0], taus, tol)
+        vs = _sigma3_pauli(np.array([x for x, _ in states]))
+        cums = np.array([acc.real for _, acc in states])
+        return [(t, *v, *cum) for t, v, cum in zip(taus, vs.tolist(), cums.tolist())]
+    frame_rows = np.array(scenario_v_rows_with_cumulative(mode, scale, taus),
+                          dtype=float).reshape(-1, 7)
     trace_rows = v_trace_formula(mode, scale, taus, tol=tol)
     worst = float(np.max(np.abs(trace_rows - frame_rows[:, 1:4]), initial=0.0))
     if worst > TRACE_CROSSCHECK_TOL:
@@ -337,26 +321,6 @@ def scenario_v_rows_with_cumulative(mode: Mode, scale: PiecewiseConstantScale,
     _check_rotations(ws)
     return [(t, *v, *cum) for t, v, cum
             in zip(taus, ws[:, 2, :].tolist(), (cums - cums[:1]).tolist())]
-
-
-def smooth_v_rows_with_cumulative(mode: Mode, scale: SmoothScale, tau_grid,
-                                  tol: float = DEFAULT_ODE_TOL):
-    """(tau, v1..v3, cumulative integral of v_alpha R) rows on a smooth scale.
-
-    The cumulative integrals run from the first grid point; the frame is
-    referenced to the mode's tau0.
-    """
-    if scale.is_piecewise:  # the stepper would run straight across the jumps
-        raise InvalidParameter("piecewise scales take scenario_v_rows_with_cumulative")
-    taus = _grid(mode, scale, tau_grid)
-
-    def integrand(t, r, x):
-        return (x.reshape(3, 3).real[2, :] * r).astype(complex)
-
-    states = cointegrate(frame_transport(mode, scale), integrand, 3,
-                         taus[0], taus, tol)
-    return [(t, *_project_rotation(x.reshape(3, 3).real)[2, :], *acc.real)
-            for t, (x, acc) in zip(taus, states)]
 
 
 def scenario_signature_components(scenario: Scenario):

@@ -39,11 +39,6 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 EXIT_BOUND_VIOLATION = 3
 
-_NUMERICAL_KINDS = {
-    "integration_failure", "convergence_failure", "degenerate_signature",
-    "degenerate_frame", "degenerate_family", "convention_mismatch",
-}
-
 
 def _fmt(x) -> str:
     if isinstance(x, (bool, np.bool_)):
@@ -314,7 +309,7 @@ def main(argv=None) -> int:
             payload["eigenvalues"] = [exc.mu_minus, exc.mu_plus]
         sys.stderr.write(json.dumps(payload) + "\n")
         log.debug("command failed", exc_info=True)
-        return EXIT_NUMERICAL if exc.kind in _NUMERICAL_KINDS else EXIT_VALIDATION
+        return EXIT_NUMERICAL if isinstance(exc, RuntimeError) else EXIT_VALIDATION
     except OSError as exc:
         sys.stderr.write(json.dumps({"error": "io_error",
                                      "message": str(exc)}) + "\n")

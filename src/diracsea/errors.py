@@ -73,7 +73,7 @@ class DegenerateFamily(DiracSeaError, RuntimeError):
 
 
 class ConventionMismatch(DiracSeaError, RuntimeError):
-    """Trace-formula and Bloch-rotation observables disagree.
+    """Trace-formula and closed-form rotation observables disagree (piecewise R).
 
     This should never fire; it guards the hard-wired orientation of the
     rotation generator.

@@ -11,11 +11,11 @@ step.  ``evolve`` and ``evolve_grid`` are its one-mode cases.
 
 A ``Transport`` is plain data, a fiber state at tau0 and the equation that
 moves it: the (N, 2, 2) stack of exact propagators of modes sharing R, or
-the WKB phase (``bloch`` adds the rotation frame).  ``cointegrate``, the
-package's only caller of the stepper, carries one through a list of stops
-with an integral riding along, first carrying it from tau0 to the anchor
-by a sweep of its own; on piecewise-constant scales no production
-integral needs a transport.
+the WKB phase; ``bloch``'s rotation frames are the adjoint action of the
+former.  ``cointegrate``, the package's only caller of the stepper,
+carries one through a list of stops with an integral riding along, first
+carrying it from tau0 to the anchor by a sweep of its own; on
+piecewise-constant scales no production integral needs a transport.
 
 The WKB propagator is assembled from the instantaneous diagonalizing frame
 and the accumulated frequency integral; it is exact whenever R is constant.
@@ -140,7 +140,7 @@ class Transport:
     derivative at time t, r = R(t) as a float; ``restore(t, x)``, if given,
     maps the state back onto its manifold after every accepted step;
     ``frequency(r)``, the rate the state turns at (f for a propagator, 2f
-    for a rotation frame or an e^{2 i psi}), sets the step ceiling.
+    for an e^{2 i psi}), sets the step ceiling.
     """
 
     scale: ScaleFunction

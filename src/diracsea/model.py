@@ -40,6 +40,11 @@ DEFAULT_GAP_TOL = 1e-6
 SPLINE_RANGE_TOL = 1e-4
 
 
+def check_quad_tol(tol: float):
+    if not 0.0 < tol < np.inf:
+        raise InvalidParameter(f"quadrature tolerance must be finite and > 0, got {tol}")
+
+
 def spectral_norm(a):
     """Largest singular value of a matrix, or of each matrix in a stack."""
     return np.linalg.norm(a, 2, axis=(-2, -1))
@@ -144,8 +149,7 @@ class ScaleFunction:
         integral of R over the cut-off ends.  Each cutoff shrinks on its own until
         its tail is below tol/2, so a scale vanishing at one end is cut no finer
         at the other."""
-        if not 0.0 < tol < np.inf:
-            raise InvalidParameter(f"quadrature tolerance must be finite and > 0, got {tol}")
+        check_quad_tol(tol)
         ends = []
         for tail in (self.tail_below, self.tail_above):
             delta = min(0.05, self.tau_end / 16.0)

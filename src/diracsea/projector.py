@@ -63,6 +63,7 @@ from .model import (
     SIGMA3,
     TestFunction,
     Unitary2,
+    check_quad_tol,
 )
 # perfbench/test_perfbench.py reads ``projector.integrate``; keep it bound.
 from .stepper import integrate  # noqa: F401
@@ -116,6 +117,7 @@ def _signature(mode: Mode, scale: ScaleFunction, tol: float, ode_tol: float,
     ``lifetime_integral(lo, hi)`` gives the 2x2 integral over ``scale.window``.
     """
     check_ode_tol(ode_tol)
+    check_quad_tol(tol)
     scale.check_domain(mode.tau0)
     scale_bound = scale.lifetime_integral()
     if scale.is_piecewise:
@@ -245,6 +247,8 @@ class WkbScalarIntegrals:
 def wkb_scalar_integrals(mode: Mode, scale: ScaleFunction,
                          tol: float = DEFAULT_QUAD_TOL,
                          ode_tol: float = DEFAULT_ODE_TOL) -> WkbScalarIntegrals:
+    check_ode_tol(ode_tol)
+    check_quad_tol(tol)
     scale.check_domain(mode.tau0)
     if scale.is_piecewise:
         r, dt = np.array(scale.values), np.diff(scale.breakpoints)
@@ -362,8 +366,7 @@ def _wkb_branches(mode: Mode, scale: ScaleFunction, phi: TestFunction,
     w[1] e^{-i psi} (row 1), summed over ``_segments``: C = V0 gives the
     WKB image, C = V0 W per segment the exact one on a piecewise scale.
     """
-    check_ode_tol(tol)
-    scale.check_domain(mode.tau0, *phi.support)
+    _check_probe(mode, scale, phi, tol)
     rows = list(rows)
 
     def integrand(ts, rs):
@@ -375,6 +378,17 @@ def _wkb_branches(mode: Mode, scale: ScaleFunction, phi: TestFunction,
                             *phi.support, tol, exact))
 
 
+def _check_probe(mode: Mode, scale: ScaleFunction, phi: TestFunction, tol: float):
+    """The ode tolerance, tau0 and the probe support, checked before any integral."""
+    check_ode_tol(tol)
+    scale.check_domain(mode.tau0, *phi.support)
+
+
+def _check_gap_tol(gap_tol: float):
+    if not 0.0 < gap_tol < np.inf:
+        raise InvalidParameter(f"gap_tol must be finite and > 0, got {gap_tol}")
+
+
 def _spectral_projection(sig: SignatureResult, sign: float,
                          gap_tol: float) -> Hermitian2:
     """Orthogonal projection onto the spectral subspace where sign * mu > 0.
@@ -383,8 +397,7 @@ def _spectral_projection(sig: SignatureResult, sign: float,
     ``gap_tol * max(norm, scale_bound)`` of zero: the split is genuinely
     unstable there and silently picking one would be wrong.
     """
-    if not 0.0 < gap_tol < np.inf:
-        raise InvalidParameter(f"gap_tol must be finite and > 0, got {gap_tol}")
+    _check_gap_tol(gap_tol)
     threshold = gap_tol * max(sig.norm(), sig.scale_bound)
     if min(abs(sig.mu_minus), abs(sig.mu_plus)) < threshold:
         raise DegenerateSignature(sig.mu_minus, sig.mu_plus, threshold)
@@ -413,6 +426,8 @@ def fermionic_projector_apply(mode: Mode, scale: ScaleFunction,
                               quad_tol: float = DEFAULT_QUAD_TOL,
                               gap_tol: float = DEFAULT_GAP_TOL) -> ProjectorOutput:
     """P(phi) = -X_neg(S) k(phi); raises DegenerateSignature when S is unstable."""
+    _check_probe(mode, scale, phi, tol)
+    _check_gap_tol(gap_tol)
     sig = signature_operator(mode, scale, tol=quad_tol, ode_tol=tol)
     proj = negative_projection(sig, gap_tol=gap_tol)
     km = k_m_apply(mode, scale, phi, tol=tol)
@@ -438,6 +453,8 @@ def p_wkb_apply(mode: Mode, scale: ScaleFunction, phi: TestFunction,
                 quad_tol: float = DEFAULT_QUAD_TOL,
                 gap_tol: float = DEFAULT_GAP_TOL) -> ProjectorOutput:
     """WKB projector image, either the full spectral form or the leading order."""
+    _check_probe(mode, scale, phi, tol)
+    _check_gap_tol(gap_tol)
     if variant is PWkbVariant.LEADING_ORDER:
         return p_wkb_leading_apply(mode, scale, phi, tol=tol)
     sig = signature_operator_wkb(mode, scale, tol=quad_tol, ode_tol=tol)

@@ -7,6 +7,7 @@ import pytest
 
 from diracsea import cli
 from diracsea.cli import main
+from diracsea.errors import DegenerateSignature, DiracSeaError
 
 BASE = {"mode": {"lambda": 1.5, "mass": 1.0, "tau0": float(np.pi / 2)},
         "scale": {"kind": "dust", "r_max": 5.0}}
@@ -190,6 +191,47 @@ def test_bloch_default_end_closes_any_piecewise_domain(tmp_path):
                                 "breakpoints": list(scen.breakpoints)}})
     assert plain == preset
     assert float(plain.strip().split("\n")[-1].split(",")[0]) == scen.tau_end
+
+
+def test_bloch_on_dust_takes_the_smooth_sweep(tmp_path):
+    # the default grid runs from tau0 to 0.05 short of the open domain's
+    # end; v agrees with the trace formula, and the integrals with the
+    # frame's own rotation ODE
+    from diracsea.bloch import v_trace_formula
+    from diracsea.model import Mode, dust_scale
+    from frame_oracle import frame_rows
+
+    code, text = run_cli(tmp_path, "bloch", dict(BASE, run={"samples": 41}))
+    assert code == 0
+    lines = text.strip().split("\n")
+    assert lines[0] == "tau,v1,v2,v3,cum_int_v1R,cum_int_v2R,cum_int_v3R"
+    rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    assert list(rows[[0, -1], 0]) == [np.pi / 2, np.pi - 0.05]
+    assert lines[1].split(",")[1:] == ["0", "0", "1", "0", "0", "0"]
+    mode, scale = Mode(lam=1.5, mass=1.0, tau0=np.pi / 2), dust_scale(5.0)
+    trace = v_trace_formula(mode, scale, rows[:, 0])
+    assert np.abs(rows[:, 1:4] - trace).max() <= 1e-11
+    _, cum = frame_rows(mode, scale, rows[:, 0])
+    assert np.abs(rows[:, 4:] - cum).max() <= 1e-10
+
+
+def _error_classes(cls=DiracSeaError):
+    return [cls, *(sub for child in cls.__subclasses__() for sub in _error_classes(child))]
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda cls: cls.__name__)
+def test_exit_code_follows_the_error_class(tmp_path, capsys, monkeypatch, cls):
+    # 2 exactly for the numerical failures, the RuntimeErrors; 1 otherwise,
+    # the base class included
+    exc = cls(-1.0, 1.0, 2.0) if cls is DegenerateSignature else cls("failed")
+
+    def fail(cfg, args, out):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "signature", fail)
+    code, _ = run_cli(tmp_path, "signature", dict(BASE, run={}))
+    assert code == (2 if isinstance(exc, RuntimeError) else 1)
+    assert json.loads(capsys.readouterr().err)["error"] == cls.kind
 
 
 CFS_NAN = dict(BASE, run={"taus": [0.6, 1.1, 1.6, 2.1, 2.6],

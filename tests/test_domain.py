@@ -117,8 +117,8 @@ MODE_ENTRY_POINTS = {
     "propagate_bloch": lambda m, phi: bloch.propagate_bloch(m, DUST, [1.0]),
     "v_trace_formula": lambda m, phi: bloch.v_trace_formula(m, DUST, [1.0]),
     "v_components": lambda m, phi: bloch.v_components(m, DUST, [1.0]),
-    "smooth_v_rows_with_cumulative":
-        lambda m, phi: bloch.smooth_v_rows_with_cumulative(m, DUST, [1.0]),
+    "v_rows_with_cumulative":
+        lambda m, phi: bloch.v_rows_with_cumulative(m, DUST, [1.0]),
     "negative_subspace_family": lambda m, phi: cfs.negative_subspace_family((m,), DUST),
     "local_correlation": lambda m, phi: cfs.local_correlation(_family(m), 1.0),
     "correlation_trace_lifetime_integral":

@@ -7,7 +7,8 @@ import pytest
 from scipy.integrate import quad, simpson
 
 from diracsea import cfs, levin, projector
-from diracsea.bloch import build_twelve_segment, make_scenario, perturb_scenario
+from diracsea.bloch import (build_six_segment, build_twelve_segment, make_scenario,
+                            perturb_scenario)
 from diracsea.errors import (ConvergenceFailure, DegenerateSignature, DomainError,
                              InvalidParameter)
 from diracsea.evolution import (
@@ -460,6 +461,49 @@ class TestModeScaleCompatibility:
         phi = bump((0.2, 0.8), np.array([1.0, 0.0]))
         with pytest.raises(DomainError):
             call(mode, sc, phi)
+
+
+class TestInputsCheckedFirst:
+    """Tolerances are checked on both scale kinds, before the piecewise
+    closed forms, and every projector input before any signature."""
+
+    SCALES = {"six_segment": (build_six_segment().mode, build_six_segment()),
+              "dust": (Mode(lam=1.5, mass=1.0, tau0=TAU0), dust_scale(5.0))}
+
+    @pytest.mark.parametrize("kind", sorted(SCALES))
+    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
+    @pytest.mark.parametrize("call", [
+        lambda m, sc, bad: signature_operator(m, sc, tol=bad),
+        lambda m, sc, bad: signature_operator_wkb(m, sc, tol=bad),
+        lambda m, sc, bad: wkb_eigenvalues_closed_form(m, sc, tol=bad),
+        lambda m, sc, bad: wkb_scalar_integrals(m, sc, tol=bad),
+        lambda m, sc, bad: wkb_scalar_integrals(m, sc, ode_tol=bad),
+    ], ids=["signature_operator", "signature_operator_wkb",
+            "wkb_eigenvalues_closed_form", "wkb_scalar_integrals_tol",
+            "wkb_scalar_integrals_ode_tol"])
+    def test_tolerances_checked_on_both_scale_kinds(self, call, bad, kind):
+        mode, sc = self.SCALES[kind]
+        with pytest.raises(InvalidParameter, match="tolerance"):
+            call(mode, sc, bad)
+
+    @pytest.mark.parametrize("bad", ["support", "tau0", "tol", "gap_tol"])
+    @pytest.mark.parametrize("apply", [fermionic_projector_apply, p_wkb_apply])
+    def test_projector_inputs_checked_before_the_signature(self, monkeypatch, apply, bad):
+        # a signature on dust_scale(100) takes about 0.2 s; no bad input may cost one
+        calls = []
+        for name in ("signature_operator", "signature_operator_wkb"):
+            monkeypatch.setattr(projector, name,
+                                lambda *args, name=name, **kw: calls.append(name))
+        mode, phi, tols = Mode(lam=1.5, mass=1.0, tau0=TAU0), bump((1.0, 2.0), [1.0, 0.0]), {}
+        if bad == "support":
+            phi = bump((1.0, np.pi), [1.0, 0.0])
+        elif bad == "tau0":
+            mode = Mode(lam=1.5, mass=1.0, tau0=np.pi)
+        else:
+            tols = {bad: -1.0}
+        with pytest.raises(DomainError if bad in ("support", "tau0") else InvalidParameter):
+            apply(mode, dust_scale(100.0), phi, **tols)
+        assert calls == []
 
 
 LEVIN_LAMBDAS = [1.5, -1.5, 2.5, -2.5, 0.0, 0.5]

@@ -14,6 +14,11 @@
   the transports and the generator route to the WKB deviation call none
   of ``propagators``, ``accumulated_phase`` or ``levin_integral``, so the
   oracles it gives never start from the routes they check.
+* ``bloch``'s smooth frames are the adjoint action of the exact
+  propagators, from ``evolve_grid``, and its smooth rows ride on
+  ``exact_transport``: no SO(3) transport or SVD re-projection is left in
+  the package, and only the piecewise closed forms read the hard-wired
+  ``rotation_generator``.
 * ``levin.levin_integral`` calls its integrand in one place, ``panel``,
   with all of the panel's nodes at once: no loop runs there.
 * ``evolution.wkb_propagators`` alone assembles WKB propagators, and
@@ -153,10 +158,28 @@ def test_propagators_is_the_only_exact_sweep():
 
 
 def test_stepper_route_calls_no_production_route():
-    route = {"cointegrate", "interval_integral", "exact_transport", "frame_transport",
-             "phase_transport", "wkb_deviation_by_generator"}
+    route = {"cointegrate", "interval_integral", "exact_transport", "phase_transport",
+             "wkb_deviation_by_generator"}
     calls = _calls({"propagators", "accumulated_phase", "levin_integral"})
     assert not [key for key in calls if key[1].split(".")[0] in route]
+
+
+def test_bloch_frames_are_the_adjoint_of_the_exact_propagators():
+    gone = {"frame_transport", "_project_rotation", "smooth_v_rows_with_cumulative"}
+    assert {module for module, tree in MODULES.items() if _names(tree) & gone} == set()
+    assert not _calls({"svd", "cross"})
+    assert set(_calls({"Transport"})) == {
+        ("evolution", "exact_transport"),
+        ("evolution", "phase_transport"),
+        ("evolution", "wkb_deviation_by_generator"),
+    }
+    bloch = {key: n for key, n in _calls({"evolve_grid", "cointegrate",
+                                          "exact_transport"}).items()
+             if key[0] == "bloch"}
+    assert bloch == {("bloch", "propagate_bloch"): 1, ("bloch", "v_trace_formula"): 1,
+                     ("bloch", "v_rows_with_cumulative"): 2}
+    assert set(_calls({"rotation_generator"})) == {("bloch", "_segment_frames"),
+                                                   ("bloch", "_frames_at")}
 
 
 def test_levin_calls_the_integrand_once_per_panel():
