@@ -314,8 +314,8 @@ def correlation_trace_lifetime_integral(family: SolutionFamily,
         return (-(weights @ sigma3_conjugated(x)).real * r,)
 
     transport = exact_transport(modes, scale, anchors.pop())
-    acc = interval_integral(transport, integrand, 1, lo, hi, ode_tol)
-    return float(acc[0].real)
+    ((acc,),) = interval_integral(transport, integrand, 1, [(lo, hi)], ode_tol)
+    return float(acc.real)
 
 
 class Classification(enum.Enum):

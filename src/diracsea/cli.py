@@ -126,21 +126,13 @@ def cmd_signature(cfg: ScenarioConfig, args, out):
 def cmd_project(cfg: ScenarioConfig, args, out):
     phi = _parse_probe(cfg.run["phi"]).build()
     variant = cfg.run.get("variant", "exact")
-    scale = cfg.scale
     tols = cfg.tolerances
+    kw = dict(tol=tols.ode_tol, quad_tol=tols.quad_tol, gap_tol=tols.gap_tol)
     if variant == "exact":
-        res = proj_mod.fermionic_projector_apply(
-            cfg.mode, scale, phi, tol=tols.ode_tol, quad_tol=tols.quad_tol,
-            gap_tol=tols.gap_tol)
-    elif variant == "wkb":
-        res = proj_mod.p_wkb_apply(cfg.mode, scale, phi,
-                                   variant=proj_mod.PWkbVariant.FULL,
-                                   tol=tols.ode_tol, quad_tol=tols.quad_tol,
-                                   gap_tol=tols.gap_tol)
+        res = proj_mod.fermionic_projector_apply(cfg.mode, cfg.scale, phi, **kw)
     else:
-        res = proj_mod.p_wkb_apply(cfg.mode, scale, phi,
-                                   variant=proj_mod.PWkbVariant.LEADING_ORDER,
-                                   tol=tols.ode_tol)
+        res = proj_mod.p_wkb_apply(cfg.mode, cfg.scale, phi, variant=proj_mod.PWkbVariant(
+            "full" if variant == "wkb" else "leading_order"), **kw)
     norm, provenance = res.norm(), res.provenance.value
     header = ["re_1", "im_1", "re_2", "im_2", "norm", "provenance"]
     row = [res.value[0].real, res.value[0].imag,
@@ -210,10 +202,17 @@ def cmd_study(cfg: ScenarioConfig, args, out):
         key: x if key == "kind" else float(x)
         for key, x in {"value": cfg.mode.lam, **run.get("lambda", {})}.items()})
     probe = _parse_probe(run["phi"]) if "phi" in run else None
+    leading_r_max = float(run.get("r_max", 1.0))
+    # the file's mode and scale are the grid point the envelope is fitted at
+    for name, value, want in zip(("mode.mass", "scale.r_max"), (cfg.mode.mass, cfg.scale.r_max),
+                                 studies_mod.grid_point(kind, grid[0], leading_r_max)):
+        if not np.isclose(value, want, rtol=1e-12, atol=0.0):
+            raise InvalidParameter(f"{name} = {value:g}, but the study fits its "
+                                   f"envelope at the first grid point, where it is {want:g}")
     tols = cfg.tolerances
     result = studies_mod.run_study(
         kind, grid, lam_spec=lam_spec, probe=probe,
-        leading_r_max=float(run.get("r_max", 1.0)),
+        leading_r_max=leading_r_max,
         tau0=cfg.mode.tau0,
         slack=float(run.get("slack", studies_mod.DEFAULT_SLACK)),
         ode_tol=tols.ode_tol, quad_tol=tols.quad_tol, gap_tol=tols.gap_tol,

@@ -152,20 +152,20 @@ class Transport:
 
 
 def cointegrate(transport: Transport, integrand, width: int, anchor: float,
-                stops, tol: float, cap: float = np.inf,
+                stops, tol: float, caps=None,
                 stats: stepper.StepStats | None = None):
     """Carry a transport from ``anchor`` through the monotone ``stops``.
 
     The one carry rule: away from ``tau0`` the state first reaches
-    ``anchor`` by a sweep of its own (no integral, no ``cap``), restored
+    ``anchor`` by a sweep of its own (no integral, no cap), restored
     once there.  The integral of ``integrand(t, r, x)`` (``width`` complex
     entries; r the scale value, x the transport state) from ``anchor``
     rides along as augmented state, so one adaptive stepper and one error
     budget cover both; ``tol`` is checked here, where it is read.  A step
     turns the transport by at most ``OSCILLATION_RESOLUTION`` radians and
-    spans at most ``cap``; the stepper counts its work into ``stats``, and
-    a DEBUG log line reports it per sweep.  Returns one (state, integral)
-    pair per stop.
+    spans at most the next stop's entry of ``caps``, if given; the stepper
+    counts its work into ``stats``, and a DEBUG log line reports it per
+    sweep.  Returns one (state, integral) pair per stop.
     """
     check_ode_tol(tol)
     stats = stats if stats is not None else stepper.StepStats()
@@ -191,12 +191,12 @@ def cointegrate(transport: Transport, integrand, width: int, anchor: float,
 
     def ceiling(t):
         rate = max(transport.frequency(scale.value(t)), 1e-3)
-        return min(OSCILLATION_RESOLUTION / rate, cap)
+        return min(OSCILLATION_RESOLUTION / rate, cap)  # the cap of the stop ahead
 
     before = astuple(stats)
     y = np.concatenate([x0, np.zeros(width, dtype=complex)])
     states = []
-    for t, stop in zip([anchor, *stops], stops):
+    for t, stop, cap in zip([anchor, *stops], stops, caps or [np.inf] * len(stops)):
         # through the module, so a wrapped or patched stepper sees every leg
         y = stepper.integrate(rhs, t, stop, y, rtol=tol, atol=tol * 1e-2,
                               max_step=ceiling,
@@ -210,28 +210,36 @@ def cointegrate(transport: Transport, integrand, width: int, anchor: float,
     return states
 
 
-def leg_plan(tau0: float, lo: float, hi: float):
-    """The (anchor, end) sweeps covering [lo, hi] from a state known at tau0.
+def leg_plan(tau0: float, ends):
+    """The (anchor, stops) sweeps covering the span of ``ends`` from a state
+    known at tau0, each stopping at every end on its side, in order.
 
-    From a tau0 inside the interval the sweeps run out to both ends; from
-    a tau0 outside it the state is first carried to the nearer end.
+    From a tau0 inside the span the sweeps run out to both sides, upward
+    first; from a tau0 outside it the state is first carried to the nearer end.
     """
-    if tau0 <= lo:
-        return [(lo, hi)]
-    if tau0 >= hi:
-        return [(hi, lo)]
-    return [(tau0, hi), (tau0, lo)]
+    anchor = min(max(tau0, min(ends)), max(ends))
+    up = sorted({t for t in ends if t > anchor})
+    down = sorted({t for t in ends if t < anchor}, reverse=True)
+    return [(anchor, stops) for stops in (up, down) if stops] or [(anchor, [anchor])]
 
 
-def interval_integral(transport: Transport, integrand, width: int, lo: float,
-                      hi: float, tol: float, cap: float = np.inf) -> np.ndarray:
-    """Integral over [lo, hi] of an integrand riding on a tau0-referenced
-    transport, one ``cointegrate`` sweep per leg of ``leg_plan``."""
-    parts = []
-    for anchor, end in leg_plan(transport.tau0, lo, hi):
-        ((_, acc),) = cointegrate(transport, integrand, width, anchor, [end], tol, cap)
-        parts.append(acc if end > anchor else -acc)
-    return sum(parts[1:], parts[0])
+def interval_integral(transport: Transport, integrand, width: int, intervals,
+                      tol: float, caps=None) -> np.ndarray:
+    """Integrals over each (lo, hi) of ``intervals`` of an integrand riding on a
+    tau0-referenced transport, as an (n, width) array: one ``cointegrate`` sweep
+    per leg of ``leg_plan`` over their ends, each integral the difference of the
+    running integral from the leg anchor at its ends.  Between the ends of an
+    interval a step spans at most its entry of ``caps``, if given."""
+    caps = caps or [np.inf] * len(intervals)
+    running = {}
+    for anchor, stops in leg_plan(transport.tau0, [t for ends in intervals for t in ends]):
+        stop_caps = [min([cap for (lo, hi), cap in zip(intervals, caps)
+                          if lo <= min(t, stop) and max(t, stop) <= hi], default=np.inf)
+                     for t, stop in zip([anchor, *stops], stops)]
+        states = cointegrate(transport, integrand, width, anchor, stops, tol, stop_caps)
+        running[anchor] = 0.0
+        running.update((stop, acc) for stop, (_, acc) in zip(stops, states))
+    return np.array([running[hi] - running[lo] for lo, hi in intervals])
 
 
 def exact_transport(modes, scale: ScaleFunction, tau0: float) -> Transport:
@@ -259,18 +267,18 @@ def exact_transport(modes, scale: ScaleFunction, tau0: float) -> Transport:
                      lambda r: max(math.hypot(lam, mass * r) for lam, mass in pairs))
 
 
-def sigma3_conjugated(x) -> list:
-    """U^dagger sigma3 U of each 2x2 block [[a, b], [c, d]] of a flat stack.
+def sigma3_conjugated(x, r: float = 1.0) -> list:
+    """r U^dagger sigma3 U of each 2x2 block [[a, b], [c, d]] of a flat stack.
 
     Flat and row-major per block, in closed form: |a|^2 - |c|^2,
-    conj(a) b - conj(c) d, its conjugate, |b|^2 - |d|^2.
+    conj(a) b - conj(c) d, its conjugate, |b|^2 - |d|^2, each times r.
     """
     out = []
     for a, b, c, d in x.reshape(-1, 4).tolist():
         ac, cc = a.conjugate(), c.conjugate()
         off = ac * b - cc * d
-        out += ((ac * a - cc * c).real, off, off.conjugate(),
-                (b.conjugate() * b - d.conjugate() * d).real)
+        out += ((ac * a - cc * c).real * r, off * r, off.conjugate() * r,
+                (b.conjugate() * b - d.conjugate() * d).real * r)
     return out
 
 

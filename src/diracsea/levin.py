@@ -145,7 +145,7 @@ def levin_integral(mode: Mode, scale: ScaleFunction, integrand, omegas,
         return total
 
     legs = [leg(anchor, end, accumulated_phase(mode, scale, mode.tau0, anchor))
-            for anchor, end in leg_plan(mode.tau0, lo, hi)]
+            for anchor, (end,) in leg_plan(mode.tau0, (lo, hi))]
     if log.isEnabledFor(logging.DEBUG):
         log.debug("levin_integral: %d legs, %d panels tested, %d accepted",
                   len(legs), tested, accepted)

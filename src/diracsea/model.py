@@ -51,9 +51,11 @@ def spectral_norm(a):
 
 
 def unitarity_defect(u):
-    """Spectral norm of U*U - 1, of a matrix or of each matrix in a stack."""
-    u = np.asarray(u)
-    return spectral_norm(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(u.shape[-1]))
+    """Spectral norm of the Hermitian M = U*U - 1, of a 2x2 U or of each in a
+    stack: its largest |eigenvalue|, |tr M| / 2 + sqrt(((M00 - M11) / 2)^2 + |M01|^2)."""
+    m = np.swapaxes(np.conj(u), -1, -2) @ u
+    d0, d1 = m[..., 0, 0].real - 1.0, m[..., 1, 1].real - 1.0
+    return 0.5 * np.abs(d0 + d1) + np.hypot(0.5 * (d0 - d1), np.abs(m[..., 0, 1]))
 
 
 def polar_unitary(a):

@@ -20,12 +20,13 @@ the exact propagator is the WKB one times a constant per segment
 (``_segments``), and both signatures have closed forms.  On smooth scales
 the exact integrals ride as augmented state on a transport (exact U, or
 the WKB phase for the ``wkb_scalar_integrals`` oracle) through
-``evolution.interval_integral``, one ``evolution.cointegrate`` sweep per leg,
-so one adaptive stepper and one error budget cover propagator and
-integral.  Lifetime integrals run over the scale's ``window``, whose
-endpoint cutoffs shrink until the rigorous tail bound (the integrand norm
-is at most R) drops below the requested tolerance; tau0 and probe
-supports are checked against the scale's domain (``check_domain``).
+``evolution.interval_integral``, one ``evolution.cointegrate`` sweep per
+leg, so one adaptive stepper and one error budget cover propagator and
+integrals; P(phi) carries S's integrand and k's in one sweep.  Lifetime
+integrals run over the scale's ``window``, whose endpoint cutoffs shrink
+until the rigorous tail bound (the integrand norm is at most R) drops
+below the requested tolerance; tau0 and probe supports are checked
+against the scale's domain (``check_domain``).
 """
 
 from __future__ import annotations
@@ -140,10 +141,10 @@ def signature_operator(mode: Mode, scale: ScaleFunction,
     """The signature matrix by lifetime quadrature of U^dagger sigma3 U R."""
     def lifetime_integral(lo, hi):
         def integrand(t, r, x):
-            return [v * r for v in sigma3_conjugated(x)]
+            return sigma3_conjugated(x, r)
 
         return interval_integral(exact_transport((mode,), scale, mode.tau0),
-                                 integrand, 4, lo, hi, ode_tol).reshape(2, 2)
+                                 integrand, 4, [(lo, hi)], ode_tol)[0].reshape(2, 2)
 
     return _signature(mode, scale, tol, ode_tol, _piecewise_signature,
                       lifetime_integral)
@@ -272,8 +273,8 @@ def wkb_scalar_integrals(mode: Mode, scale: ScaleFunction,
                          r / f * np.cos(ph),
                          r / f * np.sin(ph)], dtype=complex)
 
-    acc = interval_integral(phase_transport(mode, scale), integrand, 3, lo, hi,
-                            ode_tol)
+    (acc,) = interval_integral(phase_transport(mode, scale), integrand, 3, [(lo, hi)],
+                               ode_tol)
     return WkbScalarIntegrals(*map(float, acc.real))
 
 
@@ -317,6 +318,20 @@ class ProjectorOutput:
         return float(np.linalg.norm(self.value))
 
 
+def _probe_integrand(phi: TestFunction):
+    """k(phi)'s integrand on an exact transport, U^dagger sigma3 phi R / 2 pi,
+    and the step cap inside the support: a sixteenth of it."""
+    def integrand(t, r, x):
+        # U = [[a, b], [c, d]], phi = (p, q)
+        a, b, c, d = x.tolist()
+        p, q = phi(t).tolist()
+        return ((a.conjugate() * p - c.conjugate() * q) * r / TWO_PI,
+                (b.conjugate() * p - d.conjugate() * q) * r / TWO_PI)
+
+    lo, hi = phi.support
+    return integrand, (hi - lo) / 16.0
+
+
 def k_m_apply(mode: Mode, scale: ScaleFunction, phi: TestFunction,
               tol: float = DEFAULT_ODE_TOL) -> ProjectorOutput:
     """Causal-solution image of a probe, in the tau0 fiber.
@@ -330,19 +345,10 @@ def k_m_apply(mode: Mode, scale: ScaleFunction, phi: TestFunction,
         return ProjectorOutput(_wkb_branches(mode, scale, phi, (0, 1), tol, True),
                                Provenance.EXACT)
     scale.check_domain(mode.tau0, *phi.support)
-
-    def integrand(t, r, x):
-        # U^dagger sigma3 phi R / 2 pi for U = [[a, b], [c, d]], phi = (p, q)
-        a, b, c, d = x.tolist()
-        p, q = phi(t).tolist()
-        return ((a.conjugate() * p - c.conjugate() * q) * r / TWO_PI,
-                (b.conjugate() * p - d.conjugate() * q) * r / TWO_PI)
-
-    lo, hi = phi.support
-    # steps capped at a sixteenth of the support
-    return ProjectorOutput(interval_integral(
-        exact_transport((mode,), scale, mode.tau0), integrand, 2, lo, hi, tol,
-        cap=(hi - lo) / 16.0), Provenance.EXACT)
+    integrand, cap = _probe_integrand(phi)
+    (image,) = interval_integral(exact_transport((mode,), scale, mode.tau0),
+                                 integrand, 2, [phi.support], tol, [cap])
+    return ProjectorOutput(image, Provenance.EXACT)
 
 
 def k_wkb_apply(mode: Mode, scale: ScaleFunction, phi: TestFunction,
@@ -425,14 +431,36 @@ def fermionic_projector_apply(mode: Mode, scale: ScaleFunction,
                               tol: float = DEFAULT_ODE_TOL,
                               quad_tol: float = DEFAULT_QUAD_TOL,
                               gap_tol: float = DEFAULT_GAP_TOL) -> ProjectorOutput:
-    """P(phi) = -X_neg(S) k(phi); raises DegenerateSignature when S is unstable."""
+    """P(phi) = -X_neg(S) k(phi); raises DegenerateSignature when S is unstable.
+
+    On smooth scales S's integrand and k(phi)'s ride one sweep per leg, its
+    steps capped inside the probe's support only.
+    """
     _check_probe(mode, scale, phi, tol)
     _check_gap_tol(gap_tol)
-    sig = signature_operator(mode, scale, tol=quad_tol, ode_tol=tol)
-    proj = negative_projection(sig, gap_tol=gap_tol)
-    km = k_m_apply(mode, scale, phi, tol=tol)
-    return ProjectorOutput(value=-(proj.matrix @ km.value),
-                           provenance=Provenance.EXACT)
+    if scale.is_piecewise:
+        sig = signature_operator(mode, scale, tol=quad_tol, ode_tol=tol)
+        image = k_m_apply(mode, scale, phi, tol=tol).value
+    else:
+        (a, b), (probe, cap) = phi.support, _probe_integrand(phi)
+        images = []
+
+        def integrand(t, r, x):
+            # phi vanishes off its support, so k's part is not evaluated there
+            return [*sigma3_conjugated(x, r), *(probe(t, r, x) if a <= t <= b
+                                                else (0j, 0j))]
+
+        def lifetime_integral(lo, hi):
+            s, k = interval_integral(exact_transport((mode,), scale, mode.tau0),
+                                     integrand, 6, [(lo, hi), (a, b)], tol, [np.inf, cap])
+            images.append(k[4:])
+            return s[:4].reshape(2, 2)
+
+        sig = _signature(mode, scale, quad_tol, tol, _piecewise_signature,
+                         lifetime_integral)
+        (image,) = images
+    return ProjectorOutput(-(negative_projection(sig, gap_tol=gap_tol).matrix @ image),
+                           Provenance.EXACT)
 
 
 class PWkbVariant(enum.Enum):

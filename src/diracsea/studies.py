@@ -176,6 +176,14 @@ def _measure(kind: StudyKind, m_rmax: float, lam: float, mass: float,
     return STUDIES[kind][1](mode, dust_scale(r_max), probe, ode_tol, quad_tol, gap_tol)
 
 
+def grid_point(kind: StudyKind, m_rmax: float, leading_r_max: float = 1.0):
+    """(mass, r_max) at a grid value: unit mass, except that the leading-term
+    study holds r_max at ``leading_r_max`` and reads the grid as masses."""
+    if kind is StudyKind.LEADING_TERM_BOUND:
+        return m_rmax / leading_r_max, leading_r_max
+    return 1.0, m_rmax
+
+
 def run_study(kind: StudyKind, grid, lam_spec: LambdaSpec = LambdaSpec(),
               probe: ProbeSpec | None = None,
               leading_r_max: float = 1.0,
@@ -205,14 +213,8 @@ def run_study(kind: StudyKind, grid, lam_spec: LambdaSpec = LambdaSpec(),
     if kind is StudyKind.P_WKB_BOUND and probe is None:
         probe = ProbeSpec()
 
-    points = []
-    for m_rmax in grid:
-        lam = lam_spec.resolve(m_rmax)
-        if kind is StudyKind.LEADING_TERM_BOUND:
-            mass, r_max = m_rmax / leading_r_max, leading_r_max
-        else:
-            mass, r_max = 1.0, m_rmax
-        points.append((m_rmax, lam, mass, r_max))
+    points = [(m_rmax, lam_spec.resolve(m_rmax), *grid_point(kind, m_rmax, leading_r_max))
+              for m_rmax in grid]
 
     probe_l1 = probe.build().l1_norm if probe is not None else 1.0
     measure = functools.partial(_measure, kind, tau0=tau0, probe=probe,

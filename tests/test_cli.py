@@ -353,8 +353,9 @@ def test_study_json_format(tmp_path):
 def test_study_envelope_violation_exits_3(tmp_path, capsys):
     # lambda = 7.5 fixed while m r_max grows from 2 to 20: the WKB gap at 20
     # is about 15 times the envelope fitted at 2
-    doc = dict(BASE, run={"kind": "s_wkb_bound", "grid": [2.0, 20.0],
-                          "lambda": {"kind": "fixed", "value": 7.5}})
+    doc = dict(BASE, scale={"kind": "dust", "r_max": 2.0},
+               run={"kind": "s_wkb_bound", "grid": [2.0, 20.0],
+                    "lambda": {"kind": "fixed", "value": 7.5}})
     code, text = run_cli(tmp_path, "study", doc)
     assert code == 3
     err_lines = capsys.readouterr().err.strip().split("\n")
@@ -383,6 +384,31 @@ def test_unknown_lambda_kind_fails_validation(tmp_path, capsys):
     assert err["error"] == "invalid_parameter"
     assert err["message"] == ("scenario invalid: $.run.lambda.kind: 'bogus' is not "
                               "one of ['fixed', 'track_mrmax', 'track_power']")
+
+
+@pytest.mark.parametrize("field,doc", [
+    ("mode.mass", {"mode": dict(BASE["mode"], mass=2.0)}),
+    ("scale.r_max", {"scale": {"kind": "dust", "r_max": 55.0}}),
+    ("mode.mass", {"run": {"kind": "leading_term_bound", "grid": [10.0, 30.0],
+                           "r_max": 5.0}}),
+], ids=["mass", "r_max", "leading_term_mass"])
+def test_study_rejects_a_mode_or_scale_off_its_fit_point(tmp_path, capsys, field, doc):
+    # a study sets mass and r_max at each grid point itself; the file's must
+    # be those of its first point, where the envelope is fitted
+    doc = {**BASE, "run": {"kind": "s_wkb_bound", "grid": [5.0, 10.0]}, **doc}
+    code, text = run_cli(tmp_path, "study", doc)
+    assert code == 1 and text == ""
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "invalid_parameter"
+    assert err["message"].startswith(f"{field} = ")
+
+
+def test_leading_term_study_fits_at_its_first_mass(tmp_path):
+    doc = dict(BASE, mode=dict(BASE["mode"], mass=2.0),
+               run={"kind": "leading_term_bound", "grid": [10.0, 30.0], "r_max": 5.0})
+    code, text = run_cli(tmp_path, "study", doc)
+    assert code == 0
+    assert [row.split(",")[0] for row in text.strip().split("\n")[1:]] == ["10", "30"]
 
 
 @pytest.mark.parametrize("scale", [

@@ -14,8 +14,10 @@ from diracsea.model import (
     dust_scale,
     is_physical_eigenvalue,
     mollifier,
+    UNITARITY_TOL,
     polar_unitary,
     smooth_table_scale,
+    unitarity_defect,
 )
 
 
@@ -218,6 +220,34 @@ class TestPolarUnitary:
         a = np.array([[2.0, 1.0j], [0.5, -1.0 + 0.3j]])
         w, _, vh = np.linalg.svd(a)
         assert np.abs(polar_unitary(a) - w @ vh).max() < 1e-14
+
+
+class TestUnitarityDefect:
+    """The closed-form largest |eigenvalue| of the Hermitian U*U - 1."""
+
+    @given(st.sampled_from([1, 8]), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([1e-14, 1e-11, 1e-8]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_svd_on_near_unitary_stacks(self, n, seed, eps):
+        rng = np.random.default_rng(seed)
+        w, _, vh = np.linalg.svd(rng.normal(size=(n, 2, 2))
+                                 + 1j * rng.normal(size=(n, 2, 2)))
+        u = w @ vh + eps * (rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)))
+        m = u.conj().transpose(0, 2, 1) @ u - np.eye(2)
+        want = np.linalg.svd(m, compute_uv=False)[:, 0]
+        got = unitarity_defect(u)
+        assert got.shape == (n,)
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps)
+        assert abs(unitarity_defect(u[0]) - want[0]) <= 4 * np.finfo(float).eps
+
+    def test_identity_is_exactly_unitary(self):
+        assert unitarity_defect(np.eye(2, dtype=complex)) == 0.0
+        assert Unitary2(np.eye(2)).defect == 0.0
+
+    def test_unitary2_raises_at_the_tolerance(self):
+        Unitary2(np.diag([1.0, 1.0 + 0.4 * UNITARITY_TOL]))
+        with pytest.raises(InvalidParameter, match="unitarity defect"):
+            Unitary2(np.diag([1.0, 1.0 + 0.6 * UNITARITY_TOL]))
 
 
 class TestSmoothTable:

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import logging
 import re
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 
-from diracsea import cfs, levin, projector
+from diracsea import cfs, levin, projector, stepper
 from diracsea.bloch import (build_six_segment, build_twelve_segment, make_scenario,
                             perturb_scenario)
 from diracsea.errors import (ConvergenceFailure, DegenerateSignature, DomainError,
@@ -434,6 +435,115 @@ class TestFermionicProjector:
         assert rel[30.0] <= 1.05 * c_fit * factor(30.0)
 
 
+def stepper_spy(monkeypatch):
+    """(t0, t1, accepted steps) of every stepper call, in order."""
+    calls, integrate = [], stepper.integrate
+
+    def spy(rhs, t0, t1, y0, rtol, atol, max_step=None, post_accept=None, stats=None):
+        before = stats.accepted
+        y = integrate(rhs, t0, t1, y0, rtol, atol, max_step, post_accept, stats)
+        calls.append((t0, t1, stats.accepted - before))
+        return y
+
+    monkeypatch.setattr(stepper, "integrate", spy)
+    return calls
+
+
+#: (tau0, probe support from the window's lower end lo, the stepper's legs
+#: from window (lo, hi)): each leg stops at every interval end on its side
+ONE_SWEEP_CASES = {
+    "probe_holds_tau0": (TAU0, lambda lo: (1.0, 2.0),
+                         lambda lo, hi: [(TAU0, 2.0), (2.0, hi), (TAU0, 1.0), (1.0, lo)]),
+    "probe_below_tau0": (TAU0, lambda lo: (0.3, 0.9),
+                         lambda lo, hi: [(TAU0, hi), (TAU0, 0.9), (0.9, 0.3), (0.3, lo)]),
+    "probe_above_tau0": (TAU0, lambda lo: (2.2, 3.1),
+                         lambda lo, hi: [(TAU0, 2.2), (2.2, 3.1), (3.1, hi), (TAU0, lo)]),
+    "probe_past_window_lo": (TAU0, lambda lo: (lo / 2, 0.5),
+                             lambda lo, hi: [(TAU0, hi), (TAU0, 0.5), (0.5, lo),
+                                             (lo, lo / 2)]),
+    "tau0_below_window": (1e-4, lambda lo: (1.0, 2.0),
+                          lambda lo, hi: [(1e-4, lo), (lo, 1.0), (1.0, 2.0), (2.0, hi)]),
+}
+
+
+class TestOneSweepProjector:
+    """On smooth scales P(phi) takes one sweep per leg, S's integrand and
+    k(phi)'s riding together, against the two-sweep -X_neg(S) k(phi)."""
+
+    @pytest.mark.parametrize("r_max", [10.0, 30.0])
+    @pytest.mark.parametrize("case", sorted(ONE_SWEEP_CASES))
+    def test_matches_the_two_sweep_route(self, monkeypatch, case, r_max):
+        tau0, support, legs = ONE_SWEEP_CASES[case]
+        mode, sc = Mode(lam=1.5, mass=1.0, tau0=tau0), dust_scale(r_max)
+        lo, hi, _ = sc.window(1e-9)
+        phi = bump(support(lo), np.array([1.0, 0.4 - 0.7j]), 1.3)
+        want = -(negative_projection(signature_operator(mode, sc)).matrix
+                 @ k_m_apply(mode, sc, phi).value)
+        called = []
+        for name in ("signature_operator", "k_m_apply"):
+            monkeypatch.setattr(projector, name,
+                                lambda *args, name=name, **kw: called.append(name))
+        calls = stepper_spy(monkeypatch)
+        got = fermionic_projector_apply(mode, sc, phi).value
+        assert called == []
+        assert [(t0, t1) for t0, t1, _ in calls] == legs(lo, hi)
+        assert rel_diff(got, want) < 5e-10
+
+    def test_zero_probe_maps_to_exactly_zero(self):
+        mode, sc = Mode(lam=-2.5, mass=1.0, tau0=TAU0), dust_scale(30.0)
+        phi = bump((0.3, 2.0), np.array([1.0, 0.0]), 0.0)
+        assert np.all(fermionic_projector_apply(mode, sc, phi).value == 0.0)
+
+    @pytest.mark.parametrize("r_max, support", [(2.0, (1.0, 1.1)), (10.0, (1.0, 1.05))])
+    def test_narrow_probe_takes_no_more_steps_than_two_sweeps(self, monkeypatch,
+                                                              r_max, support):
+        # the probe's step cap holds between its ends only, so a narrow
+        # probe does not cap the lifetime sweep
+        mode, sc = Mode(lam=1.5, mass=1.0, tau0=TAU0), dust_scale(r_max)
+        phi = bump(support, np.array([1.0, 0.0]))
+        calls = stepper_spy(monkeypatch)
+        signature_operator(mode, sc)
+        k_m_apply(mode, sc, phi)
+        two = sum(n for *_, n in calls)
+        calls.clear()
+        fermionic_projector_apply(mode, sc, phi)
+        assert sum(n for *_, n in calls) <= two
+
+    @pytest.mark.parametrize("tau0", [0.5, TAU0, 2.5])
+    def test_intervals_are_differences_of_one_running_integral(self, tau0):
+        # tau0 below, inside and above the span; an empty interval is zero,
+        # alone or among others, and so is its Levin leg
+        mode, sc = Mode(lam=1.5, mass=1.0, tau0=tau0), dust_scale(5.0)
+        ints = interval_integral(phase_transport(mode, sc), lambda t, r, x: (r,), 1,
+                                 [(1.2, 1.2), (1.0, 2.0)], 1e-10)
+        exact = 2.5 * (1.0 - (np.sin(2.0) - np.sin(1.0)))
+        assert ints[0, 0] == 0.0 and abs(ints[1, 0] - exact) < 1e-9
+        (alone,) = interval_integral(phase_transport(mode, sc), lambda t, r, x: (r,), 1,
+                                     [(1.2, 1.2)], 1e-10)
+        assert alone[0] == 0.0
+        assert levin_integral(mode, sc, lambda ts, rs: rs[:, None], [0.0],
+                              1.2, 1.2, 1e-10)[0] == 0.0
+
+    def test_integrand_is_s_and_k_with_k_zero_off_the_support(self, monkeypatch):
+        mode, sc = Mode(lam=1.5, mass=1.0, tau0=TAU0), dust_scale(5.0)
+        seen = []
+        phi = bump((1.0, 2.0), np.array([1.0, 0.4 - 0.7j]), 2.0)
+        probe = dataclasses.replace(phi, amplitude=lambda t: seen.append(t) or phi(t))
+
+        def run():
+            with pytest.raises(DegenerateSignature):  # the captured S is zero
+                fermionic_projector_apply(mode, sc, probe)
+
+        integrand = captured_integrand(monkeypatch, projector, run)
+        for u, t in zip(random_unitaries(16, 4), np.linspace(0.2, 2.8, 16)):
+            got = np.array(integrand(t, 0.8, u.ravel()))
+            assert np.abs(got[:4].reshape(2, 2) - (u.conj().T @ SIGMA3 @ u) * 0.8
+                          ).max() <= 1e-15
+            k = u.conj().T @ (SIGMA3 @ phi(t)) * 0.8 / (2 * np.pi)
+            assert np.abs(got[4:] - k).max() <= 1e-15
+        assert seen and all(1.0 <= t <= 2.0 for t in seen)
+
+
 class TestModeScaleCompatibility:
     """tau0 outside the scale's domain must raise, never extrapolate.
 
@@ -489,9 +599,10 @@ class TestInputsCheckedFirst:
     @pytest.mark.parametrize("bad", ["support", "tau0", "tol", "gap_tol"])
     @pytest.mark.parametrize("apply", [fermionic_projector_apply, p_wkb_apply])
     def test_projector_inputs_checked_before_the_signature(self, monkeypatch, apply, bad):
-        # a signature on dust_scale(100) takes about 0.2 s; no bad input may cost one
+        # a signature on dust_scale(100) takes about 0.2 s; no bad input may
+        # cost one, nor the exact projector's one sweep
         calls = []
-        for name in ("signature_operator", "signature_operator_wkb"):
+        for name in ("signature_operator", "signature_operator_wkb", "interval_integral"):
             monkeypatch.setattr(projector, name,
                                 lambda *args, name=name, **kw: calls.append(name))
         mode, phi, tols = Mode(lam=1.5, mass=1.0, tau0=TAU0), bump((1.0, 2.0), [1.0, 0.0]), {}
@@ -537,8 +648,9 @@ def stepper_wkb_image(mode, sc, phi):
         return u.conj().T @ SIGMA3 @ phi(t) * (r / (2 * np.pi))
 
     lo, hi = phi.support
-    return interval_integral(phase_transport(mode, sc), integrand, 2, lo, hi,
-                             1e-12, cap=(hi - lo) / 16.0)
+    (image,) = interval_integral(phase_transport(mode, sc), integrand, 2, [(lo, hi)],
+                                 1e-12, [(hi - lo) / 16.0])
+    return image
 
 
 def phase_transport_images(mode, sc, phi):
@@ -778,9 +890,9 @@ def captured_integrand(monkeypatch, module, run):
     """The integrand ``run`` hands to ``module.interval_integral``."""
     seen = []
 
-    def capture(transport, integrand, width, *args, **kwargs):
+    def capture(transport, integrand, width, intervals, *args, **kwargs):
         seen.append(integrand)
-        return np.zeros(width, dtype=complex)
+        return np.zeros((len(intervals), width), dtype=complex)
 
     monkeypatch.setattr(module, "interval_integral", capture)
     run()
