@@ -41,6 +41,8 @@ EXIT_BOUND_VIOLATION = 3
 
 
 def _fmt(x) -> str:
+    if type(x) is float:  # most cells: skip the checks below
+        return f"{x:.17g}"
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -196,6 +198,10 @@ def cmd_cfs(cfg: ScenarioConfig, args, out):
 def cmd_study(cfg: ScenarioConfig, args, out):
     run = cfg.run
     kind = studies_mod.StudyKind(run["kind"])
+    for field, reader in (("r_max", "leading_term_bound"), ("phi", "p_wkb_bound")):
+        if field in run and kind.value != reader:
+            raise InvalidParameter(f"run.{field} is read by the {reader} study only, "
+                                   f"not by {kind.value}")
     grid = [float(x) for x in run["grid"]]
     # the spec's own defaults, but the mode's lambda for a fixed value
     lam_spec = studies_mod.LambdaSpec(**{

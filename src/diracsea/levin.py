@@ -13,8 +13,9 @@ at Chebyshev points, and the panel integral is [p exp(i omega psi)] from a
 to b (Levin, Math. Comp. 1982; Iserles & Norsett, Proc. R. Soc. A 2005).
 Components with omega = 0, and the phase increment itself, use
 Clenshaw-Curtis weights on the same nodes.  Each panel is accepted when it
-agrees with the sum over its two halves; otherwise the halves are refined.
-The cost follows the smoothness of R and F, not the number of periods.
+agrees with the sum over its two halves; otherwise the halves are refined
+in the next round, whose panels are all solved in one batch.  The cost
+follows the smoothness of R and F, not the number of periods.
 On piecewise-constant scales the exact integrals are these too, taken per
 segment (see ``projector._segments``).
 """
@@ -60,89 +61,107 @@ def _chebyshev(n: int):
 _X, _D, _W = _chebyshev(NODES - 1)
 
 
+def _solve(mats, rhs):
+    """``np.linalg.solve`` over a stack, NaN where a member is singular."""
+    try:
+        return np.linalg.solve(mats, rhs)
+    except np.linalg.LinAlgError:
+        return (np.array([_solve(m, b) for m, b in zip(mats, rhs)], dtype=complex)
+                if mats.ndim > 2 else np.full(rhs.shape, np.nan))
+
+
 def levin_integral(mode: Mode, scale: ScaleFunction, integrand, omegas,
                    lo: float, hi: float, tol: float) -> np.ndarray:
     """integral over [lo, hi] of integrand(t, r)[j] * exp(i omegas[j] psi(t)).
 
     psi is the frequency integral from ``mode.tau0``; r the scale value at
-    t (on a piecewise scale, that of the segment holding the panel).
-    ``integrand(ts, rs)`` is called once per panel with the arrays of its
-    ``NODES`` times and scale values, and returns the (nodes, k) array of
-    the k components there.  The legs are ``evolution.leg_plan``'s, psi
-    known at each anchor.
+    t (on a piecewise scale, that of the segment holding the panel).  The
+    legs are ``evolution.leg_plan``'s, psi known at each anchor.  Each leg
+    is refined a round at a time: ``integrand(ts, rs)`` is called once per
+    round with the flat arrays of the ``NODES`` times and scale values of
+    all of its panels and halves, and returns the (nodes, k) array of the
+    k components there.
 
     A panel is accepted when every component moves by at most ``tol`` per
     unit tau (relative to its largest node value, floored at 1) between
-    the panel and its two halves.  The phase increment is not tested on
-    its own: f is a smooth function of R, as the callers' integrands are,
-    and near a vanishing R its relative rounding (of 1 - cos tau for dust,
-    say) can exceed tol.  Raises ``ConvergenceFailure`` once ``MAX_PANELS``
-    panels were tested without covering [lo, hi], or when a panel too
-    narrow to split still fails the test: a truncated sum is never
-    returned.  A DEBUG log line per call reports the legs and the panels
-    tested and accepted.
+    the panel and its two halves, which otherwise go to the next round; a
+    singular collocation system fails, as a NaN does.  The phase increment
+    is not tested on its own: f is a smooth function of R, as the callers'
+    integrands are, and near a vanishing R its relative rounding (of
+    1 - cos tau for dust, say) can exceed tol.  Raises
+    ``ConvergenceFailure`` before a round takes the panels tested past
+    ``MAX_PANELS``, or when a panel too narrow to split still fails (the
+    first in leg order): a truncated sum is never returned.  A DEBUG log
+    line per call reports the legs and the panels tested and accepted.
     """
     omegas = np.asarray(omegas, dtype=float)
     osc = omegas != 0.0
     tested = accepted = 0
 
     def panel(a, b, r):
-        """(local integral with psi(a) = 0, psi increment, node maxima)."""
-        h = 0.5 * (b - a)
-        ts = 0.5 * (a + b) + h * _X
-        rs = np.full(ts.shape, scale.value(ts) if r is None else r)
+        """(local integrals with psi(a) = 0, psi increments, node maxima) of
+        the panels [a, b], R = r on each, or the scale's where r is NaN."""
+        h = 0.5 * (b - a)[:, None]
+        ts = 0.5 * (a + b)[:, None] + h * _X
+        rs = np.where(np.isnan(r)[:, None], scale.value(ts), r[:, None])
         f = frequency(mode, rs)
-        vals = np.asarray(integrand(ts, rs), dtype=complex)
-        dpsi = h * (_W @ f)
-        local = h * (_W @ vals)
+        vals = np.reshape(integrand(ts.ravel(), rs.ravel()), (*ts.shape, -1)).astype(complex)
+        # one product per panel, rounding as for one panel (f @ _W would not)
+        dpsi = h[:, 0] * np.matmul(_W, f[..., None])[:, 0]
+        local = h * np.matmul(_W, vals)
         if osc.any():
-            mats = _D / h + 1j * omegas[osc, None, None] * np.diag(f)
-            p = np.linalg.solve(mats, vals[:, osc].T[..., None])[..., 0]
-            local[osc] = p[:, 0] * np.exp(1j * omegas[osc] * dpsi) - p[:, -1]
-        return local, dpsi, np.abs(vals).max(axis=0)
+            mats = (_D / h[..., None, None] + 1j * omegas[osc, None, None]
+                    * (f[:, None, :, None] * np.eye(NODES)))
+            p = _solve(mats, vals[..., osc].transpose(0, 2, 1)[..., None])[..., 0]
+            local[:, osc] = (p[..., 0] * np.exp(1j * omegas[osc] * dpsi[:, None])
+                             - p[..., -1])
+        return local, dpsi, np.abs(vals).max(axis=1)
 
     def leg(anchor, end, psi):
         """Sum over [anchor, end] (either order), psi known at the anchor."""
         nonlocal tested, accepted
-        total = np.zeros(omegas.size, dtype=complex)
-        sign = 1.0 if end > anchor else -1.0
-        # (end nearer the anchor, far end, R if constant there, the panel's
-        # result if known).  Panels stop at breakpoints and carry their
-        # segment's R: scale.value, right-continuous, would read the next
-        # segment's at a panel's upper end node.
-        pending = []
-        for a, b, r in scale.pieces(min(anchor, end), max(anchor, end))[::int(sign)]:
-            near, far = (a, b) if sign > 0 else (b, a)
-            cuts = np.linspace(near, far, int(np.ceil((b - a) / MAX_PANEL)) + 1)
-            pending += [(x, y, r, None) for x, y in zip(cuts, cuts[1:])]
-        while pending:
-            near, far, r, whole = pending.pop(0)
-            tested += 1
-            if tested > MAX_PANELS:
-                raise ConvergenceFailure(
-                    f"oscillatory quadrature used {MAX_PANELS} panels "
-                    f"before covering [{lo:.6g}, {hi:.6g}]")
-            a, b = min(near, far), max(near, far)
+        sign = 1 if end > anchor else -1
+        # A round's panels [a, b], ascending, cut from the end nearer the anchor,
+        # with R if constant there (else NaN: a piece's None as a float).  Panels
+        # stop at breakpoints and carry their segment's R: scale.value, right-
+        # continuous, would read the next segment's at a panel's upper end node.
+        pieces = []
+        for x, y, value in scale.pieces(min(anchor, end), max(anchor, end)):
+            c = np.linspace(*(x, y)[::sign], int(np.ceil((y - x) / MAX_PANEL)) + 1)[::sign]
+            pieces.append((c[:-1], c[1:], np.full(c.size - 1, value, dtype=float)))
+        (a, b, r), whole = map(np.concatenate, zip(*pieces)), None
+        done = [(a[:0], np.zeros((0, omegas.size), dtype=complex), a[:0])]
+        while a.size:
+            if tested + a.size > MAX_PANELS:
+                raise ConvergenceFailure(f"oscillatory quadrature used {MAX_PANELS} panels "
+                                         f"before covering [{lo:.6g}, {hi:.6g}]")
+            tested += a.size
             mid = 0.5 * (a + b)
-            if whole is None:
-                whole = panel(a, b, r)
-            left, right = panel(a, mid, r), panel(mid, b, r)
-            local = left[0] + np.exp(1j * omegas * left[1]) * right[0]
-            dpsi = left[1] + right[1]
-            size = np.maximum(np.max([whole[2], left[2], right[2]], axis=0), 1.0)
-            err = np.abs(whole[0] - local)
-            if not np.all(err <= tol * (b - a) * size):  # NaN fails too
-                if b - a < 1e-12 * max(abs(a), 1.0):
-                    raise ConvergenceFailure(
-                        f"oscillatory quadrature panel underflow at tau={mid:.6g}")
-                near_half, far_half = (left, right) if sign > 0 else (right, left)
-                pending[:0] = [(near, mid, r, near_half), (mid, far, r, far_half)]
-                continue
-            psi_a = psi if sign > 0 else psi - dpsi
-            total += np.exp(1j * omegas * psi_a) * local
-            psi += sign * dpsi
-            accepted += 1
-        return total
+            ends = [(a, mid), (mid, b)] if whole else [(a, b), (a, mid), (mid, b)]
+            parts = [x.reshape(len(ends), a.size, *x.shape[1:]) for x in
+                     panel(*map(np.concatenate, zip(*ends)), np.tile(r, len(ends)))]
+            if whole:
+                parts = [np.concatenate([w[None], x]) for w, x in zip(whole, parts)]
+            (w_local, l_local, r_local), (_, l_dpsi, r_dpsi), sizes = parts
+            local = l_local + np.exp(1j * omegas * l_dpsi[:, None]) * r_local
+            err, size = np.abs(w_local - local), np.maximum(sizes.max(axis=0), 1.0)
+            ok = np.all(err <= tol * (b - a)[:, None] * size, axis=1)  # NaN fails too
+            narrow = ~ok & (b - a < 1e-12 * np.maximum(np.abs(a), 1.0))
+            if narrow.any():
+                raise ConvergenceFailure("oscillatory quadrature panel underflow "
+                                         f"at tau={mid[narrow][::sign][0]:.6g}")
+            done.append((a[ok], local[ok], (l_dpsi + r_dpsi)[ok]))
+            # the failed panels' halves in order, their results known
+            a, b = (np.stack(e, axis=1)[~ok].ravel() for e in zip(*ends[-2:]))
+            r = np.repeat(r[~ok], 2)
+            whole = [np.swapaxes(x[-2:], 0, 1)[~ok].reshape(-1, *x.shape[2:]) for x in parts]
+        at, local, dpsi = map(np.concatenate, zip(*done))
+        order = np.argsort(sign * at)
+        accepted += order.size
+        # psi at the panel ends in leg order; a panel's lower end is first going up
+        psis = np.cumsum(np.concatenate([[psi], sign * dpsi[order]]))
+        phases = np.exp(1j * omegas * (psis[:-1] if sign > 0 else psis[1:])[:, None])
+        return sum(phases * local[order], np.zeros(omegas.size, dtype=complex))
 
     legs = [leg(anchor, end, accumulated_phase(mode, scale, mode.tau0, anchor))
             for anchor, (end,) in leg_plan(mode.tau0, (lo, hi))]

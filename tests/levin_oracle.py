@@ -1,0 +1,84 @@
+"""The depth-first Levin walk: the oracle of ``levin.levin_integral``.
+
+Production walks each leg a refinement round at a time, every pending
+panel of a round evaluated in one batch.  Here each panel is evaluated on
+its own and refined depth first, its halves tested before the next panel,
+and the accepted panels are summed as they are met.  A panel's acceptance
+depends on that panel alone, so both walks build the same refinement tree
+and sum the same panels in the same (leg) order: their results must agree
+bit for bit, and so must their tested and accepted counts.
+"""
+
+import numpy as np
+
+from diracsea.errors import ConvergenceFailure
+from diracsea.evolution import accumulated_phase, frequency, leg_plan
+from diracsea.levin import _D, _W, _X, MAX_PANEL, MAX_PANELS
+
+
+def levin_integral_depth_first(mode, scale, integrand, omegas, lo, hi, tol):
+    """(integral, panels tested, panels accepted); the arguments are
+    ``levin_integral``'s, the integrand called once per panel."""
+    omegas = np.asarray(omegas, dtype=float)
+    osc = omegas != 0.0
+    tested = accepted = 0
+
+    def panel(a, b, r):
+        """(local integral with psi(a) = 0, psi increment, node maxima)."""
+        h = 0.5 * (b - a)
+        ts = 0.5 * (a + b) + h * _X
+        rs = np.full(ts.shape, scale.value(ts) if r is None else r)
+        f = frequency(mode, rs)
+        vals = np.asarray(integrand(ts, rs), dtype=complex)
+        dpsi = h * (_W @ f)
+        local = h * (_W @ vals)
+        if osc.any():
+            mats = _D / h + 1j * omegas[osc, None, None] * np.diag(f)
+            try:
+                p = np.linalg.solve(mats, vals[:, osc].T[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                p = np.full((osc.sum(), ts.size), np.nan)
+            local[osc] = p[:, 0] * np.exp(1j * omegas[osc] * dpsi) - p[:, -1]
+        return local, dpsi, np.abs(vals).max(axis=0)
+
+    def leg(anchor, end, psi):
+        nonlocal tested, accepted
+        total = np.zeros(omegas.size, dtype=complex)
+        sign = 1.0 if end > anchor else -1.0
+        pending = []
+        for a, b, r in scale.pieces(min(anchor, end), max(anchor, end))[::int(sign)]:
+            near, far = (a, b) if sign > 0 else (b, a)
+            cuts = np.linspace(near, far, int(np.ceil((b - a) / MAX_PANEL)) + 1)
+            pending += [(x, y, r, None) for x, y in zip(cuts, cuts[1:])]
+        while pending:
+            near, far, r, whole = pending.pop(0)
+            tested += 1
+            if tested > MAX_PANELS:
+                raise ConvergenceFailure(
+                    f"oscillatory quadrature used {MAX_PANELS} panels "
+                    f"before covering [{lo:.6g}, {hi:.6g}]")
+            a, b = min(near, far), max(near, far)
+            mid = 0.5 * (a + b)
+            if whole is None:
+                whole = panel(a, b, r)
+            left, right = panel(a, mid, r), panel(mid, b, r)
+            local = left[0] + np.exp(1j * omegas * left[1]) * right[0]
+            dpsi = left[1] + right[1]
+            size = np.maximum(np.max([whole[2], left[2], right[2]], axis=0), 1.0)
+            err = np.abs(whole[0] - local)
+            if not np.all(err <= tol * (b - a) * size):
+                if b - a < 1e-12 * max(abs(a), 1.0):
+                    raise ConvergenceFailure(
+                        f"oscillatory quadrature panel underflow at tau={mid:.6g}")
+                near_half, far_half = (left, right) if sign > 0 else (right, left)
+                pending[:0] = [(near, mid, r, near_half), (mid, far, r, far_half)]
+                continue
+            psi_a = psi if sign > 0 else psi - dpsi
+            total += np.exp(1j * omegas * psi_a) * local
+            psi += sign * dpsi
+            accepted += 1
+        return total
+
+    legs = [leg(anchor, end, accumulated_phase(mode, scale, mode.tau0, anchor))
+            for anchor, (end,) in leg_plan(mode.tau0, (lo, hi))]
+    return sum(legs[1:], legs[0]), tested, accepted

@@ -403,6 +403,27 @@ def test_study_rejects_a_mode_or_scale_off_its_fit_point(tmp_path, capsys, field
     assert err["message"].startswith(f"{field} = ")
 
 
+@pytest.mark.parametrize("kind,field,value", [
+    ("s_wkb_bound", "r_max", 7.0),
+    ("p_wkb_bound", "r_max", 7.0),
+    ("w_deviation", "r_max", 7.0),
+    ("s_wkb_bound", "phi", {"support": [0.5, 2.5], "amplitude": 3.0}),
+    ("leading_term_bound", "phi", {"support": [0.5, 2.5]}),
+    ("w_deviation", "phi", {"support": [0.5, 2.5]}),
+])
+def test_study_rejects_a_run_option_its_kind_never_reads(tmp_path, capsys, kind, field,
+                                                         value):
+    # run.r_max is the leading-term study's fixed scale, run.phi the
+    # projector study's probe; no other kind reads either
+    doc = dict(BASE, run={"kind": kind, "grid": [5.0, 10.0], field: value})
+    code, text = run_cli(tmp_path, "study", doc)
+    assert code == 1 and text == ""
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "invalid_parameter"
+    assert err["message"].startswith(f"run.{field} is read by the ")
+    assert err["message"].endswith(f"not by {kind}")
+
+
 def test_leading_term_study_fits_at_its_first_mass(tmp_path):
     doc = dict(BASE, mode=dict(BASE["mode"], mass=2.0),
                run={"kind": "leading_term_bound", "grid": [10.0, 30.0], "r_max": 5.0})
@@ -511,6 +532,25 @@ def test_project_wkb_variants_match_library(tmp_path, variant, pwkb):
     assert payload["provenance"] == want.provenance.value
 
 
+def test_project_wkb_over_a_singular_levin_panel(tmp_path):
+    # one Levin panel of this image has singular collocation systems; it is
+    # split, not reported as a numpy error
+    from diracsea.model import Mode, bump, dust_scale
+    from diracsea.projector import p_wkb_apply
+
+    doc = {"mode": dict(BASE["mode"], **{"lambda": 7.5}),
+           "scale": {"kind": "dust", "r_max": 100.0},
+           "run": {"variant": "wkb", "phi": {"support": [1.0, 2.0], "direction": [1.0, 0.0]}}}
+    code, text = run_cli(tmp_path, "project", doc)
+    assert code == 0
+    assert len(text.strip().split("\n")) == 2
+    code, text = run_cli(tmp_path, "project", doc, extra=("--format", "json"))
+    want = p_wkb_apply(Mode(lam=7.5, mass=1.0, tau0=float(np.pi / 2)), dust_scale(100.0),
+                       bump((1.0, 2.0), [1.0, 0.0]))
+    assert code == 0 and np.all(np.isfinite(want.value))
+    assert json.loads(text)["value"] == [[z.real, z.imag] for z in want.value]
+
+
 def test_cfs_one_member_per_mode_is_the_negative_subspace_family(tmp_path):
     from diracsea import cfs
     from diracsea.model import Mode, dust_scale
@@ -548,3 +588,23 @@ def test_json_format_matches_csv(tmp_path, command, run):
         for name, cell in zip(header, line.split(",")):
             value = row[name]
             assert value == cell if isinstance(value, str) else value == float(cell)
+
+
+def _fmt_by_the_general_rules(x):
+    # cli._fmt without its float fast path
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, str):
+        return x
+    return f"{float(x):.17g}"
+
+
+@pytest.mark.parametrize("x", [
+    0.1, 1.0 / 3.0, -2.5e-300, 1e300, 5e-324, 0.0, -0.0, float("nan"), float("inf"),
+    float("-inf"), np.float64(0.1), np.float64(-0.0), np.float64("nan"),
+    np.float32(0.1), 3, -7, np.int64(12), True, False, np.bool_(True), "timelike",
+], ids=repr)
+def test_fmt_float_fast_path_keeps_the_text(x):
+    assert cli._fmt(x) == _fmt_by_the_general_rules(x)

@@ -36,9 +36,11 @@ from diracsea.model import (
     spectral_norm,
 )
 from diracsea.levin import levin_integral
+from levin_oracle import levin_integral_depth_first
 from diracsea.projector import (
     PWkbVariant,
     _finish_signature,
+    _sigma3_integral,
     fermionic_projector_apply,
     k_m_apply,
     k_wkb_apply,
@@ -801,8 +803,13 @@ class TestLevinRoute:
                              r"(\d+) accepted", line)
         tested, accepted = map(int, match.groups())
         assert 0 < accepted <= tested
-        # one call per evaluated panel, with all of its nodes
-        assert set(calls) == {levin.NODES} and len(calls) >= 2 * tested
+        # each call takes whole panels, and the calls cover every tested
+        # panel's two halves at least
+        assert all(size % levin.NODES == 0 for size in calls)
+        assert sum(calls) >= 2 * tested * levin.NODES
+        # one call per round: every panel here passes in its leg's first
+        # round, so each of the two legs makes one call
+        assert accepted == tested and len(calls) == 2
 
     def test_exhausted_panel_budget_raises(self, monkeypatch):
         # [0.1, 3.0] starts as 12 panels, more than the budget allows
@@ -819,6 +826,103 @@ class TestLevinRoute:
         with pytest.raises(ConvergenceFailure, match="underflow"):
             levin_integral(mode, sc, lambda ts, rs: (ts > 1.234)[:, None] * 1.0,
                            (2.0,), 0.1, 3.0, 1e-10)
+
+
+def levin_against_oracle(monkeypatch, caplog):
+    """Send projector's Levin calls through the round walk and the depth-first
+    oracle both; each result must be bit-identical, with the same DEBUG
+    counts.  Returns the list of the calls' omegas."""
+    caplog.set_level(logging.DEBUG, logger="diracsea.levin")
+    seen = []
+
+    def both(mode, scale, integrand, omegas, lo, hi, tol):
+        start = len(caplog.records)
+        got = levin_integral(mode, scale, integrand, omegas, lo, hi, tol)
+        (line,) = [r.getMessage() for r in caplog.records[start:]
+                   if r.name == "diracsea.levin"]
+        want, tested, accepted = levin_integral_depth_first(mode, scale, integrand,
+                                                            omegas, lo, hi, tol)
+        assert np.array_equal(got, want)
+        assert line.endswith(f" {tested} panels tested, {accepted} accepted")
+        seen.append(tuple(omegas))
+        return got
+
+    monkeypatch.setattr(projector, "levin_integral", both)
+    return seen
+
+
+PRESETS = {
+    "six_segment": (build_six_segment, (1.0, 7.0)),
+    "twelve_segment": (build_twelve_segment, (2.0, 15.0)),
+    "twelve_perturbed": (lambda: perturb_scenario(build_twelve_segment(), 3, -0.02),
+                         (2.0, 15.0)),
+}
+
+
+class TestRoundsMatchDepthFirst:
+    """The batched walk, a refinement round at a time, against the depth-first
+    walk it replaced (``tests/levin_oracle.py``): the same tree, the same
+    panels summed in the same order, so the same bits."""
+
+    @pytest.mark.parametrize("tau0", [TAU0, 0.7])
+    @pytest.mark.parametrize("lam", [1.5, -1.5, 2.5, -2.5])
+    @pytest.mark.parametrize("r_max", [10.0, 300.0, 3000.0])
+    def test_dust(self, monkeypatch, caplog, r_max, lam, tau0):
+        seen = levin_against_oracle(monkeypatch, caplog)
+        mode, sc = levin_mode(lam, tau0), dust_scale(r_max)
+        phi = bump((1.0, 2.0), np.array([0.6, 0.8j]))
+        signature_operator_wkb(mode, sc)
+        k_wkb_apply(mode, sc, phi)
+        p_wkb_leading_apply(mode, sc, phi)
+        assert seen == [(0.0, 2.0), (1.0, -1.0), (-1.0,)]
+
+    @pytest.mark.parametrize("preset", list(PRESETS))
+    def test_presets(self, monkeypatch, caplog, preset):
+        # the WKB images over the whole support, and the exact ones and the
+        # lifetime integral segment by segment
+        seen = levin_against_oracle(monkeypatch, caplog)
+        build, support = PRESETS[preset]
+        sc = build()
+        phi = bump(support, np.array([0.6, 0.8j]))
+        k_wkb_apply(sc.mode, sc, phi)
+        p_wkb_leading_apply(sc.mode, sc, phi)
+        k_m_apply(sc.mode, sc, phi)
+        _sigma3_integral(sc.mode, sc, 0.0, sc.tau_end, 1e-10, exact=True)
+        pieces = len(sc.pieces(*support))
+        assert seen == ([(1.0, -1.0), (-1.0,)] + [(1.0, -1.0)] * pieces
+                        + [(0.0, 2.0)] * len(sc.values))
+
+    def test_refined_leg_takes_one_call_per_round(self, caplog):
+        # a narrow bump refines its panels over several rounds; each round
+        # is one integrand call, far fewer than the panels tested
+        caplog.set_level(logging.DEBUG, logger="diracsea.levin")
+        calls = []
+
+        def integrand(ts, rs):
+            calls.append(ts.size)
+            return (rs * np.exp(-((ts - 1.2) / 0.01) ** 2))[:, None]
+
+        mode, sc = levin_mode(1.5), dust_scale(10.0)
+        got = levin_integral(mode, sc, integrand, (2.0,), 0.5, 2.5, 1e-10)
+        rounds = len(calls)
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "diracsea.levin"]
+        want, tested, accepted = levin_integral_depth_first(mode, sc, integrand, (2.0,),
+                                                            0.5, 2.5, 1e-10)
+        assert np.array_equal(got, want)
+        assert line == f"levin_integral: 2 legs, {tested} panels tested, {accepted} accepted"
+        assert accepted < tested and 4 * rounds < tested
+
+    def test_singular_panel_is_split(self, monkeypatch, caplog):
+        # one panel's two collocation systems are singular to working
+        # precision (condition 4.7e16): the panel fails, as a NaN does, and
+        # its halves are solved
+        mode, sc = levin_mode(7.5), dust_scale(100.0)
+        phi = bump((1.0, 2.0), np.array([1.0, 0.0]))
+        assert rel_diff(k_wkb_apply(mode, sc, phi).value,
+                        stepper_wkb_image(mode, sc, phi)) < 1e-9
+        seen = levin_against_oracle(monkeypatch, caplog)
+        k_wkb_apply(mode, sc, phi)
+        assert seen == [(1.0, -1.0)]
 
 
 class TestPiecewiseExactRoute:

@@ -20,7 +20,7 @@
   the package, and only the piecewise closed forms read the hard-wired
   ``rotation_generator``.
 * ``levin.levin_integral`` calls its integrand in one place, ``panel``,
-  with all of the panel's nodes at once: no loop runs there.
+  with the nodes of all of a round's panels at once: no loop runs there.
 * ``evolution.wkb_propagators`` alone assembles WKB propagators, and
   ``wkb_deviations`` alone forms the WKB deviation: each grid takes one
   call, and no package code calls the one-time ``wkb_evolve`` or
@@ -182,7 +182,7 @@ def test_bloch_frames_are_the_adjoint_of_the_exact_propagators():
                                                    ("bloch", "_frames_at")}
 
 
-def test_levin_calls_the_integrand_once_per_panel():
+def test_levin_calls_the_integrand_once_per_round():
     calls = Counter({key: n for key, n in _calls({"integrand"}).items()
                      if key[0] == "levin"})
     assert calls == Counter({("levin", "levin_integral.panel"): 1})
