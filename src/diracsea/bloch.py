@@ -2,12 +2,12 @@
 
 Conjugating the Pauli basis by the mode propagator U turns the 2x2
 dynamics into rigid rotations of three orthonormal frame vectors, one per
-initial axis: (w_a)_b = 1/2 Tr(sigma_a U^dagger sigma_b U).  On smooth
-scales the frames are this adjoint action of the exact propagators, and
-no rotation convention enters.
+initial axis: (w_a)_b = 1/2 Tr(sigma_a U^dagger sigma_b U).  On every
+scale ``propagate_bloch``'s frames are this adjoint action of the exact
+propagators, and no rotation convention enters.
 
 For piecewise-constant R every segment is a fixed-axis rotation, so frames
-and their time integrals have closed forms, exact to rounding.  These
+and their time integrals also have closed forms, exact to rounding.  These
 hard-wire the generator -d, with d = 2 (lam, 0, -m R) the nominal axis
 (conjugation acts on Pauli components through the inverse rotation; a sign
 slip flips chirality), so on piecewise scales ``v_rows_with_cumulative``
@@ -220,16 +220,12 @@ def propagate_bloch(mode: Mode, scale: ScaleFunction, tau_grid,
                     tol: float = DEFAULT_ODE_TOL):
     """Frame trajectory at the requested times, reference frame at the mode's tau0.
 
-    On piecewise-constant scales (every Scenario) the frames are exact
-    fixed-axis rotations; on smooth scales they are the adjoint action of
-    the exact propagators from one ``evolve_grid`` sweep.
+    On every scale the frames are the adjoint action of the exact
+    propagators from one ``evolve_grid`` sweep.
     """
     taus = _grid(mode, scale, tau_grid)
-    if scale.is_piecewise:
-        ws = _frames_at(mode, scale, taus)[0]
-    else:
-        us = np.array(evolve_grid(mode, scale, mode.tau0, taus, tol=tol))
-        ws = 0.5 * np.einsum("aij,nkj,bkl,nli->nba", PAULI, us.conj(), PAULI, us).real
+    us = np.array(evolve_grid(mode, scale, mode.tau0, taus, tol=tol))
+    ws = 0.5 * np.einsum("aij,nkj,bkl,nli->nba", PAULI, us.conj(), PAULI, us).real
     return [BlochState(w=w, tau=t) for t, w in zip(taus, ws)]
 
 
@@ -289,8 +285,8 @@ def v_rows_with_cumulative(mode: Mode, scale: ScaleFunction, tau_grid,
         taus = _grid(mode, scale, taus)
 
         def integrand(t, r, x):  # v R, from signature_operator's integrand
-            b00, b01, _, b11 = sigma3_conjugated(x)
-            return b01.real * r, -b01.imag * r, 0.5 * (b00 - b11) * r
+            b00, b01, _, b11 = sigma3_conjugated(x, r)
+            return b01.real, -b01.imag, 0.5 * (b00 - b11)
 
         states = cointegrate(exact_transport((mode,), scale, mode.tau0), integrand,
                              3, taus[0], taus, tol)

@@ -298,20 +298,19 @@ def correlation_trace_lifetime_integral(family: SolutionFamily,
     if len(anchors) != 1:
         raise InvalidParameter("trace integral needs a common tau0 across modes")
     scale.check_domain(modes[0].tau0)
+    lo, hi, _ = scale.window(quad_tol)
 
     if scale.is_piecewise:
-        return float(-sum(np.trace(_sigma3_integral(mode, scale, 0.0, scale.tau_end,
-                                                    ode_tol, exact=True) @ g).real
+        return float(-sum(np.trace(_sigma3_integral(mode, scale, lo, hi, ode_tol,
+                                                    exact=True) @ g).real
                           for mode, g in zip(modes, grams)))
-
-    lo, hi, _ = scale.window(quad_tol)
 
     # Tr(sigma3 U G U^dagger) = Tr(G K) with K = U^dagger sigma3 U: the
     # entrywise sum of G^T times K, real since G and K are Hermitian
     weights = grams.transpose(0, 2, 1).ravel()
 
     def integrand(t, r, x):
-        return (-(weights @ sigma3_conjugated(x)).real * r,)
+        return (-(weights @ sigma3_conjugated(x, r)).real,)
 
     transport = exact_transport(modes, scale, anchors.pop())
     ((acc,),) = interval_integral(transport, integrand, 1, [(lo, hi)], ode_tol)

@@ -204,9 +204,15 @@ def cmd_study(cfg: ScenarioConfig, args, out):
                                    f"not by {kind.value}")
     grid = [float(x) for x in run["grid"]]
     # the spec's own defaults, but the mode's lambda for a fixed value
+    lam_doc = run.get("lambda", {})
     lam_spec = studies_mod.LambdaSpec(**{
         key: x if key == "kind" else float(x)
-        for key, x in {"value": cfg.mode.lam, **run.get("lambda", {})}.items()})
+        for key, x in {"value": cfg.mode.lam, **lam_doc}.items()})
+    reads = studies_mod.LAMBDA_KINDS[lam_spec.kind][0]
+    for field in lam_doc:
+        if field not in ("kind", reads):
+            raise InvalidParameter(f"run.lambda.{field} is not read by the "
+                                   f"{lam_spec.kind} lambda kind, only {reads}")
     probe = _parse_probe(run["phi"]) if "phi" in run else None
     leading_r_max = float(run.get("r_max", 1.0))
     # the file's mode and scale are the grid point the envelope is fitted at

@@ -267,7 +267,7 @@ def exact_transport(modes, scale: ScaleFunction, tau0: float) -> Transport:
                      lambda r: max(math.hypot(lam, mass * r) for lam, mass in pairs))
 
 
-def sigma3_conjugated(x, r: float = 1.0) -> list:
+def sigma3_conjugated(x, r: float) -> list:
     """r U^dagger sigma3 U of each 2x2 block [[a, b], [c, d]] of a flat stack.
 
     Flat and row-major per block, in closed form: |a|^2 - |c|^2,

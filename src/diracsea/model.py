@@ -147,35 +147,12 @@ class ScaleFunction:
                 raise DomainError(f"tau={tau} outside the scale-function domain {domain}")
 
     def window(self, tol: float):
-        """(lo, hi, tail): the lifetime less its endpoint cutoffs, and the
-        integral of R over the cut-off ends.  Each cutoff shrinks on its own until
-        its tail is below tol/2, so a scale vanishing at one end is cut no finer
-        at the other."""
-        check_quad_tol(tol)
-        ends = []
-        for tail in (self.tail_below, self.tail_above):
-            delta = min(0.05, self.tau_end / 16.0)
-            for _ in range(60):
-                if (part := tail(delta)) <= tol / 2.0:
-                    break
-                delta *= 0.25
-            else:
-                raise ConvergenceFailure(
-                    f"endpoint tail bound not reached (last delta {delta:.3e})")
-            ends.append((delta, part))
-        (d_lo, below), (d_hi, above) = ends
-        return d_lo, self.tau_end - d_hi, below + above
+        """(lo, hi, tail): where a lifetime integral runs, and the integral of R
+        it leaves out.  InvalidParameter unless tol is finite and > 0."""
+        raise NotImplementedError
 
     def lifetime_integral(self) -> float:
         """integral of R over the whole domain (a priori operator-norm scale)."""
-        raise NotImplementedError
-
-    def tail_below(self, delta: float) -> float:
-        """integral of R over (0, delta)."""
-        raise NotImplementedError
-
-    def tail_above(self, delta: float) -> float:
-        """integral of R over (tau_end - delta, tau_end)."""
         raise NotImplementedError
 
 
@@ -205,6 +182,25 @@ class SmoothScale(ScaleFunction):
     def lifetime_integral(self) -> float:
         val, _ = quad(self.g, 0.0, self.tau_end, limit=200)
         return self.r_max * val
+
+    def window(self, tol: float):
+        """The lifetime less its endpoint cutoffs, and the integral of R over the
+        cut-off ends.  Each cutoff shrinks on its own until its tail is below
+        tol/2, so a scale vanishing at one end is cut no finer at the other."""
+        check_quad_tol(tol)
+        ends = []
+        for tail in (self.tail_below, self.tail_above):
+            delta = min(0.05, self.tau_end / 16.0)
+            for _ in range(60):
+                if (part := tail(delta)) <= tol / 2.0:
+                    break
+                delta *= 0.25
+            else:
+                raise ConvergenceFailure(
+                    f"endpoint tail bound not reached (last delta {delta:.3e})")
+            ends.append((delta, part))
+        (d_lo, below), (d_hi, above) = ends
+        return d_lo, self.tau_end - d_hi, below + above
 
     def tail_below(self, delta: float) -> float:
         lo, _ = quad(self.g, 0.0, delta, limit=50)
@@ -271,11 +267,10 @@ class PiecewiseConstantScale(ScaleFunction):
         widths = np.diff(self.breakpoints)
         return float(np.dot(widths, self.values))
 
-    def tail_below(self, delta: float) -> float:
-        return delta * self.values[0]
-
-    def tail_above(self, delta: float) -> float:
-        return delta * self.values[-1]
+    def window(self, tol: float):
+        """The whole closed lifetime with no tail: its integrals are closed forms."""
+        check_quad_tol(tol)
+        return 0.0, self.tau_end, 0.0
 
 
 def dust_scale(r_max: float) -> SmoothScale:

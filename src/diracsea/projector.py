@@ -22,11 +22,12 @@ the exact integrals ride as augmented state on a transport (exact U, or
 the WKB phase for the ``wkb_scalar_integrals`` oracle) through
 ``evolution.interval_integral``, one ``evolution.cointegrate`` sweep per
 leg, so one adaptive stepper and one error budget cover propagator and
-integrals; P(phi) carries S's integrand and k's in one sweep.  Lifetime
-integrals run over the scale's ``window``, whose endpoint cutoffs shrink
-until the rigorous tail bound (the integrand norm is at most R) drops
-below the requested tolerance; tau0 and probe supports are checked
-against the scale's domain (``check_domain``).
+integrals; P(phi) carries S's integrand and k's in one sweep.  Every
+lifetime integral opens with the scale's ``window``: the whole closed
+lifetime on a piecewise scale, and on a smooth one the lifetime less
+endpoint cutoffs that shrink until the rigorous tail bound (the integrand
+norm is at most R) drops below the requested tolerance; tau0 and probe
+supports are checked against the scale's domain (``check_domain``).
 """
 
 from __future__ import annotations
@@ -57,14 +58,12 @@ from .model import (
     DEFAULT_QUAD_TOL,
     Hermitian2,
     Mode,
-    PiecewiseConstantScale,
     ScaleFunction,
     SIGMA1,
     SIGMA2,
     SIGMA3,
     TestFunction,
     Unitary2,
-    check_quad_tol,
 )
 # perfbench/test_perfbench.py reads ``projector.integrate``; keep it bound.
 from .stepper import integrate  # noqa: F401
@@ -111,43 +110,31 @@ def _finish_signature(matrix, quad_error: float, scale_bound: float) -> Signatur
     )
 
 
-def _signature(mode: Mode, scale: ScaleFunction, tol: float, ode_tol: float,
-               closed_form, lifetime_integral) -> SignatureResult:
-    """Closed form on piecewise scales, else lifetime quadrature of U^dagger sigma3 U R.
-
-    ``lifetime_integral(lo, hi)`` gives the 2x2 integral over ``scale.window``.
-    """
-    check_ode_tol(ode_tol)
-    check_quad_tol(tol)
-    scale.check_domain(mode.tau0)
-    scale_bound = scale.lifetime_integral()
-    if scale.is_piecewise:
-        return _finish_signature(closed_form(mode, scale),
-                                 1e-13 * max(scale_bound, 1.0), scale_bound)
-
-    lo, hi, tail = scale.window(tol)
-    return _finish_signature(lifetime_integral(lo, hi), tail + ode_tol * scale_bound,
-                             scale_bound)
-
-
-def _piecewise_signature(mode: Mode, scale: PiecewiseConstantScale) -> np.ndarray:
-    svec = piecewise_signature_vector(mode, scale)
-    return svec[0] * SIGMA1 + svec[1] * SIGMA2 + svec[2] * SIGMA3
+def _signature_error(scale: ScaleFunction, tail: float, ode_tol: float):
+    """(quad error estimate, scale bound) of S: rounding for a closed form on a
+    piecewise scale, else the window's tail plus the ode tolerance's share."""
+    bound = scale.lifetime_integral()
+    return (1e-13 * max(bound, 1.0) if scale.is_piecewise
+            else tail + ode_tol * bound), bound
 
 
 def signature_operator(mode: Mode, scale: ScaleFunction,
                        tol: float = DEFAULT_QUAD_TOL,
                        ode_tol: float = DEFAULT_ODE_TOL) -> SignatureResult:
-    """The signature matrix by lifetime quadrature of U^dagger sigma3 U R."""
-    def lifetime_integral(lo, hi):
-        def integrand(t, r, x):
-            return sigma3_conjugated(x, r)
-
-        return interval_integral(exact_transport((mode,), scale, mode.tau0),
-                                 integrand, 4, [(lo, hi)], ode_tol)[0].reshape(2, 2)
-
-    return _signature(mode, scale, tol, ode_tol, _piecewise_signature,
-                      lifetime_integral)
+    """The signature matrix: the SO(3) closed form on piecewise scales, else the
+    quadrature of U^dagger sigma3 U R over the scale's window."""
+    check_ode_tol(ode_tol)
+    lo, hi, tail = scale.window(tol)
+    scale.check_domain(mode.tau0)
+    if scale.is_piecewise:
+        svec = piecewise_signature_vector(mode, scale)
+        s = svec[0] * SIGMA1 + svec[1] * SIGMA2 + svec[2] * SIGMA3
+    else:
+        (acc,) = interval_integral(exact_transport((mode,), scale, mode.tau0),
+                                   lambda t, r, x: sigma3_conjugated(x, r), 4,
+                                   [(lo, hi)], ode_tol)
+        s = acc.reshape(2, 2)
+    return _finish_signature(s, *_signature_error(scale, tail, ode_tol))
 
 
 def signature_operator_wkb(mode: Mode, scale: ScaleFunction,
@@ -160,14 +147,16 @@ def signature_operator_wkb(mode: Mode, scale: ScaleFunction,
     Y01 R = |lam| R / f, its two integrals are the closed forms of
     ``wkb_scalar_integrals``.
     """
-    def closed_form(mode, scale):
+    check_ode_tol(ode_tol)
+    lo, hi, tail = scale.window(tol)
+    scale.check_domain(mode.tau0)
+    if scale.is_piecewise:
         ints = wkb_scalar_integrals(mode, scale)
-        v0 = diagonalizer(mode, scale.value(mode.tau0))
-        return _conjugated(v0, ints.mass_term,
-                           abs(mode.lam) * (ints.cos_term - 1j * ints.sin_term))
-
-    return _signature(mode, scale, tol, ode_tol, closed_form,
-                      lambda lo, hi: _sigma3_integral(mode, scale, lo, hi, ode_tol))
+        s = _conjugated(diagonalizer(mode, scale.value(mode.tau0)), ints.mass_term,
+                        abs(mode.lam) * (ints.cos_term - 1j * ints.sin_term))
+    else:
+        s = _sigma3_integral(mode, scale, lo, hi, ode_tol)
+    return _finish_signature(s, *_signature_error(scale, tail, ode_tol))
 
 
 def _segments(mode: Mode, scale: ScaleFunction, integrand, omegas, lo: float,
@@ -249,7 +238,7 @@ def wkb_scalar_integrals(mode: Mode, scale: ScaleFunction,
                          tol: float = DEFAULT_QUAD_TOL,
                          ode_tol: float = DEFAULT_ODE_TOL) -> WkbScalarIntegrals:
     check_ode_tol(ode_tol)
-    check_quad_tol(tol)
+    lo, hi, _ = scale.window(tol)
     scale.check_domain(mode.tau0)
     if scale.is_piecewise:
         r, dt = np.array(scale.values), np.diff(scale.breakpoints)
@@ -263,8 +252,6 @@ def wkb_scalar_integrals(mode: Mode, scale: ScaleFunction,
             mode.mass * r * r / f * dt,
             r / f * (np.sin(2 * (psi0 + f * dt)) - np.sin(2 * psi0)) / (2 * f),
             r / f * (np.cos(2 * (psi0 + f * dt)) - np.cos(2 * psi0)) / (2 * f))))
-
-    lo, hi, _ = scale.window(tol)
 
     def integrand(t, r, x):
         f = frequency(mode, r)
@@ -438,27 +425,23 @@ def fermionic_projector_apply(mode: Mode, scale: ScaleFunction,
     """
     _check_probe(mode, scale, phi, tol)
     _check_gap_tol(gap_tol)
+    lo, hi, tail = scale.window(quad_tol)
     if scale.is_piecewise:
         sig = signature_operator(mode, scale, tol=quad_tol, ode_tol=tol)
         image = k_m_apply(mode, scale, phi, tol=tol).value
     else:
         (a, b), (probe, cap) = phi.support, _probe_integrand(phi)
-        images = []
 
         def integrand(t, r, x):
             # phi vanishes off its support, so k's part is not evaluated there
             return [*sigma3_conjugated(x, r), *(probe(t, r, x) if a <= t <= b
                                                 else (0j, 0j))]
 
-        def lifetime_integral(lo, hi):
-            s, k = interval_integral(exact_transport((mode,), scale, mode.tau0),
-                                     integrand, 6, [(lo, hi), (a, b)], tol, [np.inf, cap])
-            images.append(k[4:])
-            return s[:4].reshape(2, 2)
-
-        sig = _signature(mode, scale, quad_tol, tol, _piecewise_signature,
-                         lifetime_integral)
-        (image,) = images
+        s, k = interval_integral(exact_transport((mode,), scale, mode.tau0),
+                                 integrand, 6, [(lo, hi), (a, b)], tol, [np.inf, cap])
+        sig = _finish_signature(s[:4].reshape(2, 2),
+                                *_signature_error(scale, tail, tol))
+        image = k[4:]
     return ProjectorOutput(-(negative_projection(sig, gap_tol=gap_tol).matrix @ image),
                            Provenance.EXACT)
 

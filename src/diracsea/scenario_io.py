@@ -63,8 +63,8 @@ RUN_OPTIONS = {
     "study": _options(
         "kind", "grid", kind={"enum": [k.value for k in StudyKind]},
         grid=_NUMBERS, phi=_PROBE, r_max=_POSITIVE, slack=_NONNEGATIVE,
-        **{"lambda": _options(kind={"enum": list(LAMBDA_KINDS)}, value=_NUMBER,
-                              k=_NUMBER, exponent=_NUMBER)}),
+        **{"lambda": _options(kind={"enum": list(LAMBDA_KINDS)},
+                              **{field: _NUMBER for field, _ in LAMBDA_KINDS.values()})}),
 }
 
 #: Commands taking only some scale kinds: a study sweeps the dust scale.

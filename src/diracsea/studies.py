@@ -69,7 +69,8 @@ class LambdaSpec:
     def resolve(self, m_rmax: float) -> float:
         if self.kind not in LAMBDA_KINDS:
             raise InvalidParameter(f"unknown lambda spec kind {self.kind!r}")
-        return LAMBDA_KINDS[self.kind](self, m_rmax)
+        field, pick = LAMBDA_KINDS[self.kind]
+        return pick(getattr(self, field), m_rmax)
 
 
 def nearest_physical_eigenvalue(x: float) -> float:
@@ -80,12 +81,13 @@ def nearest_physical_eigenvalue(x: float) -> float:
     return sign * max(half, 1.5)
 
 
-#: Each lambda-spec kind: the eigenvalue a ``LambdaSpec`` picks at m r_max.
+#: Each lambda-spec kind: the one ``LambdaSpec`` field it reads, and the
+#: eigenvalue it picks from that field at m r_max.
 LAMBDA_KINDS = {
-    "fixed": lambda spec, m_rmax: spec.value,
-    "track_mrmax": lambda spec, m_rmax: nearest_physical_eigenvalue(spec.k * m_rmax),
-    "track_power": lambda spec, m_rmax: nearest_physical_eigenvalue(
-        m_rmax ** spec.exponent),
+    "fixed": ("value", lambda value, m_rmax: value),
+    "track_mrmax": ("k", lambda k, m_rmax: nearest_physical_eigenvalue(k * m_rmax)),
+    "track_power": ("exponent", lambda exponent, m_rmax: nearest_physical_eigenvalue(
+        m_rmax ** exponent)),
 }
 
 

@@ -231,13 +231,12 @@ class TestVComponents:
             assert all(abs(v) <= 1.0 + 1e-12 for v in row[1:])
 
     def test_trace_and_rotation_routes_agree(self):
+        # guards the SO(3) closed forms' hard-wired orientation
         scen = build_six_segment()
         taus = np.linspace(0.0, scen.total_duration, 33)
         trace_rows = v_trace_formula(scen.mode, scen, taus)
-        bloch_rows = [st.v() for st in propagate_bloch(scen.mode, scen, taus)]
-        worst = max(np.max(np.abs(a - b))
-                    for a, b in zip(trace_rows, bloch_rows))
-        assert worst < 1e-8
+        closed_rows = np.array(scenario_v_rows_with_cumulative(scen.mode, scen, taus))
+        assert np.max(np.abs(trace_rows - closed_rows[:, 1:4])) < 1e-8
 
     def test_smooth_scale_routes_agree(self):
         mode = Mode(lam=1.5, mass=1.0, tau0=np.pi / 2)
@@ -430,9 +429,11 @@ class TestGridAndToleranceChecks:
 
     @pytest.mark.parametrize("tol", [0.5, float("nan")])
     @pytest.mark.parametrize("route", [propagate_bloch, v_rows_with_cumulative])
-    def test_smooth_routes_check_the_ode_tolerance(self, route, tol):
-        with pytest.raises(InvalidParameter, match="ode tolerance"):
-            route(self.SMOOTH_MODE, self.SMOOTH, [1.0, 2.0], tol=tol)
+    def test_routes_check_the_ode_tolerance_on_both_scale_kinds(self, route, tol):
+        for mode, scale in ((self.SMOOTH_MODE, self.SMOOTH),
+                            (scenario_mode(), build_six_segment())):
+            with pytest.raises(InvalidParameter, match="ode tolerance"):
+                route(mode, scale, [1.0, 2.0], tol=tol)
 
     @pytest.mark.parametrize("route", [propagate_bloch, v_trace_formula, v_components,
                                        v_rows_with_cumulative])

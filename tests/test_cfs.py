@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diracsea.stepper
+from diracsea.bloch import build_six_segment
 from diracsea.cfs import (
     Classification,
     build_family,
@@ -189,12 +190,19 @@ class TestLocalCorrelation:
                                      @ sig.s.matrix @ mem.spinor))
         assert route_a == pytest.approx(route_b, rel=1e-7)
 
-    @pytest.mark.parametrize("tau0", [TAU0, 1e-4], ids=["inside", "below_cutoff"])
-    def test_trace_integral_rejects_an_ode_tol_out_of_range(self, tau0):
-        fam = build_family((Mode(1.5, 1.0, tau0),), SCALE, [(0, [1.0, 0.0])],
+    @pytest.mark.parametrize("scale,tau0", [(SCALE, TAU0), (SCALE, 1e-4),
+                                            (build_six_segment(), 0.0)],
+                             ids=["inside", "below_cutoff", "six_segment"])
+    @pytest.mark.parametrize("tols,match", [
+        ({"ode_tol": 1e-2}, "ode tolerance"),
+        *(({"quad_tol": q}, "quadrature tolerance") for q in (-1.0, np.nan, np.inf))],
+        ids=["ode_tol", "quad_tol_negative", "quad_tol_nan", "quad_tol_inf"])
+    def test_trace_integral_rejects_a_tolerance_out_of_range(self, scale, tau0, tols,
+                                                             match):
+        fam = build_family((Mode(1.5, 1.0, tau0),), scale, [(0, [1.0, 0.0])],
                            require_negative_subspace=False)
-        with pytest.raises(InvalidParameter, match="ode tolerance"):
-            correlation_trace_lifetime_integral(fam, ode_tol=1e-2)
+        with pytest.raises(InvalidParameter, match=match):
+            correlation_trace_lifetime_integral(fam, **tols)
 
     @pytest.mark.parametrize("tau0", [0.3, 1.3, 2.7])
     def test_piecewise_trace_integral_matches_signature(self, tau0):

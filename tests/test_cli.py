@@ -424,6 +424,22 @@ def test_study_rejects_a_run_option_its_kind_never_reads(tmp_path, capsys, kind,
     assert err["message"].endswith(f"not by {kind}")
 
 
+@pytest.mark.parametrize("block,field", [
+    ({"kind": "fixed", "value": 1.5, "k": 7.0, "exponent": 0.3}, "k"),
+    ({"value": 1.5, "exponent": 0.3}, "exponent"),
+    ({"kind": "track_mrmax", "value": 1.5, "k": 1.0}, "value"),
+    ({"kind": "track_power", "k": 1.0}, "k"),
+], ids=["fixed_k", "default_kind_exponent", "track_mrmax_value", "track_power_k"])
+def test_study_rejects_a_lambda_field_its_kind_never_reads(tmp_path, capsys, block,
+                                                           field):
+    doc = dict(BASE, run={"kind": "s_wkb_bound", "grid": [5.0, 10.0], "lambda": block})
+    code, text = run_cli(tmp_path, "study", doc)
+    assert code == 1 and text == ""
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "invalid_parameter"
+    assert err["message"].startswith(f"run.lambda.{field} is not read by the ")
+
+
 def test_leading_term_study_fits_at_its_first_mass(tmp_path):
     doc = dict(BASE, mode=dict(BASE["mode"], mass=2.0),
                run={"kind": "leading_term_bound", "grid": [10.0, 30.0], "r_max": 5.0})

@@ -6,7 +6,8 @@ or the open (0, tau_end) of a smooth one.  ``Mode`` and ``TestFunction``
 know no upper bound of their own, so probes and tau0 reach past pi on
 long piecewise scales, and every entry point rejects them past the end of
 a smooth one with ``DomainError``.  ``ScaleFunction.window`` is the one
-lifetime window.
+lifetime window on both kinds: the whole closed lifetime of a piecewise
+scale, the tail-bounded cutoffs of a smooth one.
 """
 
 import json
@@ -157,12 +158,16 @@ class TestWindow:
         assert below <= 0.5e-9 and above <= 0.5e-9
         assert tail == pytest.approx(below + above, rel=1e-12)
 
+    def test_piecewise_window_is_the_whole_closed_lifetime(self):
+        assert LONG.window(1e-9) == (0.0, LONG.tau_end, 0.0)
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
-    def test_rejects_a_tolerance_that_is_not_finite_and_positive(self, tol):
+    @pytest.mark.parametrize("scale", [DUST, LONG], ids=["dust", "piecewise"])
+    def test_rejects_a_tolerance_that_is_not_finite_and_positive(self, scale, tol):
         with pytest.raises(InvalidParameter, match="quadrature tolerance"):
-            DUST.window(tol)
+            scale.window(tol)
         with pytest.raises(InvalidParameter, match="quadrature tolerance"):
-            projector.signature_operator(GOOD_MODE, DUST, tol=tol)
+            projector.signature_operator(GOOD_MODE, scale, tol=tol)
 
 
 def _run(tmp_path, command, doc):

@@ -34,13 +34,16 @@
 * Each scenario and CLI choice is one table entry: the schema's scale kinds
   are ``SCALE_KINDS``, whose builders ``parse_scenario`` calls without
   comparing kind names; the study kinds are ``STUDIES``; the lambda-spec
-  kinds are ``LAMBDA_KINDS``, for the schema and ``LambdaSpec.resolve``
-  alike; and the commands leave the output format to ``cli._emit``.
+  kinds are ``LAMBDA_KINDS``, each naming the one field it reads, for the
+  schema and ``LambdaSpec.resolve`` alike; and the commands leave the
+  output format to ``cli._emit``.
 * The scale owns where tau may go: ``Mode``, ``TestFunction``, ``bump``,
   ``complex_bump`` and ``SCENARIO_SCHEMA`` name no ``pi``; no
-  ``check_mode_scale`` or ``_choose_cutoffs`` is left anywhere, and
-  ``ScaleFunction.window`` alone reads the tails, for the three lifetime
-  integrals.
+  ``check_mode_scale`` or ``_choose_cutoffs`` is left anywhere.  Each of
+  the five lifetime integrals opens with the scale's ``window`` on both
+  scale kinds; ``SmoothScale.window`` alone reads the tails, the two
+  ``window`` methods alone check the quadrature tolerance, and no
+  signature takes a ``closed_form`` or ``lifetime_integral`` callback.
 """
 
 import ast
@@ -316,8 +319,9 @@ def test_lambda_kinds_of_schema_and_resolve_agree():
     schema = RUN_OPTIONS["study"]["properties"]["lambda"]["properties"]["kind"]
     assert schema["enum"] == list(LAMBDA_KINDS)
     assert _compared_strings(_function("studies", "LambdaSpec.resolve")) == set()
-    for kind in LAMBDA_KINDS:
+    for kind, (field, _) in LAMBDA_KINDS.items():
         assert LambdaSpec(kind=kind).resolve(10.0) > 0
+        assert field in LambdaSpec.__dataclass_fields__
 
 
 def _names(node):
@@ -347,9 +351,17 @@ def test_one_domain_rule_and_one_lifetime_window():
     assert "_choose_cutoffs" not in imported
     tails = _sites(lambda node: isinstance(node, ast.Attribute)
                    and node.attr in {"tail_below", "tail_above"})
-    assert set(tails) == {("model", "window")}  # ScaleFunction.window
+    assert set(tails) == {("model", "window")}  # SmoothScale.window
+    assert not hasattr(PiecewiseConstantScale, "tail_below")
     assert set(_calls({"window"})) == {
-        ("projector", "_signature"),
+        ("projector", "signature_operator"),
+        ("projector", "signature_operator_wkb"),
+        ("projector", "fermionic_projector_apply"),
         ("projector", "wkb_scalar_integrals"),
         ("cfs", "correlation_trace_lifetime_integral"),
     }
+    # SmoothScale.window and PiecewiseConstantScale.window
+    assert _calls({"check_quad_tol"}) == Counter({("model", "window"): 2})
+    params = {arg.arg for fn in ast.walk(MODULES["projector"])
+              if isinstance(fn, ast.FunctionDef) for arg in fn.args.args}
+    assert not params & {"closed_form", "lifetime_integral"}
