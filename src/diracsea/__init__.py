@@ -35,25 +35,23 @@ from .model import (
 )
 from .evolution import (
     EvolutionResult,
-    WkbFrame,
     accumulated_phase,
     evolve,
     evolve_grid,
     hamiltonian,
     wkb_deviation,
     wkb_evolve,
-    wkb_frame,
 )
 from .projector import (
     ProjectorOutput,
     Provenance,
-    PWkbVariant,
     SignatureResult,
     fermionic_projector_apply,
     k_m_apply,
     k_wkb_apply,
     negative_projection,
     p_wkb_apply,
+    p_wkb_leading_apply,
     signature_operator,
     signature_operator_wkb,
     wkb_eigenvalues_closed_form,

@@ -125,16 +125,21 @@ def cmd_signature(cfg: ScenarioConfig, args, out):
     return EXIT_OK
 
 
+#: Each ``project`` variant: its projector, and the tolerances it reads
+#: besides the ode tolerance.
+PROJECTORS = {
+    "exact": (proj_mod.fermionic_projector_apply, ("quad_tol", "gap_tol")),
+    "wkb": (proj_mod.p_wkb_apply, ("quad_tol", "gap_tol")),
+    "wkb_leading": (proj_mod.p_wkb_leading_apply, ()),
+}
+
+
 def cmd_project(cfg: ScenarioConfig, args, out):
     phi = _parse_probe(cfg.run["phi"]).build()
-    variant = cfg.run.get("variant", "exact")
+    project, reads = PROJECTORS[cfg.run.get("variant", "exact")]
     tols = cfg.tolerances
-    kw = dict(tol=tols.ode_tol, quad_tol=tols.quad_tol, gap_tol=tols.gap_tol)
-    if variant == "exact":
-        res = proj_mod.fermionic_projector_apply(cfg.mode, cfg.scale, phi, **kw)
-    else:
-        res = proj_mod.p_wkb_apply(cfg.mode, cfg.scale, phi, variant=proj_mod.PWkbVariant(
-            "full" if variant == "wkb" else "leading_order"), **kw)
+    res = project(cfg.mode, cfg.scale, phi, tol=tols.ode_tol,
+                  **{name: getattr(tols, name) for name in reads})
     norm, provenance = res.norm(), res.provenance.value
     header = ["re_1", "im_1", "re_2", "im_2", "norm", "provenance"]
     row = [res.value[0].real, res.value[0].imag,

@@ -374,28 +374,11 @@ def accumulated_phase(mode: Mode, scale: ScaleFunction, tau_from: float,
     return float(val)
 
 
-@dataclass(frozen=True)
-class WkbFrame:
-    """Instantaneous frequency, diagonalizing frame, and phase from tau0."""
-
-    f: float
-    v: Unitary2
-    phase: float
-
-
 def phase_transport(mode: Mode, scale: ScaleFunction) -> Transport:
     """The WKB phase psi(tau) from the mode's tau0, turning as e^{2 i psi}: at 2f."""
     freq = partial(frequency, mode)
     return Transport(scale, mode.tau0, np.zeros(1, dtype=complex),
                      lambda t, r, x: (freq(r),), None, lambda r: 2.0 * freq(r))
-
-
-def wkb_frame(mode: Mode, scale: ScaleFunction, tau: float) -> WkbFrame:
-    scale.check_domain(mode.tau0, tau)
-    r = scale.value(tau)
-    return WkbFrame(f=frequency(mode, r),
-                    v=Unitary2(diagonalizer(mode, r)),
-                    phase=accumulated_phase(mode, scale, mode.tau0, tau))
 
 
 def wkb_propagator_raw(v_to: np.ndarray, v_from: np.ndarray, phase) -> np.ndarray:

@@ -12,7 +12,7 @@ value).  All types are immutable after construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -401,28 +401,29 @@ class TestFunction:
 
     ``amplitude`` maps tau to a complex 2-vector and vanishes outside
     (a, b); times broadcast against the two components, so a column of n
-    times gives an (n, 2) array.  ``l1_norm`` caches the integral of its
-    pointwise norm.  The scale a probe meets says where (a, b) may lie.
+    times gives an (n, 2) array.  ``l1_norm`` is the integral of its
+    pointwise norm, computed when read.  The scale a probe meets says where
+    (a, b) may lie.
     """
 
     support: tuple
     amplitude: Callable[[float], np.ndarray]
-    l1_norm: float
 
     def __post_init__(self):
         a, b = self.support
         if not (0.0 < a < b < np.inf):
             raise InvalidParameter(f"support ({a}, {b}) must satisfy 0 < a < b, both finite")
-        if not (np.isfinite(self.l1_norm) and self.l1_norm >= 0):
-            raise InvalidParameter("l1_norm must be finite and nonnegative")
 
     def __call__(self, tau) -> np.ndarray:
         """phi(tau): a 2-vector, or an (n, 2) array for an (n, 1) column of times."""
         return np.asarray(self.amplitude(tau), dtype=complex)
 
-    def recompute_l1_norm(self) -> float:
+    @property
+    def l1_norm(self) -> float:
+        # no absolute floor: a narrow support has a small norm, kept to rounding
         a, b = self.support
-        val, _ = quad(lambda t: float(np.linalg.norm(self(t))), a, b, limit=200)
+        val, _ = quad(lambda t: float(np.linalg.norm(self(t))), a, b,
+                      epsabs=0.0, limit=200)
         return val
 
 
@@ -437,7 +438,7 @@ def bump(support: tuple, direction, amplitude: float = 1.0) -> TestFunction:
     """Mollifier bump along a fixed (normalized) spinor direction.
 
     The profile is ``amplitude * exp(-1/(1-x^2))`` with x rescaled so the
-    bump fills ``support``; the L1 norm is computed by adaptive quadrature.
+    bump fills ``support``.
     """
     a, b = float(support[0]), float(support[1])
     d = np.asarray(direction, dtype=complex)
@@ -450,10 +451,7 @@ def bump(support: tuple, direction, amplitude: float = 1.0) -> TestFunction:
         x = (2.0 * tau - a - b) / (b - a)
         return amp * mollifier(x) * d
 
-    phi = TestFunction(support=(a, b), amplitude=profile, l1_norm=0.0)
-    scalar_mass, _ = quad(lambda t: mollifier((2.0 * t - a - b) / (b - a)),
-                          a, b, limit=200)
-    return replace(phi, l1_norm=abs(amp) * scalar_mass)
+    return TestFunction(support=(a, b), amplitude=profile)
 
 
 def complex_bump(support: tuple, vector_of_tau: Callable[[float], np.ndarray]) -> TestFunction:
@@ -468,5 +466,4 @@ def complex_bump(support: tuple, vector_of_tau: Callable[[float], np.ndarray]) -
                 for t, w in zip(times, weights)]
         return np.array(vals).reshape(np.broadcast_shapes(np.shape(tau), (2,)))
 
-    phi = TestFunction(support=(a, b), amplitude=profile, l1_norm=0.0)
-    return replace(phi, l1_norm=phi.recompute_l1_norm())
+    return TestFunction(support=(a, b), amplitude=profile)

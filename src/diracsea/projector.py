@@ -446,11 +446,6 @@ def fermionic_projector_apply(mode: Mode, scale: ScaleFunction,
                            Provenance.EXACT)
 
 
-class PWkbVariant(enum.Enum):
-    FULL = "full"
-    LEADING_ORDER = "leading_order"
-
-
 def p_wkb_leading_apply(mode: Mode, scale: ScaleFunction, phi: TestFunction,
                         tol: float = DEFAULT_ODE_TOL) -> ProjectorOutput:
     """Pure negative-frequency image: only the decaying phase branch survives."""
@@ -459,15 +454,12 @@ def p_wkb_leading_apply(mode: Mode, scale: ScaleFunction, phi: TestFunction,
 
 
 def p_wkb_apply(mode: Mode, scale: ScaleFunction, phi: TestFunction,
-                variant: PWkbVariant = PWkbVariant.FULL,
                 tol: float = DEFAULT_ODE_TOL,
                 quad_tol: float = DEFAULT_QUAD_TOL,
                 gap_tol: float = DEFAULT_GAP_TOL) -> ProjectorOutput:
-    """WKB projector image, either the full spectral form or the leading order."""
+    """WKB projector image in the full spectral form, -X_neg(S_wkb) k_wkb(phi)."""
     _check_probe(mode, scale, phi, tol)
     _check_gap_tol(gap_tol)
-    if variant is PWkbVariant.LEADING_ORDER:
-        return p_wkb_leading_apply(mode, scale, phi, tol=tol)
     sig = signature_operator_wkb(mode, scale, tol=quad_tol, ode_tol=tol)
     proj = negative_projection(sig, gap_tol=gap_tol)
     kw = k_wkb_apply(mode, scale, phi, tol=tol)

@@ -95,11 +95,8 @@ LAMBDA_KINDS = {
 class StudyRecord:
     m_rmax: float
     lam: float
-    lambda_ratio: float
-    observable: str
     measured: float
     envelope: float
-    fitted_constant: float
     passed: bool
 
 
@@ -239,10 +236,8 @@ def run_study(kind: StudyKind, grid, lam_spec: LambdaSpec = LambdaSpec(),
     records = []
     for (m_rmax, lam, mass, r_max), meas, shape in zip(points, measured, shapes):
         envelope = (1.0 + slack) * c_fit * shape
-        records.append(StudyRecord(
-            m_rmax=m_rmax, lam=lam, lambda_ratio=lam / m_rmax,
-            observable=kind.value, measured=meas, envelope=envelope,
-            fitted_constant=c_fit, passed=bool(meas <= envelope)))
+        records.append(StudyRecord(m_rmax=m_rmax, lam=lam, measured=meas,
+                                   envelope=envelope, passed=bool(meas <= envelope)))
 
     logs = np.log(np.asarray(grid))
     logm = np.log(np.maximum(np.asarray(measured), 1e-300))

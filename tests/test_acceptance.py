@@ -48,7 +48,7 @@ from diracsea.projector import (
     k_wkb_apply,
     negative_projection,
     p_wkb_apply,
-    PWkbVariant,
+    p_wkb_leading_apply,
     signature_operator,
     signature_operator_wkb,
     wkb_eigenvalues_closed_form,
@@ -129,8 +129,8 @@ def test_06_leading_order_error_factor():
     ratios = {}
     for r_max in grid:
         sc = dust_scale(r_max)
-        full = p_wkb_apply(mode, sc, phi, variant=PWkbVariant.FULL)
-        lead = p_wkb_apply(mode, sc, phi, variant=PWkbVariant.LEADING_ORDER)
+        full = p_wkb_apply(mode, sc, phi)
+        lead = p_wkb_leading_apply(mode, sc, phi)
         kw = k_wkb_apply(mode, sc, phi)
         ratios[r_max] = (np.linalg.norm(full.value - lead.value) / kw.norm())
     factor = lambda r: np.hypot(mode.lam, mode.mass * r) / (mode.mass * r) ** 2

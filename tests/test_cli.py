@@ -528,21 +528,22 @@ def test_bad_run_options_exit_1(tmp_path, capsys, command, run):
     assert json.loads(capsys.readouterr().err.strip())["error"] == "invalid_parameter"
 
 
-@pytest.mark.parametrize("variant,pwkb", [("wkb", "FULL"),
-                                          ("wkb_leading", "LEADING_ORDER")])
-def test_project_wkb_variants_match_library(tmp_path, variant, pwkb):
+@pytest.mark.parametrize("variant,route,tols", [
+    ("wkb", "p_wkb_apply", {"quad_tol": 1e-8, "gap_tol": 1e-5}),
+    ("wkb_leading", "p_wkb_leading_apply", {}),
+])
+def test_project_wkb_variants_match_library(tmp_path, variant, route, tols):
+    from diracsea import projector
     from diracsea.model import Mode, bump, dust_scale
-    from diracsea.projector import PWkbVariant, p_wkb_apply
 
     probe = {"support": [1.0, 2.0], "direction": [[1.0, 0.0], [0.0, 0.5]]}
     doc = dict(BASE, run={"variant": variant, "phi": probe},
                tolerances={"ode_tol": 1e-9, "quad_tol": 1e-8, "gap_tol": 1e-5})
     code, text = run_cli(tmp_path, "project", doc, extra=("--format", "json"))
     assert code == 0
-    want = p_wkb_apply(Mode(lam=1.5, mass=1.0, tau0=float(np.pi / 2)),
-                       dust_scale(5.0), bump((1.0, 2.0), [1.0, 0.5j]),
-                       variant=PWkbVariant[pwkb], tol=1e-9, quad_tol=1e-8,
-                       gap_tol=1e-5)
+    want = getattr(projector, route)(Mode(lam=1.5, mass=1.0, tau0=float(np.pi / 2)),
+                                     dust_scale(5.0), bump((1.0, 2.0), [1.0, 0.5j]),
+                                     tol=1e-9, **tols)
     payload = json.loads(text)
     assert payload["value"] == [[z.real, z.imag] for z in want.value]
     assert payload["provenance"] == want.provenance.value

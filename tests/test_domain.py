@@ -109,7 +109,6 @@ MODE_ENTRY_POINTS = {
         lambda m, phi: projector.wkb_eigenvalues_closed_form(m, DUST),
     "wkb_signature_leading_term":
         lambda m, phi: projector.wkb_signature_leading_term(m, DUST),
-    "wkb_frame": lambda m, phi: evolution.wkb_frame(m, DUST, 1.0),
     "wkb_propagators": lambda m, phi: evolution.wkb_propagators(m, DUST, 1.0, [2.0]),
     "wkb_deviation": lambda m, phi: evolution.wkb_deviation(m, DUST, 1.0),
     "wkb_deviation_grid": lambda m, phi: evolution.wkb_deviation_grid(m, DUST, [1.0]),

@@ -26,7 +26,6 @@ from diracsea.evolution import (
     wkb_deviation_by_generator,
     wkb_deviation_grid,
     wkb_evolve,
-    wkb_frame,
 )
 from diracsea.model import (
     Mode,
@@ -149,8 +148,7 @@ class TestEvolve:
 class TestWkbFrame:
     def test_frequency_value(self):
         mode = Mode(lam=1.5, mass=1.0, tau0=TAU0)
-        fr = wkb_frame(mode, constant_scale(2.0), 1.0)
-        assert fr.f == pytest.approx(2.5)
+        assert frequency(mode, constant_scale(2.0).value(1.0)) == pytest.approx(2.5)
 
     def test_massless_limit_frequency(self):
         mode = Mode(lam=-3.5, mass=1.0, tau0=TAU0)

@@ -10,6 +10,7 @@ from diracsea.model import (
     PiecewiseConstantScale,
     Unitary2,
     bump,
+    complex_bump,
     constant_scale,
     dust_scale,
     is_physical_eigenvalue,
@@ -152,9 +153,16 @@ class TestBump:
                            + 2 * vals[2:-1:2].sum())
         assert phi.l1_norm == pytest.approx(simpson, rel=1e-8)
 
-    def test_recompute_l1_norm_consistent(self):
-        phi = bump((0.5, 2.5), np.array([1.0, 1.0j]), 0.7)
-        assert phi.recompute_l1_norm() == pytest.approx(phi.l1_norm, rel=1e-8)
+    @pytest.mark.parametrize("support", [(0.5, 2.5), (0.2, 0.21)])
+    def test_l1_norm_exact_to_rounding(self, support):
+        # the mollifier's integral over (-1, 1), to 40 digits
+        c = 0.4439938161680794378230489211705526637612
+        a, b = support
+        exact = 0.5 * (b - a) * c
+        phi = bump(support, np.array([1.0, 1.0j]), -0.7)
+        assert phi.l1_norm == pytest.approx(0.7 * exact, rel=1e-13, abs=0.0)
+        phi = complex_bump(support, lambda t: np.array([np.cos(t), 1j * np.sin(t)]))
+        assert phi.l1_norm == pytest.approx(exact, rel=1e-13, abs=0.0)
 
     def test_direction_normalized(self):
         phi = bump((1.0, 2.0), np.array([2.0, 0.0]), 1.0)

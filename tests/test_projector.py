@@ -38,7 +38,6 @@ from diracsea.model import (
 from diracsea.levin import levin_integral
 from levin_oracle import levin_integral_depth_first
 from diracsea.projector import (
-    PWkbVariant,
     _finish_signature,
     _sigma3_integral,
     fermionic_projector_apply,
@@ -374,9 +373,8 @@ class TestFermionicProjector:
         mode = Mode(lam=1.5, mass=1.0, tau0=TAU0)
         sc = dust_scale(5.0)
         phi = bump((1.0, 2.0), np.array([1.0, 0.0]), 0.0)
-        assert p_wkb_apply(mode, sc, phi, variant=PWkbVariant.FULL).norm() == 0.0
-        assert p_wkb_apply(mode, sc, phi,
-                           variant=PWkbVariant.LEADING_ORDER).norm() == 0.0
+        assert p_wkb_apply(mode, sc, phi).norm() == 0.0
+        assert p_wkb_leading_apply(mode, sc, phi).norm() == 0.0
 
     def test_projection_contracts(self):
         mode = Mode(lam=1.5, mass=1.0, tau0=TAU0)
@@ -406,7 +404,7 @@ class TestFermionicProjector:
         phi = bump((1.0, 2.0), np.array([1.0, 0.0]), 1.0)
         tol = 1e-10
         a = fermionic_projector_apply(mode, sc, phi, tol=tol)
-        b = p_wkb_apply(mode, sc, phi, variant=PWkbVariant.FULL, tol=tol)
+        b = p_wkb_apply(mode, sc, phi, tol=tol)
         assert np.linalg.norm(a.value - b.value) < 10 * tol
 
     def test_leading_order_multiplicative_error_on_adapted_probe(self):
@@ -426,10 +424,8 @@ class TestFermionicProjector:
                                  @ np.array([0.0, np.exp(1j * psi)]))
 
             phi = complex_bump((1.0, 2.0), adapted)
-            full = p_wkb_apply(mode, sc, phi, variant=PWkbVariant.FULL,
-                               tol=1e-10)
-            lead = p_wkb_apply(mode, sc, phi,
-                               variant=PWkbVariant.LEADING_ORDER, tol=1e-10)
+            full = p_wkb_apply(mode, sc, phi, tol=1e-10)
+            lead = p_wkb_leading_apply(mode, sc, phi, tol=1e-10)
             rel[r_max] = (np.linalg.norm(full.value - lead.value)
                           / full.norm())
         factor = lambda r: np.hypot(mode.lam, r) / r ** 2
@@ -564,11 +560,10 @@ class TestModeScaleCompatibility:
         lambda m, sc, phi: wkb_scalar_integrals(m, sc),
         lambda m, sc, phi: wkb_signature_leading_term(m, sc),
         lambda m, sc, phi: k_wkb_apply(m, sc, phi),
-        lambda m, sc, phi: p_wkb_apply(m, sc, phi,
-                                       variant=PWkbVariant.LEADING_ORDER),
+        lambda m, sc, phi: p_wkb_leading_apply(m, sc, phi),
     ], ids=["signature_operator", "signature_operator_wkb",
             "wkb_scalar_integrals", "wkb_signature_leading_term",
-            "k_wkb_apply", "p_wkb_apply_leading"])
+            "k_wkb_apply", "p_wkb_leading_apply"])
     def test_tau0_outside_scale_domain_raises(self, call, mode, sc):
         phi = bump((0.2, 0.8), np.array([1.0, 0.0]))
         with pytest.raises(DomainError):
@@ -739,7 +734,7 @@ class TestLevinRoute:
         phi = bump((1.0, 2.0), np.array([0.6, 0.8j]))
         k_rk, p_rk = phase_transport_images(mode, sc, phi)
         assert rel_diff(k_wkb_apply(mode, sc, phi).value, k_rk) < 1e-9
-        p = p_wkb_apply(mode, sc, phi, variant=PWkbVariant.LEADING_ORDER)
+        p = p_wkb_leading_apply(mode, sc, phi)
         assert rel_diff(p.value, p_rk) < 1e-9
 
     @pytest.mark.parametrize("case", list(PIECEWISE_CASES))

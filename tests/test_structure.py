@@ -35,8 +35,13 @@
   are ``SCALE_KINDS``, whose builders ``parse_scenario`` calls without
   comparing kind names; the study kinds are ``STUDIES``; the lambda-spec
   kinds are ``LAMBDA_KINDS``, each naming the one field it reads, for the
-  schema and ``LambdaSpec.resolve`` alike; and the commands leave the
-  output format to ``cli._emit``.
+  schema and ``LambdaSpec.resolve`` alike; the ``project`` variants are
+  ``cli.PROJECTORS``, each naming the tolerances its projector reads; and
+  the commands leave the output format to ``cli._emit``.
+* Each value has one home: the leading-order projector is
+  ``p_wkb_leading_apply`` alone, a probe's L1 norm is computed when read,
+  the WKB frame is composed by ``wkb_propagators`` alone, and a study
+  record holds no copy of its study's kind or fitted constant.
 * The scale owns where tau may go: ``Mode``, ``TestFunction``, ``bump``,
   ``complex_bump`` and ``SCENARIO_SCHEMA`` name no ``pi``; no
   ``check_mode_scale`` or ``_choose_cutoffs`` is left anywhere.  Each of
@@ -47,6 +52,7 @@
 """
 
 import ast
+import dataclasses
 import inspect
 from collections import Counter
 from graphlib import CycleError, TopologicalSorter
@@ -55,13 +61,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from diracsea import model
 from diracsea.bloch import (Scenario, build_six_segment, make_scenario,
                             perturb_scenario, propagate_bloch,
                             v_rows_with_cumulative)
+from diracsea.cli import PROJECTORS
 from diracsea.model import Mode, PiecewiseConstantScale
 from diracsea.scenario_io import RUN_OPTIONS, SCALE_KINDS, SCENARIO_SCHEMA
 from diracsea.stepper import integrate
-from diracsea.studies import LAMBDA_KINDS, STUDIES, LambdaSpec, StudyKind
+from diracsea.studies import LAMBDA_KINDS, STUDIES, LambdaSpec, StudyKind, StudyRecord
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "diracsea"
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
@@ -322,6 +330,20 @@ def test_lambda_kinds_of_schema_and_resolve_agree():
     for kind, (field, _) in LAMBDA_KINDS.items():
         assert LambdaSpec(kind=kind).resolve(10.0) > 0
         assert field in LambdaSpec.__dataclass_fields__
+
+
+def test_each_value_has_one_home():
+    variant = RUN_OPTIONS["project"]["properties"]["variant"]
+    assert variant["enum"] == list(PROJECTORS)
+    assert _compared_strings(_function("cli", "cmd_project")) == set()
+    for project, reads in PROJECTORS.values():
+        params = inspect.signature(project).parameters
+        assert set(reads) == params.keys() & {"quad_tol", "gap_tol"}, project.__name__
+    gone = {"PWkbVariant", "WkbFrame", "wkb_frame", "recompute_l1_norm"}
+    assert {module for module, tree in MODULES.items() if _names(tree) & gone} == set()
+    assert [f.name for f in dataclasses.fields(model.TestFunction)] == ["support", "amplitude"]
+    assert [f.name for f in dataclasses.fields(StudyRecord)] == [
+        "m_rmax", "lam", "measured", "envelope", "passed"]
 
 
 def _names(node):

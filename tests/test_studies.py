@@ -48,7 +48,8 @@ class TestRunStudy:
         # the fit point sits exactly on the envelope divided by the slack
         assert rec.measured == pytest.approx(
             rec.envelope / (1 + res.slack), rel=1e-12)
-        assert res.records[1].lambda_ratio == pytest.approx(0.15)
+        rec = res.records[1]
+        assert rec.lam / rec.m_rmax == pytest.approx(0.15)
 
     def test_p_wkb_with_tracked_lambda(self):
         res = run_study(StudyKind.P_WKB_BOUND, [5.0, 10.0],
