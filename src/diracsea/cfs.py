@@ -29,11 +29,13 @@ from .model import (
     DEFAULT_QUAD_TOL,
     ScaleFunction,
     SIGMA3,
+    check_quad_tol,
     TestFunction,
     Unitary2,
     spectral_norm,
 )
 from .projector import (
+    _check_gap_tol,
     _sigma3_integral,
     k_m_apply,
     negative_projection,
@@ -101,8 +103,11 @@ def build_family(modes, scale: ScaleFunction, members,
     subspace of its mode's signature operator (distance below 1e-8); pass
     ``require_negative_subspace=False`` for research families spanning the
     whole fiber (needed e.g. to probe causal classification with full-rank
-    blocks).
+    blocks).  Every tolerance is checked, read or not.
     """
+    check_ode_tol(ode_tol)
+    check_quad_tol(quad_tol)
+    _check_gap_tol(gap_tol)
     modes = tuple(modes)
     mems = tuple(FamilyMember(int(i), np.asarray(s, dtype=complex))
                  for i, s in members)
@@ -133,6 +138,9 @@ def negative_subspace_family(modes, scale: ScaleFunction,
                              quad_tol: float = DEFAULT_QUAD_TOL,
                              ode_tol: float = DEFAULT_ODE_TOL) -> SolutionFamily:
     """One member per mode: the unit negative eigenvector of its signature."""
+    check_ode_tol(ode_tol)
+    check_quad_tol(quad_tol)
+    _check_gap_tol(gap_tol)
     modes = tuple(modes)
     members = []
     for i, mode in enumerate(modes):
@@ -327,11 +335,8 @@ def product_spectrum(fx: CorrelationOperator, fy: CorrelationOperator):
     """Eigenvalues of F(x) F(y), block by block."""
     if fx.mode_of_member != fy.mode_of_member:
         raise InvalidParameter("correlation operators come from different families")
-    eigs = []
-    for idx in sorted(set(fx.mode_of_member)):
-        prod = fx.block(idx) @ fy.block(idx)
-        eigs.extend(np.linalg.eigvals(prod))
-    return np.array(eigs)
+    return np.array([e for idx in sorted(set(fx.mode_of_member))
+                     for e in np.linalg.eigvals(fx.block(idx) @ fy.block(idx))])
 
 
 def causal_classify(fx: CorrelationOperator, fy: CorrelationOperator,
@@ -345,12 +350,9 @@ def causal_classify(fx: CorrelationOperator, fy: CorrelationOperator,
     if not 0.0 < tol < np.inf:
         raise InvalidParameter(f"classify tolerance must be finite and > 0, got {tol}")
     eigs = product_spectrum(fx, fy)
-    scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    if scale == 0.0:
-        return Classification.TIMELIKE
+    # no nontrivial eigenvalue (a zero spectrum included) is timelike
+    scale = float(np.max(np.abs(eigs), initial=0.0))
     nontrivial = eigs[np.abs(eigs) > tol * scale]
-    if nontrivial.size == 0:
-        return Classification.TIMELIKE
     imag_ok = np.abs(nontrivial.imag) <= tol * scale
     if np.all(imag_ok):
         return Classification.TIMELIKE

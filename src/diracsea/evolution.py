@@ -30,7 +30,6 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DegenerateFrame, InvalidParameter
 from .model import (
@@ -42,6 +41,7 @@ from .model import (
     SmoothScale,
     Unitary2,
     polar_unitary,
+    smooth_integrals,
     spectral_norm,
     DEFAULT_ODE_TOL,
 )
@@ -358,7 +358,7 @@ def accumulated_phase(mode: Mode, scale: ScaleFunction, tau_from: float,
                       tau_to: float) -> float:
     """integral of the instantaneous frequency from tau_from to tau_to.
 
-    Piecewise scales sum exactly; smooth scales use adaptive quadrature
+    Piecewise scales sum exactly; smooth scales use ``smooth_integrals``
     (the integrand is smooth and positive, so this is cheap and tight).
     """
     scale.check_domain(tau_from, tau_to)
@@ -369,9 +369,8 @@ def accumulated_phase(mode: Mode, scale: ScaleFunction, tau_from: float,
         total = sum(frequency(mode, r) * (b - a) for a, b, r
                     in scale.pieces(min(tau_from, tau_to), max(tau_from, tau_to)))
         return sign * total
-    val, _ = quad(lambda t: frequency(mode, scale.value(t)), tau_from, tau_to,
-                  limit=400, epsabs=1e-13, epsrel=1e-13)
-    return float(val)
+    return float(smooth_integrals(lambda t: frequency(mode, scale.value(t)),
+                                  tau_from, tau_to)[0])
 
 
 def phase_transport(mode: Mode, scale: ScaleFunction) -> Transport:

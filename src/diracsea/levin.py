@@ -12,10 +12,11 @@ p' + i omega f p = F has a slowly varying solution, found by collocation
 at Chebyshev points, and the panel integral is [p exp(i omega psi)] from a
 to b (Levin, Math. Comp. 1982; Iserles & Norsett, Proc. R. Soc. A 2005).
 Components with omega = 0, and the phase increment itself, use
-Clenshaw-Curtis weights on the same nodes.  Each panel is accepted when it
-agrees with the sum over its two halves; otherwise the halves are refined
-in the next round, whose panels are all solved in one batch.  The cost
-follows the smoothness of R and F, not the number of periods.
+Clenshaw-Curtis weights on the same nodes, which ``model`` owns (its
+``smooth_integrals`` is this rule without the phase).  A panel is accepted
+when it agrees with the sum over its two halves, which are otherwise
+refined in the next round, all in one batch.  The cost follows the
+smoothness of R and F, not the number of periods.
 On piecewise-constant scales the exact integrals are these too, taken per
 segment (see ``projector._segments``).
 """
@@ -28,37 +29,9 @@ import numpy as np
 
 from .errors import ConvergenceFailure
 from .evolution import accumulated_phase, frequency, leg_plan
-from .model import Mode, ScaleFunction
+from .model import _D, _W, _X, MAX_PANEL, MAX_PANELS, NODES, Mode, ScaleFunction
 
 log = logging.getLogger(__name__)
-
-#: Chebyshev-Lobatto nodes per panel.
-NODES = 12
-#: Widest initial panel.
-MAX_PANEL = 0.25
-#: Panels a single integral may test before giving up.
-MAX_PANELS = 2000
-
-
-def _chebyshev(n: int):
-    """Lobatto nodes cos(pi k / n) (descending), differentiation matrix, CC weights."""
-    k = np.arange(n + 1)
-    x = np.cos(np.pi * k / n)
-    c = np.where((k == 0) | (k == n), 2.0, 1.0) * (-1.0) ** k
-    d = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(n + 1))
-    d -= np.diag(d.sum(axis=1))
-    theta = np.pi * k[1:-1] / n
-    v = np.ones(n - 1)
-    for j in range(1, n // 2 + 1):
-        b = 1.0 if 2 * j == n else 2.0
-        v -= b * np.cos(2 * j * theta) / (4 * j * j - 1)
-    w = np.empty(n + 1)
-    w[0] = w[-1] = 1.0 / (n * n - 1) if n % 2 == 0 else 1.0 / (n * n)
-    w[1:-1] = 2.0 * v / n
-    return x, d, w
-
-
-_X, _D, _W = _chebyshev(NODES - 1)
 
 
 def _solve(mats, rhs):

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConvergenceFailure, DomainError, InvalidParameter
 
@@ -40,9 +39,77 @@ DEFAULT_GAP_TOL = 1e-6
 SPLINE_RANGE_TOL = 1e-4
 
 
+#: Chebyshev-Lobatto nodes per panel.
+NODES = 12
+#: Widest initial panel.
+MAX_PANEL = 0.25
+#: Panels a single integral may test before giving up.
+MAX_PANELS = 2000
+#: ``smooth_integrals``' panel test per unit tau, relative to an interval's largest |fn|,
+#: and its floor on a scale's g: max g = 1, so g rounds to about eps per unit tau.
+SMOOTH_TOL, G_FLOOR = 1e-13, float(np.finfo(float).eps)
+
+
 def check_quad_tol(tol: float):
     if not 0.0 < tol < np.inf:
         raise InvalidParameter(f"quadrature tolerance must be finite and > 0, got {tol}")
+
+
+def _chebyshev(n: int):
+    """Lobatto nodes cos(pi k / n) (descending), differentiation matrix, CC weights."""
+    k = np.arange(n + 1)
+    x = np.cos(np.pi * k / n)
+    c = np.where((k == 0) | (k == n), 2.0, 1.0) * (-1.0) ** k
+    d = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(n + 1))
+    d -= np.diag(d.sum(axis=1))
+    theta = np.pi * k[1:-1] / n
+    v = np.ones(n - 1)
+    for j in range(1, n // 2 + 1):
+        b = 1.0 if 2 * j == n else 2.0
+        v -= b * np.cos(2 * j * theta) / (4 * j * j - 1)
+    w = np.empty(n + 1)
+    w[0] = w[-1] = 1.0 / (n * n - 1) if n % 2 == 0 else 1.0 / (n * n)
+    w[1:-1] = 2.0 * v / n
+    return x, d, w
+
+
+_X, _D, _W = _chebyshev(NODES - 1)
+
+
+def smooth_integrals(fn, a, b, floor: float = 0.0) -> np.ndarray:
+    """integral of fn over each [a[i], b[i]] (either order), in one pass.
+
+    ``fn`` maps a flat array of times to its real values, finite at the
+    Lobatto nodes (ends included).  Panels at most ``MAX_PANEL`` wide are
+    refined a round at a time, each round in one call of fn, and a panel is
+    accepted, with the sum over its halves, when the two agree within
+    ``SMOOTH_TOL`` times the largest |fn| met on its interval, plus
+    ``floor``, per unit tau.  ``ConvergenceFailure`` on the ``MAX_PANELS``
+    budget or a failing panel too narrow to split: no truncated sum.
+    """
+    a, b = (np.ravel(x).astype(float) for x in np.broadcast_arrays(a, b))
+    n = np.ceil(np.abs(b - a) / MAX_PANEL).astype(int)
+    idx = np.repeat(np.arange(a.size), n)
+    k = np.arange(idx.size) - np.searchsorted(idx, idx)  # panel k of n on its interval
+    lo, hi = (a[idx] * (1 - s) + b[idx] * s for s in (k / n[idx], (k + 1) / n[idx]))
+    top, total, tested = np.zeros(a.size), np.zeros(a.size), 0
+    while lo.size:
+        if (tested := tested + lo.size) > MAX_PANELS:
+            raise ConvergenceFailure(f"smooth quadrature used {MAX_PANELS} panels")
+        mid = 0.5 * (lo + hi)
+        x, y = np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi])
+        h = 0.5 * (y - x)
+        vals = np.reshape(fn(((x + h)[:, None] + h[:, None] * _X).ravel()), (-1, NODES))
+        np.fmax.at(top, np.tile(idx, 3), np.abs(vals).max(axis=1))  # a NaN fails below
+        whole, left, right = (h * (vals @ _W)).reshape(3, -1)
+        width, halves = np.abs(hi - lo), left + right
+        ok = np.abs(whole - halves) <= (SMOOTH_TOL * top[idx] + floor) * width
+        if (narrow := ~ok & (width < 1e-12 * np.maximum(np.abs(lo), 1.0))).any():
+            raise ConvergenceFailure(f"smooth panel underflow at tau={mid[narrow][0]:.6g}")
+        total += np.bincount(idx[ok], halves[ok], a.size)
+        lo, hi = (np.stack(p, axis=1)[~ok].ravel() for p in ((lo, mid), (mid, hi)))
+        idx = np.repeat(idx[~ok], 2)
+    return total
 
 
 def spectral_norm(a):
@@ -180,35 +247,29 @@ class SmoothScale(ScaleFunction):
         return self.r_max * self.dg(tau)
 
     def lifetime_integral(self) -> float:
-        val, _ = quad(self.g, 0.0, self.tau_end, limit=200)
-        return self.r_max * val
+        return float(self.r_max * smooth_integrals(self.g, 0.0, self.tau_end, G_FLOOR)[0])
 
     def window(self, tol: float):
         """The lifetime less its endpoint cutoffs, and the integral of R over the
-        cut-off ends.  Each cutoff shrinks on its own until its tail is below
-        tol/2, so a scale vanishing at one end is cut no finer at the other."""
+        cut-off ends.  Each cutoff is the first rung of min(0.05, tau_end / 16) *
+        4^-k, k < 60, whose tail is below tol/2, so a scale vanishing at one
+        end is cut no finer at the other."""
         check_quad_tol(tol)
-        ends = []
-        for tail in (self.tail_below, self.tail_above):
-            delta = min(0.05, self.tau_end / 16.0)
-            for _ in range(60):
-                if (part := tail(delta)) <= tol / 2.0:
-                    break
-                delta *= 0.25
-            else:
-                raise ConvergenceFailure(
-                    f"endpoint tail bound not reached (last delta {delta:.3e})")
-            ends.append((delta, part))
-        (d_lo, below), (d_hi, above) = ends
-        return d_lo, self.tau_end - d_hi, below + above
+        deltas = min(0.05, self.tau_end / 16.0) * 0.25 ** np.arange(60)
+        tails = np.array([self.tail_below(deltas), self.tail_above(deltas)])
+        if not (below := tails <= tol / 2.0).any(axis=1).all():
+            raise ConvergenceFailure(
+                f"endpoint tail bound not reached (last delta {deltas[-1] / 4:.3e})")
+        k = below.argmax(axis=1)  # each end's first rung below tol/2
+        (d_lo, d_hi), tail = deltas[k].tolist(), float(tails[0, k[0]] + tails[1, k[1]])
+        return d_lo, self.tau_end - d_hi, tail
 
-    def tail_below(self, delta: float) -> float:
-        lo, _ = quad(self.g, 0.0, delta, limit=50)
-        return self.r_max * lo
+    def tail_below(self, deltas) -> np.ndarray:
+        return self.r_max * smooth_integrals(self.g, 0.0, deltas, G_FLOOR)
 
-    def tail_above(self, delta: float) -> float:
-        hi, _ = quad(self.g, self.tau_end - delta, self.tau_end, limit=50)
-        return self.r_max * hi
+    def tail_above(self, deltas) -> np.ndarray:
+        end = self.tau_end
+        return self.r_max * smooth_integrals(self.g, end - deltas, end, G_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -386,13 +447,8 @@ class Hermitian2:
     def pauli_components(self):
         """(c0, c1, c2, c3) with M = c0*1 + sum_a c_a sigma_a; all real."""
         m = self.entries
-        c0 = 0.5 * np.trace(m).real
-        return (
-            c0,
-            0.5 * np.trace(SIGMA1 @ m).real,
-            0.5 * np.trace(SIGMA2 @ m).real,
-            0.5 * np.trace(SIGMA3 @ m).real,
-        )
+        return (0.5 * np.trace(m).real,
+                *(0.5 * np.trace(p @ m).real for p in (SIGMA1, SIGMA2, SIGMA3)))
 
 
 @dataclass(frozen=True)
@@ -421,10 +477,8 @@ class TestFunction:
     @property
     def l1_norm(self) -> float:
         # no absolute floor: a narrow support has a small norm, kept to rounding
-        a, b = self.support
-        val, _ = quad(lambda t: float(np.linalg.norm(self(t))), a, b,
-                      epsabs=0.0, limit=200)
-        return val
+        return float(smooth_integrals(
+            lambda t: np.linalg.norm(self(t[:, None]), axis=1), *self.support)[0])
 
 
 def mollifier(x):

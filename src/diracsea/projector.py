@@ -36,7 +36,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bloch import piecewise_signature_vector
 from .errors import DegenerateSignature, InvalidParameter
@@ -64,6 +63,7 @@ from .model import (
     SIGMA3,
     TestFunction,
     Unitary2,
+    smooth_integrals,
 )
 # perfbench/test_perfbench.py reads ``projector.integrate``; keep it bound.
 from .stepper import integrate  # noqa: F401
@@ -201,10 +201,9 @@ def _mass_term_integral(mode: Mode, scale: ScaleFunction) -> float:
     """integral of m R^2 / f over the lifetime (smooth, non-oscillatory)."""
     if scale.is_piecewise:
         return wkb_scalar_integrals(mode, scale).mass_term
-    val, _ = quad(lambda t: mode.mass * scale.value(t) ** 2
-                  / frequency(mode, scale.value(t)),
-                  0.0, scale.tau_end, limit=400, epsabs=1e-12, epsrel=1e-12)
-    return float(val)
+    # f vanishes only where R does, at lam = 0: there m R^2 / f is R = 0, not 0/0
+    return float(smooth_integrals(lambda t: mode.mass * scale.value(t) ** 2 / np.maximum(
+        frequency(mode, scale.value(t)), np.finfo(float).tiny), 0.0, scale.tau_end)[0])
 
 
 def wkb_signature_leading_term(mode: Mode, scale: ScaleFunction) -> Hermitian2:

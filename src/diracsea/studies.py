@@ -19,18 +19,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .evolution import wkb_deviation_grid
+from .evolution import check_ode_tol, wkb_deviation_grid
 from .model import (
     DEFAULT_GAP_TOL,
     DEFAULT_ODE_TOL,
     DEFAULT_QUAD_TOL,
     Mode,
     bump,
+    check_quad_tol,
     dust_scale,
     is_physical_eigenvalue,
     spectral_norm,
 )
 from .projector import (
+    _check_gap_tol,
     fermionic_projector_apply,
     p_wkb_apply,
     signature_operator,
@@ -110,10 +112,7 @@ class StudyResult:
     passed: bool
 
     def first_failure(self):
-        for rec in self.records:
-            if not rec.passed:
-                return rec
-        return None
+        return next((rec for rec in self.records if not rec.passed), None)
 
 
 @dataclass(frozen=True)
@@ -198,8 +197,12 @@ def run_study(kind: StudyKind, grid, lam_spec: LambdaSpec = LambdaSpec(),
     leading-term study which holds ``leading_r_max`` fixed and reads the
     grid as masses.  The constant is fitted at the first grid point
     (serially); the remaining points are shared among at most ``jobs``
-    worker processes, never more than there are points.
+    worker processes, never more than there are points.  Every tolerance
+    is checked, whether the study kind reads it or not.
     """
+    check_ode_tol(ode_tol)
+    check_quad_tol(quad_tol)
+    _check_gap_tol(gap_tol)
     grid = [float(x) for x in grid]
     if jobs < 1:
         raise InvalidParameter(f"jobs must be >= 1, got {jobs}")

@@ -64,6 +64,21 @@ class TestFamilyConstruction:
             build_family(modes(1.5), SCALE, [(1, np.array([1.0, 0.0]))],
                          require_negative_subspace=False)
 
+    @pytest.mark.parametrize("tols,match", [
+        ({"ode_tol": 5.0, "quad_tol": np.nan, "gap_tol": -1.0}, "ode tolerance"),
+        ({"quad_tol": np.nan, "gap_tol": -1.0}, "quadrature tolerance"),
+        ({"gap_tol": -1.0}, "gap_tol"),
+    ], ids=["ode_first", "quad_next", "gap_last"])
+    @pytest.mark.parametrize("build", ["build_family", "negative_subspace_family"])
+    def test_family_checks_every_tolerance_it_takes(self, build, tols, match):
+        # with no negative-subspace check no tolerance is read, but each is checked
+        with pytest.raises(InvalidParameter, match=match):
+            if build == "build_family":
+                build_family(modes(1.5), SCALE, [(0, (1, 0))],
+                             require_negative_subspace=False, **tols)
+            else:
+                negative_subspace_family(modes(1.5), SCALE, **tols)
+
 
 class TestOrthonormalize:
     def test_unit_member_unchanged(self):

@@ -1,6 +1,11 @@
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -625,3 +630,27 @@ def _fmt_by_the_general_rules(x):
 ], ids=repr)
 def test_fmt_float_fast_path_keeps_the_text(x):
     assert cli._fmt(x) == _fmt_by_the_general_rules(x)
+
+
+def test_no_scipy_module_is_loaded_by_the_cli(tmp_path):
+    # a fresh interpreter: the import and a run of each sample scenario load no scipy
+    root = Path(__file__).resolve().parent.parent
+    script = textwrap.dedent("""
+        import sys
+        from diracsea import cli
+        def scipy():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        assert scipy() == [], scipy()
+        for command, name in [("signature", "dust_signature"),
+                              ("project", "perturbed_projection"),
+                              ("bloch", "twelve_segment_bloch"),
+                              ("study", "scaling_study")]:
+            code = cli.main([command, "--scenario", f"scenarios/{name}.json",
+                             "--out", sys.argv[1] + "/" + name + ".csv"])
+            assert code == 0 and scipy() == [], (name, code, scipy())
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    run = subprocess.run([sys.executable, "-c", script, str(tmp_path)], cwd=root, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr

@@ -46,9 +46,15 @@
   ``complex_bump`` and ``SCENARIO_SCHEMA`` name no ``pi``; no
   ``check_mode_scale`` or ``_choose_cutoffs`` is left anywhere.  Each of
   the five lifetime integrals opens with the scale's ``window`` on both
-  scale kinds; ``SmoothScale.window`` alone reads the tails, the two
-  ``window`` methods alone check the quadrature tolerance, and no
+  scale kinds; ``SmoothScale.window`` alone reads the tails, and no
   signature takes a ``closed_form`` or ``lifetime_integral`` callback.
+* An entry point checks every tolerance it takes, at entry: the quadrature
+  tolerance is checked by the two ``window`` methods, and by
+  ``build_family``, ``negative_subspace_family`` and ``run_study``, which
+  take it whether or not they open a window.
+* No module imports ``scipy.integrate``: the smooth lifetime integrals are
+  ``model.smooth_integrals``.  The one scipy import left is the
+  function-local ``CubicSpline`` of ``smooth_table_scale``.
 """
 
 import ast
@@ -382,8 +388,26 @@ def test_one_domain_rule_and_one_lifetime_window():
         ("projector", "wkb_scalar_integrals"),
         ("cfs", "correlation_trace_lifetime_integral"),
     }
-    # SmoothScale.window and PiecewiseConstantScale.window
-    assert _calls({"check_quad_tol"}) == Counter({("model", "window"): 2})
+    # SmoothScale.window and PiecewiseConstantScale.window, and the entry
+    # points that take a quadrature tolerance without reading it on every path
+    assert _calls({"check_quad_tol"}) == Counter({
+        ("model", "window"): 2,
+        ("cfs", "build_family"): 1,
+        ("cfs", "negative_subspace_family"): 1,
+        ("studies", "run_study"): 1,
+    })
     params = {arg.arg for fn in ast.walk(MODULES["projector"])
               if isinstance(fn, ast.FunctionDef) for arg in fn.args.args}
     assert not params & {"closed_form", "lifetime_integral"}
+
+
+def test_one_function_local_scipy_import_and_no_scipy_integrate():
+    def scipy_import(node):
+        names = ([node.module or ""] if isinstance(node, ast.ImportFrom) else
+                 [a.name for a in node.names] if isinstance(node, ast.Import) else [])
+        return any(name.split(".")[0] == "scipy" for name in names)
+
+    assert _sites(scipy_import) == Counter({("model", "smooth_table_scale"): 1})
+    (spline,) = [node for node in ast.walk(_function("model", "smooth_table_scale"))
+                 if scipy_import(node)]
+    assert ast.unparse(spline) == "from scipy.interpolate import CubicSpline"

@@ -39,6 +39,16 @@ class TestRunStudy:
         with pytest.raises(InvalidParameter):
             run_study(StudyKind.S_WKB_BOUND, [0.5, 10.0])
 
+    @pytest.mark.parametrize("kind", list(StudyKind))
+    @pytest.mark.parametrize("tols,match", [
+        ({"ode_tol": 5.0, "quad_tol": -1.0, "gap_tol": -1.0}, "ode tolerance"),
+        ({"quad_tol": -1.0, "gap_tol": -1.0}, "quadrature tolerance"),
+        ({"gap_tol": -1.0}, "gap_tol"),
+    ], ids=["ode_first", "quad_next", "gap_last"])
+    def test_every_tolerance_is_checked_whatever_the_kind_reads(self, kind, tols, match):
+        with pytest.raises(InvalidParameter, match=match):
+            run_study(kind, [5.0, 10.0], **tols)
+
     def test_s_wkb_envelope_small_grid(self):
         res = run_study(StudyKind.S_WKB_BOUND, [5.0, 10.0],
                         lam_spec=LambdaSpec(kind="fixed", value=1.5))
