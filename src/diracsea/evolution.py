@@ -354,23 +354,20 @@ def diagonalizer(mode: Mode, r) -> np.ndarray:
     return v
 
 
-def accumulated_phase(mode: Mode, scale: ScaleFunction, tau_from: float,
-                      tau_to: float) -> float:
-    """integral of the instantaneous frequency from tau_from to tau_to.
-
-    Piecewise scales sum exactly; smooth scales use ``smooth_integrals``
-    (the integrand is smooth and positive, so this is cheap and tight).
-    """
-    scale.check_domain(tau_from, tau_to)
-    if tau_to == tau_from:
-        return 0.0
+def accumulated_phase(mode: Mode, scale: ScaleFunction, tau_from: float, tau_to):
+    """integral of the instantaneous frequency from tau_from to tau_to, or to each
+    of an array of them.  Piecewise scales sum exactly; smooth scales take every
+    end in one ``smooth_integrals`` call (the integrand is smooth and positive)."""
+    ends = np.asarray(tau_to, dtype=float)
+    scale.check_domain(tau_from, *ends.ravel().tolist())
     if scale.is_piecewise:
-        sign = 1.0 if tau_to > tau_from else -1.0
-        total = sum(frequency(mode, r) * (b - a) for a, b, r
-                    in scale.pieces(min(tau_from, tau_to), max(tau_from, tau_to)))
-        return sign * total
-    return float(smooth_integrals(lambda t: frequency(mode, scale.value(t)),
-                                  tau_from, tau_to)[0])
+        phases = np.array([0.0 if end == tau_from else math.copysign(sum(
+            frequency(mode, r) * (b - a) for a, b, r
+            in scale.pieces(min(tau_from, end), max(tau_from, end))), end - tau_from)
+            for end in ends.ravel().tolist()])
+    else:  # a zero-width interval takes no panel: exactly 0.0
+        phases = smooth_integrals(lambda t: frequency(mode, scale.value(t)), tau_from, ends)
+    return float(phases[0]) if ends.ndim == 0 else phases.reshape(ends.shape)
 
 
 def phase_transport(mode: Mode, scale: ScaleFunction) -> Transport:
@@ -392,9 +389,9 @@ def wkb_propagators(mode: Mode, scale: ScaleFunction, tau_from: float,
     """``wkb_propagator_raw`` from tau_from to each of ``taus``: an (n, 2, 2) stack."""
     scale.check_domain(mode.tau0, tau_from, *taus)
     taus = np.asarray(taus, dtype=float)
-    phases = [accumulated_phase(mode, scale, tau_from, t) for t in taus]
     return wkb_propagator_raw(diagonalizer(mode, scale.value(taus)),
-                              diagonalizer(mode, scale.value(tau_from)), phases)
+                              diagonalizer(mode, scale.value(tau_from)),
+                              accumulated_phase(mode, scale, tau_from, taus))
 
 
 def wkb_evolve(mode: Mode, scale: ScaleFunction, tau_from: float,

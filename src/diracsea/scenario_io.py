@@ -5,16 +5,16 @@ scenario), command-specific run options, and the three tolerances.
 Unknown keys are rejected everywhere, run options included (``RUN_OPTIONS``
 lists each command's), so typos fail loudly instead of silently running
 with defaults.  Each scale kind is one ``SCALE_KINDS`` entry, which both
-validates its block and builds its scale.
+validates its block and builds its scale.  Validation walks the tables with
+this module's own keyword table, ``_KEYWORDS``, in jsonschema's words: type,
+enum, const, (exclusive) minimum and maximum, items, minItems, maxItems, oneOf,
+required, additionalProperties false, properties, allOf, if/then, True.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, replace
-
-import jsonschema
 
 from .bloch import build_six_segment, build_twelve_segment, make_scenario, \
     perturb_scenario
@@ -133,36 +133,89 @@ SCENARIO_SCHEMA = _options(
 )
 
 
-@functools.cache
-def _validator(command: str | None):
-    """The validator of ``command``'s scenarios (any run block when None).
+#: JSON Schema's type tests: a bool is no number, and 1.0 is an integer.
+_TYPES = {"object": lambda x: isinstance(x, dict), "array": lambda x: isinstance(x, list),
+          "boolean": lambda x: isinstance(x, bool),
+          "number": lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),
+          "integer": lambda x: _TYPES["number"](x) and (isinstance(x, int) or x.is_integer())}
 
-    Built and checked against the metaschema once per command:
-    ``jsonschema.validate`` repeats that check on every call, and it costs
-    far more than validating a document.
-    """
-    schema = SCENARIO_SCHEMA
-    if command is not None:
-        properties = dict(schema["properties"], run=RUN_OPTIONS[command])
-        if command in COMMAND_SCALE_KINDS:
-            properties["scale"] = dict(properties["scale"], properties={
-                "kind": {"enum": COMMAND_SCALE_KINDS[command]}})
-        schema = dict(schema, properties=properties)
-    validator = jsonschema.validators.validator_for(schema)(schema)
-    validator.check_schema(schema)
-    return validator
+
+def _one_of(x, branches, path):
+    errors = [list(_errors(x, branch, path)) for branch in branches]
+    if valid := [branch for branch, errs in zip(branches, errors) if not errs]:
+        return len(valid) > 1 and f"{x!r} is valid under each of " + ", ".join(
+            map(repr, valid[1:] + valid[:1]))
+    # as best_match: the deepest error of the branches of x's type, if any
+    typed = [e for b, errs in zip(branches, errors) if _TYPES[b["type"]](x) for e in errs]
+    return ([max(typed, key=lambda e: len(e[0]))] if typed
+            else f"{x!r} is not valid under any of the given schemas")
+
+
+#: The keywords of the schema tables, checked as jsonschema checks them: each maps
+#: (value, keyword argument, schema, path) to the message of the rule broken, the
+#: (path, message) errors of the subschemas it applies, or a false value.
+#: ``required`` names the first property missing; ``additionalProperties`` is false.
+_KEYWORDS = {
+    "type": lambda x, kind, s, p: not _TYPES[kind](x) and f"{x!r} is not of type {kind!r}",
+    "enum": lambda x, enum, s, p: not any(  # True is not 1; the tables' values are scalars
+        x == v and isinstance(x, bool) == isinstance(v, bool) for v in enum)
+        and f"{x!r} is not one of {enum!r}",
+    "const": lambda x, c, s, p: _KEYWORDS["enum"](x, [c], s, p) and f"{c!r} was expected",
+    "minimum": lambda x, m, s, p: _TYPES["number"](x) and x < m
+        and f"{x!r} is less than the minimum of {m!r}",
+    "exclusiveMinimum": lambda x, m, s, p: _TYPES["number"](x) and x <= m
+        and f"{x!r} is less than or equal to the minimum of {m!r}",
+    "maximum": lambda x, m, s, p: _TYPES["number"](x) and x > m
+        and f"{x!r} is greater than the maximum of {m!r}",
+    "exclusiveMaximum": lambda x, m, s, p: _TYPES["number"](x) and x >= m
+        and f"{x!r} is greater than or equal to the maximum of {m!r}",
+    "minItems": lambda x, n, s, p: isinstance(x, list) and len(x) < n
+        and f"{x!r} {'should be non-empty' if n == 1 else 'is too short'}",
+    "maxItems": lambda x, n, s, p: isinstance(x, list) and len(x) > n
+        and f"{x!r} {'is expected to be empty' if n == 0 else 'is too long'}",
+    "required": lambda x, names, s, p: isinstance(x, dict) and next(
+        (f"{name!r} is a required property" for name in names if name not in x), None),
+    "additionalProperties": lambda x, no, s, p: isinstance(x, dict) and (extras := [
+        repr(k) for k in sorted(x, key=str) if k not in s["properties"]]) and (
+        f"Additional properties are not allowed ({', '.join(extras)} "
+        f"{'was' if len(extras) == 1 else 'were'} unexpected)"),
+    "items": lambda x, item, s, p: isinstance(x, list) and [
+        e for i, y in enumerate(x) for e in _errors(y, item, p + (i,))],
+    "properties": lambda x, props, s, p: isinstance(x, dict) and [
+        e for k, sub in props.items() if k in x for e in _errors(x[k], sub, p + (k,))],
+    "allOf": lambda x, subs, s, p: [e for sub in subs for e in _errors(x, sub, p)],
+    "if": lambda x, test, s, p: not any(_errors(x, test)) and _errors(x, s["then"], p),
+    "then": lambda x, then, s, p: None,  # applied by "if"
+    "oneOf": lambda x, branches, s, p: _one_of(x, branches, p),
+}
+
+
+def _errors(x, schema, path=()):
+    """(path, message) of each rule ``x`` breaks, in schema order; a keyword
+    outside ``_KEYWORDS`` raises KeyError, so that none passes unchecked."""
+    for keyword, value in ({} if schema is True else schema).items():
+        found = _KEYWORDS[keyword](x, value, schema, path)
+        yield from [(path, found)] if isinstance(found, str) else found or ()
 
 
 def _check(doc, command: str | None):
+    """InvalidParameter naming a rule ``doc`` breaks under ``command``'s schema (any
+    run block when None): the one at the shallowest path, then the first in schema order."""
     try:  # JSON has no NaN or infinity; the schema's range keywords pass NaN
         json.dumps(doc, allow_nan=False)
     except (TypeError, ValueError) as exc:
         raise InvalidParameter(f"scenario invalid: {exc}") from exc
-    error = jsonschema.exceptions.best_match(_validator(command).iter_errors(doc))
+    schema = SCENARIO_SCHEMA
+    if command is not None:
+        kinds = {"kind": {"enum": COMMAND_SCALE_KINDS.get(command, list(SCALE_KINDS))}}
+        schema = dict(schema, properties=dict(schema["properties"], run=RUN_OPTIONS[command],
+                                              scale=dict(schema["properties"]["scale"],
+                                                         properties=kinds)))
+    error = min(_errors(doc, schema), key=lambda e: len(e[0]), default=None)
     if error is not None:
         # the path names the field, where a range or type message quotes only its value
-        where = "" if error.json_path == "$" else f"{error.json_path}: "
-        raise InvalidParameter(f"scenario invalid: {where}{error.message}") from error
+        where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in error[0])
+        raise InvalidParameter(f"scenario invalid: {f'${where}: ' if where else ''}{error[1]}")
 
 
 @dataclass(frozen=True)

@@ -633,14 +633,20 @@ def test_fmt_float_fast_path_keeps_the_text(x):
 
 
 def test_no_scipy_module_is_loaded_by_the_cli(tmp_path):
-    # a fresh interpreter: the import and a run of each sample scenario load no scipy
+    # a fresh interpreter: the import and a run of each sample scenario load no
+    # scipy and no jsonschema
     root = Path(__file__).resolve().parent.parent
     script = textwrap.dedent("""
         import sys
         from diracsea import cli
         def scipy():
             return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        def jsonschema():  # the jsonschema package and the packages it imports
+            return sorted(m for m in sys.modules if m.split(".")[0] in {
+                "jsonschema", "jsonschema_specifications", "referencing", "rpds",
+                "attr", "attrs"})
         assert scipy() == [], scipy()
+        assert jsonschema() == [], jsonschema()
         for command, name in [("signature", "dust_signature"),
                               ("project", "perturbed_projection"),
                               ("bloch", "twelve_segment_bloch"),
@@ -648,6 +654,7 @@ def test_no_scipy_module_is_loaded_by_the_cli(tmp_path):
             code = cli.main([command, "--scenario", f"scenarios/{name}.json",
                              "--out", sys.argv[1] + "/" + name + ".csv"])
             assert code == 0 and scipy() == [], (name, code, scipy())
+            assert jsonschema() == [], (name, jsonschema())
     """)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))

@@ -1,11 +1,18 @@
+import copy
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import schema_oracle
 from diracsea.bloch import Scenario
 from diracsea.errors import InvalidParameter
 from diracsea.evolution import MAX_ODE_TOL, MIN_ODE_TOL
 from diracsea.model import PiecewiseConstantScale, SmoothScale
-from diracsea.scenario_io import SCENARIO_SCHEMA, parse_scenario
+from diracsea.scenario_io import RUN_OPTIONS, SCENARIO_SCHEMA, _check, parse_scenario
 
 BASE_MODE = {"lambda": 1.5, "mass": 1.0, "tau0": float(np.pi / 2)}
 
@@ -186,3 +193,113 @@ def test_tau0_past_pi_is_left_to_the_scale():
     assert cfg.mode.tau0 == 4.0
     with pytest.raises(InvalidParameter, match="tau0"):
         parse_scenario(doc(mode=dict(BASE_MODE, tau0=-0.5)))
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SAMPLE_COMMANDS = {"dust_signature": "signature", "perturbed_projection": "project",
+                   "twelve_segment_bloch": "bloch", "scaling_study": "study"}
+PROBE = {"support": [1.0, 2.0], "direction": [[1.0, 0.5], 0.0], "amplitude": 1.0}
+#: A valid run block of each command, and of no command.
+VALID_RUNS = {
+    "evolve": {"tau_from": 0.5, "tau_to": 2.0, "samples": 5},
+    "signature": {"wkb": True},
+    "project": {"phi": PROBE, "variant": "wkb"},
+    "bloch": {"tau_from": 0.5, "tau_to": 2.0, "samples": 5},
+    "cfs": {"taus": [1.0, 2.0], "lambdas": [1.5], "members_per_mode": 2,
+            "classify_tol": 1e-3},
+    "study": {"kind": "w_deviation", "grid": [10.0], "phi": PROBE, "r_max": 3.0,
+              "slack": 0.1, "lambda": {"kind": "track_power", "exponent": 0.5}},
+    None: {"anything": [1, "goes"]},
+}
+BASES = [(command, doc(mode=dict(BASE_MODE, tau0=0.0), run=run,
+                       scale={"kind": "segments", "segments": [[2.0, 1.5], [0.5, 0.5]]}
+                       if command != "study" else {"kind": "dust", "r_max": 10.0},
+                       tolerances={"ode_tol": 1e-9, "quad_tol": 1e-8, "gap_tol": 1e-5}))
+         for command, run in VALID_RUNS.items()] + [
+    (command, json.loads((SCENARIOS / f"{name}.json").read_text(encoding="utf-8")))
+    for name, own in SAMPLE_COMMANDS.items() for command in (own, None)]
+#: Wrong types and out-of-range numbers for every field, bools and ints among them.
+SWAPS = ["x", None, True, False, 0, 1, 2, -1, 0.0, 1.5, -0.5, 1e9, 1e-20, [], {},
+         [1], [[1]], [1, 2, 3], ["a", 1], [True, 1.0], {"kind": "dust"}]
+
+
+def _verdict(document, command):
+    try:
+        _check(document, command)
+    except InvalidParameter as exc:
+        return str(exc)
+    return None
+
+
+def _nodes(x, path=()):
+    """(path, value) of every node of a document, the root first."""
+    yield path, x
+    children = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+    for key, value in children:
+        yield from _nodes(value, path + (key,))
+
+
+@st.composite
+def mutants(draw):
+    """A base document under its command, with one to three mutations: drop
+    a node, add a key, swap in another value, or swap a bool and an int."""
+    command, document = draw(st.sampled_from(BASES))
+    document = copy.deepcopy(document)
+    for _ in range(draw(st.integers(1, 3))):
+        path, node = draw(st.sampled_from(list(_nodes(document))))
+        action = draw(st.sampled_from(["drop", "add", "swap", "flip"]))
+        if action == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(["extra", "segment", "r_max", "phi", "then"]))] = \
+                draw(st.sampled_from(SWAPS))
+        elif path:
+            parent = document
+            for key in path[:-1]:
+                parent = parent[key]
+            if action == "drop":
+                del parent[path[-1]]
+            elif action == "flip" and isinstance(node, (bool, int)):
+                parent[path[-1]] = int(node) if isinstance(node, bool) else node == 1
+            else:
+                parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(SWAPS)))
+    return command, document
+
+
+def _with_run(command, **run):
+    return command, doc(run=run)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutants())
+@example(_with_run("cfs", taus=[1.0], members_per_mode=True))
+@example(_with_run("signature", wkb=1))
+@example(_with_run("bloch", samples=True))
+@example(_with_run("bloch", samples=2.0))
+@example(_with_run("project", phi=dict(PROBE, direction=[[1]])))
+@example(_with_run("project", phi=dict(PROBE, direction=[[1], 0.0])))
+def test_checks_agree_with_jsonschema(case):
+    # the same decision always, and the same message wherever one rule is broken
+    command, document = case
+    count, want = schema_oracle.verdict(document, command)
+    got = _verdict(document, command)
+    assert (got is None) == (want is None), (got, want)
+    if count == 1:
+        assert got == want
+
+
+@pytest.mark.parametrize("command", [None, *RUN_OPTIONS])
+def test_valid_documents_and_schemas(command):
+    # each command's schema is a valid JSON schema, which its base document meets
+    schema_oracle.validator(command)
+    for base_command, document in BASES:
+        if base_command == command:
+            assert schema_oracle.verdict(document, command) == (0, None)
+            assert _verdict(document, command) is None
+
+
+def test_unsupported_keyword_fails_loudly(monkeypatch):
+    # a keyword the walker lacks raises; the document does not pass unchecked
+    wkb = {"type": "boolean", "pattern": "^t"}
+    monkeypatch.setitem(RUN_OPTIONS, "signature", dict(RUN_OPTIONS["signature"],
+                                                       properties={"wkb": wkb}))
+    with pytest.raises(KeyError, match="pattern"):
+        parse_scenario(doc(run={"wkb": True}), "signature")

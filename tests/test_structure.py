@@ -55,6 +55,8 @@
 * No module imports ``scipy.integrate``: the smooth lifetime integrals are
   ``model.smooth_integrals``.  The one scipy import left is the
   function-local ``CubicSpline`` of ``smooth_table_scale``.
+* No module imports ``jsonschema``: ``scenario_io`` checks its schema tables
+  with its own keyword table.
 """
 
 import ast
@@ -401,13 +403,23 @@ def test_one_domain_rule_and_one_lifetime_window():
     assert not params & {"closed_form", "lifetime_integral"}
 
 
-def test_one_function_local_scipy_import_and_no_scipy_integrate():
-    def scipy_import(node):
+def _imports(package):
+    """Matcher of the import statements that name ``package`` or a module of it."""
+    def match(node):
         names = ([node.module or ""] if isinstance(node, ast.ImportFrom) else
                  [a.name for a in node.names] if isinstance(node, ast.Import) else [])
-        return any(name.split(".")[0] == "scipy" for name in names)
+        return any(name.split(".")[0] == package for name in names)
 
+    return match
+
+
+def test_one_function_local_scipy_import_and_no_scipy_integrate():
+    scipy_import = _imports("scipy")
     assert _sites(scipy_import) == Counter({("model", "smooth_table_scale"): 1})
     (spline,) = [node for node in ast.walk(_function("model", "smooth_table_scale"))
                  if scipy_import(node)]
     assert ast.unparse(spline) == "from scipy.interpolate import CubicSpline"
+
+
+def test_no_module_imports_jsonschema():
+    assert _sites(_imports("jsonschema")) == Counter()
