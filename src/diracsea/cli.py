@@ -41,8 +41,6 @@ EXIT_BOUND_VIOLATION = 3
 
 
 def _fmt(x) -> str:
-    if type(x) is float:  # most cells: skip the checks below
-        return f"{x:.17g}"
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -55,12 +53,14 @@ def _fmt(x) -> str:
 def _emit(out, args, header, rows, payload=None):
     """Write ``rows`` under ``header`` as CSV, or ``payload`` as JSON.
 
+    A CSV row of Python floats is one ``%`` of %.17g cells, ``_fmt``'s text.
     The JSON default is ``{"rows": [...]}``, each row keyed by the header,
     its strings kept and its numbers as floats.
     """
     if args.format == "csv":
-        lines = [",".join(header)]
-        lines.extend(",".join(_fmt(x) for x in row) for row in rows)
+        lines, fmt = [",".join(header)], ",".join(["%.17g"] * len(header))
+        lines.extend(fmt % tuple(row) if set(map(type, row)) == {float}
+                     else ",".join(map(_fmt, row)) for row in rows)
         out.write("\n".join(lines) + "\n")
         return
     if payload is None:
@@ -88,7 +88,7 @@ def cmd_evolve(cfg: ScenarioConfig, args, out):
     tau_to = float(run["tau_to"]) if "tau_to" in run else tau_from
     samples = int(run.get("samples", 1))
     if samples > 1:
-        taus = list(np.linspace(tau_from, tau_to, samples))
+        taus = np.linspace(tau_from, tau_to, samples).tolist()
     else:
         taus = [tau_to]
     us = np.array(evolve_grid(cfg.mode, cfg.scale, tau_from, taus,

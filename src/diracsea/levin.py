@@ -17,8 +17,9 @@ Clenshaw-Curtis weights on the same nodes, which ``model`` owns (its
 when it agrees with the sum over its two halves, which are otherwise
 refined in the next round, all in one batch.  The cost follows the
 smoothness of R and F, not the number of periods.
-On piecewise-constant scales the exact integrals are these too, taken per
-segment (see ``projector._segments``).
+One walk covers [lo, hi] with a sum per piece: on a piecewise-constant
+scale the exact integrals are these sums, each conjugated by its segment's
+constant (see ``projector._segments``).
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ def _solve(mats, rhs):
 
 def levin_integral(mode: Mode, scale: ScaleFunction, integrand, omegas,
                    lo: float, hi: float, tol: float) -> np.ndarray:
-    """integral over [lo, hi] of integrand(t, r)[j] * exp(i omegas[j] psi(t)).
+    """integral over [lo, hi] of integrand(t, r)[j] * exp(i omegas[j] psi(t)),
+    one row per piece of ``scale.pieces(lo, hi)`` (one row on a smooth scale).
 
     psi is the frequency integral from ``mode.tau0``; r the scale value at
     t (on a piecewise scale, that of the segment holding the panel).  The
@@ -63,13 +65,14 @@ def levin_integral(mode: Mode, scale: ScaleFunction, integrand, omegas,
     integrands are, and near a vanishing R its relative rounding (of
     1 - cos tau for dust, say) can exceed tol.  Raises
     ``ConvergenceFailure`` before a round takes the panels tested past
-    ``MAX_PANELS``, or when a panel too narrow to split still fails (the
-    first in leg order): a truncated sum is never returned.  A DEBUG log
-    line per call reports the legs and the panels tested and accepted.
+    ``MAX_PANELS`` (one budget for [lo, hi]), or when a panel too narrow to
+    split still fails (the first in leg order): a truncated sum is never
+    returned.  A DEBUG line per call reports legs, panels tested and accepted.
     """
     omegas = np.asarray(omegas, dtype=float)
     osc = omegas != 0.0
     tested = accepted = 0
+    cuts = [b for _, b, _ in scale.pieces(lo, hi)]  # each piece's upper end
 
     def panel(a, b, r):
         """(local integrals with psi(a) = 0, psi increments, node maxima) of
@@ -91,7 +94,7 @@ def levin_integral(mode: Mode, scale: ScaleFunction, integrand, omegas,
         return local, dpsi, np.abs(vals).max(axis=1)
 
     def leg(anchor, end, psi):
-        """Sum over [anchor, end] (either order), psi known at the anchor."""
+        """Sums over [anchor, end] (either order) per piece, psi known at the anchor."""
         nonlocal tested, accepted
         sign = 1 if end > anchor else -1
         # A round's panels [a, b], ascending, cut from the end nearer the anchor,
@@ -134,7 +137,10 @@ def levin_integral(mode: Mode, scale: ScaleFunction, integrand, omegas,
         # psi at the panel ends in leg order; a panel's lower end is first going up
         psis = np.cumsum(np.concatenate([[psi], sign * dpsi[order]]))
         phases = np.exp(1j * omegas * (psis[:-1] if sign > 0 else psis[1:])[:, None])
-        return sum(phases * local[order], np.zeros(omegas.size, dtype=complex))
+        rows = np.zeros((len(cuts), omegas.size), dtype=complex)  # summed in leg order
+        np.add.at(rows, np.searchsorted(cuts[:-1], at[order], side="right"),
+                  phases * local[order])
+        return rows
 
     legs = [leg(anchor, end, accumulated_phase(mode, scale, mode.tau0, anchor))
             for anchor, (end,) in leg_plan(mode.tau0, (lo, hi))]

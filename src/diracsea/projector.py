@@ -16,8 +16,9 @@ counterparts replace U by the frame-and-phase propagator.
 The WKB integrals are Levin quadratures against the phase
 (``levin.levin_integral``), whose cost does not grow with m * r_max.  So
 are the exact k and trace integrals on piecewise-constant scales: there
-the exact propagator is the WKB one times a constant per segment
-(``_segments``), and both signatures have closed forms.  On smooth scales
+the exact propagator is the WKB one times a constant per segment, and
+each image is one walk, with one panel budget, whose per-piece rows
+``_segments`` conjugates; both signatures have closed forms.  On smooth scales
 the exact integrals ride as augmented state on a transport (exact U, or
 the WKB phase for the ``wkb_scalar_integrals`` oracle) through
 ``evolution.interval_integral``, one ``evolution.cointegrate`` sweep per
@@ -161,19 +162,19 @@ def signature_operator_wkb(mode: Mode, scale: ScaleFunction,
 
 def _segments(mode: Mode, scale: ScaleFunction, integrand, omegas, lo: float,
               hi: float, tol: float, exact: bool):
-    """(C, Levin integral against e^{i omegas psi}) pairs covering [lo, hi].
+    """(C, Levin integral against e^{i omegas psi}) pairs covering [lo, hi]: one walk.
 
-    WKB route: one pair, C = V0.  Exact route (piecewise scales): one pair
-    per segment, C = V0 W.  The WKB deviation W = U_wkb^dagger U has a
-    generator proportional to R', so it is constant on a segment, where
-    U = U_wkb W; it is taken at the segment's midpoint.
+    WKB route: one pair, C = V0, the walk's rows summed.  Exact route (piecewise
+    scales): C = V0 W for each row, a piece.  The WKB deviation W = U_wkb^dagger U
+    has a generator proportional to R', so it is constant on a segment, where
+    U = U_wkb W; it is taken at the piece's midpoint.
     """
     v0 = diagonalizer(mode, scale.value(mode.tau0))
-    pieces = scale.pieces(lo, hi) if exact else [(lo, hi, None)]
-    mids = [0.5 * (a + b) for a, b, _ in pieces]
-    cs = v0 @ wkb_deviations(mode, scale, mids) if exact else [v0]
-    for c, (a, b, _) in zip(cs, pieces):
-        yield c, levin_integral(mode, scale, integrand, omegas, a, b, tol)
+    rows = levin_integral(mode, scale, integrand, omegas, lo, hi, tol)
+    if not exact:
+        return [(v0, rows.sum(axis=0))]
+    mids = [0.5 * (a + b) for a, b, _ in scale.pieces(lo, hi)]
+    return zip(v0 @ wkb_deviations(mode, scale, mids), rows)
 
 
 def _conjugated(c, mass, osc) -> np.ndarray:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,6 +224,7 @@ def run_study(kind: StudyKind, grid, lam_spec: LambdaSpec = LambdaSpec(),
     # a pool starts all of its workers at once: no more than there are points
     workers = min(jobs, len(points) - 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded by pooled runs only
         with ProcessPoolExecutor(max_workers=workers) as pool:
             measured.extend(pool.map(measure, *zip(*points[1:])))
     else:

@@ -3,7 +3,8 @@
 Production walks each leg a refinement round at a time, every pending
 panel of a round evaluated in one batch.  Here each panel is evaluated on
 its own and refined depth first, its halves tested before the next panel,
-and the accepted panels are summed as they are met.  A panel's acceptance
+and each accepted panel is added, as it is met, to the row of the piece of
+``scale.pieces(lo, hi)`` that holds it.  A panel's acceptance
 depends on that panel alone, so both walks build the same refinement tree
 and sum the same panels in the same (leg) order: their results must agree
 bit for bit, and so must their tested and accepted counts.
@@ -17,11 +18,12 @@ from diracsea.levin import _D, _W, _X, MAX_PANEL, MAX_PANELS
 
 
 def levin_integral_depth_first(mode, scale, integrand, omegas, lo, hi, tol):
-    """(integral, panels tested, panels accepted); the arguments are
-    ``levin_integral``'s, the integrand called once per panel."""
+    """(per-piece integrals, panels tested, panels accepted); the arguments
+    are ``levin_integral``'s, the integrand called once per panel."""
     omegas = np.asarray(omegas, dtype=float)
     osc = omegas != 0.0
     tested = accepted = 0
+    starts = [a for a, _, _ in scale.pieces(lo, hi)]
 
     def panel(a, b, r):
         """(local integral with psi(a) = 0, psi increment, node maxima)."""
@@ -43,7 +45,7 @@ def levin_integral_depth_first(mode, scale, integrand, omegas, lo, hi, tol):
 
     def leg(anchor, end, psi):
         nonlocal tested, accepted
-        total = np.zeros(omegas.size, dtype=complex)
+        total = np.zeros((len(starts), omegas.size), dtype=complex)
         sign = 1.0 if end > anchor else -1.0
         pending = []
         for a, b, r in scale.pieces(min(anchor, end), max(anchor, end))[::int(sign)]:
@@ -74,7 +76,9 @@ def levin_integral_depth_first(mode, scale, integrand, omegas, lo, hi, tol):
                 pending[:0] = [(near, mid, r, near_half), (mid, far, r, far_half)]
                 continue
             psi_a = psi if sign > 0 else psi - dpsi
-            total += np.exp(1j * omegas * psi_a) * local
+            # the last piece starting at or below the panel's lower end holds it
+            piece = max(i for i, start in enumerate(starts) if start <= a)
+            total[piece] += np.exp(1j * omegas * psi_a) * local
             psi += sign * dpsi
             accepted += 1
         return total

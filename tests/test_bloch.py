@@ -28,7 +28,7 @@ from diracsea.bloch import (
 from diracsea.errors import ConventionMismatch, InvalidParameter
 from diracsea.evolution import evolve_grid, frequency
 from diracsea.model import (Mode, PiecewiseConstantScale, dust_scale, SIGMA1,
-                            SIGMA2, SIGMA3)
+                            SIGMA2, SIGMA3, spectral_norm)
 
 PAULI = (SIGMA1, SIGMA2, SIGMA3)
 
@@ -388,6 +388,19 @@ class TestBlochState:
             grid[4] = bad
             with pytest.raises(InvalidParameter, match="not a rotation"):
                 diracsea.bloch._check_rotations(grid)
+
+    def test_reported_defect_is_the_spectral_norm(self):
+        # frames pushed off SO(3) by a random symmetric stretch: the message
+        # names the spectral norm of W^T W - 1, as an SVD gives it
+        rng = np.random.default_rng(5)
+        for size in (1e-9, 1e-6, 1e-3):
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            q *= np.sign(np.linalg.det(q))
+            a = rng.normal(size=(3, 3))
+            w = q @ (np.eye(3) + size * (a + a.T))
+            want = spectral_norm(w.T @ w - np.eye(3))
+            with pytest.raises(InvalidParameter, match=re.escape(f"defect {want:.3e},")):
+                diracsea.bloch._check_rotations(w[None])
 
     def test_rows_check_every_frame_of_the_grid(self, monkeypatch):
         # one stacked rotation stretched off SO(3) fails the rows' batched check

@@ -1,3 +1,5 @@
+import argparse
+import io
 import json
 import logging
 import os
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracsea import cli
 from diracsea.cli import main
@@ -613,7 +617,7 @@ def test_json_format_matches_csv(tmp_path, command, run):
 
 
 def _fmt_by_the_general_rules(x):
-    # cli._fmt without its float fast path
+    # what a CSV cell reads, type by type
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -629,12 +633,54 @@ def _fmt_by_the_general_rules(x):
     np.float32(0.1), 3, -7, np.int64(12), True, False, np.bool_(True), "timelike",
 ], ids=repr)
 def test_fmt_float_fast_path_keeps_the_text(x):
+    # _fmt, and the row path's %.17g for a float cell
     assert cli._fmt(x) == _fmt_by_the_general_rules(x)
+    assert emitted_csv(["x"], [[x]]) == "x\n" + _fmt_by_the_general_rules(x) + "\n"
+
+
+def emitted_csv(header, rows):
+    buf = io.StringIO()
+    cli._emit(buf, argparse.Namespace(format="csv"), header, rows)
+    return buf.getvalue()
+
+
+CELLS = st.one_of(
+    st.floats(), st.floats(width=32).map(np.float32), st.floats().map(np.float64),
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), -0.0, np.float64(-0.0)]),
+    st.booleans(), st.booleans().map(np.bool_), st.integers(-10 ** 30, 10 ** 30),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.text(max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda width: st.lists(st.lists(CELLS, min_size=width, max_size=width), max_size=8)))
+def test_row_path_prints_each_cell_as_fmt(rows):
+    # rows of mixed cell types, each row its own: the same bytes as _fmt cell by cell
+    header = [f"c{i}" for i in range(len(rows[0]) if rows else 1)]
+    want = "\n".join([",".join(header)] + [",".join(map(cli._fmt, row)) for row in rows])
+    assert emitted_csv(header, rows) == want + "\n"
+
+
+@pytest.mark.parametrize("command,run", [
+    ("evolve", {"tau_from": 0.5, "tau_to": 2.5, "samples": 4}),
+    ("evolve", {"tau_to": 2.0}),
+    ("bloch", {"samples": 5}),
+])
+def test_all_float_tables_take_the_row_path(tmp_path, monkeypatch, command, run):
+    # every cell a Python float, so no cell goes through _fmt
+    cells = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda out, args, header, rows, *rest: (
+        cells.extend(x for row in rows for x in row), emit(out, args, header, rows, *rest)))
+    monkeypatch.setattr(cli, "_fmt", lambda x: pytest.fail(f"{x!r} went through _fmt"))
+    code, text = run_cli(tmp_path, command, dict(BASE, run=run))
+    assert code == 0 and text.count("\n") > 1
+    assert cells and {type(x) for x in cells} == {float}
 
 
 def test_no_scipy_module_is_loaded_by_the_cli(tmp_path):
     # a fresh interpreter: the import and a run of each sample scenario load no
-    # scipy and no jsonschema
+    # scipy, no jsonschema and no process pool (a serial study starts none)
     root = Path(__file__).resolve().parent.parent
     script = textwrap.dedent("""
         import sys
@@ -645,8 +691,12 @@ def test_no_scipy_module_is_loaded_by_the_cli(tmp_path):
             return sorted(m for m in sys.modules if m.split(".")[0] in {
                 "jsonschema", "jsonschema_specifications", "referencing", "rpds",
                 "attr", "attrs"})
+        def pool():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing"
+                          or m == "concurrent.futures.process")
         assert scipy() == [], scipy()
         assert jsonschema() == [], jsonschema()
+        assert pool() == [], pool()
         for command, name in [("signature", "dust_signature"),
                               ("project", "perturbed_projection"),
                               ("bloch", "twelve_segment_bloch"),
@@ -655,6 +705,7 @@ def test_no_scipy_module_is_loaded_by_the_cli(tmp_path):
                              "--out", sys.argv[1] + "/" + name + ".csv"])
             assert code == 0 and scipy() == [], (name, code, scipy())
             assert jsonschema() == [], (name, jsonschema())
+            assert pool() == [], (name, pool())
     """)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
 from diracsea import cfs, levin, projector, stepper
@@ -20,6 +22,7 @@ from diracsea.evolution import (
     interval_integral,
     phase_transport,
     segment_propagator,
+    wkb_deviation,
     wkb_evolve,
     wkb_propagator_raw,
 )
@@ -750,16 +753,19 @@ class TestLevinRoute:
     @pytest.mark.parametrize("tau0", [0.0, 1.3])
     def test_piecewise_leg_matches_closed_form(self, tau0):
         # F = 1, omega = 2 across a jump of R: psi is linear on each piece,
-        # so its integral is (e^{2 i psi(b)} - e^{2 i psi(a)}) / (2 i f)
+        # so its integral is (e^{2 i psi(b)} - e^{2 i psi(a)}) / (2 i f); one
+        # row per piece, and their sum
         mode = Mode(lam=1.5, mass=1.0, tau0=tau0)
         sc = PiecewiseConstantScale(breakpoints=(0.0, 1.1, 2.3), values=(2.0, 0.6))
-        want = 0.0
+        want = []
         for a, b, r in [(0.5, 1.1, 2.0), (1.1, 1.7, 0.6)]:
             psi_a, psi_b = (accumulated_phase(mode, sc, tau0, t) for t in (a, b))
-            want += (np.exp(2j * psi_b) - np.exp(2j * psi_a)) / (2j * frequency(mode, r))
-        (got,) = levin_integral(mode, sc, lambda ts, rs: np.ones((ts.size, 1)),
-                                (2.0,), 0.5, 1.7, 1e-12)
-        assert abs(got - want) < 1e-12 * abs(want)
+            want.append((np.exp(2j * psi_b) - np.exp(2j * psi_a)) / (2j * frequency(mode, r)))
+        rows = levin_integral(mode, sc, lambda ts, rs: np.ones((ts.size, 1)),
+                              (2.0,), 0.5, 1.7, 1e-12)
+        assert rows.shape == (2, 1)
+        assert np.abs(rows[:, 0] - want).max() < 1e-12 * np.abs(want).max()
+        assert abs(rows.sum() - sum(want)) < 1e-12 * abs(sum(want))
 
     @pytest.mark.parametrize("tau0", [0.4, 2.8])
     def test_k_with_anchor_outside_support(self, tau0):
@@ -838,6 +844,7 @@ def levin_against_oracle(monkeypatch, caplog):
         want, tested, accepted = levin_integral_depth_first(mode, scale, integrand,
                                                             omegas, lo, hi, tol)
         assert np.array_equal(got, want)
+        assert got.shape == (len(scale.pieces(lo, hi)), len(omegas))
         assert line.endswith(f" {tested} panels tested, {accepted} accepted")
         seen.append(tuple(omegas))
         return got
@@ -873,8 +880,8 @@ class TestRoundsMatchDepthFirst:
 
     @pytest.mark.parametrize("preset", list(PRESETS))
     def test_presets(self, monkeypatch, caplog, preset):
-        # the WKB images over the whole support, and the exact ones and the
-        # lifetime integral segment by segment
+        # one walk per image: the WKB ones, the exact one and the lifetime
+        # integral, the exact ones with a row per segment
         seen = levin_against_oracle(monkeypatch, caplog)
         build, support = PRESETS[preset]
         sc = build()
@@ -883,9 +890,7 @@ class TestRoundsMatchDepthFirst:
         p_wkb_leading_apply(sc.mode, sc, phi)
         k_m_apply(sc.mode, sc, phi)
         _sigma3_integral(sc.mode, sc, 0.0, sc.tau_end, 1e-10, exact=True)
-        pieces = len(sc.pieces(*support))
-        assert seen == ([(1.0, -1.0), (-1.0,)] + [(1.0, -1.0)] * pieces
-                        + [(0.0, 2.0)] * len(sc.values))
+        assert seen == [(1.0, -1.0), (-1.0,), (1.0, -1.0), (0.0, 2.0)]
 
     def test_refined_leg_takes_one_call_per_round(self, caplog):
         # a narrow bump refines its panels over several rounds; each round
@@ -977,6 +982,71 @@ class TestPiecewiseExactRoute:
         got = k_m_apply(mode, FIVE_STEPS, phi).value
         assert rel_diff(got, want[:2] + 1j * want[2:]) < 1e-10
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.1, 1.0), st.floats(0.3, 3.0)),
+                    min_size=2, max_size=12),
+           st.sampled_from([1.5, -1.5, 2.5, -2.5]), st.data())
+    def test_one_walk_is_the_segment_walks(self, segments, lam, data):
+        # the one-walk exact image against a Levin walk per segment, each
+        # conjugated by its segment's W, as the images were once taken
+        widths, values = zip(*segments)
+        sc = PiecewiseConstantScale(tuple(np.cumsum((0.0, *widths)).tolist()), values)
+        first = data.draw(st.integers(0, len(values) - 1))
+        last = first + data.draw(st.integers(0, min(4, len(values) - 1 - first)))
+        bps = sc.breakpoints
+        lo = bps[first] + data.draw(st.floats(0.02, 0.4)) * widths[first]
+        hi = bps[last] + data.draw(st.floats(0.6, 0.98)) * widths[last]
+        where = data.draw(st.sampled_from(["zero", "inside", "past"]))
+        u = data.draw(st.floats(0.0, 1.0))
+        tau0 = {"zero": 0.0, "inside": lo + u * (hi - lo),
+                "past": hi + u * (sc.tau_end - hi)}[where]
+        mode = Mode(lam=lam, mass=1.0, tau0=tau0)
+        phi = bump((lo, hi), np.array([0.6, 0.8j]))
+        assert len(sc.pieces(lo, hi)) == last - first + 1
+        v0 = diagonalizer(mode, sc.value(tau0))
+
+        def integrand(ts, rs):
+            # w = V sigma3 phi R / 2 pi on the nodes
+            w = diagonalizer(mode, rs) @ (SIGMA3 @ phi(ts[:, None])[..., None])
+            return w[..., 0] * (rs / (2 * np.pi))[:, None]
+
+        want = 0.0
+        for a, b, _ in sc.pieces(lo, hi):
+            (vals,) = levin_integral(mode, sc, integrand, (1.0, -1.0), a, b, 1e-10)
+            c = v0 @ wkb_deviation(mode, sc, 0.5 * (a + b)).matrix
+            want = want + c.conj().T @ vals
+        assert rel_diff(k_m_apply(mode, sc, phi).value, want) < 1e-12
+
+    def test_panel_budget_is_one_per_image(self, monkeypatch, caplog):
+        # a budget each segment's own walk of the image's integrand fits in,
+        # but not the support's: the one walk raises, once, naming the support
+        mode, sc, support = PIECEWISE_CASES["tau0_below"]()
+        phi = bump(support, np.array([0.6, 0.8j]))
+        caplog.set_level(logging.DEBUG, logger="diracsea.levin")
+
+        def tested():
+            (line,) = [r.getMessage() for r in caplog.records if r.name == "diracsea.levin"]
+            caplog.clear()
+            return int(re.search(r"(\d+) panels tested", line).group(1))
+
+        calls = []
+        walk = projector.levin_integral
+        monkeypatch.setattr(projector, "levin_integral",
+                            lambda *args: calls.append(args) or walk(*args))
+        k_m_apply(mode, sc, phi)
+        whole = tested()
+        ((_, _, integrand, omegas, lo, hi, tol),) = calls
+        per_segment = []
+        for a, b, _ in sc.pieces(lo, hi):
+            walk(mode, sc, integrand, omegas, a, b, tol)
+            per_segment.append(tested())
+        assert (lo, hi) == support and len(per_segment) > 1 and max(per_segment) < whole
+        monkeypatch.setattr(levin, "MAX_PANELS", whole - 1)
+        calls.clear()
+        with pytest.raises(ConvergenceFailure, match=re.escape(
+                f"{whole - 1} panels before covering [{lo:.6g}, {hi:.6g}]")):
+            k_m_apply(mode, sc, phi)
+        assert [args[4:6] for args in calls] == [support]
 
 def random_unitaries(n, seed):
     rng = np.random.default_rng(seed)

@@ -250,7 +250,7 @@ def mutants(draw):
         action = draw(st.sampled_from(["drop", "add", "swap", "flip"]))
         if action == "add" and isinstance(node, dict):
             node[draw(st.sampled_from(["extra", "segment", "r_max", "phi", "then"]))] = \
-                draw(st.sampled_from(SWAPS))
+                copy.deepcopy(draw(st.sampled_from(SWAPS)))
         elif path:
             parent = document
             for key in path[:-1]:

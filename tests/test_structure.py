@@ -21,6 +21,8 @@
   ``rotation_generator``.
 * ``levin.levin_integral`` calls its integrand in one place, ``panel``,
   with the nodes of all of a round's panels at once: no loop runs there.
+  ``projector`` calls the walk in one place, ``_segments``, outside any
+  loop: one walk per image, whose rows are the pieces of the support.
 * ``evolution.wkb_propagators`` alone assembles WKB propagators, and
   ``wkb_deviations`` alone forms the WKB deviation: each grid takes one
   call, and no package code calls the one-time ``wkb_evolve`` or
@@ -57,6 +59,8 @@
   function-local ``CubicSpline`` of ``smooth_table_scale``.
 * No module imports ``jsonschema``: ``scenario_io`` checks its schema tables
   with its own keyword table.
+* ``concurrent.futures`` is imported only inside ``studies.run_study``, when
+  it starts a pool: a serial run and the CLI's import load none.
 """
 
 import ast
@@ -208,6 +212,12 @@ def test_levin_calls_the_integrand_once_per_round():
     panel = _function("levin", "levin_integral.panel")
     assert not [node for node in ast.walk(panel)
                 if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+
+
+def test_projector_takes_one_levin_walk_per_image():
+    assert _calls({"levin_integral"}) == Counter({("projector", "_segments"): 1})
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    assert not _calls_in(loops, _function("projector", "_segments"), {"levin_integral"})
 
 
 def test_wkb_routes_take_one_call_per_grid():
@@ -423,3 +433,7 @@ def test_one_function_local_scipy_import_and_no_scipy_integrate():
 
 def test_no_module_imports_jsonschema():
     assert _sites(_imports("jsonschema")) == Counter()
+
+
+def test_process_pool_is_imported_where_it_starts():
+    assert _sites(_imports("concurrent")) == Counter({("studies", "run_study"): 1})

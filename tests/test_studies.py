@@ -1,6 +1,7 @@
+import concurrent.futures
+
 import pytest
 
-from diracsea import studies
 from diracsea.errors import InvalidParameter
 from diracsea.studies import (
     LambdaSpec,
@@ -118,7 +119,8 @@ class TestRunStudy:
             def map(self, fn, *iterables):
                 return list(map(fn, *iterables))
 
-        monkeypatch.setattr(studies, "ProcessPoolExecutor", InProcessPool)
+        # run_study imports the pool only when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         kwargs = dict(lam_spec=LambdaSpec(kind="fixed", value=1.5))
         grid = [10.0, 20.0, 30.0, 40.0]
         pooled = run_study(StudyKind.LEADING_TERM_BOUND, grid, jobs=64, **kwargs)
