@@ -11,6 +11,7 @@ value).  All types are immutable after construction.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -18,6 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConvergenceFailure, DomainError, InvalidParameter
+
+log = logging.getLogger(__name__)
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -43,10 +46,10 @@ SPLINE_RANGE_TOL = 1e-4
 NODES = 12
 #: Widest initial panel.
 MAX_PANEL = 0.25
-#: Panels a single integral may test before giving up.
+#: Panels one ``panel_walk`` may test before giving up.
 MAX_PANELS = 2000
-#: ``smooth_integrals``' panel test per unit tau, relative to an interval's largest |fn|,
-#: and its floor on a scale's g: max g = 1, so g rounds to about eps per unit tau.
+#: ``smooth_integrals``' tol, and the absolute rounding of a scale's g (max g = 1):
+#: the walk's floor for g's integrals and, times r_max max|F/R|, for Levin's.
 SMOOTH_TOL, G_FLOOR = 1e-13, float(np.finfo(float).eps)
 
 
@@ -76,40 +79,83 @@ def _chebyshev(n: int):
 _X, _D, _W = _chebyshev(NODES - 1)
 
 
-def smooth_integrals(fn, a, b, floor: float = 0.0) -> np.ndarray:
-    """integral of fn over each [a[i], b[i]] (either order), in one pass.
+def panel_walk(panel, join, a, b, group, tol: float, what: str):
+    """Adaptive whole-vs-halves quadrature over the directed intervals [a[i], b[i]].
 
-    ``fn`` maps a flat array of times to its real values, finite at the
-    Lobatto nodes (ends included).  Panels at most ``MAX_PANEL`` wide are
-    refined a round at a time, each round in one call of fn, and a panel is
-    accepted, with the sum over its halves, when the two agree within
-    ``SMOOTH_TOL`` times the largest |fn| met on its interval, plus
-    ``floor``, per unit tau.  ``ConvergenceFailure`` on the ``MAX_PANELS``
-    budget or a failing panel too narrow to split: no truncated sum.
+    Each interval is cut from a[i] into equal panels at most ``MAX_PANEL``
+    wide, all refined together a round at a time.  ``panel(lo, hi, seed)``
+    takes the ascending ends of a round's panels and each one's interval and
+    returns (parts, bounds): per-panel arrays, the first (n, k) the integral
+    tested, and a function of each panel's (size, floor), called in the
+    first round only.  ``join(lower, upper)`` makes a panel's parts from its
+    halves'.  The first round evaluates the wholes too; a failed panel's
+    halves are the next round's.  A panel passes when its integral and its
+    halves' differ by at most (tol S + floor) width in every component, S
+    and floor the largest of the first round in its interval's ``group``,
+    fixed before any panel passes: a NaN fails, and a panel's fate is its
+    own.  ``ConvergenceFailure`` past ``MAX_PANELS`` panels tested or for a
+    failing panel too narrow to split: never a truncated sum.  A DEBUG line
+    per walk that tests a panel.  Returns (seed, parts) of the accepted
+    panels in interval order, each interval's from a[i].
     """
     a, b = (np.ravel(x).astype(float) for x in np.broadcast_arrays(a, b))
+    group, sign = np.broadcast_to(group, a.shape), np.where(b < a, -1.0, 1.0)
     n = np.ceil(np.abs(b - a) / MAX_PANEL).astype(int)
-    idx = np.repeat(np.arange(a.size), n)
-    k = np.arange(idx.size) - np.searchsorted(idx, idx)  # panel k of n on its interval
-    lo, hi = (a[idx] * (1 - s) + b[idx] * s for s in (k / n[idx], (k + 1) / n[idx]))
-    top, total, tested = np.zeros(a.size), np.zeros(a.size), 0
-    while lo.size:
+    seed = np.repeat(np.arange(a.size), n)
+    k = np.arange(seed.size) - np.searchsorted(seed, seed)  # panel k of n from a, as linspace
+    step = ((b - a) / np.maximum(n, 1))[seed]
+    x, y = a[seed] + k * step, np.where(k + 1 == n[seed], b[seed], a[seed] + (k + 1) * step)
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    if not lo.size:  # no panel: the parts, shaped, from one empty call
+        return seed, panel(lo, hi, seed)[0]
+    top, whole, done, tested = np.zeros((group.max() + 1, 2)), None, [], 0
+    while True:
         if (tested := tested + lo.size) > MAX_PANELS:
-            raise ConvergenceFailure(f"smooth quadrature used {MAX_PANELS} panels")
+            raise ConvergenceFailure(f"{what} used {MAX_PANELS} panels before covering ["
+                                     f"{min(a.min(), b.min()):.6g}, {max(a.max(), b.max()):.6g}]")
         mid = 0.5 * (lo + hi)
-        x, y = np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi])
-        h = 0.5 * (y - x)
-        vals = np.reshape(fn(((x + h)[:, None] + h[:, None] * _X).ravel()), (-1, NODES))
-        np.fmax.at(top, np.tile(idx, 3), np.abs(vals).max(axis=1))  # a NaN fails below
-        whole, left, right = (h * (vals @ _W)).reshape(3, -1)
-        width, halves = np.abs(hi - lo), left + right
-        ok = np.abs(whole - halves) <= (SMOOTH_TOL * top[idx] + floor) * width
-        if (narrow := ~ok & (width < 1e-12 * np.maximum(np.abs(lo), 1.0))).any():
-            raise ConvergenceFailure(f"smooth panel underflow at tau={mid[narrow][0]:.6g}")
-        total += np.bincount(idx[ok], halves[ok], a.size)
-        lo, hi = (np.stack(p, axis=1)[~ok].ravel() for p in ((lo, mid), (mid, hi)))
-        idx = np.repeat(idx[~ok], 2)
-    return total
+        ends = [(lo, mid), (mid, hi)] if whole else [(lo, hi), (lo, mid), (mid, hi)]
+        parts, bounds = panel(*map(np.concatenate, zip(*ends)), np.tile(seed, len(ends)))
+        parts = [p.reshape(len(ends), lo.size, *p.shape[1:]) for p in parts]
+        if whole:
+            parts = [np.concatenate([w[None], p]) for w, p in zip(whole, parts)]
+        else:  # a NaN size is ignored here and fails its panel below
+            np.fmax.at(top, np.tile(group[seed], 3), bounds())
+        halves = join([p[1] for p in parts], [p[2] for p in parts])
+        s, floor = top[group[seed]].T
+        ok = np.all(np.abs(parts[0][0] - halves[0]).T <= (tol * s + floor) * (hi - lo), axis=0)
+        done.append((seed[ok], lo[ok], [h[ok] for h in halves]))
+        if ok.all():
+            break
+        if (narrow := ~ok & (hi - lo < 1e-12 * np.maximum(np.abs(lo), 1.0))).any():
+            raise ConvergenceFailure(f"{what} panel underflow at tau={mid[narrow][0]:.6g}")
+        lo, hi = (np.stack(e, axis=1)[~ok].ravel() for e in zip(*ends[-2:]))
+        seed = np.repeat(seed[~ok], 2)
+        whole = [np.swapaxes(p[-2:], 0, 1)[~ok].reshape(-1, *p.shape[2:]) for p in parts]
+    seeds, los, parts = zip(*done)
+    seed, lo = np.concatenate(seeds), np.concatenate(los)
+    order = np.lexsort((sign[seed] * lo, seed))
+    log.debug("%s: %d intervals, %d panels tested, %d accepted", what, a.size, tested, order.size)
+    return seed[order], [np.concatenate(p)[order] for p in zip(*parts)]
+
+
+def smooth_integrals(fn, a, b, floor: float = 0.0) -> np.ndarray:
+    """integral of fn over each [a[i], b[i]] (either order), in one ``panel_walk``.
+
+    ``fn`` maps a flat array of times to its real values, finite at the Lobatto
+    nodes (ends included), whose Clenshaw-Curtis rule is a panel; tol ``SMOOTH_TOL``.
+    """
+    a, b = (np.ravel(x).astype(float) for x in np.broadcast_arrays(a, b))
+
+    def panel(lo, hi, _):
+        h = 0.5 * (hi - lo)
+        vals = np.reshape(fn(((lo + h)[:, None] + h[:, None] * _X).ravel()), (-1, NODES))
+        return [(h * (vals @ _W))[:, None]], lambda: np.stack(
+            [np.abs(vals).max(axis=1), np.full(lo.size, floor)], axis=1)
+
+    seed, (halves,) = panel_walk(panel, lambda lower, upper: [lower[0] + upper[0]], a, b,
+                                 np.arange(a.size), SMOOTH_TOL, "smooth_integrals")
+    return np.sign(b - a) * np.bincount(seed, halves[:, 0], a.size)
 
 
 def spectral_norm(a):
@@ -492,14 +538,16 @@ def bump(support: tuple, direction, amplitude: float = 1.0) -> TestFunction:
     """Mollifier bump along a fixed (normalized) spinor direction.
 
     The profile is ``amplitude * exp(-1/(1-x^2))`` with x rescaled so the
-    bump fills ``support``.
+    bump fills ``support``; the amplitude must be finite.
     """
     a, b = float(support[0]), float(support[1])
     d = np.asarray(direction, dtype=complex)
-    if d.shape != (2,) or not np.linalg.norm(d) > 0:
-        raise InvalidParameter("direction must be a nonzero complex 2-vector")
+    if d.shape != (2,) or not (np.isfinite(d).all() and np.linalg.norm(d) > 0):
+        raise InvalidParameter("direction must be a finite nonzero complex 2-vector")
     d = d / np.linalg.norm(d)
     amp = float(amplitude)
+    if not np.isfinite(amp):
+        raise InvalidParameter(f"amplitude must be finite, got {amp}")
 
     def profile(tau):
         x = (2.0 * tau - a - b) / (b - a)

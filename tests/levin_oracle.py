@@ -1,20 +1,23 @@
 """The depth-first Levin walk: the oracle of ``levin.levin_integral``.
 
-Production walks each leg a refinement round at a time, every pending
-panel of a round evaluated in one batch.  Here each panel is evaluated on
+Production walks both legs a refinement round at a time in one
+``model.panel_walk``, every pending panel of a round evaluated in one
+batch.  Here a first pass evaluates every initial panel with its halves,
+one at a time, for the rule's S and floor; then each panel is evaluated on
 its own and refined depth first, its halves tested before the next panel,
 and each accepted panel is added, as it is met, to the row of the piece of
-``scale.pieces(lo, hi)`` that holds it.  A panel's acceptance
-depends on that panel alone, so both walks build the same refinement tree
-and sum the same panels in the same (leg) order: their results must agree
-bit for bit, and so must their tested and accepted counts.
+``scale.pieces(lo, hi)`` that holds it.  With S and the floor fixed first,
+a panel's acceptance depends on that panel alone, so both walks build the
+same refinement tree and sum the same panels in the same (leg) order:
+their results must agree bit for bit, and so must their tested and
+accepted counts.
 """
 
 import numpy as np
 
 from diracsea.errors import ConvergenceFailure
 from diracsea.evolution import accumulated_phase, frequency, leg_plan
-from diracsea.levin import _D, _W, _X, MAX_PANEL, MAX_PANELS
+from diracsea.model import _D, _W, _X, G_FLOOR, MAX_PANEL, MAX_PANELS
 
 
 def levin_integral_depth_first(mode, scale, integrand, omegas, lo, hi, tol):
@@ -26,7 +29,7 @@ def levin_integral_depth_first(mode, scale, integrand, omegas, lo, hi, tol):
     starts = [a for a, _, _ in scale.pieces(lo, hi)]
 
     def panel(a, b, r):
-        """(local integral with psi(a) = 0, psi increment, node maxima)."""
+        """(local integral with psi(a) = 0, psi increment, size, floor)."""
         h = 0.5 * (b - a)
         ts = 0.5 * (a + b) + h * _X
         rs = np.full(ts.shape, scale.value(ts) if r is None else r)
@@ -41,23 +44,41 @@ def levin_integral_depth_first(mode, scale, integrand, omegas, lo, hi, tol):
             except np.linalg.LinAlgError:
                 p = np.full((osc.sum(), ts.size), np.nan)
             local[osc] = p[:, 0] * np.exp(1j * omegas[osc] * dpsi) - p[:, -1]
-        return local, dpsi, np.abs(vals).max(axis=0)
+        size = np.abs(vals)
+        return (local, dpsi, size.max(),
+                G_FLOOR * scale.r_max * (size / rs[:, None]).max())
 
-    def leg(anchor, end, psi):
-        nonlocal tested, accepted
-        total = np.zeros((len(starts), omegas.size), dtype=complex)
+    def seeds(anchor, end):
+        """The leg's initial panels (near, far, r, whole), in leg order."""
         sign = 1.0 if end > anchor else -1.0
         pending = []
         for a, b, r in scale.pieces(min(anchor, end), max(anchor, end))[::int(sign)]:
             near, far = (a, b) if sign > 0 else (b, a)
             cuts = np.linspace(near, far, int(np.ceil((b - a) / MAX_PANEL)) + 1)
             pending += [(x, y, r, None) for x, y in zip(cuts, cuts[1:])]
+        return pending
+
+    legs = [(anchor, end, seeds(anchor, end)) for anchor, (end,) in leg_plan(mode.tau0, (lo, hi))]
+    # the first round: every initial panel and its halves, for S and the floor
+    s = floor = 0.0
+    for *_, pending in legs:
+        for near, far, r, _ in pending:
+            a, b = min(near, far), max(near, far)
+            mid = 0.5 * (a + b)
+            for x, y in ((a, b), (a, mid), (mid, b)):
+                *_, size, size_floor = panel(x, y, r)
+                s, floor = np.fmax(s, size), np.fmax(floor, size_floor)
+
+    def leg(anchor, end, pending, psi):
+        nonlocal tested, accepted
+        total = np.zeros((len(starts), omegas.size), dtype=complex)
+        sign = 1.0 if end > anchor else -1.0
         while pending:
             near, far, r, whole = pending.pop(0)
             tested += 1
             if tested > MAX_PANELS:
                 raise ConvergenceFailure(
-                    f"oscillatory quadrature used {MAX_PANELS} panels "
+                    f"levin_integral used {MAX_PANELS} panels "
                     f"before covering [{lo:.6g}, {hi:.6g}]")
             a, b = min(near, far), max(near, far)
             mid = 0.5 * (a + b)
@@ -66,12 +87,11 @@ def levin_integral_depth_first(mode, scale, integrand, omegas, lo, hi, tol):
             left, right = panel(a, mid, r), panel(mid, b, r)
             local = left[0] + np.exp(1j * omegas * left[1]) * right[0]
             dpsi = left[1] + right[1]
-            size = np.maximum(np.max([whole[2], left[2], right[2]], axis=0), 1.0)
             err = np.abs(whole[0] - local)
-            if not np.all(err <= tol * (b - a) * size):
+            if not np.all(err <= (tol * s + floor) * (b - a)):
                 if b - a < 1e-12 * max(abs(a), 1.0):
                     raise ConvergenceFailure(
-                        f"oscillatory quadrature panel underflow at tau={mid:.6g}")
+                        f"levin_integral panel underflow at tau={mid:.6g}")
                 near_half, far_half = (left, right) if sign > 0 else (right, left)
                 pending[:0] = [(near, mid, r, near_half), (mid, far, r, far_half)]
                 continue
@@ -83,6 +103,6 @@ def levin_integral_depth_first(mode, scale, integrand, omegas, lo, hi, tol):
             accepted += 1
         return total
 
-    legs = [leg(anchor, end, accumulated_phase(mode, scale, mode.tau0, anchor))
-            for anchor, (end,) in leg_plan(mode.tau0, (lo, hi))]
-    return sum(legs[1:], legs[0]), tested, accepted
+    totals = [leg(anchor, end, pending, accumulated_phase(mode, scale, mode.tau0, anchor))
+              for anchor, end, pending in legs]
+    return sum(totals[1:], totals[0]), tested, accepted

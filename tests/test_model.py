@@ -178,8 +178,15 @@ class TestBump:
         phi = bump((1.0, np.pi), np.array([1.0, 0.0]), 1.0)
         with pytest.raises(DomainError):
             dust_scale(1.0).check_domain(*phi.support)
-        with pytest.raises(InvalidParameter):
-            bump((1.0, 2.0), np.array([0.0, 0.0]), 1.0)
+        for direction in ((0.0, 0.0), (np.inf, 0.0), (np.nan, 1.0)):
+            with pytest.raises(InvalidParameter):
+                bump((1.0, 2.0), np.array(direction), 1.0)
+
+    @pytest.mark.parametrize("amplitude", [np.nan, np.inf, -np.inf])
+    def test_non_finite_amplitude_rejected(self, amplitude):
+        # such a probe would spend a whole panel budget on any image or norm
+        with pytest.raises(InvalidParameter, match="amplitude"):
+            bump((1.0, 2.0), (1, 0), amplitude=amplitude)
 
     @given(st.floats(min_value=-2.0, max_value=2.0))
     @settings(max_examples=50)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
-from diracsea import cfs, levin, projector, stepper
+from diracsea import cfs, levin, model, projector, stepper
 from diracsea.bloch import (build_six_segment, build_twelve_segment, make_scenario,
                             perturb_scenario)
 from diracsea.errors import (ConvergenceFailure, DegenerateSignature, DomainError,
@@ -799,8 +799,8 @@ class TestLevinRoute:
 
         levin_integral(levin_mode(1.5), dust_scale(10.0), integrand, (2.0,),
                        0.5, 2.5, 1e-10)
-        (line,) = [r.getMessage() for r in caplog.records if r.name == "diracsea.levin"]
-        match = re.fullmatch(r"levin_integral: 2 legs, (\d+) panels tested, "
+        (line,) = levin_lines(caplog)
+        match = re.fullmatch(r"levin_integral: 2 intervals, (\d+) panels tested, "
                              r"(\d+) accepted", line)
         tested, accepted = map(int, match.groups())
         assert 0 < accepted <= tested
@@ -808,13 +808,13 @@ class TestLevinRoute:
         # panel's two halves at least
         assert all(size % levin.NODES == 0 for size in calls)
         assert sum(calls) >= 2 * tested * levin.NODES
-        # one call per round: every panel here passes in its leg's first
-        # round, so each of the two legs makes one call
-        assert accepted == tested and len(calls) == 2
+        # one call per round: every panel here passes in the first round,
+        # so the two legs make one call between them
+        assert accepted == tested and len(calls) == 1
 
     def test_exhausted_panel_budget_raises(self, monkeypatch):
         # [0.1, 3.0] starts as 12 panels, more than the budget allows
-        monkeypatch.setattr(levin, "MAX_PANELS", 5)
+        monkeypatch.setattr(model, "MAX_PANELS", 5)
         with pytest.raises(ConvergenceFailure, match="5 panels"):
             levin_integral(levin_mode(1.5), dust_scale(10.0),
                            lambda ts, rs: rs[:, None], (2.0,), 0.1, 3.0, 1e-10)
@@ -829,18 +829,57 @@ class TestLevinRoute:
                            (2.0,), 0.1, 3.0, 1e-10)
 
 
+class TestWalkRule:
+    """The panel rule, (tol S + floor) per unit tau: S the largest integrand
+    value of the whole integral, the floor the rounding R carries from g."""
+
+    def test_small_image_keeps_its_relative_accuracy(self):
+        # norm 4.6e-3: a rule absolute below size 1 left it 2.7e-9 off
+        sc = perturb_scenario(build_six_segment(), 0, 0.047626)
+        phi = bump((0.970608, 2.08056), (1, 0.5j))
+        want = p_wkb_leading_apply(sc.mode, sc, phi, tol=1e-13).value
+        assert rel_diff(p_wkb_leading_apply(sc.mode, sc, phi).value, want) < 1e-11
+
+    @pytest.mark.parametrize("lam", [0.5, -1.5, 7.5])
+    def test_signature_converges_under_rounding_noise(self, lam):
+        # near tau = 0.02 dust's 1 - cos tau carries about 4e-14 relative
+        # noise, far above 2e-14 of the integrand there
+        mode, sc = levin_mode(lam), dust_scale(1e4)
+        got = signature_operator_wkb(mode, sc, ode_tol=2e-14).s.matrix
+        want = signature_operator_wkb(mode, sc, ode_tol=1e-12).s.matrix
+        assert rel_diff(got, want) < 1e-12
+
+    @pytest.mark.parametrize("r_max,support", [(300.0, (3.0, 3.14)), (10.0, (0.005, 0.05)),
+                                               (1e4, (0.005, 0.05))])
+    @pytest.mark.parametrize("lam", [-1.5, 7.5])
+    def test_probe_image_converges_at_2e_14(self, r_max, support, lam):
+        # near the crunch a rule relative to each panel met rounding noise; near
+        # the bang R is small, and without the floor of g's rounding no panel
+        # there passes; the image is about 2e-6 at r_max 10, which a rule
+        # absolute below size 1 resolved to 4e-10 only
+        mode, sc = levin_mode(lam), dust_scale(r_max)
+        phi = bump(support, np.array([1.0, 0.0]))
+        got = k_wkb_apply(mode, sc, phi, tol=2e-14).value
+        assert rel_diff(got, k_wkb_apply(mode, sc, phi, tol=1e-12).value) < 1e-11
+
+
+def levin_lines(caplog, start=0):
+    """The DEBUG lines of the ``levin_integral`` walks logged since ``start``."""
+    return [r.getMessage() for r in caplog.records[start:]
+            if r.name == "diracsea.model" and r.getMessage().startswith("levin_integral:")]
+
+
 def levin_against_oracle(monkeypatch, caplog):
     """Send projector's Levin calls through the round walk and the depth-first
     oracle both; each result must be bit-identical, with the same DEBUG
     counts.  Returns the list of the calls' omegas."""
-    caplog.set_level(logging.DEBUG, logger="diracsea.levin")
+    caplog.set_level(logging.DEBUG, logger="diracsea.model")
     seen = []
 
     def both(mode, scale, integrand, omegas, lo, hi, tol):
         start = len(caplog.records)
         got = levin_integral(mode, scale, integrand, omegas, lo, hi, tol)
-        (line,) = [r.getMessage() for r in caplog.records[start:]
-                   if r.name == "diracsea.levin"]
+        (line,) = levin_lines(caplog, start)
         want, tested, accepted = levin_integral_depth_first(mode, scale, integrand,
                                                             omegas, lo, hi, tol)
         assert np.array_equal(got, want)
@@ -895,7 +934,7 @@ class TestRoundsMatchDepthFirst:
     def test_refined_leg_takes_one_call_per_round(self, caplog):
         # a narrow bump refines its panels over several rounds; each round
         # is one integrand call, far fewer than the panels tested
-        caplog.set_level(logging.DEBUG, logger="diracsea.levin")
+        caplog.set_level(logging.DEBUG, logger="diracsea.model")
         calls = []
 
         def integrand(ts, rs):
@@ -905,11 +944,12 @@ class TestRoundsMatchDepthFirst:
         mode, sc = levin_mode(1.5), dust_scale(10.0)
         got = levin_integral(mode, sc, integrand, (2.0,), 0.5, 2.5, 1e-10)
         rounds = len(calls)
-        (line,) = [r.getMessage() for r in caplog.records if r.name == "diracsea.levin"]
+        (line,) = levin_lines(caplog)
         want, tested, accepted = levin_integral_depth_first(mode, sc, integrand, (2.0,),
                                                             0.5, 2.5, 1e-10)
         assert np.array_equal(got, want)
-        assert line == f"levin_integral: 2 legs, {tested} panels tested, {accepted} accepted"
+        assert line == (f"levin_integral: 2 intervals, {tested} panels tested, "
+                        f"{accepted} accepted")
         assert accepted < tested and 4 * rounds < tested
 
     def test_singular_panel_is_split(self, monkeypatch, caplog):
@@ -988,7 +1028,8 @@ class TestPiecewiseExactRoute:
            st.sampled_from([1.5, -1.5, 2.5, -2.5]), st.data())
     def test_one_walk_is_the_segment_walks(self, segments, lam, data):
         # the one-walk exact image against a Levin walk per segment, each
-        # conjugated by its segment's W, as the images were once taken
+        # conjugated by its segment's W, as the images were once taken; each
+        # per-segment walk has its own S, so both sides run at 1e-13
         widths, values = zip(*segments)
         sc = PiecewiseConstantScale(tuple(np.cumsum((0.0, *widths)).tolist()), values)
         first = data.draw(st.integers(0, len(values) - 1))
@@ -1012,20 +1053,20 @@ class TestPiecewiseExactRoute:
 
         want = 0.0
         for a, b, _ in sc.pieces(lo, hi):
-            (vals,) = levin_integral(mode, sc, integrand, (1.0, -1.0), a, b, 1e-10)
+            (vals,) = levin_integral(mode, sc, integrand, (1.0, -1.0), a, b, 1e-13)
             c = v0 @ wkb_deviation(mode, sc, 0.5 * (a + b)).matrix
             want = want + c.conj().T @ vals
-        assert rel_diff(k_m_apply(mode, sc, phi).value, want) < 1e-12
+        assert rel_diff(k_m_apply(mode, sc, phi, tol=1e-13).value, want) < 1e-12
 
     def test_panel_budget_is_one_per_image(self, monkeypatch, caplog):
         # a budget each segment's own walk of the image's integrand fits in,
         # but not the support's: the one walk raises, once, naming the support
         mode, sc, support = PIECEWISE_CASES["tau0_below"]()
         phi = bump(support, np.array([0.6, 0.8j]))
-        caplog.set_level(logging.DEBUG, logger="diracsea.levin")
+        caplog.set_level(logging.DEBUG, logger="diracsea.model")
 
         def tested():
-            (line,) = [r.getMessage() for r in caplog.records if r.name == "diracsea.levin"]
+            (line,) = levin_lines(caplog)
             caplog.clear()
             return int(re.search(r"(\d+) panels tested", line).group(1))
 
@@ -1041,7 +1082,7 @@ class TestPiecewiseExactRoute:
             walk(mode, sc, integrand, omegas, a, b, tol)
             per_segment.append(tested())
         assert (lo, hi) == support and len(per_segment) > 1 and max(per_segment) < whole
-        monkeypatch.setattr(levin, "MAX_PANELS", whole - 1)
+        monkeypatch.setattr(model, "MAX_PANELS", whole - 1)
         calls.clear()
         with pytest.raises(ConvergenceFailure, match=re.escape(
                 f"{whole - 1} panels before covering [{lo:.6g}, {hi:.6g}]")):

@@ -19,6 +19,10 @@
   ``exact_transport``: no SO(3) transport or SVD re-projection is left in
   the package, and only the piecewise closed forms read the hard-wired
   ``rotation_generator``.
+* One adaptive panel walk, ``model.panel_walk``, holds the refinement
+  ``while`` loop and raises the panel-budget ``ConvergenceFailure``: the
+  only other ``while`` is the stepper's step loop, and neither ``levin``
+  nor ``smooth_integrals`` holds one.
 * ``levin.levin_integral`` calls its integrand in one place, ``panel``,
   with the nodes of all of a round's panels at once: no loop runs there.
   ``projector`` calls the walk in one place, ``_segments``, outside any
@@ -212,6 +216,19 @@ def test_levin_calls_the_integrand_once_per_round():
     panel = _function("levin", "levin_integral.panel")
     assert not [node for node in ast.walk(panel)
                 if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+
+
+def test_one_panel_walk():
+    def budget_raise(node):
+        return (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None) == "ConvergenceFailure"
+                and "MAX_PANELS" in _names(node.exc))
+
+    assert set(_sites(budget_raise)) == {("model", "panel_walk")}
+    assert set(_sites(lambda node: isinstance(node, ast.While))) == {
+        ("stepper", "integrate"), ("model", "panel_walk")}
+    for fn in (MODULES["levin"], _function("model", "smooth_integrals")):
+        assert not [node for node in ast.walk(fn) if isinstance(node, ast.While)]
 
 
 def test_projector_takes_one_levin_walk_per_image():
