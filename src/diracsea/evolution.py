@@ -242,23 +242,45 @@ def interval_integral(transport: Transport, integrand, width: int, intervals,
     return np.array([running[hi] - running[lo] for lo, hi in intervals])
 
 
+def _mode_stack(modes) -> tuple:
+    modes = tuple(modes)
+    if not modes:
+        raise InvalidParameter("a propagator stack needs at least one mode")
+    return modes
+
+
 def exact_transport(modes, scale: ScaleFunction, tau0: float) -> Transport:
     """Exact propagators U(tau <- tau0) of modes sharing R, as one (N, 2, 2) stack.
 
     dU/dtau = -i H U with H = r (m sigma3) - lam sigma1 is a signed row
     permutation of the flat stack: -i r m sigma3 U flips the sign of row 1,
-    i lam sigma1 U swaps the rows.  The stack is polar re-unitarized after
-    every accepted step, and the fastest mode sets the step ceiling.
+    i lam sigma1 U swaps the rows.  The stack size picks the form, once:
+    one mode takes it on Python scalars, the numpy form's products and
+    sums in its order, so bit for bit (but for the sign of a zero where a
+    product underflows), at a third of its cost per call; a larger stack
+    keeps numpy, whose cost per call hardly grows with it.
+    The stack is polar re-unitarized after every accepted step, and the
+    fastest mode sets the step ceiling.
     """
-    modes = tuple(modes)
+    modes = _mode_stack(modes)
     pairs = [(m.lam, m.mass) for m in modes]
     lams, masses = np.array(pairs).T
     signed_mass = np.kron(-1j * masses, [1.0, 1.0, -1.0, -1.0])
     coupling = np.repeat(1j * lams, 4)
-    row_swap = np.arange(4 * len(modes)) ^ 2
+    if len(modes) == 1:
+        top, _, bottom, _ = signed_mass.tolist()
+        lam_i = coupling.tolist()[0]
 
-    def rhs(t, r, x):
-        return r * signed_mass * x + coupling * x[row_swap]
+        def rhs(t, r, x):
+            a, b, c, d = x.tolist()
+            r_top, r_bottom = r * top, r * bottom
+            return [r_top * a + lam_i * c, r_top * b + lam_i * d,
+                    r_bottom * c + lam_i * a, r_bottom * d + lam_i * b]
+    else:
+        row_swap = np.arange(4 * len(modes)) ^ 2
+
+        def rhs(t, r, x):
+            return r * signed_mass * x + coupling * x[row_swap]
 
     def restore(t, x):
         return polar_unitary(x.reshape(-1, 2, 2)).ravel()
@@ -296,7 +318,7 @@ def propagators(modes, scale: ScaleFunction, tau_from: float, taus,
     check_ode_tol(tol)
     taus = [float(t) for t in taus]
     scale.check_domain(tau_from, *taus)
-    modes = tuple(modes)
+    modes = _mode_stack(modes)
 
     if scale.is_piecewise:
         return _piecewise_propagators(modes, scale, tau_from, taus)

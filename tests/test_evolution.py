@@ -2,7 +2,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -143,6 +143,48 @@ class TestEvolve:
         for t, u in zip(taus, us):
             ref = evolve(mode, sc, 0.5, t, tol=1e-11).u.matrix
             assert spectral_norm(u - ref) < 1e-9
+
+    @pytest.mark.parametrize("scale", [dust_scale(10.0), build_six_segment()],
+                             ids=["smooth", "piecewise"])
+    def test_empty_mode_stack_is_rejected(self, scale):
+        with pytest.raises(InvalidParameter, match="at least one mode"):
+            propagators((), scale, 1.0, [2.0])
+        with pytest.raises(InvalidParameter, match="at least one mode"):
+            evolution.exact_transport((), scale, 1.0)
+
+
+def _away_from_underflow(bound):
+    """Signed zeros, or magnitudes in [1e-100, bound]: no product underflows."""
+    return st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-100, bound),
+                     st.floats(-bound, -1e-100))
+
+
+class TestExactTransportForms:
+    # One mode steps on Python scalars, a stack on numpy; the numpy form is
+    # the reference, so each entry must match it to the bit, signed zeros
+    # too.  Every complex product here has one exactly zero term, so numpy's
+    # fused multiply-add (where its SIMD loop uses one) and Python's
+    # unfused product agree, except where a product underflows: there the
+    # sign of a zero may differ, so the inputs stay clear of underflow.
+    @settings(max_examples=300, deadline=None)
+    @given(_away_from_underflow(20.0), st.floats(1e-3, 50.0),
+           st.one_of(st.just(0.0), st.floats(1e-100, 1e3)),
+           st.lists(_away_from_underflow(1e3), min_size=16, max_size=16),
+           st.floats(0.0, 3.0))
+    def test_one_mode_is_the_first_block_of_a_stack(self, lam, mass, r, parts, t):
+        mode = research_mode(lam, mass=mass)
+        one = evolution.exact_transport((mode,), dust_scale(10.0), TAU0)
+        # the partner turns at the same rate, so the stack's ceiling is the mode's
+        two = evolution.exact_transport((mode, research_mode(-lam, mass=mass)),
+                                        dust_scale(10.0), TAU0)
+        state = np.array(parts[:8]) + 1j * np.array(parts[8:])
+        x = state[:4].copy()
+        assert (np.asarray(one.rhs(t, r, x), dtype=complex).tobytes()
+                == np.asarray(two.rhs(t, r, state))[:4].tobytes())
+        assume(np.abs(np.linalg.det(state.reshape(2, 2, 2))).min() > 1e-9)
+        assert one.restore(t, x).tobytes() == two.restore(t, state)[:4].tobytes()
+        assert one.frequency(r) == two.frequency(r)
+        assert np.array_equal(one.start, two.start[:4])
 
 
 class TestWkbFrame:

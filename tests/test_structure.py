@@ -10,6 +10,9 @@
   are ``evolve``, ``evolve_grid`` and ``cfs.members_at``, one call each,
   and it alone calls the one piecewise routine, ``_piecewise_propagators``,
   the only caller of ``segment_propagator``.
+* ``exact_transport`` alone picks the form of the transport's right-hand
+  side, from the stack size: one mode steps on Python scalars, with no
+  numpy call in its ``rhs``; a larger stack keeps the numpy row permutation.
 * The stepper route stands on its own: ``cointegrate``, ``interval_integral``,
   the transports and the generator route to the WKB deviation call none
   of ``propagators``, ``accumulated_phase`` or ``levin_integral``, so the
@@ -207,6 +210,24 @@ def test_bloch_frames_are_the_adjoint_of_the_exact_propagators():
                      ("bloch", "v_rows_with_cumulative"): 2}
     assert set(_calls({"rotation_generator"})) == {("bloch", "_segment_frames"),
                                                    ("bloch", "_frames_at")}
+
+
+def test_one_mode_transport_steps_on_python_scalars():
+    # the one-mode rhs, the hot loop of every one-mode sweep, makes no numpy
+    # call; exact_transport alone picks the form, from the stack size
+    def stack_size_choice(node):
+        return (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+                and "len(modes)" in ast.unparse(node.test))
+
+    assert set(_sites(stack_size_choice)) == {("evolution", "exact_transport")}
+    (choice,) = [node for node in ast.walk(_function("evolution", "exact_transport"))
+                 if stack_size_choice(node)]
+    assert ast.unparse(choice.test) == "len(modes) == 1"
+    scalar, stacked = ([node for node in branch
+                        if isinstance(node, ast.FunctionDef) and node.name == "rhs"]
+                       for branch in (choice.body, choice.orelse))
+    assert len(scalar) == len(stacked) == 1
+    assert "np" not in _names(scalar[0])
 
 
 def test_levin_calls_the_integrand_once_per_round():
