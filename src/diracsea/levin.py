@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .evolution import accumulated_phase, frequency, leg_plan
-from .model import _D, _W, _X, G_FLOOR, NODES, Mode, ScaleFunction, panel_walk
+from .model import _D, _W, _X, G_FLOOR, NODES, Mode, ScaleFunction, chebyshev_tail, panel_walk
 
 
 def _solve(mats, rhs):
@@ -45,8 +45,10 @@ def levin_integral(mode: Mode, scale: ScaleFunction, integrand, omegas,
     and returns their (nodes, len(omegas)) array.  The walk's S is the largest
     |integrand| on its first round's nodes, its floor ``G_FLOOR`` r_max the
     largest |integrand / r| there: each integrand is R times a bounded
-    amplitude, and R = r_max g carries g's rounding.  A singular collocation
-    system fails its panel; the phase increment is not tested (f is smooth in R).
+    amplitude, and R = r_max g carries g's rounding.  A panel's estimate is its
+    width times ``model.chebyshev_tail`` of F plus, where omega != 0, that of
+    the collocation solution p (NaN where the system is singular, which fails
+    the panel).  The phase increment is not tested (f is smooth in R).
     """
     omegas = np.asarray(omegas, dtype=float)
     osc = omegas != 0.0
@@ -62,8 +64,8 @@ def levin_integral(mode: Mode, scale: ScaleFunction, integrand, omegas,
         dtype=float).reshape(-1, 4).T
 
     def panel(a, b, seed):
-        """([local integrals with psi(a) = 0, psi increments], (size, floor)) of
-        the panels [a, b], R = r on each, or the scale's where r is NaN."""
+        """([local integrals with psi(a) = 0, psi increments], err, (size, floor))
+        of the panels [a, b], R = r on each, or the scale's where r is NaN."""
         h = 0.5 * (b - a)[:, None]
         ts = 0.5 * (a + b)[:, None] + h * _X
         rs = np.where(np.isnan(r[seed])[:, None], scale.value(ts), r[seed][:, None])
@@ -72,23 +74,19 @@ def levin_integral(mode: Mode, scale: ScaleFunction, integrand, omegas,
                           (*ts.shape, omegas.size)).astype(complex)
         # one product per panel, rounding as for one panel (f @ _W would not)
         dpsi = h[:, 0] * np.matmul(_W, f[..., None])[:, 0]
-        local = h * np.matmul(_W, vals)
+        local, err = h * np.matmul(_W, vals), 2 * h * chebyshev_tail(vals)
         if osc.any():
             mats = (_D / h[..., None, None] + 1j * omegas[osc, None, None]
                     * (f[:, None, :, None] * np.eye(NODES)))
             p = _solve(mats, vals[..., osc].transpose(0, 2, 1)[..., None])[..., 0]
             local[:, osc] = (p[..., 0] * np.exp(1j * omegas[osc] * dpsi[:, None])
                              - p[..., -1])
-        return [local, dpsi], lambda: np.stack(  # (size, floor), in the first round only
+            err[:, osc] += chebyshev_tail(p.transpose(0, 2, 1))
+        return [local, dpsi], err, lambda: np.stack(  # (size, floor), in the first round only
             [np.abs(vals).max(axis=(1, 2)),
              G_FLOOR * scale.r_max * (np.abs(vals) / rs[..., None]).max(axis=(1, 2))], axis=1)
 
-    def join(lower, upper):
-        """A panel's parts from its halves', the upper half's at the lower's psi."""
-        (l_local, l_dpsi), (u_local, u_dpsi) = lower, upper
-        return [l_local + np.exp(1j * omegas * l_dpsi[:, None]) * u_local, l_dpsi + u_dpsi]
-
-    seed, (local, dpsi) = panel_walk(panel, join, start, stop, 0, tol, "levin_integral")
+    seed, (local, dpsi) = panel_walk(panel, start, stop, 0, tol, "levin_integral")
     psi = accumulated_phase(mode, scale, mode.tau0, legs[0][0])
     piece = np.searchsorted(cuts[:-1], np.minimum(start, stop)[seed], side="right")
     rows = np.zeros((len(legs), len(cuts), omegas.size), dtype=complex)

@@ -59,7 +59,7 @@ def check_quad_tol(tol: float):
 
 
 def _chebyshev(n: int):
-    """Lobatto nodes cos(pi k / n) (descending), differentiation matrix, CC weights."""
+    """Lobatto nodes cos(pi k / n) (descending), differentiation matrix, CC weights, tail."""
     k = np.arange(n + 1)
     x = np.cos(np.pi * k / n)
     c = np.where((k == 0) | (k == n), 2.0, 1.0) * (-1.0) ** k
@@ -73,69 +73,71 @@ def _chebyshev(n: int):
     w = np.empty(n + 1)
     w[0] = w[-1] = 1.0 / (n * n - 1) if n % 2 == 0 else 1.0 / (n * n)
     w[1:-1] = 2.0 * v / n
-    return x, d, w
+    tail = np.cos(np.pi * np.outer([n - 1, n], k) / n) * 2.0 / (n * np.abs(c))
+    return x, d, w, tail
 
 
-_X, _D, _W = _chebyshev(NODES - 1)
+_X, _D, _W, _TAIL = _chebyshev(NODES - 1)
 
 
-def panel_walk(panel, join, a, b, group, tol: float, what: str):
-    """Adaptive whole-vs-halves quadrature over the directed intervals [a[i], b[i]].
+def chebyshev_tail(vals):
+    """|a_(n-1)| + |a_n| of values (..., NODES, k) at the Lobatto nodes, (..., k):
+    the last two of a_k = (2/n) sum'' f_j T_k(x_j), their DCT-I (n = NODES - 1)."""
+    return np.abs(_TAIL @ vals).sum(axis=-2)
+
+
+def panel_walk(panel, a, b, group, tol: float, what: str):
+    """Adaptive quadrature over the directed intervals [a[i], b[i]]: each panel
+    is evaluated once and passes by its own error estimate.
 
     Each interval is cut from a[i] into equal panels at most ``MAX_PANEL``
     wide, all refined together a round at a time.  ``panel(lo, hi, seed)``
     takes the ascending ends of a round's panels and each one's interval and
-    returns (parts, bounds): per-panel arrays, the first (n, k) the integral
-    tested, and a function of each panel's (size, floor), called in the
-    first round only.  ``join(lower, upper)`` makes a panel's parts from its
-    halves'.  The first round evaluates the wholes too; a failed panel's
-    halves are the next round's.  A panel passes when its integral and its
-    halves' differ by at most (tol S + floor) width in every component, S
-    and floor the largest of the first round in its interval's ``group``,
-    fixed before any panel passes: a NaN fails, and a panel's fate is its
-    own.  ``ConvergenceFailure`` past ``MAX_PANELS`` panels tested or for a
-    failing panel too narrow to split: never a truncated sum.  A DEBUG line
-    per walk that tests a panel.  Returns (seed, parts) of the accepted
-    panels in interval order, each interval's from a[i].
+    returns (parts, err, bounds): per-panel arrays, err (n, k) the estimates,
+    and a function of each panel's (size, floor), called in the first round
+    only.  A panel passes when err <= (tol S + floor) width in every component,
+    S and floor the largest of the first round in its interval's ``group`` (a
+    NaN fails).  A failed panel is cut into the k equal panels that would pass
+    if its miss, err / bar, shrank like width^(NODES - 1) as a resolved one's
+    does, or is halved if that miss is not finite.  ``ConvergenceFailure`` past
+    ``MAX_PANELS`` panels tested or for a failing panel too narrow to split:
+    never a truncated sum.  A DEBUG line per walk: panels tested (evaluated)
+    and accepted, and the largest component's sum of accepted err, a bound on
+    each sum's absolute error.  Returns (seed, parts) of the accepted panels
+    in interval order, each interval's from a[i].
     """
     a, b = (np.ravel(x).astype(float) for x in np.broadcast_arrays(a, b))
     group, sign = np.broadcast_to(group, a.shape), np.where(b < a, -1.0, 1.0)
-    n = np.ceil(np.abs(b - a) / MAX_PANEL).astype(int)
-    seed = np.repeat(np.arange(a.size), n)
-    k = np.arange(seed.size) - np.searchsorted(seed, seed)  # panel k of n from a, as linspace
-    step = ((b - a) / np.maximum(n, 1))[seed]
-    x, y = a[seed] + k * step, np.where(k + 1 == n[seed], b[seed], a[seed] + (k + 1) * step)
-    lo, hi = np.minimum(x, y), np.maximum(x, y)
-    if not lo.size:  # no panel: the parts, shaped, from one empty call
-        return seed, panel(lo, hi, seed)[0]
-    top, whole, done, tested = np.zeros((group.max() + 1, 2)), None, [], 0
+    x, y, seed = a, b, np.arange(a.size)  # cut each [x, y] into count equal panels
+    count, top, done, tested = np.ceil(np.abs(b - a) / MAX_PANEL).astype(int), None, [], 0
     while True:
-        if (tested := tested + lo.size) > MAX_PANELS:
+        if (tested := tested + count.sum()) > MAX_PANELS:
             raise ConvergenceFailure(f"{what} used {MAX_PANELS} panels before covering ["
                                      f"{min(a.min(), b.min()):.6g}, {max(a.max(), b.max()):.6g}]")
-        mid = 0.5 * (lo + hi)
-        ends = [(lo, mid), (mid, hi)] if whole else [(lo, hi), (lo, mid), (mid, hi)]
-        parts, bounds = panel(*map(np.concatenate, zip(*ends)), np.tile(seed, len(ends)))
-        parts = [p.reshape(len(ends), lo.size, *p.shape[1:]) for p in parts]
-        if whole:
-            parts = [np.concatenate([w[None], p]) for w, p in zip(whole, parts)]
-        else:  # a NaN size is ignored here and fails its panel below
-            np.fmax.at(top, np.tile(group[seed], 3), bounds())
-        halves = join([p[1] for p in parts], [p[2] for p in parts])
+        i = np.repeat(np.arange(count.size), count)  # panel j of [x[i], y[i]], as linspace
+        j, step, seed = np.arange(i.size) - np.searchsorted(i, i), (y - x)[i] / count[i], seed[i]
+        x, y = x[i] + j * step, np.where(j + 1 == count[i], y[i], x[i] + (j + 1) * step)
+        lo, hi = np.minimum(x, y), np.maximum(x, y)
+        parts, err, bounds = panel(lo, hi, seed)
+        if top is None:  # a NaN size is ignored here and fails its panel below
+            np.fmax.at(top := np.zeros((group.max(initial=0) + 1, 2)), group[seed], bounds())
         s, floor = top[group[seed]].T
-        ok = np.all(np.abs(parts[0][0] - halves[0]).T <= (tol * s + floor) * (hi - lo), axis=0)
-        done.append((seed[ok], lo[ok], [h[ok] for h in halves]))
+        ok = np.all(err.T <= (bar := (tol * s + floor) * (hi - lo)), axis=0)
+        done.append((seed[ok], lo[ok], err[ok], [p[ok] for p in parts]))
         if ok.all():
             break
         if (narrow := ~ok & (hi - lo < 1e-12 * np.maximum(np.abs(lo), 1.0))).any():
-            raise ConvergenceFailure(f"{what} panel underflow at tau={mid[narrow][0]:.6g}")
-        lo, hi = (np.stack(e, axis=1)[~ok].ravel() for e in zip(*ends[-2:]))
-        seed = np.repeat(seed[~ok], 2)
-        whole = [np.swapaxes(p[-2:], 0, 1)[~ok].reshape(-1, *p.shape[2:]) for p in parts]
-    seeds, los, parts = zip(*done)
+            raise ConvergenceFailure(
+                f"{what} panel underflow at tau={0.5 * (lo + hi)[narrow][0]:.6g}")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            miss = (err[~ok].T / bar[~ok]).max(axis=0) ** (1.0 / (NODES - 1))
+        count = np.where(np.isfinite(miss), np.ceil(np.minimum(miss, MAX_PANELS)), 2).astype(int)
+        x, y, seed = lo[~ok], hi[~ok], seed[~ok]
+    seeds, los, errs, parts = zip(*done)
     seed, lo = np.concatenate(seeds), np.concatenate(los)
     order = np.lexsort((sign[seed] * lo, seed))
-    log.debug("%s: %d intervals, %d panels tested, %d accepted", what, a.size, tested, order.size)
+    log.debug("%s: %d intervals, %d panels tested, %d accepted, absolute error bound %.3g",
+              what, a.size, tested, order.size, np.concatenate(errs)[order].sum(axis=0).max())
     return seed[order], [np.concatenate(p)[order] for p in zip(*parts)]
 
 
@@ -144,18 +146,18 @@ def smooth_integrals(fn, a, b, floor: float = 0.0) -> np.ndarray:
 
     ``fn`` maps a flat array of times to its real values, finite at the Lobatto
     nodes (ends included), whose Clenshaw-Curtis rule is a panel; tol ``SMOOTH_TOL``.
+    A panel's error estimate is its width times ``chebyshev_tail`` of its values.
     """
     a, b = (np.ravel(x).astype(float) for x in np.broadcast_arrays(a, b))
 
     def panel(lo, hi, _):
         h = 0.5 * (hi - lo)
         vals = np.reshape(fn(((lo + h)[:, None] + h[:, None] * _X).ravel()), (-1, NODES))
-        return [(h * (vals @ _W))[:, None]], lambda: np.stack(
-            [np.abs(vals).max(axis=1), np.full(lo.size, floor)], axis=1)
+        return [h * (vals @ _W)], 2 * h[:, None] * chebyshev_tail(vals[..., None]), lambda: (
+            np.stack([np.abs(vals).max(axis=1), np.full(lo.size, floor)], axis=1))
 
-    seed, (halves,) = panel_walk(panel, lambda lower, upper: [lower[0] + upper[0]], a, b,
-                                 np.arange(a.size), SMOOTH_TOL, "smooth_integrals")
-    return np.sign(b - a) * np.bincount(seed, halves[:, 0], a.size)
+    seed, (parts,) = panel_walk(panel, a, b, np.arange(a.size), SMOOTH_TOL, "smooth_integrals")
+    return np.sign(b - a) * np.bincount(seed, parts, a.size)
 
 
 def spectral_norm(a):

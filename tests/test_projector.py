@@ -801,13 +801,13 @@ class TestLevinRoute:
                        0.5, 2.5, 1e-10)
         (line,) = levin_lines(caplog)
         match = re.fullmatch(r"levin_integral: 2 intervals, (\d+) panels tested, "
-                             r"(\d+) accepted", line)
-        tested, accepted = map(int, match.groups())
-        assert 0 < accepted <= tested
-        # each call takes whole panels, and the calls cover every tested
-        # panel's two halves at least
+                             r"(\d+) accepted, absolute error bound (\S+)", line)
+        tested, accepted = map(int, match.groups()[:2])
+        assert 0 < accepted <= tested and float(match.group(3)) >= 0.0
+        # each call takes whole panels, and the calls evaluate each tested
+        # panel exactly once
         assert all(size % levin.NODES == 0 for size in calls)
-        assert sum(calls) >= 2 * tested * levin.NODES
+        assert sum(calls) == tested * levin.NODES
         # one call per round: every panel here passes in the first round,
         # so the two legs make one call between them
         assert accepted == tested and len(calls) == 1
@@ -880,11 +880,12 @@ def levin_against_oracle(monkeypatch, caplog):
         start = len(caplog.records)
         got = levin_integral(mode, scale, integrand, omegas, lo, hi, tol)
         (line,) = levin_lines(caplog, start)
-        want, tested, accepted = levin_integral_depth_first(mode, scale, integrand,
-                                                            omegas, lo, hi, tol)
+        want, tested, accepted, bound = levin_integral_depth_first(
+            mode, scale, integrand, omegas, lo, hi, tol)
         assert np.array_equal(got, want)
         assert got.shape == (len(scale.pieces(lo, hi)), len(omegas))
-        assert line.endswith(f" {tested} panels tested, {accepted} accepted")
+        assert line.endswith(f" {tested} panels tested, {accepted} accepted, "
+                             f"absolute error bound {bound:.3g}")
         seen.append(tuple(omegas))
         return got
 
@@ -938,19 +939,25 @@ class TestRoundsMatchDepthFirst:
         calls = []
 
         def integrand(ts, rs):
-            calls.append(ts.size)
+            calls.append(ts)
             return (rs * np.exp(-((ts - 1.2) / 0.01) ** 2))[:, None]
 
         mode, sc = levin_mode(1.5), dust_scale(10.0)
         got = levin_integral(mode, sc, integrand, (2.0,), 0.5, 2.5, 1e-10)
         rounds = len(calls)
+        # the narrowest panel evaluated is accepted (a failed one is cut finer)
+        finest = min((ts[::levin.NODES] - ts[levin.NODES - 1::levin.NODES]).min()
+                     for ts in calls)
         (line,) = levin_lines(caplog)
-        want, tested, accepted = levin_integral_depth_first(mode, sc, integrand, (2.0,),
-                                                            0.5, 2.5, 1e-10)
+        want, tested, accepted, bound = levin_integral_depth_first(
+            mode, sc, integrand, (2.0,), 0.5, 2.5, 1e-10)
         assert np.array_equal(got, want)
         assert line == (f"levin_integral: 2 intervals, {tested} panels tested, "
-                        f"{accepted} accepted")
+                        f"{accepted} accepted, absolute error bound {bound:.3g}")
         assert accepted < tested and 4 * rounds < tested
+        # a failed panel is cut by how far it missed: fewer rounds than halving
+        # from MAX_PANEL down to the finest accepted width would take
+        assert rounds < 1 + np.log2(model.MAX_PANEL / finest)
 
     def test_singular_panel_is_split(self, monkeypatch, caplog):
         # one panel's two collocation systems are singular to working

@@ -5,7 +5,11 @@ and a probe's L1 norm are checked against 50-digit mpmath references on
 dust at m * r_max 10, 1e3 and 1e5, taking every float input as the exact
 binary number it is.  The window's cutoffs must be the rungs the closed
 form tails pick; a table scale is checked against ``scipy``'s ``quad_vec``.
+The error bound each walk logs must hold against a known value.
 """
+
+import logging
+import re
 
 import mpmath
 import numpy as np
@@ -140,3 +144,35 @@ class TestRule:
     def test_never_a_truncated_sum(self, fn, match):
         with pytest.raises(ConvergenceFailure, match=match):
             smooth_integrals(fn, 0.0, 10.0)
+
+
+def _logged_bound(caplog) -> float:
+    """The absolute error bound of the last ``smooth_integrals`` walk logged."""
+    (line, *_) = [r.getMessage() for r in reversed(caplog.records)
+                  if r.getMessage().startswith("smooth_integrals:")]
+    return float(re.search(r"absolute error bound (\S+)$", line).group(1))
+
+
+class TestLoggedBound:
+    """The DEBUG line's bound, the sum of the accepted panels' error
+    estimates, against integrals whose value is known."""
+
+    @pytest.mark.parametrize("m_rmax", M_RMAX)
+    def test_g_against_its_closed_form(self, caplog, m_rmax):
+        # dust's g = (1 - cos tau) / 2 integrates to (tau - sin tau) / 2
+        caplog.set_level(logging.DEBUG, logger="diracsea.model")
+        got = smooth_integrals(dust_scale(m_rmax).g, 0.0, np.pi, G_FLOOR)[0]
+        with mpmath.workdps(DIGITS):
+            want = (mpmath.mpf(np.pi) - mpmath.sin(mpmath.mpf(np.pi))) / 2
+        assert abs(got - want) <= _logged_bound(caplog)
+
+    @pytest.mark.parametrize("m_rmax", M_RMAX)
+    @pytest.mark.parametrize("lam", [1.5, 64.5])
+    def test_mass_term_against_mpmath(self, caplog, m_rmax, lam):
+        caplog.set_level(logging.DEBUG, logger="diracsea.model")
+        mode, scale = Mode(lam, 1.0, TAU0), dust_scale(m_rmax)
+        got = _mass_term_integral(mode, scale)
+        with mpmath.workdps(DIGITS):
+            want = _mp_integral(lambda t: _dust_r(m_rmax, t) ** 2 / mpmath.sqrt(
+                mpmath.mpf(lam) ** 2 + _dust_r(m_rmax, t) ** 2), 0.0, np.pi)
+        assert abs(got - want) <= _logged_bound(caplog)
