@@ -179,12 +179,13 @@ def perturb_scenario(scenario: Scenario, index: int, dp: float) -> Scenario:
     return replace(scenario, rotations=tuple(rotations))
 
 
-def _segment_frames(mode: Mode, scale: PiecewiseConstantScale):
-    """Frames and running integrals of v R at the segment starts and the end.
+def _frames_at(mode: Mode, scale: PiecewiseConstantScale, taus):
+    """(frames, running integrals of v R from tau = 0) at ``taus``, as stacks.
 
-    The frame is the identity at tau = 0, where the integral starts; the
-    segment widths are the differences of the breakpoints.  Each segment's
-    rotation and integral are formed once, then chained.
+    Referenced to the mode's tau0: F(tau) F(tau0)^T, with F the frame that
+    is the identity at tau = 0; the integral turns likewise.  Each segment's
+    rotation and integral are formed once and chained to the segment starts.
+    The callers check that tau0 and ``taus`` lie in the scale's domain.
     """
     values = np.array(scale.values)
     rots, ints = rotation_and_integral(rotation_generator(mode, values),
@@ -193,17 +194,7 @@ def _segment_frames(mode: Mode, scale: PiecewiseConstantScale):
     for rot, integral, r in zip(rots, ints, values):
         prefix.append(prefix[-1] + (integral @ frames[-1])[2, :] * r)
         frames.append(rot @ frames[-1])
-    return np.array(frames), np.array(prefix)
-
-
-def _frames_at(mode: Mode, scale: PiecewiseConstantScale, taus):
-    """(frames, running integrals of v R from tau = 0) at ``taus``, as stacks.
-
-    Referenced to the mode's tau0: F(tau) F(tau0)^T, with F the frame that
-    is the identity at tau = 0; the integral turns likewise.  The callers
-    check that tau0 and ``taus`` lie in the scale's domain.
-    """
-    frames, prefix = _segment_frames(mode, scale)
+    frames, prefix = np.array(frames), np.array(prefix)
     taus = np.append(np.asarray(taus, dtype=float), mode.tau0)  # tau0 last
     idx = scale.segment_index(taus)
     r = np.take(scale.values, idx)
@@ -327,8 +318,7 @@ def scenario_signature_components(scenario: Scenario):
     whole scenario, s0 the identity component (identically zero because the
     conjugated sigma3 is traceless).
     """
-    _, prefix = _segment_frames(scenario.mode, scenario)
-    return prefix[-1], 0.0
+    return piecewise_signature_vector(scenario.mode, scenario), 0.0
 
 
 def piecewise_signature_vector(mode: Mode, scale: PiecewiseConstantScale):

@@ -273,7 +273,8 @@ class ScaleFunction:
 
 @dataclass(frozen=True)
 class SmoothScale(ScaleFunction):
-    """R(tau) = r_max * g(tau), g in C^2 with 0 < g <= 1 on (0, tau_end); elementwise."""
+    """R(tau) = r_max * g(tau), g in C^2 with 0 < g <= 1 on (0, tau_end) (a table's
+    g may stray below 0 by its interpolation error); elementwise."""
 
     g: Callable[[float], float]
     r_max: float
@@ -298,13 +299,14 @@ class SmoothScale(ScaleFunction):
         return float(self.r_max * smooth_integrals(self.g, 0.0, self.tau_end, G_FLOOR)[0])
 
     def window(self, tol: float):
-        """The lifetime less its endpoint cutoffs, and the integral of R over the
+        """The lifetime less its endpoint cutoffs, and |integral of R| over the
         cut-off ends.  Each cutoff is the first rung of min(0.05, tau_end / 16) *
-        4^-k, k < 60, whose tail is below tol/2, so a scale vanishing at one
-        end is cut no finer at the other."""
+        4^-k, k < 60, whose |tail| is below tol/2, so a scale vanishing at one
+        end is cut no finer at the other.  A table's g may dip below 0 next to
+        an end; up to its first zero there, |integral of R| = integral of |R|."""
         check_quad_tol(tol)
         deltas = min(0.05, self.tau_end / 16.0) * 0.25 ** np.arange(60)
-        tails = np.array([self.tail_below(deltas), self.tail_above(deltas)])
+        tails = np.abs([self.tail_below(deltas), self.tail_above(deltas)])
         if not (below := tails <= tol / 2.0).any(axis=1).all():
             raise ConvergenceFailure(
                 f"endpoint tail bound not reached (last delta {deltas[-1] / 4:.3e})")
@@ -407,16 +409,51 @@ def constant_scale(r: float) -> SmoothScale:
     )
 
 
+def _not_a_knot(x, y):
+    """(g, g') of the not-a-knot cubic through (x, y), scipy's default
+    ``CubicSpline``: the knot slopes solve its tridiagonal system, end rows
+    written as scipy writes them, in one Thomas sweep.  Each piece's cubic
+    extends past the end knots; g and g' take one ``searchsorted`` and Horner,
+    on a scalar or an array alike."""
+    h, m = np.diff(x), np.diff(y) / np.diff(x)
+    e0, e1 = h[0] + h[1], h[-2] + h[-1]
+    sub, sup = [0.0, *h[1:].tolist(), e1], [e0, *h[:-1].tolist(), 0.0]
+    diag = [h[1], *(2 * (h[:-1] + h[1:])).tolist(), h[-2]]
+    s = [((h[0] + 2 * e0) * h[1] * m[0] + h[0] ** 2 * m[1]) / e0,
+         *(3 * (h[1:] * m[:-1] + h[:-1] * m[1:])).tolist(),
+         (h[-1] ** 2 * m[-2] + (2 * e1 + h[-1]) * h[-2] * m[-1]) / e1]
+    for i in range(1, len(s)):  # eliminate the subdiagonal, then back-substitute
+        w = sub[i] / diag[i - 1]
+        diag[i] -= w * sup[i - 1]
+        s[i] -= w * s[i - 1]
+    s[-1] /= diag[-1]
+    for i in range(len(s) - 2, -1, -1):
+        s[i] = (s[i] - sup[i] * s[i + 1]) / diag[i]
+    s = np.array(s)
+    t = (s[:-1] + s[1:] - 2 * m) / h
+    coef = [t / h, (m - s[:-1]) / h - t, s[:-1], y[:-1]]  # descending powers of tau - x[i]
+
+    def horner(rows):
+        def p(tau):
+            i = np.searchsorted(x[1:-1], tau, side="right")
+            dt, out = tau - x[i], rows[0][i]
+            for row in rows[1:]:
+                out = out * dt + row[i]
+            return out
+        return p
+
+    return horner(coef), horner([3 * coef[0], 2 * coef[1], coef[2]])
+
+
 def smooth_table_scale(taus: Sequence[float], values: Sequence[float],
                        r_max: float) -> SmoothScale:
-    """C^2 scale function interpolated from a (tau, g) table.
-
-    The table is normalized so max g = 1 before scaling by ``r_max``.
-    Raises ``InvalidParameter`` when the spline, sampled densely over
-    [0, pi], dips below 0 or exceeds 1 by more than ``SPLINE_RANGE_TOL``.
+    """C^2 scale function interpolated from a (tau, g) table, normalized so
+    max g = 1 before scaling by ``r_max``.  The interpolant is the cubic spline
+    with not-a-knot ends (one cubic over the first two and over the last two
+    intervals; ``_not_a_knot``), its end cubics extended past the table.
+    Raises ``InvalidParameter`` when the spline, sampled densely over [0, pi],
+    dips below 0 or exceeds 1 by more than ``SPLINE_RANGE_TOL``.
     """
-    from scipy.interpolate import CubicSpline
-
     taus = np.asarray(taus, dtype=float)
     values = np.asarray(values, dtype=float)
     if taus.ndim != 1 or taus.size < 4 or taus.size != values.size:
@@ -427,7 +464,7 @@ def smooth_table_scale(taus: Sequence[float], values: Sequence[float],
         raise InvalidParameter("table abscissae must lie in [0, pi]")
     if np.any(values < 0.0) or values.max() <= 0.0:
         raise InvalidParameter("table values must be nonnegative with positive max")
-    spline = CubicSpline(taus, values / values.max())
+    spline, slope = _not_a_knot(taus, values / values.max())
     # The spline may undershoot below 0 or overshoot 1 between table points
     # (and beyond the table, where it extrapolates); R >= 0 underlies the
     # tail bound and max g = 1 the meaning of r_max, so sample it densely.
@@ -439,62 +476,49 @@ def smooth_table_scale(taus: Sequence[float], values: Sequence[float],
         raise InvalidParameter(
             f"interpolated scale function leaves [0, 1]: g ranges over "
             f"[{g.min():.4g}, {g.max():.4g}]; refine or smooth the table")
-    return SmoothScale(
-        g=lambda t: spline(t)[()],
-        dg=lambda t: float(spline(t, 1)),
-        r_max=float(r_max),
-        label="smooth_table",
-    )
+    return SmoothScale(g=spline, dg=slope, r_max=float(r_max), label="smooth_table")
 
 
 @dataclass(frozen=True)
 class Unitary2:
     """A validated 2x2 unitary matrix; ``defect`` is its ``unitarity_defect``."""
 
-    entries: np.ndarray
+    matrix: np.ndarray
     defect: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
+        m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise InvalidParameter(f"expected a 2x2 matrix, got shape {m.shape}")
         m = m.copy()
         m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "matrix", m)
         defect = unitarity_defect(m)
         if defect > UNITARITY_TOL:
             raise InvalidParameter(f"unitarity defect {defect:.3e} > {UNITARITY_TOL}")
         object.__setattr__(self, "defect", defect)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.entries
 
 
 @dataclass(frozen=True)
 class Hermitian2:
     """A validated 2x2 Hermitian matrix."""
 
-    entries: np.ndarray
+    matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
+        m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise InvalidParameter(f"expected a 2x2 matrix, got shape {m.shape}")
         m = m.copy()
         m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "matrix", m)
         defect = spectral_norm(m - m.conj().T)
         if defect > HERMITICITY_TOL * max(1.0, spectral_norm(m)):
             raise InvalidParameter(f"hermiticity defect {defect:.3e} too large")
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.entries
-
     def pauli_components(self):
         """(c0, c1, c2, c3) with M = c0*1 + sum_a c_a sigma_a; all real."""
-        m = self.entries
+        m = self.matrix
         return (0.5 * np.trace(m).real,
                 *(0.5 * np.trace(p @ m).real for p in (SIGMA1, SIGMA2, SIGMA3)))
 

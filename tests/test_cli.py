@@ -111,6 +111,35 @@ def test_unwritable_out_exits_1_after_the_command(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_table_scale_runs_with_scipy_blocked(tmp_path):
+    # a fresh interpreter where importing scipy fails: numpy is the only
+    # runtime dependency, a table scale's spline included
+    root = Path(__file__).resolve().parent.parent
+    taus = np.linspace(0.0, np.pi, 12)
+    doc = dict(BASE, scale={"kind": "smooth_table", "taus": taus.tolist(),
+                            "values": (np.sin(taus / 2) ** 2).tolist(), "r_max": 10.0})
+    for command, run in (("signature", {}),
+                         ("project", {"variant": "exact", "phi": {
+                             "support": [1.0, 2.0], "direction": [1.0, 0.0]}})):
+        write_scenario(tmp_path, dict(doc, run=run), f"{command}.json")
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None
+        from diracsea import cli
+        for command in ("signature", "project"):
+            code = cli.main([command, "--scenario", f"{sys.argv[1]}/{command}.json",
+                             "--out", f"{sys.argv[1]}/{command}.csv"])
+            assert code == 0, (command, code)
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    run = subprocess.run([sys.executable, "-c", script, str(tmp_path)], cwd=root, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert all((tmp_path / f"{command}.csv").read_text().count("\n") > 1
+               for command in ("signature", "project"))
+
+
 def test_undershooting_smooth_table_exits_1(tmp_path, capsys):
     # the spline through these nonnegative values dips to g = -0.427
     doc = dict(BASE, scale={"kind": "smooth_table",

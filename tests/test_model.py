@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from diracsea.errors import DomainError, InvalidParameter
 from diracsea.model import (
@@ -17,6 +18,7 @@ from diracsea.model import (
     mollifier,
     UNITARITY_TOL,
     polar_unitary,
+    _not_a_knot,
     smooth_table_scale,
     unitarity_defect,
 )
@@ -280,6 +282,28 @@ class TestSmoothTable:
             smooth_table_scale([0, 1, 1, 2], [1, 2, 3, 4], 1.0)
         with pytest.raises(InvalidParameter):
             smooth_table_scale([0, 1, 2, 3], [-1, 2, 3, 4], 1.0)
+
+    @given(st.integers(4, 120), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_cubic_is_scipys_not_a_knot_spline(self, n, seed):
+        # tables of n points in [0, pi], widths within a factor 5, each end
+        # within pi/4 of the lifetime's: past the table both splines extrapolate,
+        # and their rounding grows like the cube of the distance over the span
+        rng = np.random.default_rng(seed)
+        x = np.concatenate([[0.0], np.cumsum(rng.uniform(1.0, 5.0, n - 1))])
+        a, b = rng.uniform(0.0, np.pi / 4, 2)
+        x = a + x * (np.pi - a - b) / x[-1]
+        y = rng.uniform(0.0, 1.0, n)
+        g, dg = _not_a_knot(x, y)
+        oracle = CubicSpline(x, y)
+        inside, whole = np.linspace(x[0], x[-1], 1001), np.linspace(0.0, np.pi, 1001)
+        for t, tol in ((inside, 1e-14), (whole, 1e-13)):
+            want = oracle(t)
+            assert np.abs(g(t) - want).max() <= tol * np.abs(want).max()
+        want = oracle(whole, 1)
+        assert np.abs(dg(whole) - want).max() <= 1e-13 * np.abs(want).max()
+        # a scalar takes the same path as an array
+        assert g(float(whole[500])) == g(whole)[500] and dg(float(whole[7])) == dg(whole)[7]
 
     def test_rejects_spline_leaving_unit_range(self):
         # nonnegative table values whose spline swings to g in [-0.427, 1.0009]

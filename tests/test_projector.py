@@ -36,6 +36,7 @@ from diracsea.model import (
     constant_scale,
     dust_scale,
     is_physical_eigenvalue,
+    smooth_table_scale,
     spectral_norm,
 )
 from diracsea.levin import levin_integral
@@ -115,6 +116,18 @@ class TestSignatureOperator:
             acc += simpson(vals, x=ts, axis=0)
             u_start = segment_propagator(mode.lam, mode.mass, r, dt) @ u_start
         assert spectral_norm(sig.s.matrix - w @ acc @ w.conj().T) < 1e-8
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_table_scale_error_estimate_is_a_bound(self, n):
+        # the spline through g(0) = 0 dips below 0 next to tau = 0: its tails
+        # are negative there, and the window reads them by size
+        taus = np.linspace(0.0, np.pi, n)
+        sc = smooth_table_scale(taus, np.sin(taus / 2) ** 2, 10.0)
+        mode = Mode(lam=1.5, mass=1.0, tau0=TAU0)
+        sig = signature_operator(mode, sc)
+        ref = signature_operator(mode, sc, tol=1e-14, ode_tol=1e-13)
+        assert sig.quad_error_estimate >= spectral_norm(sig.s.matrix - ref.s.matrix)
+        assert sig.quad_error_estimate >= 0.0
 
     def test_scale_bound_is_ceiling(self):
         mode = Mode(lam=1.5, mass=1.0, tau0=TAU0)
