@@ -27,7 +27,7 @@ from .errors import ConventionMismatch, InvalidParameter
 from .evolution import (cointegrate, evolve_grid, exact_transport, frequency,
                         sigma3_conjugated)
 from .model import (DEFAULT_ODE_TOL, SIGMA1, SIGMA2, SIGMA3, Mode, PiecewiseConstantScale,
-                    ScaleFunction, is_physical_eigenvalue)
+                    ScaleFunction, frozen_array, is_physical_eigenvalue)
 
 FRAME_ORTHOGONALITY_TOL = 1e-10
 TRACE_CROSSCHECK_TOL = 1e-8
@@ -96,12 +96,8 @@ class BlochState:
     tau: float
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=float).copy()
-        if w.shape != (3, 3):
-            raise InvalidParameter("frame must be a 3x3 matrix")
+        object.__setattr__(self, "w", w := frozen_array(self.w, (3, 3), "frame", float))
         _check_rotations(w)
-        w.setflags(write=False)
-        object.__setattr__(self, "w", w)
 
     def v(self) -> np.ndarray:
         """(v_1, v_2, v_3): the e3 components of the three frame vectors."""

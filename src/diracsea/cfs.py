@@ -21,21 +21,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFamily, InvalidParameter
-from .evolution import (check_ode_tol, evolve, exact_transport, interval_integral,
-                        propagators, sigma3_conjugated)
+from .evolution import (evolve, exact_transport, interval_integral, propagators,
+                        sigma3_conjugated)
 from .model import (
     DEFAULT_GAP_TOL,
     DEFAULT_ODE_TOL,
     DEFAULT_QUAD_TOL,
     ScaleFunction,
     SIGMA3,
-    check_quad_tol,
     TestFunction,
     Unitary2,
+    check_hermitian,
+    check_tolerances,
+    frozen_array,
     spectral_norm,
 )
 from .projector import (
-    _check_gap_tol,
     _sigma3_integral,
     k_m_apply,
     negative_projection,
@@ -52,11 +53,7 @@ class FamilyMember:
     spinor: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.spinor, dtype=complex).copy()
-        if s.shape != (2,) or not np.all(np.isfinite(s)):
-            raise InvalidParameter("member spinor must be a finite 2-vector")
-        s.setflags(write=False)
-        object.__setattr__(self, "spinor", s)
+        object.__setattr__(self, "spinor", frozen_array(self.spinor, (2,), "member spinor"))
 
 
 @dataclass(frozen=True)
@@ -67,6 +64,9 @@ class SolutionFamily:
     scale: ScaleFunction
     members: tuple
     gram: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "gram", frozen_array(self.gram, None, "gram"))
 
     @property
     def size(self) -> int:
@@ -105,12 +105,9 @@ def build_family(modes, scale: ScaleFunction, members,
     whole fiber (needed e.g. to probe causal classification with full-rank
     blocks).  Every tolerance is checked, read or not.
     """
-    check_ode_tol(ode_tol)
-    check_quad_tol(quad_tol)
-    _check_gap_tol(gap_tol)
+    check_tolerances(ode_tol, quad_tol, gap_tol)
     modes = tuple(modes)
-    mems = tuple(FamilyMember(int(i), np.asarray(s, dtype=complex))
-                 for i, s in members)
+    mems = tuple(FamilyMember(int(i), s) for i, s in members)
     if not mems:
         raise InvalidParameter("family needs at least one member")
     for mem in mems:
@@ -138,17 +135,14 @@ def negative_subspace_family(modes, scale: ScaleFunction,
                              quad_tol: float = DEFAULT_QUAD_TOL,
                              ode_tol: float = DEFAULT_ODE_TOL) -> SolutionFamily:
     """One member per mode: the unit negative eigenvector of its signature."""
-    check_ode_tol(ode_tol)
-    check_quad_tol(quad_tol)
-    _check_gap_tol(gap_tol)
+    check_tolerances(ode_tol, quad_tol, gap_tol)
     modes = tuple(modes)
     members = []
     for i, mode in enumerate(modes):
         sig = signature_operator(mode, scale, tol=quad_tol, ode_tol=ode_tol)
         negative_projection(sig, gap_tol=gap_tol)
-        vec = sig.eigvectors.matrix[:, 0] if sig.mu_minus < 0 \
-            else sig.eigvectors.matrix[:, 1]
-        members.append((i, vec))
+        # S is traceless, so past the gap check mu_minus < 0
+        members.append((i, sig.eigvectors.matrix[:, 0]))
     return build_family(modes, scale, members, gap_tol=gap_tol,
                         quad_tol=quad_tol, ode_tol=ode_tol)
 
@@ -213,14 +207,8 @@ class CorrelationOperator:
     mode_of_member: tuple
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex).copy()
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidParameter("correlation matrix must be square")
-        defect = spectral_norm(m - m.conj().T)
-        if defect > 1e-12 * max(1.0, spectral_norm(m)):
-            raise InvalidParameter(f"correlation matrix defect {defect:.3e}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", m := frozen_array(self.matrix, None, "correlation"))
+        check_hermitian(m, "correlation")
         object.__setattr__(self, "mode_of_member", tuple(self.mode_of_member))
 
     def block(self, mode_index: int) -> np.ndarray:
@@ -290,7 +278,7 @@ def correlation_trace_lifetime_integral(family: SolutionFamily,
     on piecewise scales each mode's integral of U^dagger sigma3 U R is the
     Levin segment sum of ``projector._sigma3_integral``.
     """
-    check_ode_tol(ode_tol)
+    check_tolerances(ode_tol=ode_tol)
     scale = family.scale
     groups = family.block_indices()
     mode_ids = sorted(groups)

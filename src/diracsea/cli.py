@@ -179,14 +179,11 @@ def cmd_cfs(cfg: ScenarioConfig, args, out):
             modes, scale, gap_tol=tols.gap_tol, quad_tol=tols.quad_tol,
             ode_tol=tols.ode_tol)
     else:
-        members = []
-        for i, mode in enumerate(modes):
-            sig = proj_mod.signature_operator(mode, scale, tol=tols.quad_tol,
-                                              ode_tol=tols.ode_tol)
-            members.append((i, sig.eigvectors.matrix[:, 0]))
-            members.append((i, sig.eigvectors.matrix[:, 1]))
-        family = cfs_mod.build_family(modes, scale, members,
-                                      require_negative_subspace=False)
+        # the whole fiber: a block's classes do not depend on its orthonormal basis
+        family = cfs_mod.build_family(
+            modes, scale, [(i, e) for i in range(len(modes)) for e in np.eye(2)],
+            require_negative_subspace=False, gap_tol=tols.gap_tol,
+            quad_tol=tols.quad_tol, ode_tol=tols.ode_tol)
     family = cfs_mod.orthonormalize(family)
     correlations = {t: cfs_mod.local_correlation(family, t, tol=tols.ode_tol)
                     for t in taus}

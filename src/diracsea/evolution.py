@@ -40,6 +40,7 @@ from .model import (
     ScaleFunction,
     SmoothScale,
     Unitary2,
+    check_tolerances,
     polar_unitary,
     smooth_integrals,
     spectral_norm,
@@ -52,16 +53,6 @@ log = logging.getLogger(__name__)
 #: Step ceiling: a transport turns by at most this many radians per step
 #: (0.1 rad, about 1/63 of a turn).
 OSCILLATION_RESOLUTION = 0.1
-
-MIN_ODE_TOL = 1e-14
-MAX_ODE_TOL = 1e-4
-
-
-def check_ode_tol(tol: float):
-    if not (MIN_ODE_TOL < tol < MAX_ODE_TOL):
-        raise InvalidParameter(
-            f"ode tolerance {tol} outside ({MIN_ODE_TOL}, {MAX_ODE_TOL})")
-
 
 def frequency(mode: Mode, r):
     """Instantaneous frequency sqrt(lam^2 + (m R)^2), elementwise in r."""
@@ -167,7 +158,7 @@ def cointegrate(transport: Transport, integrand, width: int, anchor: float,
     counts its work into ``stats``, and a DEBUG log line reports it per
     sweep.  Returns one (state, integral) pair per stop.
     """
-    check_ode_tol(tol)
+    check_tolerances(ode_tol=tol)
     stats = stats if stats is not None else stepper.StepStats()
     scale, restore, x0 = transport.scale, transport.restore, transport.start
     if anchor != transport.tau0:
@@ -315,7 +306,7 @@ def propagators(modes, scale: ScaleFunction, tau_from: float, taus,
     local error <= tol per unit tau, polar-projected at each stop; work =
     accepted steps.
     """
-    check_ode_tol(tol)
+    check_tolerances(ode_tol=tol)
     taus = [float(t) for t in taus]
     scale.check_domain(tau_from, *taus)
     modes = _mode_stack(modes)

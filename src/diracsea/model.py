@@ -36,6 +36,8 @@ DEFAULT_ODE_TOL = 1e-10
 DEFAULT_QUAD_TOL = 1e-9
 #: Default relative eigenvalue-gap threshold for spectral projections.
 DEFAULT_GAP_TOL = 1e-6
+#: The open range an ode tolerance must lie in.
+MIN_ODE_TOL, MAX_ODE_TOL = 1e-14, 1e-4
 #: How far a table scale's spline may stray outside [0, 1].  A table of a
 #: valid profile strays by its interpolation error (3.8e-6 for 12 points of
 #: sin^2(tau / 2), 4.7e-5 for 8), so the bound leaves room for that.
@@ -53,9 +55,38 @@ MAX_PANELS = 2000
 SMOOTH_TOL, G_FLOOR = 1e-13, float(np.finfo(float).eps)
 
 
-def check_quad_tol(tol: float):
-    if not 0.0 < tol < np.inf:
-        raise InvalidParameter(f"quadrature tolerance must be finite and > 0, got {tol}")
+def check_tolerances(ode_tol=None, quad_tol=None, gap_tol=None):
+    """InvalidParameter for the first given tolerance out of range, in the order
+    ode (inside (MIN_ODE_TOL, MAX_ODE_TOL)), quadrature, gap (finite and > 0)."""
+    if ode_tol is not None and not MIN_ODE_TOL < ode_tol < MAX_ODE_TOL:
+        raise InvalidParameter(f"ode tolerance {ode_tol} outside ({MIN_ODE_TOL}, {MAX_ODE_TOL})")
+    for name, tol in (("quadrature tolerance", quad_tol), ("gap_tol", gap_tol)):
+        if tol is not None and not 0.0 < tol < np.inf:
+            raise InvalidParameter(f"{name} must be finite and > 0, got {tol}")
+
+
+def frozen_array(value, shape, what: str, dtype=complex) -> np.ndarray:
+    """A read-only copy of ``value``, finite and of ``shape`` (a None entry takes
+    any length; ``shape=None`` any square matrix, which a 0-d value is not);
+    InvalidParameter otherwise, a value numpy cannot read included."""
+    try:
+        a = np.array(value, dtype=dtype, order="C")
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameter(f"{what} is not a numeric array: {exc}") from None
+    if not ((a.ndim == 2 and a.shape[0] == a.shape[1]) if shape is None else (
+            a.ndim == len(shape) and all(n in (None, k) for n, k in zip(shape, a.shape)))):
+        raise InvalidParameter(f"{what} must have shape {shape or '(n, n)'}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise InvalidParameter(f"{what} must be finite")
+    a.setflags(write=False)
+    return a
+
+
+def check_hermitian(m, what: str):
+    """InvalidParameter unless ||m - m^dagger|| <= HERMITICITY_TOL max(1, ||m||)."""
+    defect = spectral_norm(m - m.conj().T)
+    if defect > HERMITICITY_TOL * max(1.0, spectral_norm(m)):
+        raise InvalidParameter(f"{what} hermiticity defect {defect:.3e} too large")
 
 
 def _chebyshev(n: int):
@@ -304,7 +335,7 @@ class SmoothScale(ScaleFunction):
         4^-k, k < 60, whose |tail| is below tol/2, so a scale vanishing at one
         end is cut no finer at the other.  A table's g may dip below 0 next to
         an end; up to its first zero there, |integral of R| = integral of |R|."""
-        check_quad_tol(tol)
+        check_tolerances(quad_tol=tol)
         deltas = min(0.05, self.tau_end / 16.0) * 0.25 ** np.arange(60)
         tails = np.abs([self.tail_below(deltas), self.tail_above(deltas)])
         if not (below := tails <= tol / 2.0).any(axis=1).all():
@@ -349,8 +380,8 @@ class PiecewiseConstantScale(ScaleFunction):
         if any(not (np.isfinite(v) and v > 0) for v in vals):
             raise InvalidParameter("segment values must be strictly positive")
         # array copies for elementwise lookups (not fields: eq and hash stay on the tuples)
-        object.__setattr__(self, "_inner", np.array(bps[1:-1]))
-        object.__setattr__(self, "_values", np.array(vals))
+        object.__setattr__(self, "_inner", frozen_array(bps[1:-1], (None,), "breakpoints", float))
+        object.__setattr__(self, "_values", frozen_array(vals, (None,), "values", float))
 
     is_piecewise = True
 
@@ -380,7 +411,7 @@ class PiecewiseConstantScale(ScaleFunction):
 
     def window(self, tol: float):
         """The whole closed lifetime with no tail: its integrals are closed forms."""
-        check_quad_tol(tol)
+        check_tolerances(quad_tol=tol)
         return 0.0, self.tau_end, 0.0
 
 
@@ -389,7 +420,11 @@ def dust_scale(r_max: float) -> SmoothScale:
 
     g(tau) = (1 - cos tau) / 2 grows from the bang (g -> 0) to g(pi) = 1.
     The 1/2 keeps the convention max g = 1, so every bound stated in terms
-    of m * r_max uses the actual maximum of R.
+    of m * r_max uses the actual maximum of R.  The lifetime (0, pi) runs from
+    the bang to maximal expansion; the closed dust universe recollapses at
+    tau = 2 pi.  Ending it at pi is this package's choice, not the paper's
+    (``PAPER.md`` holds only its abstract), and this sharp end is what the
+    boundary term of a smoothly switched signature operator measures.
     """
     return SmoothScale(
         g=lambda t: 0.5 * (1.0 - np.cos(t)),
@@ -454,10 +489,10 @@ def smooth_table_scale(taus: Sequence[float], values: Sequence[float],
     Raises ``InvalidParameter`` when the spline, sampled densely over [0, pi],
     dips below 0 or exceeds 1 by more than ``SPLINE_RANGE_TOL``.
     """
-    taus = np.asarray(taus, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if taus.ndim != 1 or taus.size < 4 or taus.size != values.size:
-        raise InvalidParameter("need matching 1-d tables with >= 4 entries")
+    taus = frozen_array(taus, (None,), "table abscissae", float)
+    values = frozen_array(values, taus.shape, "table values", float)
+    if taus.size < 4:
+        raise InvalidParameter("need tables with >= 4 entries")
     if np.any(np.diff(taus) <= 0):
         raise InvalidParameter("table abscissae must be strictly increasing")
     if taus[0] < 0.0 or taus[-1] > np.pi:
@@ -487,12 +522,7 @@ class Unitary2:
     defect: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise InvalidParameter(f"expected a 2x2 matrix, got shape {m.shape}")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", m := frozen_array(self.matrix, (2, 2), "Unitary2"))
         defect = unitarity_defect(m)
         if defect > UNITARITY_TOL:
             raise InvalidParameter(f"unitarity defect {defect:.3e} > {UNITARITY_TOL}")
@@ -506,15 +536,8 @@ class Hermitian2:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise InvalidParameter(f"expected a 2x2 matrix, got shape {m.shape}")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        defect = spectral_norm(m - m.conj().T)
-        if defect > HERMITICITY_TOL * max(1.0, spectral_norm(m)):
-            raise InvalidParameter(f"hermiticity defect {defect:.3e} too large")
+        object.__setattr__(self, "matrix", m := frozen_array(self.matrix, (2, 2), "Hermitian2"))
+        check_hermitian(m, "Hermitian2")
 
     def pauli_components(self):
         """(c0, c1, c2, c3) with M = c0*1 + sum_a c_a sigma_a; all real."""
@@ -567,9 +590,9 @@ def bump(support: tuple, direction, amplitude: float = 1.0) -> TestFunction:
     bump fills ``support``; the amplitude must be finite.
     """
     a, b = float(support[0]), float(support[1])
-    d = np.asarray(direction, dtype=complex)
-    if d.shape != (2,) or not (np.isfinite(d).all() and np.linalg.norm(d) > 0):
-        raise InvalidParameter("direction must be a finite nonzero complex 2-vector")
+    d = frozen_array(direction, (2,), "direction")
+    if not np.linalg.norm(d) > 0:
+        raise InvalidParameter("direction must be nonzero")
     d = d / np.linalg.norm(d)
     amp = float(amplitude)
     if not np.isfinite(amp):

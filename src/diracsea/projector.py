@@ -39,10 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import piecewise_signature_vector
-from .errors import DegenerateSignature, InvalidParameter
+from .errors import DegenerateSignature
 from .evolution import (
     accumulated_phase,
-    check_ode_tol,
     diagonalizer,
     exact_transport,
     frequency,
@@ -64,6 +63,8 @@ from .model import (
     SIGMA3,
     TestFunction,
     Unitary2,
+    check_tolerances,
+    frozen_array,
     smooth_integrals,
 )
 # perfbench/test_perfbench.py reads ``projector.integrate``; keep it bound.
@@ -124,7 +125,7 @@ def signature_operator(mode: Mode, scale: ScaleFunction,
                        ode_tol: float = DEFAULT_ODE_TOL) -> SignatureResult:
     """The signature matrix: the SO(3) closed form on piecewise scales, else the
     quadrature of U^dagger sigma3 U R over the scale's window."""
-    check_ode_tol(ode_tol)
+    check_tolerances(ode_tol=ode_tol)
     lo, hi, tail = scale.window(tol)
     scale.check_domain(mode.tau0)
     if scale.is_piecewise:
@@ -148,7 +149,7 @@ def signature_operator_wkb(mode: Mode, scale: ScaleFunction,
     Y01 R = |lam| R / f, its two integrals are the closed forms of
     ``wkb_scalar_integrals``.
     """
-    check_ode_tol(ode_tol)
+    check_tolerances(ode_tol=ode_tol)
     lo, hi, tail = scale.window(tol)
     scale.check_domain(mode.tau0)
     if scale.is_piecewise:
@@ -237,7 +238,7 @@ class WkbScalarIntegrals:
 def wkb_scalar_integrals(mode: Mode, scale: ScaleFunction,
                          tol: float = DEFAULT_QUAD_TOL,
                          ode_tol: float = DEFAULT_ODE_TOL) -> WkbScalarIntegrals:
-    check_ode_tol(ode_tol)
+    check_tolerances(ode_tol=ode_tol)
     lo, hi, _ = scale.window(tol)
     scale.check_domain(mode.tau0)
     if scale.is_piecewise:
@@ -295,11 +296,7 @@ class ProjectorOutput:
     provenance: Provenance
 
     def __post_init__(self):
-        v = np.asarray(self.value, dtype=complex).copy()
-        if v.shape != (2,) or not np.all(np.isfinite(v)):
-            raise InvalidParameter("projector output must be a finite 2-vector")
-        v.setflags(write=False)
-        object.__setattr__(self, "value", v)
+        object.__setattr__(self, "value", frozen_array(self.value, (2,), "projector output"))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.value))
@@ -373,13 +370,8 @@ def _wkb_branches(mode: Mode, scale: ScaleFunction, phi: TestFunction,
 
 def _check_probe(mode: Mode, scale: ScaleFunction, phi: TestFunction, tol: float):
     """The ode tolerance, tau0 and the probe support, checked before any integral."""
-    check_ode_tol(tol)
+    check_tolerances(ode_tol=tol)
     scale.check_domain(mode.tau0, *phi.support)
-
-
-def _check_gap_tol(gap_tol: float):
-    if not 0.0 < gap_tol < np.inf:
-        raise InvalidParameter(f"gap_tol must be finite and > 0, got {gap_tol}")
 
 
 def _spectral_projection(sig: SignatureResult, sign: float,
@@ -390,7 +382,7 @@ def _spectral_projection(sig: SignatureResult, sign: float,
     ``gap_tol * max(norm, scale_bound)`` of zero: the split is genuinely
     unstable there and silently picking one would be wrong.
     """
-    _check_gap_tol(gap_tol)
+    check_tolerances(gap_tol=gap_tol)
     threshold = gap_tol * max(sig.norm(), sig.scale_bound)
     if min(abs(sig.mu_minus), abs(sig.mu_plus)) < threshold:
         raise DegenerateSignature(sig.mu_minus, sig.mu_plus, threshold)
@@ -424,7 +416,7 @@ def fermionic_projector_apply(mode: Mode, scale: ScaleFunction,
     steps capped inside the probe's support only.
     """
     _check_probe(mode, scale, phi, tol)
-    _check_gap_tol(gap_tol)
+    check_tolerances(gap_tol=gap_tol)
     lo, hi, tail = scale.window(quad_tol)
     if scale.is_piecewise:
         sig = signature_operator(mode, scale, tol=quad_tol, ode_tol=tol)
@@ -459,7 +451,7 @@ def p_wkb_apply(mode: Mode, scale: ScaleFunction, phi: TestFunction,
                 gap_tol: float = DEFAULT_GAP_TOL) -> ProjectorOutput:
     """WKB projector image in the full spectral form, -X_neg(S_wkb) k_wkb(phi)."""
     _check_probe(mode, scale, phi, tol)
-    _check_gap_tol(gap_tol)
+    check_tolerances(gap_tol=gap_tol)
     sig = signature_operator_wkb(mode, scale, tol=quad_tol, ode_tol=tol)
     proj = negative_projection(sig, gap_tol=gap_tol)
     kw = k_wkb_apply(mode, scale, phi, tol=tol)

@@ -19,11 +19,12 @@ from dataclasses import dataclass, replace
 from .bloch import build_six_segment, build_twelve_segment, make_scenario, \
     perturb_scenario
 from .errors import InvalidParameter
-from .evolution import MAX_ODE_TOL, MIN_ODE_TOL
 from .model import (
     DEFAULT_GAP_TOL,
     DEFAULT_ODE_TOL,
     DEFAULT_QUAD_TOL,
+    MAX_ODE_TOL,
+    MIN_ODE_TOL,
     Mode,
     PiecewiseConstantScale,
     ScaleFunction,

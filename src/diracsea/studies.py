@@ -18,20 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .evolution import check_ode_tol, wkb_deviation_grid
+from .evolution import wkb_deviation_grid
 from .model import (
     DEFAULT_GAP_TOL,
     DEFAULT_ODE_TOL,
     DEFAULT_QUAD_TOL,
     Mode,
     bump,
-    check_quad_tol,
+    check_tolerances,
     dust_scale,
     is_physical_eigenvalue,
     spectral_norm,
 )
 from .projector import (
-    _check_gap_tol,
     fermionic_projector_apply,
     p_wkb_apply,
     signature_operator,
@@ -199,9 +198,7 @@ def run_study(kind: StudyKind, grid, lam_spec: LambdaSpec = LambdaSpec(),
     worker processes, never more than there are points.  Every tolerance
     is checked, whether the study kind reads it or not.
     """
-    check_ode_tol(ode_tol)
-    check_quad_tol(quad_tol)
-    _check_gap_tol(gap_tol)
+    check_tolerances(ode_tol, quad_tol, gap_tol)
     grid = [float(x) for x in grid]
     if jobs < 1:
         raise InvalidParameter(f"jobs must be >= 1, got {jobs}")

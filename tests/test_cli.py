@@ -624,6 +624,35 @@ def test_cfs_one_member_per_mode_is_the_negative_subspace_family(tmp_path):
     assert text.strip().split("\n")[1:] == want
 
 
+@pytest.mark.parametrize("mode,scale,taus", [
+    ({"tau0": float(np.pi / 2)}, {"kind": "dust", "r_max": 10.0}, np.linspace(0.3, 2.8, 7)),
+    ({"tau0": 0.0}, {"kind": "preset", "name": "six_segment"}, np.linspace(0.0, 8.9, 7)),
+], ids=["dust", "six_segment"])
+def test_cfs_full_fiber_classes_do_not_depend_on_the_basis(tmp_path, mode, scale, taus):
+    # per mode block, F(x) F(y) under any orthonormal basis of the fiber is
+    # similar to the product under the standard one, which the CLI takes:
+    # the signature's eigenvector basis gives the same classes
+    from diracsea import cfs
+    from diracsea.model import Mode
+    from diracsea.projector import signature_operator
+    from diracsea.scenario_io import parse_scenario
+
+    lambdas = [1.5, -1.5, 2.5]
+    doc = dict(BASE, mode=dict(BASE["mode"], **mode), scale=scale,
+               run={"taus": taus.tolist(), "lambdas": lambdas, "members_per_mode": 2})
+    code, text = run_cli(tmp_path, "cfs", doc)
+    assert code == 0
+    cfg = parse_scenario(doc)
+    modes = [Mode(lam=lam, mass=1.0, tau0=cfg.mode.tau0) for lam in lambdas]
+    members = [(i, v) for i, m in enumerate(modes)
+               for v in signature_operator(m, cfg.scale).eigvectors.matrix.T]
+    family = cfs.orthonormalize(cfs.build_family(modes, cfg.scale, members,
+                                                 require_negative_subspace=False))
+    corr = {t: cfs.local_correlation(family, t) for t in taus.tolist()}
+    want = [cfs.causal_classify(corr[tx], corr[ty]).value for tx in corr for ty in corr]
+    assert [row.split(",")[2] for row in text.strip().split("\n")[1:]] == want
+
+
 @pytest.mark.parametrize("command,run", [
     ("evolve", {"tau_from": 0.5, "tau_to": 2.5, "samples": 4}),
     ("bloch", {"samples": 5}),

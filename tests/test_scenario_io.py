@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 import schema_oracle
 from diracsea.bloch import Scenario
 from diracsea.errors import InvalidParameter
-from diracsea.evolution import MAX_ODE_TOL, MIN_ODE_TOL
-from diracsea.model import PiecewiseConstantScale, SmoothScale
+from diracsea.model import MAX_ODE_TOL, MIN_ODE_TOL, PiecewiseConstantScale, SmoothScale
 from diracsea.scenario_io import RUN_OPTIONS, SCENARIO_SCHEMA, _check, parse_scenario
 
 BASE_MODE = {"lambda": 1.5, "mass": 1.0, "tau0": float(np.pi / 2)}

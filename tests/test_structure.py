@@ -63,6 +63,10 @@
   tolerance is checked by the two ``window`` methods, and by
   ``build_family``, ``negative_subspace_family`` and ``run_study``, which
   take it whether or not they open a window.
+* Each input rule has one home, in ``model``: ``check_tolerances`` is the one
+  tolerance check (no module defines or imports another), ``frozen_array``
+  alone calls ``setflags``, and ``check_hermitian`` alone reads
+  ``HERMITICITY_TOL``.
 * No module imports ``scipy``: the smooth lifetime integrals are
   ``model.smooth_integrals``, and a table scale's spline is
   ``model._not_a_knot``.
@@ -75,6 +79,7 @@
 import ast
 import dataclasses
 import inspect
+import re
 from collections import Counter
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
@@ -444,7 +449,10 @@ def test_one_domain_rule_and_one_lifetime_window():
     }
     # SmoothScale.window and PiecewiseConstantScale.window, and the entry
     # points that take a quadrature tolerance without reading it on every path
-    assert _calls({"check_quad_tol"}) == Counter({
+    def passes_quad_tol(call):
+        return len(call.args) > 1 or any(k.arg == "quad_tol" for k in call.keywords)
+
+    assert _calls({"check_tolerances"}, passes_quad_tol) == Counter({
         ("model", "window"): 2,
         ("cfs", "build_family"): 1,
         ("cfs", "negative_subspace_family"): 1,
@@ -453,6 +461,24 @@ def test_one_domain_rule_and_one_lifetime_window():
     params = {arg.arg for fn in ast.walk(MODULES["projector"])
               if isinstance(fn, ast.FunctionDef) for arg in fn.args.args}
     assert not params & {"closed_form", "lifetime_integral"}
+
+
+def test_each_input_rule_has_one_home():
+    tolerance_check = re.compile(r"_?check_\w*tol")
+    defined = _sites(lambda node: isinstance(node, ast.FunctionDef)
+                     and tolerance_check.match(node.name))
+    assert defined == Counter({("model", "check_tolerances"): 1})
+    imported = {alias.name for tree in MODULES.values() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names
+                if tolerance_check.match(alias.name)}
+    assert imported == {"check_tolerances"}
+    assert _calls({"setflags"}) == Counter({("model", "frozen_array"): 1})
+    reads = _sites(lambda node: isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+                   and "HERMITICITY_TOL" in {getattr(node, "id", None),
+                                             getattr(node, "attr", None),
+                                             getattr(node, "name", None)})
+    # the definition stores it; the one load is in check_hermitian
+    assert reads == Counter({("model", ""): 1, ("model", "check_hermitian"): 1})
 
 
 def _imports(package):
