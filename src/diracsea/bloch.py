@@ -27,7 +27,8 @@ from .errors import ConventionMismatch, InvalidParameter
 from .evolution import (cointegrate, evolve_grid, exact_transport, frequency,
                         sigma3_conjugated)
 from .model import (DEFAULT_ODE_TOL, SIGMA1, SIGMA2, SIGMA3, Mode, PiecewiseConstantScale,
-                    ScaleFunction, frozen_array, is_physical_eigenvalue)
+                    ScaleFunction, finite_real, frozen_array, integer_index,
+                    is_physical_eigenvalue)
 
 FRAME_ORTHOGONALITY_TOL = 1e-10
 TRACE_CROSSCHECK_TOL = 1e-8
@@ -123,14 +124,12 @@ class Scenario(PiecewiseConstantScale):
     def __post_init__(self):
         if self.mode.tau0 != 0.0:
             raise InvalidParameter("scenario modes must have tau0 = 0")
-        rots = tuple(map(float, self.rotations))
-        if not all(float(r) > 0 and p > 0 for r, p in zip(self.values, rots)):
-            raise InvalidParameter("scenario segments need r > 0 and p > 0")
+        rots = tuple(finite_real(p, "rotation count", 0) for p in self.rotations)
+        values = [finite_real(r, "segment value", 0) for r in self.values]
         object.__setattr__(self, "rotations", rots)
         # lengths that differ leave a breakpoint count that super() rejects
         object.__setattr__(self, "breakpoints", tuple(accumulate(
-            (np.pi * p / frequency(self.mode, float(r))
-             for r, p in zip(self.values, rots)), initial=0.0)))
+            (np.pi * p / frequency(self.mode, r) for r, p in zip(values, rots)), initial=0.0)))
         super().__post_init__()
 
     # ``tau_end``, under the name the benchmark's scenario files read
@@ -146,8 +145,7 @@ def make_scenario(mode: Mode, pairs) -> Scenario:
 
 def _alternating_preset(lam: float, mass: float):
     """A preset's mode, and scale values tilting the axis 10 and 70 degrees from -e3."""
-    if not (lam > 0 and mass > 0):
-        raise InvalidParameter("lam and mass must be positive")
+    lam = finite_real(lam, "lam", 0)  # Mode checks the mass
     mode = Mode(lam=lam, mass=mass, tau0=0.0, physical=is_physical_eigenvalue(lam))
     return (mode, (lam / mass) / np.tan(np.radians(10.0)),
             (lam / mass) / np.tan(np.radians(70.0)))
@@ -169,9 +167,7 @@ def build_twelve_segment(lam: float = 1.5, mass: float = 1.0) -> Scenario:
 def perturb_scenario(scenario: Scenario, index: int, dp: float) -> Scenario:
     """Same scenario with segment ``index``'s rotation count shifted by dp."""
     rotations = list(scenario.rotations)
-    if not 0 <= index < len(rotations):
-        raise InvalidParameter(f"no segment {index} to perturb")
-    rotations[index] += dp
+    rotations[integer_index(index, "segment index", 0, len(rotations))] += finite_real(dp, "dp")
     return replace(scenario, rotations=tuple(rotations))
 
 
@@ -219,12 +215,11 @@ def propagate_bloch(mode: Mode, scale: ScaleFunction, tau_grid,
 
 def _grid(mode: Mode, scale: ScaleFunction, tau_grid) -> list:
     """The grid as floats: nonempty, nondecreasing, with tau0 in the scale's domain."""
-    taus = [float(t) for t in tau_grid]
+    _, *taus = scale.check_domain(mode.tau0, *tau_grid)
     if not taus:
         raise InvalidParameter("tau grid is empty")
     if any(t2 < t1 for t1, t2 in zip(taus, taus[1:])):
         raise InvalidParameter("tau grid must be nondecreasing")
-    scale.check_domain(mode.tau0, *taus)
     return taus
 
 
@@ -268,9 +263,8 @@ def v_rows_with_cumulative(mode: Mode, scale: ScaleFunction, tau_grid,
     forms of ``scenario_v_rows_with_cumulative``, whose v columns must match
     the trace formula's (else ConventionMismatch).
     """
-    taus = [float(t) for t in tau_grid]
     if not scale.is_piecewise:
-        taus = _grid(mode, scale, taus)
+        taus = _grid(mode, scale, tau_grid)
 
         def integrand(t, r, x):  # v R, from signature_operator's integrand
             b00, b01, _, b11 = sigma3_conjugated(x, r)
@@ -281,8 +275,9 @@ def v_rows_with_cumulative(mode: Mode, scale: ScaleFunction, tau_grid,
         vs = _sigma3_pauli(np.array([x for x, _ in states]))
         cums = np.array([acc.real for _, acc in states])
         return [(t, *v, *cum) for t, v, cum in zip(taus, vs.tolist(), cums.tolist())]
-    frame_rows = np.array(scenario_v_rows_with_cumulative(mode, scale, taus),
+    frame_rows = np.array(scenario_v_rows_with_cumulative(mode, scale, tau_grid),
                           dtype=float).reshape(-1, 7)
+    taus = frame_rows[:, 0].tolist()
     trace_rows = v_trace_formula(mode, scale, taus, tol=tol)
     worst = float(np.max(np.abs(trace_rows - frame_rows[:, 1:4]), initial=0.0))
     if worst > TRACE_CROSSCHECK_TOL:

@@ -24,6 +24,7 @@ from .errors import DegenerateFamily, InvalidParameter
 from .evolution import (evolve, exact_transport, interval_integral, propagators,
                         sigma3_conjugated)
 from .model import (
+    DEFAULT_CLASSIFY_TOL,
     DEFAULT_GAP_TOL,
     DEFAULT_ODE_TOL,
     DEFAULT_QUAD_TOL,
@@ -34,6 +35,7 @@ from .model import (
     check_hermitian,
     check_tolerances,
     frozen_array,
+    integer_index,
     spectral_norm,
 )
 from .projector import (
@@ -107,12 +109,10 @@ def build_family(modes, scale: ScaleFunction, members,
     """
     check_tolerances(ode_tol, quad_tol, gap_tol)
     modes = tuple(modes)
-    mems = tuple(FamilyMember(int(i), s) for i, s in members)
+    mems = tuple(FamilyMember(integer_index(i, "mode index", 0, len(modes)), s)
+                 for i, s in members)
     if not mems:
         raise InvalidParameter("family needs at least one member")
-    for mem in mems:
-        if not 0 <= mem.mode_index < len(modes):
-            raise InvalidParameter(f"mode index {mem.mode_index} out of range")
     if require_negative_subspace:
         projections = {}
         for idx in {m.mode_index for m in mems}:
@@ -254,9 +254,7 @@ def kernel_apply(family: SolutionFamily, tau_x: float, phi: TestFunction,
     is s_j^dagger k(phi) and the image is -U(tau_x) sum_j s_j s_j^dagger
     k(phi), with k the causal-solution image ``k_m_apply``.
     """
-    if not 0 <= mode_index < len(family.modes):
-        raise InvalidParameter(f"mode index {mode_index} out of range")
-    mode = family.modes[mode_index]
+    mode = family.modes[integer_index(mode_index, "mode index", 0, len(family.modes))]
     scale = family.scale
     scale.check_domain(mode.tau0, *phi.support)
     spinors = [m.spinor for m in family.members if m.mode_index == mode_index]
@@ -328,15 +326,14 @@ def product_spectrum(fx: CorrelationOperator, fy: CorrelationOperator):
 
 
 def causal_classify(fx: CorrelationOperator, fy: CorrelationOperator,
-                    tol: float = 1e-8) -> Classification:
+                    tol: float = DEFAULT_CLASSIFY_TOL) -> Classification:
     """Causal relation of two times from the product spectrum.
 
     Timelike: all nontrivial eigenvalues real (within tol, relative to the
     largest magnitude).  Spacelike: all nontrivial eigenvalues genuinely
     complex with a common absolute value.  Lightlike: anything else.
     """
-    if not 0.0 < tol < np.inf:
-        raise InvalidParameter(f"classify tolerance must be finite and > 0, got {tol}")
+    check_tolerances(classify_tol=tol)
     eigs = product_spectrum(fx, fy)
     # no nontrivial eigenvalue (a zero spectrum included) is timelike
     scale = float(np.max(np.abs(eigs), initial=0.0))

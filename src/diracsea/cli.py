@@ -29,7 +29,7 @@ from . import projector as proj_mod
 from . import studies as studies_mod
 from .errors import DiracSeaError, InvalidParameter
 from .evolution import evolve_grid
-from .model import Mode, unitarity_defect
+from .model import DEFAULT_CLASSIFY_TOL, Mode, unitarity_defect
 from .scenario_io import ScenarioConfig, load_scenario
 
 log = logging.getLogger("diracsea")
@@ -77,9 +77,8 @@ def _parse_probe(p: dict) -> studies_mod.ProbeSpec:
     """A 'phi' block: support, direction ([re, im] pairs or numbers), amplitude."""
     direction = tuple(complex(e[0], e[1]) if isinstance(e, (list, tuple))
                       else complex(e) for e in p.get("direction", [1.0, 0.0]))
-    return studies_mod.ProbeSpec(support=tuple(float(x) for x in p["support"]),
-                                 direction=direction,
-                                 amplitude=float(p.get("amplitude", 1.0)))
+    return studies_mod.ProbeSpec(support=tuple(p["support"]), direction=direction,
+                                 amplitude=p.get("amplitude", 1.0))
 
 
 def cmd_evolve(cfg: ScenarioConfig, args, out):
@@ -169,7 +168,7 @@ def cmd_cfs(cfg: ScenarioConfig, args, out):
     taus = [float(t) for t in run["taus"]]
     lambdas = [float(x) for x in run.get("lambdas", [cfg.mode.lam])]
     members_per_mode = int(run.get("members_per_mode", 1))
-    classify_tol = float(run.get("classify_tol", 1e-8))
+    classify_tol = float(run.get("classify_tol", DEFAULT_CLASSIFY_TOL))
     scale = cfg.scale
     tols = cfg.tolerances
     modes = tuple(Mode(lam=l, mass=cfg.mode.mass, tau0=cfg.mode.tau0,

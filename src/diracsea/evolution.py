@@ -43,7 +43,6 @@ from .model import (
     check_tolerances,
     polar_unitary,
     smooth_integrals,
-    spectral_norm,
     DEFAULT_ODE_TOL,
 )
 from . import stepper
@@ -91,7 +90,6 @@ class EvolutionResult:
     tau_from: float
     tau_to: float
     step_count: int
-    max_unitarity_defect: float
 
 
 def _piecewise_propagators(modes, scale: PiecewiseConstantScale,
@@ -307,8 +305,7 @@ def propagators(modes, scale: ScaleFunction, tau_from: float, taus,
     accepted steps.
     """
     check_tolerances(ode_tol=tol)
-    taus = [float(t) for t in taus]
-    scale.check_domain(tau_from, *taus)
+    tau_from, *taus = scale.check_domain(tau_from, *taus)
     modes = _mode_stack(modes)
 
     if scale.is_piecewise:
@@ -324,9 +321,7 @@ def evolve(mode: Mode, scale: ScaleFunction, tau_from: float, tau_to: float,
            tol: float = DEFAULT_ODE_TOL) -> EvolutionResult:
     """Propagator from ``tau_from`` to ``tau_to``: one mode, one stop."""
     ((u,),), work = propagators((mode,), scale, tau_from, [tau_to], tol)
-    u = Unitary2(u)
-    return EvolutionResult(u=u, tau_from=tau_from, tau_to=tau_to,
-                           step_count=work, max_unitarity_defect=u.defect)
+    return EvolutionResult(u=Unitary2(u), tau_from=tau_from, tau_to=tau_to, step_count=work)
 
 
 def evolve_grid(mode: Mode, scale: ScaleFunction, tau_from: float, taus,
@@ -371,8 +366,8 @@ def accumulated_phase(mode: Mode, scale: ScaleFunction, tau_from: float, tau_to)
     """integral of the instantaneous frequency from tau_from to tau_to, or to each
     of an array of them.  Piecewise scales sum exactly; smooth scales take every
     end in one ``smooth_integrals`` call (the integrand is smooth and positive)."""
+    scale.check_domain(tau_from, *np.ravel(tau_to).tolist())
     ends = np.asarray(tau_to, dtype=float)
-    scale.check_domain(tau_from, *ends.ravel().tolist())
     if scale.is_piecewise:
         phases = np.array([0.0 if end == tau_from else math.copysign(sum(
             frequency(mode, r) * (b - a) for a, b, r
@@ -427,18 +422,6 @@ def wkb_deviation(mode: Mode, scale: ScaleFunction, tau: float,
                   tol: float = DEFAULT_ODE_TOL) -> Unitary2:
     """W(tau): ``wkb_deviations`` at one time."""
     return Unitary2(wkb_deviations(mode, scale, [tau], tol)[0])
-
-
-def deviation_from_identity(w):
-    """||W - 1||, of a matrix or of each matrix in a stack."""
-    mat = w.matrix if isinstance(w, Unitary2) else np.asarray(w)
-    return spectral_norm(mat - IDENTITY2)
-
-
-def wkb_deviation_grid(mode: Mode, scale: ScaleFunction, taus,
-                       tol: float = DEFAULT_ODE_TOL):
-    """||W - 1|| sampled along a monotone grid, in a single sweep."""
-    return list(deviation_from_identity(wkb_deviations(mode, scale, taus, tol)))
 
 
 def wkb_deviation_by_generator(mode: Mode, scale: SmoothScale, tau: float,

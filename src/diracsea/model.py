@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -36,6 +37,8 @@ DEFAULT_ODE_TOL = 1e-10
 DEFAULT_QUAD_TOL = 1e-9
 #: Default relative eigenvalue-gap threshold for spectral projections.
 DEFAULT_GAP_TOL = 1e-6
+#: Default relative tolerance of ``cfs.causal_classify``.
+DEFAULT_CLASSIFY_TOL = 1e-8
 #: The open range an ode tolerance must lie in.
 MIN_ODE_TOL, MAX_ODE_TOL = 1e-14, 1e-4
 #: How far a table scale's spline may stray outside [0, 1].  A table of a
@@ -55,14 +58,44 @@ MAX_PANELS = 2000
 SMOOTH_TOL, G_FLOOR = 1e-13, float(np.finfo(float).eps)
 
 
-def check_tolerances(ode_tol=None, quad_tol=None, gap_tol=None):
-    """InvalidParameter for the first given tolerance out of range, in the order
-    ode (inside (MIN_ODE_TOL, MAX_ODE_TOL)), quadrature, gap (finite and > 0)."""
-    if ode_tol is not None and not MIN_ODE_TOL < ode_tol < MAX_ODE_TOL:
+def finite_real(value, what: str, low: float = -math.inf, closed: bool = False) -> float:
+    """``value`` as a float: a finite real number > ``low`` (>= if ``closed``), else
+    InvalidParameter, "<what> must be finite and > <low>, got <value>".  No numpy
+    call: a value that is no real number fails the comparison made anyway."""
+    try:
+        if (low <= value if closed else low < value) and value < math.inf:
+            return float(value)
+    except (TypeError, ValueError):  # no real number
+        pass
+    bound = "" if low == -math.inf else f" and {'>=' if closed else '>'} {low:g}"
+    raise InvalidParameter(f"{what} must be finite{bound}, got {value}")
+
+
+def integer_index(value, what: str, start: int = 0, stop: int | None = None) -> int:
+    """``value``, an integer (no float, 1.0 too) in [start, stop) or >= start, as an int;
+    InvalidParameter otherwise."""
+    try:
+        if start <= (i := operator.index(value)) and (stop is None or i < stop):
+            return i
+    except TypeError:
+        pass
+    span = f">= {start}" if stop is None else f"in [{start}, {stop})"
+    raise InvalidParameter(f"{what} must be an integer {span}, got {value!r}")
+
+
+def check_tolerances(ode_tol=None, quad_tol=None, gap_tol=None, classify_tol=None):
+    """InvalidParameter for the first given tolerance out of range, in the order ode (a
+    number in (MIN_ODE_TOL, MAX_ODE_TOL)), quadrature, gap, classify (``finite_real`` > 0)."""
+    try:
+        ode_ok = ode_tol is None or MIN_ODE_TOL < ode_tol < MAX_ODE_TOL
+    except (TypeError, ValueError):  # no real number
+        ode_ok = False
+    if not ode_ok:
         raise InvalidParameter(f"ode tolerance {ode_tol} outside ({MIN_ODE_TOL}, {MAX_ODE_TOL})")
-    for name, tol in (("quadrature tolerance", quad_tol), ("gap_tol", gap_tol)):
-        if tol is not None and not 0.0 < tol < np.inf:
-            raise InvalidParameter(f"{name} must be finite and > 0, got {tol}")
+    for name, tol in (("quadrature tolerance", quad_tol), ("gap_tol", gap_tol),
+                      ("classify tolerance", classify_tol)):
+        if tol is not None:
+            finite_real(tol, name, 0)
 
 
 def frozen_array(value, shape, what: str, dtype=complex) -> np.ndarray:
@@ -248,12 +281,9 @@ class Mode:
     physical: bool = True
 
     def __post_init__(self):
-        if not np.isfinite(self.lam):
-            raise InvalidParameter("lam must be finite")
-        if not (np.isfinite(self.mass) and self.mass > 0):
-            raise InvalidParameter(f"mass must be > 0, got {self.mass}")
-        if not (np.isfinite(self.tau0) and self.tau0 >= 0.0):
-            raise InvalidParameter(f"tau0 must be finite and >= 0, got {self.tau0}")
+        object.__setattr__(self, "lam", finite_real(self.lam, "lam"))
+        object.__setattr__(self, "mass", finite_real(self.mass, "mass", 0))
+        object.__setattr__(self, "tau0", finite_real(self.tau0, "tau0", 0, closed=True))
         if self.physical and not is_physical_eigenvalue(self.lam):
             raise InvalidParameter(
                 f"lam={self.lam} is not a half-integer with |lam| >= 3/2; "
@@ -283,14 +313,21 @@ class ScaleFunction:
         """(a, b, r) stretches of [lo, hi]: R = r on each, or r = None where R varies."""
         return [(lo, hi, None)]
 
-    def check_domain(self, *taus: float):
-        """DomainError unless each tau lies in the closed [0, tau_end] of a
-        piecewise scale or the open (0, tau_end) of a smooth one."""
-        closed, end = self.is_piecewise, self.tau_end
+    def check_domain(self, *taus: float) -> list:
+        """The taus as floats.  DomainError unless each lies in the closed
+        [0, tau_end] of a piecewise scale or the open (0, tau_end) of a smooth
+        one; InvalidParameter for a tau that is no real number."""
+        closed, end, out = self.is_piecewise, self.tau_end, []
         for tau in taus:
-            if not (0.0 <= tau <= end if closed else 0.0 < tau < end):
+            try:
+                inside = 0.0 <= tau <= end if closed else 0.0 < tau < end
+            except (TypeError, ValueError):
+                raise InvalidParameter(f"tau must be a real number, got {tau!r}") from None
+            if not inside:
                 domain = ("[0, %g]" if closed else "(0, %g)") % end
                 raise DomainError(f"tau={tau} outside the scale-function domain {domain}")
+            out.append(float(tau))
+        return out
 
     def window(self, tol: float):
         """(lo, hi, tail): where a lifetime integral runs, and the integral of R
@@ -311,12 +348,10 @@ class SmoothScale(ScaleFunction):
     r_max: float
     dg: Callable[[float], float] | None = None
     label: str = "smooth"
-    tau_end: float = field(default=float(np.pi))
-    is_piecewise = False
+    tau_end = math.pi
 
     def __post_init__(self):
-        if not (np.isfinite(self.r_max) and self.r_max > 0):
-            raise InvalidParameter(f"r_max must be > 0, got {self.r_max}")
+        object.__setattr__(self, "r_max", finite_real(self.r_max, "r_max", 0))
 
     def value(self, tau):
         return self.r_max * self.g(tau)
@@ -365,8 +400,8 @@ class PiecewiseConstantScale(ScaleFunction):
     values: tuple
 
     def __post_init__(self):
-        bps = tuple(float(b) for b in self.breakpoints)
-        vals = tuple(float(v) for v in self.values)
+        bps = tuple(finite_real(b, "breakpoint") for b in self.breakpoints)
+        vals = tuple(finite_real(v, "segment value", 0) for v in self.values)
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "values", vals)
         if len(bps) != len(vals) + 1:
@@ -375,10 +410,8 @@ class PiecewiseConstantScale(ScaleFunction):
             raise InvalidParameter("need at least one segment")
         if bps[0] != 0.0:
             raise InvalidParameter("first breakpoint must be 0")
-        if not (all(b1 < b2 for b1, b2 in zip(bps, bps[1:])) and bps[-1] < np.inf):
-            raise InvalidParameter("breakpoints must be strictly increasing and finite")
-        if any(not (np.isfinite(v) and v > 0) for v in vals):
-            raise InvalidParameter("segment values must be strictly positive")
+        if not all(b1 < b2 for b1, b2 in zip(bps, bps[1:])):
+            raise InvalidParameter("breakpoints must be strictly increasing")
         # array copies for elementwise lookups (not fields: eq and hash stay on the tuples)
         object.__setattr__(self, "_inner", frozen_array(bps[1:-1], (None,), "breakpoints", float))
         object.__setattr__(self, "_values", frozen_array(vals, (None,), "values", float))
@@ -426,22 +459,14 @@ def dust_scale(r_max: float) -> SmoothScale:
     (``PAPER.md`` holds only its abstract), and this sharp end is what the
     boundary term of a smoothly switched signature operator measures.
     """
-    return SmoothScale(
-        g=lambda t: 0.5 * (1.0 - np.cos(t)),
-        dg=lambda t: 0.5 * np.sin(t),
-        r_max=float(r_max),
-        label="dust",
-    )
+    return SmoothScale(g=lambda t: 0.5 * (1.0 - np.cos(t)), dg=lambda t: 0.5 * np.sin(t),
+                       r_max=r_max, label="dust")
 
 
 def constant_scale(r: float) -> SmoothScale:
     """Constant R; the frequency is time independent and WKB is exact."""
-    return SmoothScale(
-        g=lambda t: np.ones_like(t, dtype=float),
-        dg=lambda t: 0.0,
-        r_max=float(r),
-        label="constant",
-    )
+    return SmoothScale(g=lambda t: np.ones_like(t, dtype=float), dg=lambda t: 0.0,
+                       r_max=r, label="constant")
 
 
 def _not_a_knot(x, y):
@@ -511,7 +536,7 @@ def smooth_table_scale(taus: Sequence[float], values: Sequence[float],
         raise InvalidParameter(
             f"interpolated scale function leaves [0, 1]: g ranges over "
             f"[{g.min():.4g}, {g.max():.4g}]; refine or smooth the table")
-    return SmoothScale(g=spline, dg=slope, r_max=float(r_max), label="smooth_table")
+    return SmoothScale(g=spline, dg=slope, r_max=r_max, label="smooth_table")
 
 
 @dataclass(frozen=True)
@@ -561,9 +586,7 @@ class TestFunction:
     amplitude: Callable[[float], np.ndarray]
 
     def __post_init__(self):
-        a, b = self.support
-        if not (0.0 < a < b < np.inf):
-            raise InvalidParameter(f"support ({a}, {b}) must satisfy 0 < a < b, both finite")
+        object.__setattr__(self, "support", _support(self.support))
 
     def __call__(self, tau) -> np.ndarray:
         """phi(tau): a 2-vector, or an (n, 2) array for an (n, 1) column of times."""
@@ -574,6 +597,14 @@ class TestFunction:
         # no absolute floor: a narrow support has a small norm, kept to rounding
         return float(smooth_integrals(
             lambda t: np.linalg.norm(self(t[:, None]), axis=1), *self.support)[0])
+
+
+def _support(support) -> tuple:
+    """A probe's support (a, b) as floats, 0 < a < b; InvalidParameter otherwise."""
+    a, b = (finite_real(x, "support end", 0) for x in support)
+    if not a < b:
+        raise InvalidParameter(f"support ({a}, {b}) must satisfy 0 < a < b, both finite")
+    return a, b
 
 
 def mollifier(x):
@@ -587,16 +618,14 @@ def bump(support: tuple, direction, amplitude: float = 1.0) -> TestFunction:
     """Mollifier bump along a fixed (normalized) spinor direction.
 
     The profile is ``amplitude * exp(-1/(1-x^2))`` with x rescaled so the
-    bump fills ``support``; the amplitude must be finite.
+    bump fills ``support``; the amplitude is a finite real number.
     """
-    a, b = float(support[0]), float(support[1])
+    a, b = _support(support)
     d = frozen_array(direction, (2,), "direction")
     if not np.linalg.norm(d) > 0:
         raise InvalidParameter("direction must be nonzero")
     d = d / np.linalg.norm(d)
-    amp = float(amplitude)
-    if not np.isfinite(amp):
-        raise InvalidParameter(f"amplitude must be finite, got {amp}")
+    amp = finite_real(amplitude, "amplitude")
 
     def profile(tau):
         x = (2.0 * tau - a - b) / (b - a)
@@ -607,7 +636,7 @@ def bump(support: tuple, direction, amplitude: float = 1.0) -> TestFunction:
 
 def complex_bump(support: tuple, vector_of_tau: Callable[[float], np.ndarray]) -> TestFunction:
     """Probe with an arbitrary smooth spinor-valued profile times the mollifier."""
-    a, b = float(support[0]), float(support[1])
+    a, b = _support(support)
 
     def profile(tau):
         # ``vector_of_tau`` takes one time, inside the support

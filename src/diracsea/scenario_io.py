@@ -78,8 +78,7 @@ def _preset(sdoc, mode):
     # the document's mode, so that Scenario checks its tau0
     scale = replace(_PRESETS[sdoc["name"]](lam=mode.lam, mass=mode.mass), mode=mode)
     if "perturb" in sdoc:
-        scale = perturb_scenario(scale, int(sdoc["perturb"]["index"]),
-                                 float(sdoc["perturb"]["dp"]))
+        scale = perturb_scenario(scale, int(sdoc["perturb"]["index"]), sdoc["perturb"]["dp"])
     return scale
 
 
@@ -87,14 +86,13 @@ def _preset(sdoc, mode):
 #: builder of its scale from the ``scale`` block and the mode.
 SCALE_KINDS = {
     "dust": (_options("r_max", r_max=_POSITIVE),
-             lambda sdoc, mode: dust_scale(float(sdoc["r_max"]))),
+             lambda sdoc, mode: dust_scale(sdoc["r_max"])),
     "constant": (_options("r", r=_POSITIVE),
-                 lambda sdoc, mode: constant_scale(float(sdoc["r"]))),
+                 lambda sdoc, mode: constant_scale(sdoc["r"])),
     "smooth_table": (
         _options("taus", "values", "r_max", taus=dict(_NUMBERS, minItems=4),
                  values=dict(_NUMBERS, minItems=4), r_max=_POSITIVE),
-        lambda sdoc, mode: smooth_table_scale(sdoc["taus"], sdoc["values"],
-                                              float(sdoc["r_max"]))),
+        lambda sdoc, mode: smooth_table_scale(sdoc["taus"], sdoc["values"], sdoc["r_max"])),
     "piecewise": (
         _options("breakpoints", "values", breakpoints=dict(_NUMBERS, minItems=2),
                  values=dict(_NUMBERS, items=_POSITIVE)),
@@ -251,8 +249,7 @@ def parse_scenario(doc: dict, command: str | None = None,
     _check(doc, command)
 
     mdoc = doc["mode"]
-    mode = Mode(lam=float(mdoc["lambda"]), mass=float(mdoc["mass"]),
-                tau0=float(mdoc["tau0"]),
+    mode = Mode(lam=mdoc["lambda"], mass=mdoc["mass"], tau0=mdoc["tau0"],
                 physical=bool(mdoc.get("physical", True)))
 
     sdoc = doc["scale"]

@@ -18,15 +18,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .evolution import wkb_deviation_grid
+from .evolution import wkb_deviations
 from .model import (
     DEFAULT_GAP_TOL,
     DEFAULT_ODE_TOL,
     DEFAULT_QUAD_TOL,
+    IDENTITY2,
     Mode,
     bump,
     check_tolerances,
     dust_scale,
+    finite_real,
+    integer_index,
     is_physical_eigenvalue,
     spectral_norm,
 )
@@ -122,8 +125,7 @@ class ProbeSpec:
     amplitude: float = 1.0
 
     def build(self):
-        return bump(self.support, np.array(self.direction, dtype=complex),
-                    self.amplitude)
+        return bump(self.support, self.direction, self.amplitude)
 
 
 def _s_wkb_gap(mode, scale, probe, ode_tol, quad_tol, gap_tol):
@@ -147,7 +149,7 @@ def _leading_term_gap(mode, scale, probe, ode_tol, quad_tol, gap_tol):
 def _w_deviation(mode, scale, probe, ode_tol, quad_tol, gap_tol):
     taus = np.linspace(W_WINDOW_MARGIN, scale.tau_end - W_WINDOW_MARGIN,
                        W_WINDOW_POINTS)
-    return float(max(wkb_deviation_grid(mode, scale, taus, tol=ode_tol)))
+    return float(spectral_norm(wkb_deviations(mode, scale, taus, ode_tol) - IDENTITY2).max())
 
 
 #: Each study: its envelope shape at (m r_max, mass, r_max, probe L1 norm),
@@ -199,15 +201,13 @@ def run_study(kind: StudyKind, grid, lam_spec: LambdaSpec = LambdaSpec(),
     is checked, whether the study kind reads it or not.
     """
     check_tolerances(ode_tol, quad_tol, gap_tol)
-    grid = [float(x) for x in grid]
-    if jobs < 1:
-        raise InvalidParameter(f"jobs must be >= 1, got {jobs}")
-    if not 0.0 <= slack < np.inf:
-        raise InvalidParameter(f"slack must be finite and >= 0, got {slack}")
+    jobs = integer_index(jobs, "jobs", 1)
+    slack = finite_real(slack, "slack", 0, closed=True)
+    leading_r_max = finite_real(leading_r_max, "leading_r_max", 0)
+    # every grid value must exceed 1: the bound hypothesis
+    grid = [finite_real(x, "grid value", 1) for x in grid]
     if len(grid) < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidParameter("grid must be a nonempty ascending sequence")
-    if any(x <= 1.0 for x in grid):
-        raise InvalidParameter("every grid value must exceed 1 (bound hypothesis)")
     if kind is StudyKind.P_WKB_BOUND and probe is None:
         probe = ProbeSpec()
 

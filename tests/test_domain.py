@@ -111,7 +111,7 @@ MODE_ENTRY_POINTS = {
         lambda m, phi: projector.wkb_signature_leading_term(m, DUST),
     "wkb_propagators": lambda m, phi: evolution.wkb_propagators(m, DUST, 1.0, [2.0]),
     "wkb_deviation": lambda m, phi: evolution.wkb_deviation(m, DUST, 1.0),
-    "wkb_deviation_grid": lambda m, phi: evolution.wkb_deviation_grid(m, DUST, [1.0]),
+    "wkb_deviations": lambda m, phi: evolution.wkb_deviations(m, DUST, [1.0]),
     "wkb_deviation_by_generator":
         lambda m, phi: evolution.wkb_deviation_by_generator(m, DUST, 1.0),
     "propagate_bloch": lambda m, phi: bloch.propagate_bloch(m, DUST, [1.0]),

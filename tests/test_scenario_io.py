@@ -95,7 +95,8 @@ def test_preset_checks_tau0_and_perturbed_index():
         parse_scenario(d)
     d["mode"]["tau0"] = 0.0
     d["scale"]["perturb"] = {"index": 6, "dp": 0.01}
-    with pytest.raises(InvalidParameter, match="segment 6"):
+    with pytest.raises(InvalidParameter,
+                       match=r"segment index must be an integer in \[0, 6\), got 6"):
         parse_scenario(d)
     d["scale"]["perturb"]["index"] = 5
     assert parse_scenario(d).scale.rotations[5] == pytest.approx(0.51)

@@ -50,9 +50,10 @@
 * Each value has one home: the leading-order projector is
   ``p_wkb_leading_apply`` alone, a probe's L1 norm is computed when read,
   the WKB frame is composed by ``wkb_propagators`` alone, a study
-  record holds no copy of its study's kind or fitted constant, and
-  ``Unitary2`` and ``Hermitian2`` hold their matrix in one field,
-  ``matrix``, with no second name for it.
+  record holds no copy of its study's kind or fitted constant, an
+  evolution result none of its propagator's defect, and ``Unitary2`` and
+  ``Hermitian2`` hold their matrix in one field, ``matrix``, with no second
+  name for it.
 * The scale owns where tau may go: ``Mode``, ``TestFunction``, ``bump``,
   ``complex_bump`` and ``SCENARIO_SCHEMA`` name no ``pi``; no
   ``check_mode_scale`` or ``_choose_cutoffs`` is left anywhere.  Each of
@@ -64,9 +65,12 @@
   ``build_family``, ``negative_subspace_family`` and ``run_study``, which
   take it whether or not they open a window.
 * Each input rule has one home, in ``model``: ``check_tolerances`` is the one
-  tolerance check (no module defines or imports another), ``frozen_array``
-  alone calls ``setflags``, and ``check_hermitian`` alone reads
-  ``HERMITICITY_TOL``.
+  tolerance check (no module defines or imports another, and
+  ``causal_classify`` calls it), ``frozen_array`` alone calls ``setflags``,
+  and ``check_hermitian`` alone reads ``HERMITICITY_TOL``.  A scalar is
+  checked by ``finite_real``: outside it and ``frozen_array``, nothing calls
+  ``isfinite``, compares with ``inf`` or writes "must be finite", but for the
+  stepper's state check and ``panel_walk``'s refinement count.
 * No module imports ``scipy``: the smooth lifetime integrals are
   ``model.smooth_integrals``, and a table scale's spline is
   ``model._not_a_knot``.
@@ -92,6 +96,7 @@ from diracsea.bloch import (Scenario, build_six_segment, make_scenario,
                             perturb_scenario, propagate_bloch,
                             v_rows_with_cumulative)
 from diracsea.cli import PROJECTORS
+from diracsea.evolution import EvolutionResult
 from diracsea.model import Mode, PiecewiseConstantScale
 from diracsea.scenario_io import RUN_OPTIONS, SCALE_KINDS, SCENARIO_SCHEMA
 from diracsea.stepper import integrate
@@ -270,8 +275,8 @@ def test_wkb_routes_take_one_call_per_grid():
                                                    ("evolution", "wkb_deviations"): 1})
     assert _calls({"wkb_deviations"}) == Counter({
         ("evolution", "wkb_deviation"): 1,
-        ("evolution", "wkb_deviation_grid"): 1,
         ("projector", "_segments"): 1,
+        ("studies", "_w_deviation"): 1,
     })
     assert not _calls({"wkb_evolve", "wkb_deviation"})
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
@@ -408,6 +413,11 @@ def test_each_value_has_one_home():
         "m_rmax", "lam", "measured", "envelope", "passed"]
     assert [f.name for f in dataclasses.fields(model.Unitary2)] == ["matrix", "defect"]
     assert [f.name for f in dataclasses.fields(model.Hermitian2)] == ["matrix"]
+    assert [f.name for f in dataclasses.fields(EvolutionResult)] == [
+        "u", "tau_from", "tau_to", "step_count"]
+    # a smooth scale's lifetime is a class constant, as is_piecewise is
+    assert [f.name for f in dataclasses.fields(model.SmoothScale)] == [
+        "g", "r_max", "dg", "label"]
     assert "entries" not in _names(MODULES["model"])
 
 
@@ -463,6 +473,16 @@ def test_one_domain_rule_and_one_lifetime_window():
     assert not params & {"closed_form", "lifetime_integral"}
 
 
+def _scalar_rule(node):
+    """An ``isfinite`` call, a comparison with ``inf`` or the words "must be finite"."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "attr", getattr(node.func, "id", None)) == "isfinite"
+    if isinstance(node, ast.Compare):
+        return any(getattr(getattr(x, "operand", x), "attr", None) == "inf"
+                   for x in [node.left, *node.comparators])
+    return isinstance(node, ast.Constant) and "must be finite" in str(node.value)
+
+
 def test_each_input_rule_has_one_home():
     tolerance_check = re.compile(r"_?check_\w*tol")
     defined = _sites(lambda node: isinstance(node, ast.FunctionDef)
@@ -479,6 +499,13 @@ def test_each_input_rule_has_one_home():
                                              getattr(node, "name", None)})
     # the definition stores it; the one load is in check_hermitian
     assert reads == Counter({("model", ""): 1, ("model", "check_hermitian"): 1})
+    assert ("cfs", "causal_classify") in _calls({"check_tolerances"})
+    assert set(_sites(_scalar_rule)) == {
+        ("model", "finite_real"),
+        ("model", "frozen_array"),
+        ("model", "panel_walk"),  # a miss that is not finite halves its panel
+        ("stepper", "integrate"),  # a state that is not finite fails the step
+    }
 
 
 def _imports(package):
