@@ -601,7 +601,11 @@ class TestFunction:
 
 def _support(support) -> tuple:
     """A probe's support (a, b) as floats, 0 < a < b; InvalidParameter otherwise."""
-    a, b = (finite_real(x, "support end", 0) for x in support)
+    try:
+        a, b = support
+    except (TypeError, ValueError):  # no pair
+        raise InvalidParameter(f"support must be a pair (a, b), got {support!r}") from None
+    a, b = finite_real(a, "support end", 0), finite_real(b, "support end", 0)
     if not a < b:
         raise InvalidParameter(f"support ({a}, {b}) must satisfy 0 < a < b, both finite")
     return a, b

@@ -13,15 +13,20 @@ lack drive the hand-rolled implementation:
   most 0.1 rad, about 1/63 of a turn, per step, at the rate its transport
   states) so oscillations are always resolved, independently of how
   optimistic the controller gets;
-* a post-acceptance projection hook, used to restore unitarity (polar
-  decomposition) or frame orthogonality after every accepted step.
+* a projection hook, used to restore unitarity (polar decomposition) or
+  frame orthogonality on every step's candidate state.
 
 The fifth-order solution is propagated; the embedded fourth-order solution
 provides the local error estimate, measured in the usual mixed
-absolute/relative norm.  Each call keeps the seven stages in one (7, n)
-buffer; a stage state is one product of a tableau row with it.  The
-right-hand side, called once per stage, is copied into its stage's row,
-so it may return a buffer it reuses.
+absolute/relative norm.  The pair is "first same as last": an accepted
+step hands its seventh stage, taken at its end, to the next as its first,
+so a call evaluates the right-hand side once, then six times per attempt.
+The hook maps every finite candidate, rejected ones too, before that last
+stage, so the reused stage is the derivative at the very state the next
+step starts from.  Each call keeps the seven stages in one (7, n) buffer;
+a stage state is one product of a tableau row with it.  Each right-hand
+side value is copied into its stage's row, so the right-hand side may
+return a buffer it reuses.
 """
 
 from __future__ import annotations
@@ -71,9 +76,11 @@ def integrate(rhs: Callable, t0: float, t1: float, y0,
     """Integrate y' = rhs(t, y) from t0 to t1; returns the final state.
 
     ``max_step`` maps t to a step ceiling; ``post_accept(t, y)``, run once
-    per accepted step, returns the state to go on from (projection back onto
-    the invariant manifold) and may overwrite y, the stepper's own array.
-    State vectors are complex; real problems carry zero imaginary parts.
+    per attempt on the finite candidate y at its end, returns the state the
+    last stage is taken at and, if accepted, the next step goes on from
+    (projection back onto the invariant manifold); it may overwrite y, a
+    copy.  State vectors are complex; real problems carry zero imaginary
+    parts.
     """
     y = np.array(y0, dtype=complex)
     if t1 == t0:
@@ -88,6 +95,8 @@ def integrate(rhs: Callable, t0: float, t1: float, y0,
         h = min(h, max_step(t0))
     k = np.empty((7, y.size), dtype=complex)
     tiny = 1e-15 * max(abs(t0), abs(t1), 1.0)
+    k[0] = rhs(t, y)
+    stats.rhs_evaluations += 1
 
     while (t1 - t) * direction > tiny:
         if max_step is not None:
@@ -98,17 +107,20 @@ def integrate(rhs: Callable, t0: float, t1: float, y0,
         hd = direction * h
 
         tableau = hd * _A
-        k[0] = rhs(t, y)
-        for i in range(1, 7):
-            y_new = tableau[i, :i] @ k[:i]
-            y_new += y
-            k[i] = rhs(t + _C[i] * hd, y_new)
-        stats.rhs_evaluations += 7
-
+        for i in range(1, 6):
+            stage = tableau[i, :i] @ k[:i]
+            stage += y
+            k[i] = rhs(t + _C[i] * hd, stage)
+        y_new = tableau[6, :6] @ k[:6]
+        y_new += y
         if not np.isfinite(y_new).all():
             raise IntegrationFailure(
                 "non-finite state encountered", t=t,
                 diagnostic={"h": h, "y_max": float(np.max(np.abs(y)))})
+        # the last stage, at the mapped candidate, is the next step's first
+        y_next = y_new if post_accept is None else post_accept(t + hd, y_new.copy())
+        k[6] = rhs(t + hd, y_next)
+        stats.rhs_evaluations += 6
 
         # mixed absolute/relative RMS norm of the embedded error estimate
         w = np.abs(_ERR @ k)
@@ -117,9 +129,8 @@ def integrate(rhs: Callable, t0: float, t1: float, y0,
 
         if err_norm <= 1.0:
             t = t + hd
-            y = y_new
-            if post_accept is not None:
-                y = post_accept(t, y)
+            y = y_next
+            k[0] = k[6]
             stats.accepted += 1
             factor = _MAX_FACTOR if err_norm == 0.0 else \
                 min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm ** -_ORDER_EXP))

@@ -21,7 +21,7 @@ import math
 import numpy as np
 import pytest
 
-from diracsea import studies
+from diracsea import model, studies
 from diracsea.bloch import BlochState, build_six_segment, make_scenario, perturb_scenario
 from diracsea.cfs import (CorrelationOperator, FamilyMember, SolutionFamily, build_family,
                           causal_classify, kernel_apply, local_correlation,
@@ -228,6 +228,13 @@ LEAKS = {
     "piecewise breakpoint str": lambda: PiecewiseConstantScale((0, "a"), (1,)),
     "piecewise value None": lambda: PiecewiseConstantScale((0, 1), (None,)),
     "bump support str": lambda: bump(("a", 2), [1.0, 0.0]),
+    "bump support three numbers": lambda: bump((1.0, 1.5, 2.0), [1.0, 0.0]),
+    "bump support None": lambda: bump(None, [1.0, 0.0]),
+    "bump support one number": lambda: bump((1.0,), [1.0, 0.0]),
+    "bump support empty string": lambda: bump("", [1.0, 0.0]),
+    "complex_bump support three numbers": lambda: complex_bump((1.0, 1.5, 2.0),
+                                                               lambda t: (1.0, 0.0)),
+    "TestFunction support None": lambda: model.TestFunction(None, lambda t: (1.0, 0.0)),
     "bump amplitude str": lambda: bump((1.0, 2.0), [1.0, 0.0], amplitude="q"),
     "complex_bump support str": lambda: complex_bump(("a", 2), lambda t: (1.0, 0.0)),
     "make_scenario rotations str": lambda: make_scenario(SCENARIO_MODE, [(1.0, "a")]),

@@ -318,9 +318,9 @@ class TestCausalSolution:
 @pytest.mark.parametrize("run,sweeps", [
     (lambda: k_m_apply(Mode(1.5, 1.0, TAU0), dust_scale(10.0),
                        bump((0.3, 0.9), [1.0, 0.5])),
-     [(0, 74, 0, 518), (2, 61, 7, 476)]),
+     [(0, 74, 0, 445), (2, 61, 7, 409)]),
     (lambda: signature_operator(Mode(1.5, 1.0, 1e-4), dust_scale(10.0)),
-     [(0, 1, 0, 7), (4, 489, 0, 3423)]),
+     [(0, 1, 0, 7), (4, 489, 0, 2935)]),
 ], ids=["k_m_apply_probe_above_tau0", "signature_tau0_below_cutoff"])
 def test_carry_then_leg_take_pinned_steps(caplog, run, sweeps):
     # an interval that excludes tau0: cointegrate first carries the propagator

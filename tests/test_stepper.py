@@ -71,7 +71,8 @@ def test_zero_span_returns_initial():
     assert np.array_equal(y, y0)
 
 
-def test_seven_rhs_calls_per_attempt_and_one_hook_call_per_accepted_step():
+def test_six_rhs_calls_per_attempt_and_one_hook_call_per_attempt():
+    # the first stage is evaluated once per call, then reused from the last
     calls = {"rhs": 0, "hook": 0}
 
     def rhs(t, y):
@@ -85,9 +86,56 @@ def test_seven_rhs_calls_per_attempt_and_one_hook_call_per_accepted_step():
     stats = StepStats()
     integrate(rhs, 0.0, 5.0, np.array([1.0 + 0j]), rtol=1e-10, atol=1e-12,
               post_accept=post, stats=stats)
+    attempts = stats.accepted + stats.rejected
     assert stats.rejected > 0
-    assert stats.rhs_evaluations == 7 * (stats.accepted + stats.rejected)
-    assert calls == {"rhs": stats.rhs_evaluations, "hook": stats.accepted}
+    assert stats.rhs_evaluations == 1 + 6 * attempts
+    assert calls == {"rhs": stats.rhs_evaluations, "hook": attempts}
+
+
+def test_first_stage_is_taken_at_the_state_the_hook_returned():
+    # each hook call is followed by the last stage at the state it returned,
+    # and with 1 + 6 per attempt calls that stage is the next step's first
+    events = []
+
+    def rhs(t, y):
+        events.append(("rhs", t, y.copy()))
+        return np.array([1j * 40.0 * y[0]])
+
+    def post(t, y):
+        y = y / abs(y[0])
+        events.append(("hook", t, y.copy()))
+        return y
+
+    y = integrate(rhs, 0.0, 5.0, np.array([1.0 + 0j]), rtol=1e-10, atol=1e-12,
+                  post_accept=post)
+    assert events[0][:2] == ("rhs", 0.0)
+    hooks = [i for i, e in enumerate(events) if e[0] == "hook"]
+    for i in hooks:
+        _, t, state = events[i]
+        _, t_stage, y_stage = events[i + 1]
+        assert t_stage == t and y_stage.tobytes() == state.tobytes()
+    assert y.tobytes() == events[hooks[-1]][2].tobytes()
+
+
+def test_nonfinite_candidate_raises_before_the_hook_sees_it():
+    # the derivative is infinite from t = 0.5 on; the hook, like a polar
+    # restore, cannot take a non-finite block, so it must see finite ones only
+    seen = []
+
+    def rhs(t, y):
+        return -y if t < 0.5 else np.full_like(y, np.inf)
+
+    def post(t, y):
+        seen.append(y.copy())
+        if not np.isfinite(y).all():
+            raise ValueError("non-finite block")
+        return y
+
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(IntegrationFailure, match="non-finite state"):
+        integrate(rhs, 0.0, 10.0, np.array([1.0 + 0j]),
+                  rtol=1e-8, atol=1e-10, post_accept=post)
+    assert seen and all(np.isfinite(y).all() for y in seen)
 
 
 def test_rhs_may_return_a_reused_buffer():
